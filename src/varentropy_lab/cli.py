@@ -44,6 +44,10 @@ def _cmd_sweep(args) -> int:
         t_max = f"{r.time_of_max:.4g}" if r.time_of_max is not None else "-"
         print(f"{r.label:<42} {r.min_rate:>12.4e} {r.max_rate:>12.4e} "
               f"{str(r.sign_change):>5} {t_max:>8}")
+    for r in rows:
+        if r.failed_checks:
+            print(f"warning: sweep member {r.label}: failed checks: "
+                  f"{', '.join(r.failed_checks)}", file=sys.stderr)
     out = args.out or sweep.outputs
     if out is not None:
         path = sweep.base_dir / out if args.out is None else out

@@ -27,6 +27,15 @@ Two flux discretizations are available:
 
 Both schemes conserve trapezoid-rule mass to rounding because the update is
 in flux form and the boundary fluxes are identically zero.
+
+The implicit matrix ``I - theta dt L`` of a step depends only on the
+generator, ``theta`` and the substep size ``dt``, and a run uses only a few
+distinct substep sizes. Each generator therefore factors that tridiagonal
+matrix once per ``(dt, theta)`` with LAPACK ``gttrf`` and reuses the factors
+for every step of that size through ``gttrs`` (the LU / Thomas reuse for a
+constant tridiagonal operator), together with the prebuilt coefficients of
+the explicit stage. The number of cached sizes is bounded, so irregular
+output meshes cannot grow memory.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .drifts import DriftModel
 from .grids import (
@@ -56,6 +65,11 @@ Scheme = Literal["chang_cooper", "crank_nicolson"]
 
 #: Most negative node value tolerated (then clipped) for the central scheme.
 CN_NEGATIVE_TOL = -1e-14
+
+#: Most substep sizes whose factored step one generator keeps. The shipped
+#: meshes need 8-10: ``linspace`` rounding makes equal-looking output
+#: intervals differ in their last bits.
+_STEP_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +111,11 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
-    (grid, model, scheme) and reused across steps."""
+    (grid, model, scheme) and reused across steps.
+
+    ``advance`` keeps a factored :class:`_ThetaStep` per ``(dt, theta)``, at
+    most ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full.
+    """
 
     def __init__(self, grid: Grid, model: DriftModel, scheme: Scheme):
         x = grid.x
@@ -132,6 +150,7 @@ class _Generator:
         self.diag = diag
         self.upper = upper
         self.max_rate = float(np.max(-diag))
+        self._steps: dict[tuple[float, float], _ThetaStep] = {}
 
     def positivity_dt(self, theta: float) -> float:
         """Largest dt for which the explicit stage keeps non-negative data
@@ -142,19 +161,42 @@ class _Generator:
 
     def advance(self, values: np.ndarray, dt: float, theta: float) -> np.ndarray:
         """One theta-weighted step: solve (I - theta dt L) v+ = (I + (1-theta) dt L) v."""
-        rhs = values * (1.0 + (1.0 - theta) * dt * self.diag)
-        rhs[1:] += (1.0 - theta) * dt * self.lower[1:] * values[:-1]
-        rhs[:-1] += (1.0 - theta) * dt * self.upper[:-1] * values[1:]
+        key = (dt, theta)
+        theta_step = self._steps.get(key)
+        if theta_step is None:
+            if len(self._steps) >= _STEP_CACHE_SIZE:
+                del self._steps[next(iter(self._steps))]  # oldest entry first
+            theta_step = self._steps[key] = _ThetaStep(self, dt, theta)
+        return theta_step.apply(values)
 
-        n = len(values)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -theta * dt * self.upper[:-1]
-        ab[1, :] = 1.0 - theta * dt * self.diag
-        ab[2, :-1] = -theta * dt * self.lower[1:]
-        try:
-            return solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
-            raise RuntimeError(f"tridiagonal time-step solve failed: {err}") from err
+
+class _ThetaStep:
+    """One theta step of fixed size for one generator: the explicit-stage
+    coefficients of ``I + (1-theta) dt L`` and the LAPACK ``gttrf`` factors
+    of ``I - theta dt L``."""
+
+    def __init__(self, gen: _Generator, dt: float, theta: float):
+        explicit = (1.0 - theta) * dt
+        self.center = 1.0 + explicit * gen.diag
+        self.lower = explicit * gen.lower[1:]
+        self.upper = explicit * gen.upper[:-1]
+        *factors, info = dgttrf(
+            -theta * dt * gen.lower[1:],
+            1.0 - theta * dt * gen.diag,
+            -theta * dt * gen.upper[:-1],
+        )
+        if info != 0:
+            raise RuntimeError(f"tridiagonal time-step factorization failed (info={info})")
+        self.factors = factors
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        rhs = values * self.center
+        rhs[1:] += self.lower * values[:-1]
+        rhs[:-1] += self.upper * values[1:]
+        out, info = dgttrs(*self.factors, rhs, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal time-step solve failed (info={info})")
+        return out
 
 
 def _advance_interval(

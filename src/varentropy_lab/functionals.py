@@ -83,31 +83,50 @@ def _masked_weight(p: Density, rel_cut: float) -> np.ndarray:
     return np.where(support_mask(p, rel_cut), p.values, 0.0)
 
 
+def _check_sigma(sigma: float):
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
+def _state_terms(
+    p: Density, pbar: Density, rel_cut: float
+) -> tuple[float, float, float, float]:
+    """Everything the functionals need from one state, in one pass.
+
+    The log ratio, the masked weight and the squared slope are each computed
+    once. Returns ``(entropy, fisher, varentropy, rate_integral)`` with the
+    varentropy rate equal to ``sigma**2 * rate_integral``; the public
+    functions and :func:`report` all read their values from here.
+    """
+    logratio = local_free_energy(p, pbar)
+    weight = _masked_weight(p, rel_cut)
+    first = integrate(logratio * weight, p.grid)
+    second = integrate(logratio**2 * weight, p.grid)
+    slope_sq = gradient(logratio, p.grid) ** 2
+    entropy = max(first, 0.0)
+    fisher = max(integrate(slope_sq * weight, p.grid), 0.0)
+    variance = max(second - first**2, 0.0)
+    rate_integral = integrate((-logratio - 1.0 + entropy) * slope_sq * weight, p.grid)
+    return entropy, fisher, variance, rate_integral
+
+
 def relative_entropy(
     p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT
 ) -> float:
     """Kullback-Leibler divergence of ``p`` from ``pbar`` in nats."""
-    logratio = local_free_energy(p, pbar)
-    value = integrate(logratio * _masked_weight(p, rel_cut), p.grid)
-    return max(value, 0.0)
+    return _state_terms(p, pbar, rel_cut)[0]
 
 
 def relative_fisher(
     p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT
 ) -> float:
     """Relative Fisher information: mean squared slope of the log ratio."""
-    slope = gradient(local_free_energy(p, pbar), p.grid)
-    value = integrate(slope**2 * _masked_weight(p, rel_cut), p.grid)
-    return max(value, 0.0)
+    return _state_terms(p, pbar, rel_cut)[1]
 
 
 def varentropy(p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT) -> float:
     """Variance of the log ratio under ``p`` (second moment minus squared mean)."""
-    logratio = local_free_energy(p, pbar)
-    weight = _masked_weight(p, rel_cut)
-    first = integrate(logratio * weight, p.grid)
-    second = integrate(logratio**2 * weight, p.grid)
-    return max(second - first**2, 0.0)
+    return _state_terms(p, pbar, rel_cut)[2]
 
 
 def varentropy_centered(
@@ -143,8 +162,7 @@ def free_energy_rate(
     p: Density, pbar: Density, sigma: float, rel_cut: float = DEFAULT_TAIL_CUT
 ) -> float:
     """Decay rate of the relative entropy: ``-(sigma^2 / 2) * fisher``."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     return -0.5 * sigma**2 * relative_fisher(p, pbar, rel_cut)
 
 
@@ -160,14 +178,8 @@ def varentropy_rate(
     with ``entropy`` the relative entropy of ``p`` from ``pbar``. The bracket
     has no definite sign, so unlike the entropy rate this can be positive.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    logratio = local_free_energy(p, pbar)
-    weight = _masked_weight(p, rel_cut)
-    entropy = max(integrate(logratio * weight, p.grid), 0.0)
-    slope = gradient(logratio, p.grid)
-    integrand = (-logratio - 1.0 + entropy) * slope**2
-    return sigma**2 * integrate(integrand * weight, p.grid)
+    _check_sigma(sigma)
+    return sigma**2 * _state_terms(p, pbar, rel_cut)[3]
 
 
 def report(
@@ -178,28 +190,32 @@ def report(
 ) -> list[FunctionalReport]:
     """Evaluate every functional at every trajectory sample.
 
-    The finite-difference varentropy rate uses the trajectory's native
-    sampling (central differences over neighbouring samples) and is None at
-    the two end samples.
+    Each state goes through one pass of the shared kernel, so its log ratio,
+    tail mask and slope are computed once; every value equals what the
+    public scalar functions return for that state. The finite-difference
+    varentropy rate uses the trajectory's native sampling (central
+    differences over neighbouring samples) and is None at the two end
+    samples.
     """
     if pbar.grid != traj.grid:
         raise ValueError("grid mismatch between trajectory and stationary density")
-    varentropies = [varentropy(state, pbar, rel_cut) for state in traj.states]
+    _check_sigma(sigma)
+    terms = [_state_terms(state, pbar, rel_cut) for state in traj.states]
     rows: list[FunctionalReport] = []
-    for k, state in enumerate(traj.states):
+    for k, (entropy, fisher, variance, rate_integral) in enumerate(terms):
         fd = None
         if 0 < k < len(traj) - 1:
-            fd = (varentropies[k + 1] - varentropies[k - 1]) / (
+            fd = (terms[k + 1][2] - terms[k - 1][2]) / (
                 traj.times[k + 1] - traj.times[k - 1]
             )
         rows.append(
             FunctionalReport(
                 time=float(traj.times[k]),
-                relative_entropy=relative_entropy(state, pbar, rel_cut),
-                relative_fisher=relative_fisher(state, pbar, rel_cut),
-                varentropy=varentropies[k],
-                entropy_rate=free_energy_rate(state, pbar, sigma, rel_cut),
-                varentropy_rate=varentropy_rate(state, pbar, sigma, rel_cut),
+                relative_entropy=entropy,
+                relative_fisher=fisher,
+                varentropy=variance,
+                entropy_rate=-0.5 * sigma**2 * fisher,
+                varentropy_rate=sigma**2 * rate_integral,
                 varentropy_rate_fd=fd,
             )
         )

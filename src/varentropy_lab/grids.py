@@ -9,6 +9,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -94,8 +95,8 @@ class Density:
     """Non-negative, unit-mass probability density sampled on a grid.
 
     ``time`` tags the model time the density belongs to. Construction
-    validates non-negativity and total mass (trapezoid rule) against
-    ``mass_tol``.
+    validates finiteness, non-negativity and total mass (trapezoid rule)
+    against ``mass_tol``.
     """
 
     grid: Grid
@@ -109,6 +110,8 @@ class Density:
             raise ValueError(
                 f"length mismatch: grid has {self.grid.n} nodes, values has shape {vals.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("density has non-finite values")
         if np.any(vals < 0.0):
             raise ValueError(f"density has negative values (min {vals.min():.3e})")
         vals.flags.writeable = False
@@ -199,10 +202,18 @@ def normalized_density(grid: Grid, values: np.ndarray, time: float = 0.0) -> Den
     return Density(grid, values / mass, time=time)
 
 
-def gaussian_density(grid: Grid, mean: float, variance: float, time: float = 0.0) -> Density:
-    """Gaussian density sampled on the grid and renormalized by quadrature."""
+def _check_gaussian_parameters(mean: float, variance: float):
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not math.isfinite(variance):
+        raise ValueError(f"variance must be finite, got {variance}")
     if variance <= 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
+
+
+def gaussian_density(grid: Grid, mean: float, variance: float, time: float = 0.0) -> Density:
+    """Gaussian density sampled on the grid and renormalized by quadrature."""
+    _check_gaussian_parameters(mean, variance)
     z = (grid.x - mean) ** 2 / (2.0 * variance)
     values = np.exp(-z) / np.sqrt(2.0 * np.pi * variance)
     return normalized_density(grid, values, time=time)
@@ -221,14 +232,13 @@ def mixture_density(
     if not components:
         raise ValueError("mixture needs at least one component")
     weights = np.array([c[0] for c in components], dtype=float)
-    if np.any(weights <= 0.0):
+    if not np.all(weights > 0.0):
         raise ValueError("mixture weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, expected 1")
     values = np.zeros(grid.n)
     for w, mu, var in components:
-        if var <= 0.0:
-            raise ValueError(f"component variance must be positive, got {var}")
+        _check_gaussian_parameters(mu, var)
         values += w * np.exp(-((grid.x - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
     return normalized_density(grid, values, time=time)
 

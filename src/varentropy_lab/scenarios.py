@@ -217,11 +217,12 @@ class ScenarioConfig:
     def initial_density(self) -> Density:
         kind = self.initial.get("kind")
         if kind == "gaussian":
-            return gaussian_density(
-                self.grid,
-                float(_require(self.initial, "mean", "config.initial")),
-                float(_require(self.initial, "variance", "config.initial")),
-            )
+            mean = float(_require(self.initial, "mean", "config.initial"))
+            variance = float(_require(self.initial, "variance", "config.initial"))
+            try:
+                return gaussian_density(self.grid, mean, variance)
+            except ValueError as err:
+                raise ConfigError(f"config.initial: {err}") from err
         if kind == "mixture":
             comps = [
                 (float(c["weight"]), float(c["mean"]), float(c["variance"]))
@@ -662,7 +663,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Observed varentropy-rate sign data for one parameter value."""
+    """Observed varentropy-rate sign data for one parameter value.
+
+    ``failed_checks`` names the member run's tolerance checks that failed;
+    it is reported alongside the table, not written to the sweep CSV.
+    """
 
     label: str
     min_rate: float
@@ -671,6 +676,7 @@ class SweepRow:
     time_of_max: Optional[float]
     varentropy_initial: float
     varentropy_final: float
+    failed_checks: tuple[str, ...]
 
 
 def _set_dotted(data: dict, dotted: str, value):
@@ -697,7 +703,8 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     sign, and the time of the varentropy maximum when it is interior.
 
     No expected sign is asserted: the rate formula's bracket is indefinite
-    and the sweep exists to record what actually happens.
+    and the sweep exists to record what actually happens. Each row also
+    keeps the names of the member's failed tolerance checks.
     """
     rows: list[SweepRow] = []
     for value in sweep.values:
@@ -730,6 +737,7 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
                 time_of_max=float(times[k_max]) if interior_max else None,
                 varentropy_initial=float(varentropies[0]),
                 varentropy_final=float(varentropies[-1]),
+                failed_checks=tuple(c.name for c in result.checks if not c.passed),
             )
         )
     return rows

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from varentropy_lab import (
     OUBenchmark,
@@ -19,7 +20,7 @@ from varentropy_lab import (
     step,
     weighted_residual_norm,
 )
-from varentropy_lab.fokker_planck import _Generator
+from varentropy_lab.fokker_planck import _STEP_CACHE_SIZE, _Generator
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,55 @@ class TestGeneratorInternals:
     def test_fully_implicit_needs_no_substeps(self, wide_grid, ou_model):
         gen = _Generator(wide_grid, ou_model, "chang_cooper")
         assert gen.positivity_dt(1.0) == np.inf
+
+
+def _reference_advance(gen, values, dt, theta):
+    """The theta step assembled from the generator's diagonals and solved by
+    scipy's banded solver, with no factorization reused."""
+    rhs = values * (1.0 + (1.0 - theta) * dt * gen.diag)
+    rhs[1:] += (1.0 - theta) * dt * gen.lower[1:] * values[:-1]
+    rhs[:-1] += (1.0 - theta) * dt * gen.upper[:-1] * values[1:]
+    ab = np.zeros((3, len(values)))
+    ab[0, 1:] = -theta * dt * gen.upper[:-1]
+    ab[1, :] = 1.0 - theta * dt * gen.diag
+    ab[2, :-1] = -theta * dt * gen.lower[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestFactoredStep:
+    @pytest.mark.parametrize("scheme", ["chang_cooper", "crank_nicolson"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_bit_identical_to_unfactored_solve(self, dw_model, dw_grid, scheme, theta):
+        """Reusing the cached factors changes no bit of any state over
+        1200 steps cycling through three substep sizes."""
+        gen = _Generator(dw_grid, dw_model, scheme)
+        values = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
+        sizes = (1e-3 / 8, 1e-4, 1e-3 / 9)
+        for k in range(1200):
+            dt = sizes[k % len(sizes)]
+            new = gen.advance(values, dt, theta)
+            assert np.array_equal(new, _reference_advance(gen, values, dt, theta)), k
+            values = new
+
+    def test_cache_stays_bounded(self, dw_model, dw_grid, dw_stationary):
+        gen = _Generator(dw_grid, dw_model, "chang_cooper")
+        sizes = [1e-4 * (1.0 + k / 64) for k in range(2 * _STEP_CACHE_SIZE + 3)]
+        values = dw_stationary.values
+        for dt in sizes:
+            values = gen.advance(values, dt, 0.5)
+            assert len(gen._steps) <= _STEP_CACHE_SIZE
+        # an evicted size is factored again and still matches the reference
+        assert (sizes[0], 0.5) not in gen._steps
+        again = gen.advance(values, sizes[0], 0.5)
+        assert np.array_equal(again, _reference_advance(gen, values, sizes[0], 0.5))
+
+    def test_singular_step_raises(self, dw_model, dw_grid):
+        gen = _Generator(dw_grid, dw_model, "chang_cooper")
+        gen.lower = np.zeros(dw_grid.n)
+        gen.upper = np.zeros(dw_grid.n)
+        gen.diag = np.ones(dw_grid.n)  # I - 1 * 1 * L is the zero matrix
+        with pytest.raises(RuntimeError, match="factorization failed"):
+            gen.advance(np.ones(dw_grid.n), 1.0, 1.0)
 
 
 class TestReverseHarmonicResidual:

@@ -14,6 +14,8 @@ from varentropy_lab import (
     SolverConfig,
     free_energy_rate,
     gaussian_density,
+    gradient,
+    integrate,
     local_free_energy,
     make_uniform_grid,
     mixture_density,
@@ -248,8 +250,49 @@ class TestReport:
         assert rows[-1].varentropy_rate_fd is None
         assert all(r.varentropy_rate_fd is not None for r in rows[1:-1])
 
+    def test_rows_equal_public_functionals_ou(self, ou_model, narrow_gaussian, ou_stationary):
+        traj = solve(narrow_gaussian, ou_model, np.linspace(0, 1, 11), SolverConfig(dt=1e-3))
+        _assert_rows_equal_public(traj, ou_stationary, ou_model.sigma)
+
+    def test_rows_equal_public_functionals_double_well(self, dw_model, dw_grid, dw_stationary):
+        p0 = mixture_density(dw_grid, [(0.5, -1.2, 0.09), (0.5, 1.2, 0.09)])
+        traj = solve(p0, dw_model, np.linspace(0, 0.5, 11), SolverConfig(dt=1e-3))
+        _assert_rows_equal_public(traj, dw_stationary, dw_model.sigma)
+
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError, match=">= 0"):
             FunctionalReport(0.0, -0.1, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="<= 0"):
             FunctionalReport(0.0, 0.1, 0.1, 0.1, 0.5, 0.0)
+
+
+def _separate_assembly(p, pbar, sigma):
+    """(entropy, fisher, varentropy, entropy rate, varentropy rate), each
+    assembled on its own from the log ratio as independent functions."""
+    weight = np.where(support_mask(p), p.values, 0.0)
+    logratio = local_free_energy(p, pbar)
+    entropy = max(integrate(logratio * weight, p.grid), 0.0)
+    slope = gradient(logratio, p.grid)
+    fisher = max(integrate(slope**2 * weight, p.grid), 0.0)
+    first = integrate(logratio * weight, p.grid)
+    second = integrate(logratio**2 * weight, p.grid)
+    variance = max(second - first**2, 0.0)
+    integrand = (-logratio - 1.0 + entropy) * slope**2
+    rate = sigma**2 * integrate(integrand * weight, p.grid)
+    return entropy, fisher, variance, -0.5 * sigma**2 * fisher, rate
+
+
+def _assert_rows_equal_public(traj, pbar, sigma):
+    """Every report row holds exactly (==) what the public scalar functions
+    and the separate assembly give for the same state."""
+    for row, state in zip(report(traj, pbar, sigma), traj.states):
+        from_row = (row.relative_entropy, row.relative_fisher, row.varentropy,
+                    row.entropy_rate, row.varentropy_rate)
+        public = (
+            relative_entropy(state, pbar),
+            relative_fisher(state, pbar),
+            varentropy(state, pbar),
+            free_energy_rate(state, pbar, sigma),
+            varentropy_rate(state, pbar, sigma),
+        )
+        assert from_row == public == _separate_assembly(state, pbar, sigma)

@@ -132,6 +132,25 @@ class TestDensity:
         with pytest.raises(ValueError, match="negative"):
             Density(g, values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        g = make_uniform_grid(0, 1, 11)
+        with pytest.raises(ValueError, match="non-finite"):
+            Density(g, np.full(g.n, bad))
+
+    @pytest.mark.parametrize("mean, variance", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)])
+    def test_gaussian_parameters_must_be_finite(self, mean, variance):
+        g = make_uniform_grid(-6, 6, 301)
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_density(g, mean, variance)
+        with pytest.raises(ValueError, match="finite"):
+            mixture_density(g, [(0.5, -1.0, 0.25), (0.5, mean, variance)])
+
+    def test_mixture_weights_must_not_be_nan(self):
+        g = make_uniform_grid(-6, 6, 301)
+        with pytest.raises(ValueError, match="positive"):
+            mixture_density(g, [(np.nan, -1.0, 0.25), (1.0, 1.0, 0.25)])
+
     def test_values_immutable(self):
         g = make_uniform_grid(-8, 8, 801)
         p = gaussian_density(g, 0.0, 1.0)

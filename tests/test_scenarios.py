@@ -73,6 +73,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="components"):
             ScenarioConfig.from_dict(data)
 
+    def test_nan_initial_variance_rejected(self):
+        data = ou_config(initial={"kind": "gaussian", "mean": 0.0, "variance": float("nan")})
+        with pytest.raises(ConfigError, match="config.initial: variance must be finite"):
+            ScenarioConfig.from_dict(data)
+
     def test_nonconfining_drift_rejected(self):
         with pytest.raises(ConfigError, match="rate < 0"):
             ScenarioConfig.from_dict(ou_config(drift={"kind": "linear", "rate": 0.5}))
@@ -275,6 +280,13 @@ class TestCli:
         path.write_text(json.dumps(bad))
         assert main(["run", str(path)]) == 2
 
+    def test_nan_initial_variance_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        bad = ou_config(initial={"kind": "gaussian", "mean": 0.0, "variance": float("nan")})
+        path.write_text(json.dumps(bad))  # written as the JSON extension NaN
+        assert main(["run", str(path)]) == 2
+        assert "config.initial" in capsys.readouterr().err
+
     def test_oracle_table(self, capsys):
         code = main(["oracle", "--sigma0-sq", "0.25", "--t-end", "1.0", "--samples", "5"])
         out = capsys.readouterr().out
@@ -298,6 +310,30 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("label,min_rate,max_rate,sign_change")
         assert len(lines) == 3
+
+    def test_sweep_reports_failed_member_checks(self, tmp_path, capsys):
+        """Failed member checks go to stderr, one line per member; the exit
+        code stays 0 and the table and CSV keep their shape."""
+        base = ou_config(
+            name="strict",
+            grid={"lo": -8.0, "hi": 8.0, "n": 101},
+            solver={"dt": 4e-3},
+            time={"t_end": 0.2, "n_samples": 6},
+            tolerances={"varentropy_rate_rel": 1e-12},
+        )
+        sweep = {"base": base, "parameter": "initial.variance", "values": [0.25, 0.5]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        code = main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        for line, label in zip(lines, ("initial.variance=0.25", "initial.variance=0.5")):
+            assert line.startswith(f"warning: sweep member {label}: failed checks: ")
+            assert "varentropy_rate_consistency" in line
+        assert "failed checks" not in captured.out
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
     def test_converge_command(self, tmp_path, capsys):
         cfg = ou_config(
