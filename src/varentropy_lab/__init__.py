@@ -24,13 +24,12 @@ from .grids import (
     mixture_density,
 )
 from .drifts import (
-    LinearDrift,
     GradientDrift,
     QuarticPotential,
-    DriftModel,
+    linear_drift,
     double_well_drift,
-    drift_at,
     invariant_density,
+    backward_drift_on_grid,
 )
 from .fokker_planck import (
     SolverConfig,
@@ -41,12 +40,9 @@ from .fokker_planck import (
 )
 from .functionals import (
     FunctionalReport,
-    local_free_energy,
     relative_entropy,
     relative_fisher,
     varentropy,
-    varentropy_centered,
-    varentropy_self_normalized,
     free_energy_rate,
     varentropy_rate,
     report,
@@ -59,7 +55,6 @@ from .monte_carlo import (
     MCFunctionals,
     simulate_ensemble,
     estimate_backward_drift,
-    backward_drift_on_grid,
     duality_residual,
     martingale_diagnostic,
     mc_functionals,

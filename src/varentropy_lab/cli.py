@@ -27,7 +27,7 @@ from .scenarios import (
 
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
-    result = run_scenario(cfg, out_dir=args.out, plots=args.plots)
+    result = run_scenario(cfg, out_dir=args.out)
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {cfg.name}: {check.name}: {check.detail}")
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("config", help="path to a scenario JSON file")
     p_run.add_argument("--out", help="output directory override")
-    p_run.add_argument("--plots", action="store_true", help="also write an SVG chart")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")

@@ -1,19 +1,23 @@
-"""Parametric drift fields for scalar drift-diffusion processes.
+"""Gradient drift fields of scalar drift-diffusion processes.
 
-Two families are supported: linear drifts ``rate * x`` and gradient drifts
-``-potential'(x)`` for quartic polynomial potentials. Both carry the constant
-diffusion coefficient ``sigma`` and, when confining, expose the stationary
-density ``exp(-2 * potential / sigma^2)`` normalized on a grid.
+Every drift is ``-potential'(x)`` for a quartic polynomial potential, with a
+constant diffusion coefficient ``sigma``. A confining potential has the
+stationary density ``exp(-2 * potential / sigma^2)``, normalized on a grid.
+The linear (Ornstein-Uhlenbeck) drift ``rate * x`` is the quadratic member
+``-rate * x^2 / 2`` of the family; :func:`linear_drift` builds it. The
+backward drift ``b - sigma^2 d/dx ln p`` of a gridded density, the drift of
+the time-reversed process, is defined here once for the solver, the Monte
+Carlo diagnostics and the runner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .grids import Grid, Density, normalized_density
+from .grids import DEFAULT_LOG_FLOOR, Density, Grid, gradient, normalized_density
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,8 @@ class QuarticPotential:
         c = tuple(float(v) for v in self.coeffs)
         if len(c) != 5:
             raise ValueError(f"expected 5 coefficients c0..c4, got {len(c)}")
+        if not all(math.isfinite(v) for v in c):
+            raise ValueError(f"coefficients must be finite, got {c}")
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, x):
@@ -47,35 +53,6 @@ class QuarticPotential:
 
 
 @dataclass(frozen=True)
-class LinearDrift:
-    """Drift ``rate * x`` with diffusion coefficient ``sigma``.
-
-    Confining (mean-reverting) iff ``rate < 0``; the matching potential is
-    ``-rate * x^2 / 2``.
-    """
-
-    rate: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def drift(self, x):
-        return self.rate * np.asarray(x, dtype=float)
-
-    def drift_derivative(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.rate)
-
-    def potential(self, x):
-        return -self.rate * np.asarray(x, dtype=float) ** 2 / 2.0
-
-    @property
-    def confining(self) -> bool:
-        return self.rate < 0.0
-
-
-@dataclass(frozen=True)
 class GradientDrift:
     """Drift ``-potential'(x)`` with diffusion coefficient ``sigma``."""
 
@@ -83,16 +60,11 @@ class GradientDrift:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def drift(self, x):
         return -self.potential_spec.derivative(np.asarray(x, dtype=float))
-
-    def drift_derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        _, _, c2, c3, c4 = self.potential_spec.coeffs
-        return -(2.0 * c2 + x * (6.0 * c3 + x * 12.0 * c4))
 
     def potential(self, x):
         return self.potential_spec(np.asarray(x, dtype=float))
@@ -102,7 +74,10 @@ class GradientDrift:
         return self.potential_spec.confining
 
 
-DriftModel = Union[LinearDrift, GradientDrift]
+def linear_drift(rate: float, sigma: float = 1.0) -> GradientDrift:
+    """The linear drift ``rate * x``: potential ``-rate * x^2 / 2``, confining
+    (mean-reverting) iff ``rate < 0``."""
+    return GradientDrift(QuarticPotential((0.0, 0.0, -rate / 2.0, 0.0, 0.0)), sigma=sigma)
 
 
 def double_well_drift(sigma: float = 1.0) -> GradientDrift:
@@ -110,12 +85,7 @@ def double_well_drift(sigma: float = 1.0) -> GradientDrift:
     return GradientDrift(QuarticPotential((0.0, 0.0, -0.5, 0.0, 0.25)), sigma=sigma)
 
 
-def drift_at(model: DriftModel, x):
-    """Drift field of the model evaluated at ``x`` (scalar or array)."""
-    return model.drift(x)
-
-
-def invariant_density(model: DriftModel, grid: Grid) -> Density:
+def invariant_density(model: GradientDrift, grid: Grid) -> Density:
     """Stationary density ``exp(-2 potential / sigma^2)`` normalized on the grid.
 
     Raises for non-confining models, whose stationary measure is not
@@ -127,3 +97,10 @@ def invariant_density(model: DriftModel, grid: Grid) -> Density:
     # subtract the max before exponentiating so steep potentials do not underflow
     values = np.exp(log_values - log_values.max())
     return normalized_density(grid, values)
+
+
+def backward_drift_on_grid(model: GradientDrift, p_t: Density) -> np.ndarray:
+    """Backward drift ``b - sigma^2 d/dx ln p_t`` on the nodes of ``p_t``: the
+    drift of the same diffusion run backwards in time from law ``p_t``."""
+    log_p = np.log(np.maximum(p_t.values, DEFAULT_LOG_FLOOR))
+    return model.drift(p_t.grid.x) - model.sigma**2 * gradient(log_p, p_t.grid)

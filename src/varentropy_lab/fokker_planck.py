@@ -14,7 +14,7 @@ Two flux discretizations are available:
     weighting). The fitting weight on each cell is computed from the exact
     potential difference across the cell, which makes the grid-sampled
     stationary density an exact fixed point of the discrete operator for
-    every drift family in :mod:`varentropy_lab.drifts`, not just asymptotically.
+    every drift in :mod:`varentropy_lab.drifts`, not just asymptotically.
     Time stepping is theta-weighted; when the explicit part of the update
     would violate the positivity bound ``(1 - theta) * dt * max|diag| <= 1``
     the step is transparently split into equal substeps, so the scheme never
@@ -48,7 +48,7 @@ from typing import Literal
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .drifts import DriftModel
+from .drifts import GradientDrift, backward_drift_on_grid
 from .grids import (
     DEFAULT_LOG_FLOOR,
     DEFAULT_TAIL_CUT,
@@ -117,7 +117,7 @@ class _Generator:
     most ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full.
     """
 
-    def __init__(self, grid: Grid, model: DriftModel, scheme: Scheme):
+    def __init__(self, grid: Grid, model: GradientDrift, scheme: Scheme):
         x = grid.x
         dx = grid.dx
         diff = model.sigma**2 / 2.0
@@ -229,7 +229,7 @@ def _advance_interval(
     return out
 
 
-def step(p: Density, model: DriftModel, cfg: SolverConfig) -> Density:
+def step(p: Density, model: GradientDrift, cfg: SolverConfig) -> Density:
     """Advance a density by one nominal time step ``cfg.dt``."""
     gen = _Generator(p.grid, model, cfg.scheme)
     values = _advance_interval(np.array(p.values), gen, cfg.dt, cfg)
@@ -240,7 +240,7 @@ def step(p: Density, model: DriftModel, cfg: SolverConfig) -> Density:
 
 
 def solve(
-    p0: Density, model: DriftModel, t_grid: np.ndarray, cfg: SolverConfig
+    p0: Density, model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
 ) -> DensityTrajectory:
     """Integrate from ``p0`` and sample the solution at ``t_grid``.
 
@@ -279,7 +279,7 @@ def solve(
 def reverse_harmonic_residual(
     traj: DensityTrajectory,
     pbar: Density,
-    model: DriftModel,
+    model: GradientDrift,
     t_index: int,
     rel_cut: float = DEFAULT_TAIL_CUT,
 ) -> np.ndarray:
@@ -290,7 +290,7 @@ def reverse_harmonic_residual(
 
         d/dt + b_minus(x) d/dx - (sigma^2 / 2) d^2/dx^2,
 
-    where ``b_minus = b - sigma^2 d/dx ln p_t`` is the backward drift. This
+    where ``b_minus = b - sigma^2 d/dx ln p_t`` is the backward drift.
     evaluates that operator discretely: the time derivative by a central
     difference across the neighbouring trajectory samples, space derivatives
     by the grid stencils. Nodes below the tail cut of ``p_t`` are reported
@@ -313,8 +313,7 @@ def reverse_harmonic_residual(
     dratio_dt = (ratio(p_next) - ratio(p_prev)) / (
         traj.times[t_index + 1] - traj.times[t_index - 1]
     )
-    log_p = np.log(np.maximum(p_here.values, DEFAULT_LOG_FLOOR))
-    b_minus = model.drift(grid.x) - model.sigma**2 * gradient(log_p, grid)
+    b_minus = backward_drift_on_grid(model, p_here)
     r = ratio(p_here)
     residual = (
         dratio_dt

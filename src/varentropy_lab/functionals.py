@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .grids import (
-    DEFAULT_LOG_FLOOR,
     DEFAULT_TAIL_CUT,
     Density,
     DensityTrajectory,
@@ -72,17 +71,6 @@ class FunctionalReport:
             raise ValueError("entropy rate must be <= 0")
 
 
-def local_free_energy(
-    p: Density, pbar: Density, floor: float = DEFAULT_LOG_FLOOR
-) -> np.ndarray:
-    """Nodewise log ratio ``ln(p / pbar)`` with floored arguments."""
-    return safe_log_ratio(p, pbar, floor)
-
-
-def _masked_weight(p: Density, rel_cut: float) -> np.ndarray:
-    return np.where(support_mask(p, rel_cut), p.values, 0.0)
-
-
 def _check_sigma(sigma: float):
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -98,8 +86,8 @@ def _state_terms(
     varentropy rate equal to ``sigma**2 * rate_integral``; the public
     functions and :func:`report` all read their values from here.
     """
-    logratio = local_free_energy(p, pbar)
-    weight = _masked_weight(p, rel_cut)
+    logratio = safe_log_ratio(p, pbar)
+    weight = np.where(support_mask(p, rel_cut), p.values, 0.0)
     first = integrate(logratio * weight, p.grid)
     second = integrate(logratio**2 * weight, p.grid)
     slope_sq = gradient(logratio, p.grid) ** 2
@@ -127,35 +115,6 @@ def relative_fisher(
 def varentropy(p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT) -> float:
     """Variance of the log ratio under ``p`` (second moment minus squared mean)."""
     return _state_terms(p, pbar, rel_cut)[2]
-
-
-def varentropy_centered(
-    p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT
-) -> float:
-    """Varentropy as the integral of the squared centered log ratio.
-
-    Algebraically identical to :func:`varentropy`; kept as an independent
-    assembly for cross-checks.
-    """
-    logratio = local_free_energy(p, pbar)
-    weight = _masked_weight(p, rel_cut)
-    center = integrate(logratio * weight, p.grid)
-    return max(integrate((logratio - center) ** 2 * weight, p.grid), 0.0)
-
-
-def varentropy_self_normalized(
-    p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT
-) -> float:
-    """Varentropy as a centered expectation with the masked weight renormalized.
-
-    Third equivalent assembly; differs from the others only through the mass
-    lost to the tail cut.
-    """
-    logratio = local_free_energy(p, pbar)
-    weight = _masked_weight(p, rel_cut)
-    mass = integrate(weight, p.grid)
-    mean = integrate(logratio * weight, p.grid) / mass
-    return max(integrate((logratio - mean) ** 2 * weight, p.grid) / mass, 0.0)
 
 
 def free_energy_rate(

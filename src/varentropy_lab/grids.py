@@ -37,6 +37,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"invalid bounds: lo={self.lo} and hi={self.hi} must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"invalid bounds: lo={self.lo} must be < hi={self.hi}")
         if self.n < 3:
@@ -96,13 +98,15 @@ class Density:
 
     ``time`` tags the model time the density belongs to. Construction
     validates finiteness, non-negativity and total mass (trapezoid rule)
-    against ``mass_tol``.
+    against ``mass_tol``. ``values`` is read-only, so the mass integrated
+    there is kept and returned by :meth:`mass`.
     """
 
     grid: Grid
     values: np.ndarray
     time: float = 0.0
     mass_tol: float = field(default=DEFAULT_MASS_TOL, repr=False)
+    _mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -119,9 +123,10 @@ class Density:
         mass = integrate(vals, self.grid)
         if abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"density mass {mass!r} outside 1 +/- {self.mass_tol}")
+        object.__setattr__(self, "_mass", mass)
 
     def mass(self) -> float:
-        return integrate(self.values, self.grid)
+        return self._mass
 
     def mean(self) -> float:
         return integrate(self.grid.x * self.values, self.grid)

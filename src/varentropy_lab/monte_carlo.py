@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drifts import DriftModel
+from .drifts import GradientDrift, backward_drift_on_grid
 from .grids import (
     DEFAULT_LOG_FLOOR,
     Density,
@@ -34,8 +34,8 @@ from .grids import (
     Grid,
     gradient,
     make_uniform_grid,
+    safe_log_ratio,
 )
-from .functionals import local_free_energy
 
 #: Bins with fewer samples than this report no estimate.
 DEFAULT_MIN_COUNT = 50
@@ -48,7 +48,7 @@ class PathEnsemble:
     times: np.ndarray
     paths: np.ndarray  # shape (n_paths, n_times)
     seed: int
-    model: DriftModel
+    model: GradientDrift
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float, copy=True)
@@ -123,7 +123,7 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def simulate_ensemble(
-    model: DriftModel,
+    model: GradientDrift,
     init: Density,
     dt: float,
     t_end: float,
@@ -211,13 +211,7 @@ def estimate_backward_drift(
     return BinnedEstimate(centers, means, counts, ses, min_count)
 
 
-def backward_drift_on_grid(model: DriftModel, p_t: Density) -> np.ndarray:
-    """Backward drift ``b - sigma^2 d/dx ln p_t`` on the nodes of ``p_t``."""
-    log_p = np.log(np.maximum(p_t.values, DEFAULT_LOG_FLOOR))
-    return model.drift(p_t.grid.x) - model.sigma**2 * gradient(log_p, p_t.grid)
-
-
-def duality_residual(est: BinnedEstimate, model: DriftModel, p_t: Density) -> float:
+def duality_residual(est: BinnedEstimate, model: GradientDrift, p_t: Density) -> float:
     """Count-weighted RMS misfit between the binned backward-increment means
     and the backward drift computed from the density.
 
@@ -338,7 +332,7 @@ def mc_functionals(
         raise ValueError("time mesh mismatch between ensemble and trajectory")
 
     p_t = traj[t_index]
-    logratio = local_free_energy(p_t, pbar)
+    logratio = safe_log_ratio(p_t, pbar)
     slope = gradient(logratio, p_t.grid)
     x = ens.paths[:, t_index]
     lr = np.interp(x, p_t.grid.x, logratio)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drifts import LinearDrift
+from .drifts import GradientDrift, linear_drift
 from .grids import Density, Grid, gaussian_density
 
 
@@ -34,8 +34,8 @@ class OUBenchmark:
                 f"initial variance must be positive, got {self.initial_variance}"
             )
 
-    def model(self) -> LinearDrift:
-        return LinearDrift(rate=self.DRIFT_RATE, sigma=self.SIGMA)
+    def model(self) -> GradientDrift:
+        return linear_drift(self.DRIFT_RATE, self.SIGMA)
 
     @staticmethod
     def _check_time(t: float) -> float:

@@ -27,11 +27,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .drifts import (
-    DriftModel,
     GradientDrift,
-    LinearDrift,
     QuarticPotential,
+    backward_drift_on_grid,
     invariant_density,
+    linear_drift,
 )
 from .fokker_planck import SolverConfig, solve, step
 from .functionals import (
@@ -52,7 +52,6 @@ from .grids import (
     normalized_density,
 )
 from .monte_carlo import (
-    backward_drift_on_grid,
     duality_residual,
     estimate_backward_drift,
     martingale_diagnostic,
@@ -76,6 +75,15 @@ def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     return mapping[key]
+
+
+def _integer(value, path: str) -> int:
+    """An integer config field; an integral float such as ``1e5`` counts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}: must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,22 +125,34 @@ class McConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str, horizon: float) -> "McConfig":
-        n_paths = int(_require(data, "n_paths", path))
+        n_paths = _integer(_require(data, "n_paths", path), f"{path}.n_paths")
         dt = float(_require(data, "dt", path))
-        seed = int(_require(data, "seed", path))
+        seed = _integer(_require(data, "seed", path), f"{path}.seed")
         t_end = float(data.get("t_end", min(1.0, horizon)))
-        store_every = int(data.get("store_every", 1))
-        diag_steps = int(data.get("diag_steps", 50))
-        bins = int(data.get("bins", 31))
+        store_every = _integer(data.get("store_every", 1), f"{path}.store_every")
+        diag_steps = _integer(data.get("diag_steps", 50), f"{path}.diag_steps")
+        bins = _integer(data.get("bins", 31), f"{path}.bins")
         bin_span = float(data.get("bin_span", 4.0))
         if n_paths < 1:
             raise ConfigError(f"{path}.n_paths: must be >= 1")
-        if dt <= 0:
-            raise ConfigError(f"{path}.dt: must be positive")
-        if t_end <= 0 or t_end > horizon + 1e-12:
+        if not 0 < dt < math.inf:
+            raise ConfigError(f"{path}.dt: must be positive and finite")
+        if not 0 < t_end <= horizon + 1e-12:
             raise ConfigError(f"{path}.t_end: must lie in (0, t_end of the run]")
+        # the same step count test simulate_ensemble applies, made at parse time
+        n_steps = round(t_end / dt)
+        if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+            raise ConfigError(f"{path}.t_end: must be a multiple of {path}.dt = {dt:g}")
+        if store_every < 1 or n_steps % store_every:
+            raise ConfigError(
+                f"{path}.store_every: must divide the {n_steps} steps of t_end / dt"
+            )
         if diag_steps < 2:
             raise ConfigError(f"{path}.diag_steps: need at least 2 steps")
+        if bins < 3:
+            raise ConfigError(f"{path}.bins: need at least 3 bin edges")
+        if not 0 < bin_span < math.inf:
+            raise ConfigError(f"{path}.bin_span: must be positive and finite")
         return cls(n_paths, dt, seed, t_end, store_every, diag_steps, bins, bin_span)
 
 
@@ -141,7 +161,7 @@ class ScenarioConfig:
     """Validated scenario description; see ``configs/`` for examples."""
 
     name: str
-    model: DriftModel
+    model: GradientDrift
     initial: dict
     grid: Grid
     solver: SolverConfig
@@ -166,11 +186,13 @@ class ScenarioConfig:
         name = str(_require(data, "name", "config"))
         model = _parse_drift(_require(data, "drift", "config"))
         grid_spec = _require(data, "grid", "config")
-        grid = make_uniform_grid(
-            float(_require(grid_spec, "lo", "config.grid")),
-            float(_require(grid_spec, "hi", "config.grid")),
-            int(_require(grid_spec, "n", "config.grid")),
-        )
+        lo = float(_require(grid_spec, "lo", "config.grid"))
+        hi = float(_require(grid_spec, "hi", "config.grid"))
+        n = _integer(_require(grid_spec, "n", "config.grid"), "config.grid.n")
+        try:
+            grid = make_uniform_grid(lo, hi, n)
+        except ValueError as err:
+            raise ConfigError(f"config.grid: {err}") from err
         solver_spec = dict(_require(data, "solver", "config"))
         try:
             solver = SolverConfig(
@@ -183,9 +205,11 @@ class ScenarioConfig:
             raise ConfigError(f"config.solver: {err}") from err
         time_spec = _require(data, "time", "config")
         t_end = float(_require(time_spec, "t_end", "config.time"))
-        n_samples = int(_require(time_spec, "n_samples", "config.time"))
-        if t_end <= 0:
-            raise ConfigError("config.time.t_end: must be positive")
+        n_samples = _integer(
+            _require(time_spec, "n_samples", "config.time"), "config.time.n_samples"
+        )
+        if not 0 < t_end < math.inf:
+            raise ConfigError("config.time.t_end: must be positive and finite")
         if n_samples < 3:
             raise ConfigError("config.time.n_samples: need at least 3 samples")
         initial = dict(_require(data, "initial", "config"))
@@ -251,9 +275,7 @@ class ScenarioConfig:
     def is_ou_benchmark(self) -> bool:
         """True when the exact benchmark closed forms apply to this scenario."""
         return (
-            isinstance(self.model, LinearDrift)
-            and self.model.rate == OUBenchmark.DRIFT_RATE
-            and self.model.sigma == OUBenchmark.SIGMA
+            self.model == linear_drift(OUBenchmark.DRIFT_RATE, OUBenchmark.SIGMA)
             and self.initial.get("kind") == "gaussian"
             and float(self.initial.get("mean", 0.0)) == 0.0
         )
@@ -292,21 +314,15 @@ class ScenarioConfig:
     def _check_mass_outside_stationary(self):
         model = self.model
         lo, hi = self.grid.lo, self.grid.hi
-        if isinstance(model, LinearDrift):
-            if not model.confining:
-                raise ConfigError("config.drift: linear drift must have rate < 0")
-            variance = model.sigma**2 / (-2.0 * model.rate)
-            outside = gaussian_mass_outside(lo, hi, 0.0, variance)
-        else:
-            if not model.confining:
-                raise ConfigError("config.drift: potential must be confining")
-            width = hi - lo
-            wide = make_uniform_grid(lo - 0.5 * width, hi + 0.5 * width, 2 * self.grid.n)
-            log_values = -2.0 * model.potential(wide.x) / model.sigma**2
-            values = np.exp(log_values - log_values.max())
-            total = integrate(values, wide)
-            inside = np.where((wide.x >= lo) & (wide.x <= hi), values, 0.0)
-            outside = 1.0 - integrate(inside, wide) / total
+        if not model.confining:
+            raise ConfigError("config.drift: potential must be confining")
+        width = hi - lo
+        wide = make_uniform_grid(lo - 0.5 * width, hi + 0.5 * width, 2 * self.grid.n)
+        log_values = -2.0 * model.potential(wide.x) / model.sigma**2
+        values = np.exp(log_values - log_values.max())
+        total = integrate(values, wide)
+        inside = np.where((wide.x >= lo) & (wide.x <= hi), values, 0.0)
+        outside = 1.0 - integrate(inside, wide) / total
         if outside > GRID_MASS_TOL:
             raise ConfigError(
                 f"config.grid: stationary density mass outside the grid is "
@@ -314,17 +330,22 @@ class ScenarioConfig:
             )
 
 
-def _parse_drift(data: dict) -> DriftModel:
+def _parse_drift(data: dict) -> GradientDrift:
     kind = data.get("kind")
     sigma = float(data.get("sigma", 1.0))
     try:
         if kind == "linear":
-            return LinearDrift(rate=float(_require(data, "rate", "config.drift")), sigma=sigma)
+            rate = float(_require(data, "rate", "config.drift"))
+            if not rate < 0.0:
+                raise ConfigError("config.drift.rate: linear drift must have rate < 0")
+            return linear_drift(rate, sigma)
         if kind == "gradient":
             coeffs = _require(data, "coeffs", "config.drift")
             if len(coeffs) != 5:
                 raise ConfigError("config.drift.coeffs: expected 5 coefficients c0..c4")
             return GradientDrift(QuarticPotential(tuple(float(c) for c in coeffs)), sigma=sigma)
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"config.drift: {err}") from err
     raise ConfigError(f"config.drift.kind: unknown kind {kind!r}")
@@ -402,11 +423,7 @@ def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | Path | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    out_dir: str | Path | None = None,
-    plots: bool = False,
-) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioResult:
     """Solve the scenario, evaluate every configured check, write reports.
 
     Writes ``functionals.csv`` (one row per sample time), ``consistency.csv``
@@ -536,8 +553,6 @@ def run_scenario(
                 ("diagnostic", "time", "bin_center", "count", "value", "std_error", "reference"),
                 mc_rows,
             )
-        if plots:
-            _write_functionals_svg(target / "functionals.svg", rows)
 
     return ScenarioResult(cfg.name, target, checks, rows)
 
@@ -560,24 +575,30 @@ def _run_mc_diagnostics(
 
     last = len(dense.times) - 1
     est = estimate_backward_drift(dense, last, bins)
-    residual = duality_residual(est, cfg.model, dense_traj[last])
-    pooled = est.pooled_standard_error()
-    checks.append(
-        Check("mc_duality", residual <= tol.mc_sigmas * pooled,
-              f"residual = {residual:.4f}, pooled SE = {pooled:.4f}")
-    )
-    target_curve = backward_drift_on_grid(cfg.model, dense_traj[last])
-    for center, count, value, se in zip(
-        est.bin_centers[est.defined],
-        est.counts[est.defined],
-        est.values[est.defined],
-        est.std_errors[est.defined],
-    ):
-        ref = float(np.interp(center, dense_traj.grid.x, target_curve))
-        rows.append(("backward_drift", float(dense.times[last]), float(center),
-                     int(count), float(value), float(se), ref))
-    rows.append(("duality_residual", float(dense.times[last]), None,
-                 int(est.counts[est.defined].sum()), residual, pooled, 0.0))
+    if not np.any(est.defined):
+        checks.append(
+            Check("mc_duality", False,
+                  f"no bin reached min_count = {est.min_count} samples ({dense.n_paths} paths)")
+        )
+    else:
+        residual = duality_residual(est, cfg.model, dense_traj[last])
+        pooled = est.pooled_standard_error()
+        checks.append(
+            Check("mc_duality", residual <= tol.mc_sigmas * pooled,
+                  f"residual = {residual:.4f}, pooled SE = {pooled:.4f}")
+        )
+        target_curve = backward_drift_on_grid(cfg.model, dense_traj[last])
+        for center, count, value, se in zip(
+            est.bin_centers[est.defined],
+            est.counts[est.defined],
+            est.values[est.defined],
+            est.std_errors[est.defined],
+        ):
+            ref = float(np.interp(center, dense_traj.grid.x, target_curve))
+            rows.append(("backward_drift", float(dense.times[last]), float(center),
+                         int(count), float(value), float(se), ref))
+        rows.append(("duality_residual", float(dense.times[last]), None,
+                     int(est.counts[est.defined].sum()), residual, pooled, 0.0))
 
     marti = martingale_diagnostic(dense, dense_traj, pbar, bins=bins)
     worst_mean = max(abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti)
@@ -812,49 +833,3 @@ def write_convergence_csv(rows: list[ConvergenceRow], path: str | Path):
         ("level", "n_nodes", "dt", "max_abs_error", "observed_order"),
         ((r.level, r.n_nodes, r.dt, r.max_abs_error, r.observed_order) for r in rows),
     )
-
-
-# ---------------------------------------------------------------------------
-# SVG chart (convenience output only)
-# ---------------------------------------------------------------------------
-
-
-def _write_functionals_svg(path: Path, rows: list[FunctionalReport]):
-    """Minimal dependency-free line chart of the scalar functionals."""
-    width, height, margin = 720, 420, 50
-    times = [r.time for r in rows]
-    series = [
-        ("relative_entropy", "#1f77b4", [r.relative_entropy for r in rows]),
-        ("varentropy", "#d62728", [r.varentropy for r in rows]),
-        ("relative_fisher", "#2ca02c", [r.relative_fisher for r in rows]),
-    ]
-    t0, t1 = min(times), max(times)
-    y0 = 0.0
-    y1 = max(max(vals) for _, _, vals in series) or 1.0
-
-    def sx(t):
-        return margin + (t - t0) / (t1 - t0) * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - y0) / (y1 - y0) * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="13">time</text>',
-    ]
-    for i, (name, color, vals) in enumerate(series):
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, vals))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{width - margin - 150}" y="{margin + 16 * i}" fill="{color}" '
-            f'font-size="12">{name}</text>'
-        )
-    parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")

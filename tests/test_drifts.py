@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose
 
 from varentropy_lab import (
     GradientDrift,
-    LinearDrift,
     QuarticPotential,
     double_well_drift,
-    drift_at,
     gradient,
     invariant_density,
     laplacian,
+    linear_drift,
     make_uniform_grid,
 )
 
@@ -21,40 +20,48 @@ STANDARD_NORMAL_PEAK = 0.3989422804014327  # 1 / sqrt(2 pi)
 
 class TestDriftEvaluation:
     def test_linear(self):
-        model = LinearDrift(rate=-0.5)
-        assert drift_at(model, 2.0) == pytest.approx(-1.0)
+        model = linear_drift(-0.5)
+        assert model.drift(2.0) == pytest.approx(-1.0)
 
     def test_double_well_critical_point(self):
         model = double_well_drift()
-        assert drift_at(model, 0.0) == pytest.approx(0.0)
+        assert model.drift(0.0) == pytest.approx(0.0)
         # minima of the well are also critical points
-        assert drift_at(model, 1.0) == pytest.approx(0.0)
-        assert drift_at(model, -1.0) == pytest.approx(0.0)
+        assert model.drift(1.0) == pytest.approx(0.0)
+        assert model.drift(-1.0) == pytest.approx(0.0)
 
     def test_quadratic_potential_matches_linear(self):
-        """-d/dx of x^2/4 equals the linear drift with rate -1/2 everywhere."""
-        grad_model = GradientDrift(QuarticPotential((0, 0, 0.25, 0, 0)))
-        assert drift_at(grad_model, 2.0) == pytest.approx(-1.0)
-        lin_model = LinearDrift(rate=-0.5)
-        x = np.linspace(-5, 5, 101)
-        assert_allclose(drift_at(grad_model, x), drift_at(lin_model, x), atol=1e-14)
+        """The linear drift with rate -1/2 is exactly -x/2, with potential
+        exactly x^2/4, and equals the gradient drift of x^2/4."""
+        lin_model = linear_drift(-0.5)
+        assert lin_model == GradientDrift(QuarticPotential((0, 0, 0.25, 0, 0)))
+        x = np.random.default_rng(7).normal(scale=3.0, size=10_001)
+        assert np.array_equal(lin_model.drift(x), -0.5 * x)
+        assert np.array_equal(lin_model.potential(x), 0.25 * x**2)
 
     def test_drift_derivative(self):
+        """The drift's slope is -potential'': 1 - 3 x^2 on the double well."""
         model = double_well_drift()
         x = np.linspace(-2, 2, 41)
         h = 1e-6
         fd = (model.drift(x + h) - model.drift(x - h)) / (2 * h)
-        assert_allclose(model.drift_derivative(x), fd, atol=1e-7)
+        assert_allclose(fd, 1.0 - 3.0 * x**2, atol=1e-7)
 
     def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError, match="sigma"):
-            LinearDrift(rate=-1.0, sigma=0.0)
+        for sigma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                linear_drift(-1.0, sigma=sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coefficients_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuarticPotential((0.0, 0.0, 1.0, 0.0, bad))
 
 
 class TestConfinement:
     def test_linear_confining_iff_negative_rate(self):
-        assert LinearDrift(rate=-0.1).confining
-        assert not LinearDrift(rate=0.1).confining
+        assert linear_drift(-0.1).confining
+        assert not linear_drift(0.1).confining
 
     def test_quartic_confinement_rules(self):
         assert QuarticPotential((0, 0, 0, 0, 1.0)).confining
@@ -65,7 +72,7 @@ class TestConfinement:
     def test_invariant_density_rejects_nonconfining(self):
         g = make_uniform_grid(-5, 5, 101)
         with pytest.raises(ValueError, match="confining"):
-            invariant_density(LinearDrift(rate=0.5), g)
+            invariant_density(linear_drift(0.5), g)
 
 
 class TestInvariantDensity:

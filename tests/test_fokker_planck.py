@@ -96,7 +96,8 @@ class TestSolve:
         p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.04), (0.5, 1.0, 0.04)])
         horizon = 0.5
         traj = solve(p0, dw_model, np.linspace(0, horizon, 6), cfg)
-        growth = np.max(np.maximum(-dw_model.drift_derivative(dw_grid.x), 0.0))
+        # -b' = potential'' = 3 x^2 - 1 for the double well x^4/4 - x^2/2
+        growth = np.max(np.maximum(3.0 * dw_grid.x**2 - 1.0, 0.0))
         bound = p0.values.max() * np.exp(growth * horizon)
         for state in traj.states:
             assert state.values.max() <= bound

@@ -16,18 +16,16 @@ from varentropy_lab import (
     gaussian_density,
     gradient,
     integrate,
-    local_free_energy,
     make_uniform_grid,
     mixture_density,
     relative_entropy,
     relative_fisher,
     report,
+    safe_log_ratio,
     solve,
     support_mask,
     varentropy,
-    varentropy_centered,
     varentropy_rate,
-    varentropy_self_normalized,
 )
 
 # KL divergences between centered Gaussians, from the closed form
@@ -51,11 +49,13 @@ def mixture(wide_grid):
 
 
 class TestLocalFreeEnergy:
+    """The local free energy is the nodewise log ratio ``safe_log_ratio``."""
+
     def test_identical_densities(self, narrow_gaussian):
-        assert_allclose(local_free_energy(narrow_gaussian, narrow_gaussian), 0.0, atol=0.0)
+        assert_allclose(safe_log_ratio(narrow_gaussian, narrow_gaussian), 0.0, atol=0.0)
 
     def test_gaussian_closed_form(self, wide_grid, narrow_gaussian, ou_stationary):
-        got = local_free_energy(narrow_gaussian, ou_stationary)
+        got = safe_log_ratio(narrow_gaussian, ou_stationary)
         expected = OUBenchmark(0.25).log_density_ratio(0.0, wide_grid.x)
         mask = support_mask(narrow_gaussian)
         assert np.max(np.abs((got - expected)[mask])) < 1e-8
@@ -65,7 +65,7 @@ class TestLocalFreeEnergy:
         shifted Gaussian is the relative entropy d^2/2."""
         delta = 0.5
         shifted = gaussian_density(wide_grid, delta, 1.0)
-        got = local_free_energy(shifted, ou_stationary)
+        got = safe_log_ratio(shifted, ou_stationary)
         expected = delta * wide_grid.x - delta**2 / 2
         mask = support_mask(shifted) & support_mask(ou_stationary)
         assert np.max(np.abs((got - expected)[mask])) < 1e-8
@@ -147,10 +147,30 @@ class TestVarentropy:
     def test_three_assemblies_agree(self, mixture, narrow_gaussian, ou_stationary):
         for p in (mixture, narrow_gaussian):
             a = varentropy(p, ou_stationary)
-            b = varentropy_centered(p, ou_stationary)
-            c = varentropy_self_normalized(p, ou_stationary)
+            b = _varentropy_centered(p, ou_stationary)
+            c = _varentropy_self_normalized(p, ou_stationary)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
             assert c == pytest.approx(a, rel=1e-8, abs=1e-10)
+
+
+def _varentropy_centered(p, pbar):
+    """Varentropy as the integral of the squared centered log ratio:
+    algebraically identical to :func:`varentropy`, assembled independently."""
+    logratio = safe_log_ratio(p, pbar)
+    weight = np.where(support_mask(p), p.values, 0.0)
+    center = integrate(logratio * weight, p.grid)
+    return max(integrate((logratio - center) ** 2 * weight, p.grid), 0.0)
+
+
+def _varentropy_self_normalized(p, pbar):
+    """Varentropy as a centered expectation with the masked weight
+    renormalized; differs from the others only through the mass lost to the
+    tail cut."""
+    logratio = safe_log_ratio(p, pbar)
+    weight = np.where(support_mask(p), p.values, 0.0)
+    mass = integrate(weight, p.grid)
+    mean = integrate(logratio * weight, p.grid) / mass
+    return max(integrate((logratio - mean) ** 2 * weight, p.grid) / mass, 0.0)
 
 
 class TestJointRescalingInvariance:
@@ -162,8 +182,8 @@ class TestJointRescalingInvariance:
         p2 = Density(wide_grid, narrow_gaussian.values * c, mass_tol=1e-3)
         q2 = Density(wide_grid, ou_stationary.values * c, mass_tol=1e-3)
         assert_allclose(
-            local_free_energy(p2, q2),
-            local_free_energy(narrow_gaussian, ou_stationary),
+            safe_log_ratio(p2, q2),
+            safe_log_ratio(narrow_gaussian, ou_stationary),
             atol=1e-13,
         )
 
@@ -270,7 +290,7 @@ def _separate_assembly(p, pbar, sigma):
     """(entropy, fisher, varentropy, entropy rate, varentropy rate), each
     assembled on its own from the log ratio as independent functions."""
     weight = np.where(support_mask(p), p.values, 0.0)
-    logratio = local_free_energy(p, pbar)
+    logratio = safe_log_ratio(p, pbar)
     entropy = max(integrate(logratio * weight, p.grid), 0.0)
     slope = gradient(logratio, p.grid)
     fisher = max(integrate(slope**2 * weight, p.grid), 0.0)

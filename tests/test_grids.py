@@ -38,6 +38,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="invalid bounds"):
             make_uniform_grid(8, -8, 801)
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_uniform_grid(lo, hi, 11)
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="invalid bounds"):
             make_uniform_grid(0, 1, 2)

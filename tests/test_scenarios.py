@@ -12,6 +12,12 @@ from varentropy_lab.cli import main
 from varentropy_lab.scenarios import OUTPUT_ROOT_ENV, ConfigError
 
 
+#: A valid Monte Carlo block too small for any backward-drift bin to reach
+#: the default minimum count of 50 samples.
+SMALL_MC = {"n_paths": 200, "dt": 1e-2, "seed": 5, "t_end": 0.5, "store_every": 25,
+            "bins": 25, "bin_span": 3.0}
+
+
 def ou_config(**overrides):
     data = {
         "name": "ou_small",
@@ -81,6 +87,38 @@ class TestConfigParsing:
     def test_nonconfining_drift_rejected(self):
         with pytest.raises(ConfigError, match="rate < 0"):
             ScenarioConfig.from_dict(ou_config(drift={"kind": "linear", "rate": 0.5}))
+
+    def test_linear_drift_is_the_quadratic_potential(self):
+        """Both spellings of the OU drift parse to one model, and both get
+        the exact-benchmark checks."""
+        linear = ScenarioConfig.from_dict(ou_config())
+        gradient = ScenarioConfig.from_dict(
+            ou_config(drift={"kind": "gradient", "coeffs": [0, 0, 0.25, 0, 0]})
+        )
+        assert linear.model == gradient.model
+        assert linear.is_ou_benchmark() and gradient.is_ou_benchmark()
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("grid", "n", 401.5, "config.grid.n"),
+        ("grid", "hi", float("inf"), "config.grid"),
+        ("time", "n_samples", 3.7, "config.time.n_samples"),
+        ("drift", "sigma", float("inf"), "config.drift"),
+        ("drift", "rate", float("nan"), "config.drift.rate"),
+        ("mc", "n_paths", 200.5, "config.mc.n_paths"),
+        ("mc", "seed", "5", "config.mc.seed"),
+        ("mc", "store_every", True, "config.mc.store_every"),
+        ("mc", "diag_steps", 2.5, "config.mc.diag_steps"),
+        ("mc", "bins", 25.5, "config.mc.bins"),
+        ("mc", "bins", 2, "config.mc.bins"),
+        ("mc", "bin_span", float("nan"), "config.mc.bin_span"),
+        ("mc", "t_end", 0.505, "config.mc.t_end"),
+        ("mc", "dt", float("nan"), "config.mc.dt"),
+    ])
+    def test_bad_field_rejected(self, section, key, value, field):
+        data = ou_config(mc=SMALL_MC)
+        data[section] = {**data[section], key: value}
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ScenarioConfig.from_dict(data)
 
     def test_table_initial(self, tmp_path):
         grid_n = 401
@@ -157,11 +195,20 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.out_dir is None
 
-    def test_svg_plot(self, tmp_path):
-        cfg = ScenarioConfig.from_dict(ou_config())
-        run_scenario(cfg, out_dir=tmp_path, plots=True)
-        svg = (tmp_path / "functionals.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+    def test_too_small_ensemble_fails_duality_check(self, tmp_path):
+        """No backward-drift bin reaches min_count: mc_duality fails with a
+        reason, the other checks still run and every report is written."""
+        cfg = ScenarioConfig.from_dict(ou_config(mc=SMALL_MC))
+        result = run_scenario(cfg, out_dir=tmp_path)
+        duality = next(c for c in result.checks if c.name == "mc_duality")
+        assert not duality.passed
+        assert duality.detail == "no bin reached min_count = 50 samples (200 paths)"
+        assert result.exit_code == 1
+        names = [c.name for c in result.checks]
+        assert "mc_martingale_mean" in names and "mc_functionals_agreement" in names
+        for name in ("functionals.csv", "consistency.csv", "checks.csv", "mc_diagnostics.csv"):
+            assert (tmp_path / name).exists()
+        assert "mc_duality,False,no bin reached" in (tmp_path / "checks.csv").read_text()
 
 
 class TestSweep:
@@ -279,6 +326,14 @@ class TestCli:
         bad = ou_config(drift={"kind": "linear", "rate": 0.5})
         path.write_text(json.dumps(bad))
         assert main(["run", str(path)]) == 2
+
+    def test_store_every_not_dividing_steps_exit_2(self, tmp_path, capsys):
+        """Rejected at parse time, before any solve."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ou_config(mc={**SMALL_MC, "store_every": 30})))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config.mc.store_every: must divide the 50 steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_initial_variance_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
