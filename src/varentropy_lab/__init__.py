@@ -55,6 +55,7 @@ from .monte_carlo import (
     MCFunctionals,
     simulate_ensemble,
     estimate_backward_drift,
+    backward_drift_target,
     duality_residual,
     martingale_diagnostic,
     mc_functionals,

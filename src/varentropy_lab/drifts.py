@@ -42,9 +42,18 @@ class QuarticPotential:
         c0, c1, c2, c3, c4 = self.coeffs
         return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
 
-    def derivative(self, x):
+    def derivative(self, x, out=None):
+        """``c1 + x (2 c2 + x (3 c3 + x 4 c4))``, evaluated in place in ``out``
+        when it is given."""
         _, c1, c2, c3, c4 = self.coeffs
-        return c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4))
+        out = np.multiply(x, 4.0, out=out)
+        out *= c4
+        out += 3.0 * c3
+        out *= x
+        out += 2.0 * c2
+        out *= x
+        out += c1
+        return out
 
     @property
     def confining(self) -> bool:
@@ -63,8 +72,10 @@ class GradientDrift:
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def drift(self, x):
-        return -self.potential_spec.derivative(np.asarray(x, dtype=float))
+    def drift(self, x, out=None):
+        """``-potential'(x)``, written into ``out`` when it is given."""
+        slope = self.potential_spec.derivative(np.asarray(x, dtype=float), out=out)
+        return np.negative(slope, out=out)
 
     def potential(self, x):
         return self.potential_spec(np.asarray(x, dtype=float))

@@ -15,7 +15,20 @@ grid computations:
 Paths are advanced with a single seeded generator, so ensembles are
 reproducible bit for bit from ``(seed, model, init, dt, t_end, n_paths)``.
 A parallel implementation would need to partition the stream per path; this
-sequential one vectorizes over paths at each step instead.
+sequential one vectorizes over paths at each step instead. The step updates
+preallocated position, drift and noise buffers in place, reflects only when
+some path has left the domain, and writes each stored step into one
+column of a Fortran-ordered ``(n_paths, n_times)`` array, so every stored
+column is contiguous and nothing is copied per step.
+
+Grids are uniform, so every lookup of a path position in a grid or a bin
+array is index arithmetic, ``floor((x - lo) / dx)``, corrected by one
+comparison on each side against the nodes (:func:`_nodes_at_or_below`).
+The cell and offset of a stored column are found once (:func:`_locate`) and
+reused for every gridded function interpolated there (:func:`_interp`);
+both give exactly the values of ``np.interp`` and ``np.searchsorted``. The
+kernels take optional output buffers, so the loop over stored columns in
+:func:`martingale_diagnostic` reuses one set of path-sized arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +56,13 @@ DEFAULT_MIN_COUNT = 50
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Seeded ensemble of sample paths stored at uniformly spaced times."""
+    """Seeded ensemble of sample paths stored at uniformly spaced times.
+
+    ``paths`` is stored read-only in Fortran order, so that the positions of
+    all paths at one stored time, ``paths[:, k]``, are contiguous. It is a
+    copy unless it already is such an array that owns its data, as
+    :func:`simulate_ensemble` passes it.
+    """
 
     times: np.ndarray
     paths: np.ndarray  # shape (n_paths, n_times)
@@ -52,7 +71,15 @@ class PathEnsemble:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float, copy=True)
-        paths = np.array(self.paths, dtype=float, copy=True)
+        paths = self.paths
+        if not (
+            isinstance(paths, np.ndarray)
+            and paths.dtype == np.float64
+            and paths.flags.f_contiguous
+            and paths.flags.owndata
+            and not paths.flags.writeable
+        ):
+            paths = np.array(paths, dtype=float, order="F", copy=True)
         if paths.ndim != 2 or paths.shape[1] != len(times):
             raise ValueError("paths must be (n_paths, n_times) matching times")
         steps = np.diff(times)
@@ -93,11 +120,22 @@ class BinnedEstimate:
 
     def pooled_standard_error(self) -> float:
         """Count-weighted root mean square of the per-bin standard errors."""
+        d = self._defined_or_raise()
+        c = self.counts[d]
+        return float(np.sqrt(np.sum(c * self.std_errors[d] ** 2) / c.sum()))
+
+    def residual(self, target: np.ndarray) -> float:
+        """Count-weighted RMS misfit between the defined bins' values and
+        ``target``, one value per defined bin."""
+        d = self._defined_or_raise()
+        c = self.counts[d]
+        return float(np.sqrt(np.sum(c * (self.values[d] - target) ** 2) / c.sum()))
+
+    def _defined_or_raise(self) -> np.ndarray:
         d = self.defined
         if not np.any(d):
             raise ValueError("no bins reach the minimum count")
-        c = self.counts[d]
-        return float(np.sqrt(np.sum(c * self.std_errors[d] ** 2) / c.sum()))
+        return d
 
 
 def _sample_initial(init: Density, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,17 +146,18 @@ def _sample_initial(init: Density, n_paths: int, rng: np.random.Generator) -> np
     return np.interp(rng.uniform(size=n_paths), cdf, init.grid.x)
 
 
-def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Reflect positions into [lo, hi], matching the zero-flux grid boundary."""
+def _reflect(x: np.ndarray, lo: float, hi: float) -> None:
+    """Reflect positions into [lo, hi] in place, matching the zero-flux grid
+    boundary."""
     # a single step rarely overshoots by more than one domain width, but
     # iterate to be safe with large dt
     for _ in range(100):
         below = x < lo
         above = x > hi
         if not (below.any() or above.any()):
-            return x
-        x = np.where(below, 2.0 * lo - x, x)
-        x = np.where(above, 2.0 * hi - x, x)
+            return
+        np.subtract(2.0 * lo, x, out=x, where=below)
+        np.subtract(2.0 * hi, x, out=x, where=above)
     raise RuntimeError("reflection failed to terminate; dt is far too large")
 
 
@@ -154,32 +193,125 @@ def simulate_ensemble(
     rng = np.random.default_rng(seed)
     lo, hi = init.grid.lo, init.grid.hi
     x = _sample_initial(init, n_paths, rng)
-    stored = [x.copy()]
-    root_dt = math.sqrt(dt)
+    n_stored = n_steps // store_every + 1
+    paths = np.empty((n_paths, n_stored), order="F")
+    paths[:, 0] = x
+    noise_scale = model.sigma * math.sqrt(dt)
+    drift = np.empty(n_paths)
+    noise = np.empty(n_paths)
     for k in range(1, n_steps + 1):
-        x = x + model.drift(x) * dt + model.sigma * root_dt * rng.standard_normal(n_paths)
-        x = _reflect(x, lo, hi)
+        # x + drift(x) * dt + sigma * sqrt(dt) * N(0, 1), rounded as written
+        model.drift(x, out=drift)
+        drift *= dt
+        rng.standard_normal(out=noise)
+        noise *= noise_scale
+        x += drift
+        x += noise
+        if x.min() < lo or x.max() > hi:
+            _reflect(x, lo, hi)
         if k % store_every == 0:
-            stored.append(x.copy())
-    times = init.time + dt * store_every * np.arange(len(stored))
-    return PathEnsemble(times=times, paths=np.column_stack(stored), seed=seed, model=model)
+            paths[:, k // store_every] = x
+    times = init.time + dt * store_every * np.arange(n_stored)
+    paths.flags.writeable = False
+    return PathEnsemble(times=times, paths=paths, seed=seed, model=model)
+
+
+def _nodes_at_or_below(
+    x: np.ndarray, grid: Grid, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Number of nodes of ``grid`` at or below each position:
+    ``np.searchsorted(grid.x, x, side="right")``, from 0 below ``lo`` to
+    ``n`` at or past ``hi``.
+
+    The uniform-spacing guess ``floor((x - lo) / dx) + 1`` is off by at most
+    one from rounding; one comparison on each side against the nodes, padded
+    with -inf and +inf, puts exact nodes and their neighbours where the
+    binary search would. ``out`` (intp) and ``scratch`` (float, overwritten)
+    are optional buffers shaped like ``x``.
+    """
+    nodes = np.concatenate(([-np.inf], grid.x, [np.inf]))
+    guess = np.subtract(x, grid.lo, out=scratch)
+    guess /= grid.dx
+    np.floor(guess, out=guess)
+    guess += 1.0
+    np.clip(guess, 0, grid.n, out=guess)
+    count = np.empty(x.shape, dtype=np.intp) if out is None else out
+    count[...] = guess
+    # every index is in range by construction; mode="clip" lets take write
+    # into the buffer directly
+    np.take(nodes, count, out=guess, mode="clip")
+    count -= x < guess
+    np.take(nodes[1:], count, out=guess, mode="clip")
+    count += x >= guess
+    return count
+
+
+def _locate(
+    x: np.ndarray, grid: Grid, j: np.ndarray | None = None, offset: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ``j`` and offset ``x - grid.x[j]`` of each position, as
+    ``np.interp``'s search picks them, for :func:`_interp`.
+
+    A position at or past ``hi`` gets the last node, and one below ``lo``
+    the first node at offset 0, so they evaluate to the end values as in
+    ``np.interp``. ``j`` and ``offset`` are optional output buffers.
+    """
+    offset = np.empty(x.shape) if offset is None else offset
+    j = _nodes_at_or_below(x, grid, out=j, scratch=offset)
+    j -= 1
+    np.maximum(j, 0, out=j)
+    np.take(grid.x, j, out=offset, mode="clip")
+    np.subtract(x, offset, out=offset)
+    np.maximum(offset, 0.0, out=offset)
+    return j, offset
+
+
+def _interp(
+    cells: tuple[np.ndarray, np.ndarray],
+    fp: np.ndarray,
+    grid: Grid,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """``np.interp(x, grid.x, fp)`` at the positions ``cells = _locate(x, grid)``.
+
+    Uses numpy's own formula ``slope[j] * (x - x[j]) + fp[j]`` with
+    ``slope = (fp[j+1] - fp[j]) / (x[j+1] - x[j])``, so the values are
+    bit-identical; the last node's slope is 0. ``out`` and ``scratch``
+    (overwritten) are optional buffers shaped like the positions.
+    """
+    j, offset = cells
+    nodes = grid.x
+    slope = np.append((fp[1:] - fp[:-1]) / (nodes[1:] - nodes[:-1]), 0.0)
+    out = np.take(slope, j, out=out, mode="clip")
+    out *= offset
+    out += np.take(fp, j, out=scratch, mode="clip")
+    return out
 
 
 def _bin_statistics(
     positions: np.ndarray,
     samples: np.ndarray,
-    edges: np.ndarray,
+    bins: Grid,
     min_count: int,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, means and standard errors of ``samples`` binned by ``positions``."""
-    n_bins = len(edges) - 1
-    idx = np.searchsorted(edges, positions, side="right") - 1
-    ok = (idx >= 0) & (idx < n_bins)
-    idx = idx[ok]
-    samples = samples[ok]
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=samples, minlength=n_bins)
-    squares = np.bincount(idx, weights=samples**2, minlength=n_bins)
+    """Counts, means and standard errors of ``samples`` binned by ``positions``
+    into the cells between consecutive nodes of ``bins``.
+
+    ``work`` is an optional pair of buffers shaped like ``positions``: one
+    intp and one float, both overwritten.
+    """
+    idx, scratch = (None, None) if work is None else work
+    # slot i + 1 holds bin i; the first and last slots collect the positions
+    # below and beyond the bins and are dropped after counting
+    idx = _nodes_at_or_below(positions, bins, out=idx, scratch=scratch)
+    slots = bins.n + 1
+    counts = np.bincount(idx, minlength=slots)[1:-1]
+    sums = np.bincount(idx, weights=samples, minlength=slots)[1:-1]
+    squares = np.bincount(
+        idx, weights=np.square(samples, out=scratch), minlength=slots
+    )[1:-1]
     safe = np.maximum(counts, 1)
     means = sums / safe
     variances = np.maximum(squares / safe - means**2, 0.0)
@@ -206,9 +338,16 @@ def estimate_backward_drift(
         raise IndexError(f"t_index must lie in [1, {len(ens.times) - 1}], got {t_index}")
     here = ens.paths[:, t_index]
     increments = (here - ens.paths[:, t_index - 1]) / ens.dt
-    counts, means, ses = _bin_statistics(here, increments, bins.x, min_count)
+    counts, means, ses = _bin_statistics(here, increments, bins, min_count)
     centers = 0.5 * (bins.x[1:] + bins.x[:-1])
     return BinnedEstimate(centers, means, counts, ses, min_count)
+
+
+def backward_drift_target(est: BinnedEstimate, model: GradientDrift, p_t: Density) -> np.ndarray:
+    """The backward drift computed from the density, interpolated at the
+    centers of the defined bins of ``est``: the values their means estimate."""
+    centers = est.bin_centers[est.defined]
+    return np.interp(centers, p_t.grid.x, backward_drift_on_grid(model, p_t))
 
 
 def duality_residual(est: BinnedEstimate, model: GradientDrift, p_t: Density) -> float:
@@ -218,12 +357,7 @@ def duality_residual(est: BinnedEstimate, model: GradientDrift, p_t: Density) ->
     Under the duality between the two time directions this is statistical
     noise: at most a few pooled standard errors.
     """
-    d = est.defined
-    if not np.any(d):
-        raise ValueError("no bins reach the minimum count")
-    target = np.interp(est.bin_centers[d], p_t.grid.x, backward_drift_on_grid(model, p_t))
-    c = est.counts[d]
-    return float(np.sqrt(np.sum(c * (est.values[d] - target) ** 2) / c.sum()))
+    return est.residual(backward_drift_target(est, model, p_t))
 
 
 @dataclass(frozen=True)
@@ -268,33 +402,33 @@ def martingale_diagnostic(
     if bins is None:
         bins = make_uniform_grid(traj.grid.lo, traj.grid.hi, 41)
 
-    grid_x = traj.grid.x
+    grid = traj.grid
     n = ens.n_paths
-    ratios = []
-    for k in range(len(traj)):
-        num = np.interp(ens.paths[:, k], grid_x, pbar.values)
-        den = np.maximum(
-            np.interp(ens.paths[:, k], grid_x, traj[k].values), DEFAULT_LOG_FLOOR
-        )
-        ratios.append(num / den)
-
+    # one set of buffers serves every stored column: a fresh path-sized
+    # temporary costs more in page faults than the arithmetic done on it
+    cells = (np.empty(n, dtype=np.intp), np.empty(n))
+    work = (np.empty(n, dtype=np.intp), np.empty(n))
+    ratio, previous, den = np.empty(n), np.empty(n), np.empty(n)
     rows: list[MartingaleRow] = []
     for k in range(len(traj)):
-        ratio = ratios[k]
+        x = ens.paths[:, k]
+        _locate(x, grid, *cells)
+        _interp(cells, pbar.values, grid, out=ratio, scratch=den)
+        _interp(cells, traj[k].values, grid, out=den, scratch=work[1])
+        ratio /= np.maximum(den, DEFAULT_LOG_FLOOR, out=den)
         mean = float(ratio.mean())
         se = float(ratio.std(ddof=1) / math.sqrt(n))
         cond_res = cond_pooled = None
         if k >= 1:
-            diff = ratios[k - 1] - ratio
-            counts, means, ses = _bin_statistics(
-                ens.paths[:, k], diff, bins.x, min_count
-            )
+            previous -= ratio
+            counts, means, ses = _bin_statistics(x, previous, bins, min_count, work)
             d = counts >= min_count
             if np.any(d):
                 c = counts[d]
                 cond_res = float(np.sqrt(np.sum(c * means[d] ** 2) / c.sum()))
                 cond_pooled = float(np.sqrt(np.sum(c * ses[d] ** 2) / c.sum()))
         rows.append(MartingaleRow(float(ens.times[k]), mean, se, cond_res, cond_pooled))
+        ratio, previous = previous, ratio
     return rows
 
 
@@ -334,9 +468,9 @@ def mc_functionals(
     p_t = traj[t_index]
     logratio = safe_log_ratio(p_t, pbar)
     slope = gradient(logratio, p_t.grid)
-    x = ens.paths[:, t_index]
-    lr = np.interp(x, p_t.grid.x, logratio)
-    sl = np.interp(x, p_t.grid.x, slope)
+    cells = _locate(ens.paths[:, t_index], p_t.grid)
+    lr = _interp(cells, logratio, p_t.grid)
+    sl = _interp(cells, slope, p_t.grid)
     n = ens.n_paths
 
     entropy = float(lr.mean())

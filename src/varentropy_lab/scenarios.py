@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,6 @@ import numpy as np
 from .drifts import (
     GradientDrift,
     QuarticPotential,
-    backward_drift_on_grid,
     invariant_density,
     linear_drift,
 )
@@ -52,7 +52,7 @@ from .grids import (
     normalized_density,
 )
 from .monte_carlo import (
-    duality_residual,
+    backward_drift_target,
     estimate_backward_drift,
     martingale_diagnostic,
     mc_functionals,
@@ -75,6 +75,23 @@ def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     return mapping[key]
+
+
+def _fields(data, known: Iterable[str], path: str) -> dict:
+    """A config object: a JSON object holding no key outside ``known``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be an object, got {data!r}")
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    return data
+
+
+def _number(value, path: str) -> float:
+    """A real-valued config field: a number, not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{path}: must be a number, got {value!r}")
 
 
 def _integer(value, path: str) -> int:
@@ -100,11 +117,8 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, data: dict, path: str) -> "Tolerances":
-        known = {f for f in cls.__dataclass_fields__}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"{path}.{key}: unknown tolerance")
-        return cls(**{k: float(v) for k, v in data.items()})
+        _fields(data, cls.__dataclass_fields__, path)
+        return cls(**{k: _number(v, f"{path}.{k}") for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -125,14 +139,15 @@ class McConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str, horizon: float) -> "McConfig":
+        _fields(data, cls.__dataclass_fields__, path)
         n_paths = _integer(_require(data, "n_paths", path), f"{path}.n_paths")
-        dt = float(_require(data, "dt", path))
+        dt = _number(_require(data, "dt", path), f"{path}.dt")
         seed = _integer(_require(data, "seed", path), f"{path}.seed")
-        t_end = float(data.get("t_end", min(1.0, horizon)))
+        t_end = _number(data.get("t_end", min(1.0, horizon)), f"{path}.t_end")
         store_every = _integer(data.get("store_every", 1), f"{path}.store_every")
         diag_steps = _integer(data.get("diag_steps", 50), f"{path}.diag_steps")
         bins = _integer(data.get("bins", 31), f"{path}.bins")
-        bin_span = float(data.get("bin_span", 4.0))
+        bin_span = _number(data.get("bin_span", 4.0), f"{path}.bin_span")
         if n_paths < 1:
             raise ConfigError(f"{path}.n_paths: must be >= 1")
         if not 0 < dt < math.inf:
@@ -183,28 +198,34 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str | Path = ".") -> "ScenarioConfig":
+        _fields(data, _CONFIG_KEYS, "config")
         name = str(_require(data, "name", "config"))
         model = _parse_drift(_require(data, "drift", "config"))
-        grid_spec = _require(data, "grid", "config")
-        lo = float(_require(grid_spec, "lo", "config.grid"))
-        hi = float(_require(grid_spec, "hi", "config.grid"))
+        grid_spec = _fields(_require(data, "grid", "config"), ("lo", "hi", "n"), "config.grid")
+        lo = _number(_require(grid_spec, "lo", "config.grid"), "config.grid.lo")
+        hi = _number(_require(grid_spec, "hi", "config.grid"), "config.grid.hi")
         n = _integer(_require(grid_spec, "n", "config.grid"), "config.grid.n")
         try:
             grid = make_uniform_grid(lo, hi, n)
         except ValueError as err:
             raise ConfigError(f"config.grid: {err}") from err
-        solver_spec = dict(_require(data, "solver", "config"))
+        solver_spec = _fields(
+            _require(data, "solver", "config"), SolverConfig.__dataclass_fields__, "config.solver"
+        )
+        dt = _number(_require(solver_spec, "dt", "config.solver"), "config.solver.dt")
+        theta = _number(solver_spec.get("theta", 0.5), "config.solver.theta")
+        mass_tol = _number(solver_spec.get("mass_tol", 1e-10), "config.solver.mass_tol")
         try:
             solver = SolverConfig(
-                dt=float(_require(solver_spec, "dt", "config.solver")),
+                dt=dt,
                 scheme=solver_spec.get("scheme", "chang_cooper"),
-                theta=float(solver_spec.get("theta", 0.5)),
-                mass_tol=float(solver_spec.get("mass_tol", 1e-10)),
+                theta=theta,
+                mass_tol=mass_tol,
             )
         except ValueError as err:
             raise ConfigError(f"config.solver: {err}") from err
-        time_spec = _require(data, "time", "config")
-        t_end = float(_require(time_spec, "t_end", "config.time"))
+        time_spec = _fields(_require(data, "time", "config"), ("t_end", "n_samples"), "config.time")
+        t_end = _number(_require(time_spec, "t_end", "config.time"), "config.time.t_end")
         n_samples = _integer(
             _require(time_spec, "n_samples", "config.time"), "config.time.n_samples"
         )
@@ -212,11 +233,11 @@ class ScenarioConfig:
             raise ConfigError("config.time.t_end: must be positive and finite")
         if n_samples < 3:
             raise ConfigError("config.time.n_samples: need at least 3 samples")
-        initial = dict(_require(data, "initial", "config"))
+        initial = _parse_initial(_require(data, "initial", "config"))
         mc = None
         if data.get("mc") is not None:
-            mc = McConfig.from_dict(dict(data["mc"]), "config.mc", horizon=t_end)
-        tolerances = Tolerances.from_dict(dict(data.get("tolerances", {})), "config.tolerances")
+            mc = McConfig.from_dict(data["mc"], "config.mc", horizon=t_end)
+        tolerances = Tolerances.from_dict(data.get("tolerances", {}), "config.tolerances")
         cfg = cls(
             name=name,
             model=model,
@@ -241,23 +262,18 @@ class ScenarioConfig:
     def initial_density(self) -> Density:
         kind = self.initial.get("kind")
         if kind == "gaussian":
-            mean = float(_require(self.initial, "mean", "config.initial"))
-            variance = float(_require(self.initial, "variance", "config.initial"))
             try:
-                return gaussian_density(self.grid, mean, variance)
+                return gaussian_density(self.grid, self.initial["mean"], self.initial["variance"])
             except ValueError as err:
                 raise ConfigError(f"config.initial: {err}") from err
         if kind == "mixture":
-            comps = [
-                (float(c["weight"]), float(c["mean"]), float(c["variance"]))
-                for c in _require(self.initial, "components", "config.initial")
-            ]
+            comps = [(c["weight"], c["mean"], c["variance"]) for c in self.initial["components"]]
             try:
                 return mixture_density(self.grid, comps)
             except ValueError as err:
                 raise ConfigError(f"config.initial.components: {err}") from err
         if kind == "table":
-            path = self.base_dir / str(_require(self.initial, "path", "config.initial"))
+            path = self.base_dir / self.initial["path"]
             values = np.loadtxt(path, dtype=float)
             if values.ndim != 1 or len(values) != self.grid.n:
                 raise ConfigError(
@@ -291,14 +307,11 @@ class ScenarioConfig:
         kind = self.initial.get("kind")
         lo, hi = self.grid.lo, self.grid.hi
         if kind == "gaussian":
-            outside = gaussian_mass_outside(
-                lo, hi, float(self.initial["mean"]), float(self.initial["variance"])
-            )
+            outside = gaussian_mass_outside(lo, hi, self.initial["mean"], self.initial["variance"])
         elif kind == "mixture":
             outside = sum(
-                float(c["weight"])
-                * gaussian_mass_outside(lo, hi, float(c["mean"]), float(c["variance"]))
-                for c in _require(self.initial, "components", "config.initial")
+                c["weight"] * gaussian_mass_outside(lo, hi, c["mean"], c["variance"])
+                for c in self.initial["components"]
             )
         elif kind == "table":
             values = self.initial_density().values
@@ -330,25 +343,77 @@ class ScenarioConfig:
             )
 
 
-def _parse_drift(data: dict) -> GradientDrift:
+#: Keys of a scenario config document.
+_CONFIG_KEYS = (
+    "name", "drift", "initial", "grid", "solver", "time", "mc", "tolerances", "outputs",
+)
+
+#: Keys of the ``drift`` block, by kind.
+_DRIFT_KEYS = {"linear": ("kind", "rate", "sigma"), "gradient": ("kind", "coeffs", "sigma")}
+
+#: Keys of the ``initial`` block, by kind.
+_INITIAL_KEYS = {
+    "gaussian": ("kind", "mean", "variance"),
+    "mixture": ("kind", "components"),
+    "table": ("kind", "path"),
+}
+
+
+def _parse_drift(data) -> GradientDrift:
+    path = "config.drift"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be an object, got {data!r}")
     kind = data.get("kind")
-    sigma = float(data.get("sigma", 1.0))
+    if kind not in _DRIFT_KEYS:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    _fields(data, _DRIFT_KEYS[kind], path)
+    sigma = _number(data.get("sigma", 1.0), f"{path}.sigma")
+    if kind == "linear":
+        rate = _number(_require(data, "rate", path), f"{path}.rate")
+        if not rate < 0.0:
+            raise ConfigError(f"{path}.rate: linear drift must have rate < 0")
+    else:
+        coeffs = _require(data, "coeffs", path)
+        if not isinstance(coeffs, list) or len(coeffs) != 5:
+            raise ConfigError(f"{path}.coeffs: expected 5 coefficients c0..c4")
+        coeffs = tuple(_number(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs))
     try:
         if kind == "linear":
-            rate = float(_require(data, "rate", "config.drift"))
-            if not rate < 0.0:
-                raise ConfigError("config.drift.rate: linear drift must have rate < 0")
             return linear_drift(rate, sigma)
-        if kind == "gradient":
-            coeffs = _require(data, "coeffs", "config.drift")
-            if len(coeffs) != 5:
-                raise ConfigError("config.drift.coeffs: expected 5 coefficients c0..c4")
-            return GradientDrift(QuarticPotential(tuple(float(c) for c in coeffs)), sigma=sigma)
-    except ConfigError:
-        raise
+        return GradientDrift(QuarticPotential(coeffs), sigma=sigma)
     except ValueError as err:
-        raise ConfigError(f"config.drift: {err}") from err
-    raise ConfigError(f"config.drift.kind: unknown kind {kind!r}")
+        raise ConfigError(f"{path}: {err}") from err
+
+
+def _parse_initial(data) -> dict:
+    """The ``initial`` block with every number checked and converted."""
+    path = "config.initial"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be an object, got {data!r}")
+    kind = data.get("kind")
+    if kind not in _INITIAL_KEYS:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    _fields(data, _INITIAL_KEYS[kind], path)
+    if kind == "gaussian":
+        return {"kind": kind, **_numbers(data, ("mean", "variance"), path)}
+    if kind == "table":
+        return {"kind": kind, "path": str(_require(data, "path", path))}
+    components = _require(data, "components", path)
+    if not isinstance(components, list):
+        raise ConfigError(f"{path}.components: must be a list")
+    fields = ("weight", "mean", "variance")
+    return {
+        "kind": kind,
+        "components": [
+            _numbers(_fields(c, fields, f"{path}.components[{i}]"), fields,
+                     f"{path}.components[{i}]")
+            for i, c in enumerate(components)
+        ],
+    }
+
+
+def _numbers(data: dict, keys: Sequence[str], path: str) -> dict:
+    return {k: _number(_require(data, k, path), f"{path}.{k}") for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +646,22 @@ def _run_mc_diagnostics(
                   f"no bin reached min_count = {est.min_count} samples ({dense.n_paths} paths)")
         )
     else:
-        residual = duality_residual(est, cfg.model, dense_traj[last])
+        target = backward_drift_target(est, cfg.model, dense_traj[last])
+        residual = est.residual(target)
         pooled = est.pooled_standard_error()
         checks.append(
             Check("mc_duality", residual <= tol.mc_sigmas * pooled,
                   f"residual = {residual:.4f}, pooled SE = {pooled:.4f}")
         )
-        target_curve = backward_drift_on_grid(cfg.model, dense_traj[last])
-        for center, count, value, se in zip(
+        for center, count, value, se, ref in zip(
             est.bin_centers[est.defined],
             est.counts[est.defined],
             est.values[est.defined],
             est.std_errors[est.defined],
+            target,
         ):
-            ref = float(np.interp(center, dense_traj.grid.x, target_curve))
             rows.append(("backward_drift", float(dense.times[last]), float(center),
-                         int(count), float(value), float(se), ref))
+                         int(count), float(value), float(se), float(ref)))
         rows.append(("duality_residual", float(dense.times[last]), None,
                      int(est.counts[est.defined].sum()), residual, pooled, 0.0))
 
@@ -665,14 +730,15 @@ class SweepConfig:
     def from_json(cls, path: str | Path) -> "SweepConfig":
         path = Path(path)
         with open(path) as fh:
-            data = json.load(fh)
+            data = _fields(json.load(fh), ("base", "parameter", "values", "outputs"), "sweep")
         base = _require(data, "base", "sweep")
         if isinstance(base, str):
             with open(path.parent / base) as fh:
                 base = json.load(fh)
-        values = list(_require(data, "values", "sweep"))
-        if not values:
-            raise ConfigError("sweep.values: must be non-empty")
+        _fields(base, _CONFIG_KEYS, "sweep.base")
+        values = _require(data, "values", "sweep")
+        if not isinstance(values, list) or not values:
+            raise ConfigError("sweep.values: must be a non-empty list")
         return cls(
             base=base,
             parameter=str(data.get("parameter", "override")),
@@ -704,7 +770,9 @@ def _set_dotted(data: dict, dotted: str, value):
     keys = dotted.split(".")
     node = data
     for key in keys[:-1]:
-        node = node[key]
+        node = node.get(key)
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep.parameter: {dotted!r} names no field of the base config")
     node[keys[-1]] = value
 
 

@@ -39,6 +39,20 @@ class TestDriftEvaluation:
         assert np.array_equal(lin_model.drift(x), -0.5 * x)
         assert np.array_equal(lin_model.potential(x), 0.25 * x**2)
 
+    @pytest.mark.parametrize("coeffs", [(0, 0, -0.5, 0, 0.25), (0.3, -0.7, 1.1, 0.9, 0.4)])
+    def test_drift_into_buffer(self, coeffs):
+        """``drift(x, out=buf)`` fills ``buf`` with the Horner form
+        ``-(c1 + x (2 c2 + x (3 c3 + x 4 c4)))`` rounded as written."""
+        c0, c1, c2, c3, c4 = coeffs
+        model = GradientDrift(QuarticPotential(coeffs))
+        x = np.random.default_rng(3).normal(scale=2.0, size=10_001)
+        expected = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4)))
+        buf = np.empty_like(x)
+        assert model.drift(x, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        assert np.array_equal(model.drift(x), expected)
+        assert model.drift(0.5) == -(c1 + 0.5 * (2.0 * c2 + 0.5 * (3.0 * c3 + 0.5 * 4.0 * c4)))
+
     def test_drift_derivative(self):
         """The drift's slope is -potential'': 1 - 3 x^2 on the double well."""
         model = double_well_drift()

@@ -5,11 +5,16 @@ standard errors come from the estimators themselves, so a wrong
 implementation fails systematically rather than marginally.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from varentropy_lab import (
+    MartingaleRow,
+    MCFunctionals,
+    PathEnsemble,
     SolverConfig,
     backward_drift_on_grid,
     duality_residual,
@@ -19,12 +24,15 @@ from varentropy_lab import (
     make_uniform_grid,
     martingale_diagnostic,
     mc_functionals,
+    mixture_density,
     relative_entropy,
     simulate_ensemble,
     solve,
     varentropy,
     varentropy_rate,
 )
+from varentropy_lab.grids import DEFAULT_LOG_FLOOR, gradient, safe_log_ratio
+from varentropy_lab.monte_carlo import _bin_statistics, _interp, _locate, _nodes_at_or_below
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +295,210 @@ class TestMCFunctionals:
 
         ratio = mean_abs_error(5_000) / mean_abs_error(20_000)
         assert 1.4 < ratio < 2.9  # expect about 2 for a fourfold size increase
+
+
+# ---------------------------------------------------------------------------
+# the uniform-grid kernels and the in-place loop against the plain numpy forms
+# ---------------------------------------------------------------------------
+
+
+def _probe_points(grid, rng):
+    """Random points, every node, both floating-point neighbours of every
+    node, and points beyond both ends."""
+    x = grid.x
+    return np.concatenate([
+        rng.uniform(grid.lo, grid.hi, 20_000),
+        x,
+        np.nextafter(x, -np.inf),
+        np.nextafter(x, np.inf),
+        [grid.lo, grid.hi, grid.lo - 1e-300, grid.lo - 1.0, grid.hi + 1.0],
+        rng.uniform(grid.lo - 2.0, grid.hi + 2.0, 2_000),
+    ])
+
+
+GRIDS = [(-3.5, 3.5, 701), (-8.0, 8.0, 801), (-2.9, 2.9, 29), (0.1, 0.7, 7)]
+
+
+class TestUniformGridKernel:
+    @pytest.mark.parametrize("lo, hi, n", GRIDS)
+    def test_interp_equals_numpy(self, lo, hi, n):
+        rng = np.random.default_rng(n)
+        grid = make_uniform_grid(lo, hi, n)
+        x = _probe_points(grid, rng)
+        cells = _locate(x, grid)
+        for fp in (rng.normal(size=n), np.exp(-grid.x**2), 1e-300 * rng.uniform(size=n)):
+            assert np.array_equal(_interp(cells, fp, grid), np.interp(x, grid.x, fp))
+
+    @pytest.mark.parametrize("lo, hi, n", GRIDS)
+    def test_bin_index_equals_searchsorted(self, lo, hi, n):
+        grid = make_uniform_grid(lo, hi, n)
+        x = _probe_points(grid, np.random.default_rng(n))
+        expected = np.searchsorted(grid.x, x, side="right")
+        assert np.array_equal(_nodes_at_or_below(x, grid), expected)
+
+    def test_buffers_are_filled_in_place(self):
+        grid = make_uniform_grid(-3.0, 3.0, 61)
+        x = _probe_points(grid, np.random.default_rng(1))
+        fp = np.sin(grid.x)
+        j, offset, out, scratch = (np.empty(len(x), dtype=np.intp), np.empty(len(x)),
+                                   np.empty(len(x)), np.empty(len(x)))
+        cells = _locate(x, grid, j, offset)
+        assert cells[0] is j and cells[1] is offset
+        assert _interp(cells, fp, grid, out=out, scratch=scratch) is out
+        assert np.array_equal(out, np.interp(x, grid.x, fp))
+
+    def test_bin_statistics_equal_filtered_bincount(self):
+        """The arithmetic binning gives the counts, means and standard
+        errors of the searchsorted-and-filter form, bit for bit."""
+        rng = np.random.default_rng(3)
+        bins = make_uniform_grid(-2.9, 2.9, 29)
+        positions = np.concatenate([rng.normal(scale=1.5, size=50_000), bins.x, [-9.0, 9.0]])
+        samples = rng.normal(size=len(positions))
+        n_bins = bins.n - 1
+        idx = np.searchsorted(bins.x, positions, side="right") - 1
+        ok = (idx >= 0) & (idx < n_bins)
+        counts = np.bincount(idx[ok], minlength=n_bins)
+        sums = np.bincount(idx[ok], weights=samples[ok], minlength=n_bins)
+        squares = np.bincount(idx[ok], weights=samples[ok] ** 2, minlength=n_bins)
+        safe = np.maximum(counts, 1)
+        means = sums / safe
+        ses = np.sqrt(np.maximum(squares / safe - means**2, 0.0) / np.maximum(counts - 1, 1))
+        defined = counts >= 50
+        got_counts, got_means, got_ses = _bin_statistics(positions, samples, bins, 50)
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(got_means[defined], means[defined])
+        assert np.array_equal(got_ses[defined], ses[defined])
+        assert np.isnan(got_means[~defined]).all() and np.isnan(got_ses[~defined]).all()
+
+
+def _reference_ensemble(model, init, dt, t_end, n_paths, seed, store_every):
+    """Euler-Maruyama in its plain form: a new array per operation, a copy
+    per stored step, ``np.where`` reflection and ``column_stack``. Returns
+    the paths and the number of reflected positions."""
+    rng = np.random.default_rng(seed)
+    lo, hi = init.grid.lo, init.grid.hi
+    cell_mass = 0.5 * init.grid.dx * (init.values[1:] + init.values[:-1])
+    cdf = np.concatenate([[0.0], np.cumsum(cell_mass)])
+    cdf /= cdf[-1]
+    x = np.interp(rng.uniform(size=n_paths), cdf, init.grid.x)
+    stored = [x.copy()]
+    reflected = 0
+    root_dt = math.sqrt(dt)
+    for k in range(1, int(round(t_end / dt)) + 1):
+        x = x + model.drift(x) * dt + model.sigma * root_dt * rng.standard_normal(n_paths)
+        while True:
+            below, above = x < lo, x > hi
+            if not (below.any() or above.any()):
+                break
+            reflected += int(below.sum() + above.sum())
+            x = np.where(below, 2.0 * lo - x, x)
+            x = np.where(above, 2.0 * hi - x, x)
+        if k % store_every == 0:
+            stored.append(x.copy())
+    return np.column_stack(stored), reflected
+
+
+class TestInPlaceEnsemble:
+    @pytest.mark.parametrize("start", [-1.0, 1.0])
+    @pytest.mark.parametrize("drift", ["ou", "double_well"])
+    def test_equals_reference_loop(self, drift, start, ou_model, dw_model):
+        """Same draws, same rounding: the in-place loop reproduces the plain
+        loop bit for bit, with reflections firing on a narrow grid at the
+        boundary the start is next to."""
+        model = ou_model if drift == "ou" else dw_model
+        grid = make_uniform_grid(-1.6, 1.6, 161)
+        init = gaussian_density(grid, start, 0.09)
+        kw = dict(dt=1e-2, t_end=0.6, n_paths=3_000, seed=8, store_every=3)
+        ens = simulate_ensemble(model, init, **kw)
+        expected, reflected = _reference_ensemble(model, init, **kw)
+        assert reflected > 100
+        assert ens.paths.shape == expected.shape == (3_000, 21)
+        assert np.array_equal(ens.paths, expected)
+
+    def test_stored_columns_contiguous_and_read_only(self, ou_model, narrow_gaussian):
+        ens = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 500, seed=4)
+        assert ens.paths.flags.f_contiguous and not ens.paths.flags.writeable
+        for k in range(len(ens.times)):
+            assert ens.paths[:, k].flags.c_contiguous
+
+    def test_caller_array_is_copied(self, ou_model):
+        """An ensemble built from a caller's writable array holds its own
+        read-only Fortran-ordered copy."""
+        paths = np.arange(12.0).reshape(4, 3)
+        ens = PathEnsemble(times=[0.0, 0.5, 1.0], paths=paths, seed=0, model=ou_model)
+        paths[0, 0] = -1.0
+        assert ens.paths[0, 0] == 0.0
+        assert ens.paths.flags.f_contiguous and not ens.paths.flags.writeable
+
+
+def _reference_martingale(ens, traj, pbar, bins, min_count=50):
+    """martingale_diagnostic written with ``np.interp``, ``searchsorted`` and
+    a list of every stored ratio."""
+    ratios = []
+    for k in range(len(traj)):
+        x = ens.paths[:, k]
+        num = np.interp(x, traj.grid.x, pbar.values)
+        den = np.maximum(np.interp(x, traj.grid.x, traj[k].values), DEFAULT_LOG_FLOOR)
+        ratios.append(num / den)
+    rows = []
+    n_bins = bins.n - 1
+    for k, ratio in enumerate(ratios):
+        cond_res = cond_pooled = None
+        if k >= 1:
+            diff = ratios[k - 1] - ratio
+            idx = np.searchsorted(bins.x, ens.paths[:, k], side="right") - 1
+            ok = (idx >= 0) & (idx < n_bins)
+            counts = np.bincount(idx[ok], minlength=n_bins)
+            sums = np.bincount(idx[ok], weights=diff[ok], minlength=n_bins)
+            squares = np.bincount(idx[ok], weights=diff[ok] ** 2, minlength=n_bins)
+            safe = np.maximum(counts, 1)
+            means = sums / safe
+            ses = np.sqrt(np.maximum(squares / safe - means**2, 0.0) / np.maximum(counts - 1, 1))
+            d = counts >= min_count
+            if np.any(d):
+                c = counts[d]
+                cond_res = float(np.sqrt(np.sum(c * means[d] ** 2) / c.sum()))
+                cond_pooled = float(np.sqrt(np.sum(c * ses[d] ** 2) / c.sum()))
+        rows.append(MartingaleRow(float(ens.times[k]), float(ratio.mean()),
+                                  float(ratio.std(ddof=1) / math.sqrt(ens.n_paths)),
+                                  cond_res, cond_pooled))
+    return rows
+
+
+def _reference_mc_functionals(ens, traj, pbar, k):
+    """mc_functionals written with two ``np.interp`` calls."""
+    p_t = traj[k]
+    logratio = safe_log_ratio(p_t, pbar)
+    lr = np.interp(ens.paths[:, k], p_t.grid.x, logratio)
+    sl = np.interp(ens.paths[:, k], p_t.grid.x, gradient(logratio, p_t.grid))
+    n = ens.n_paths
+    entropy = float(lr.mean())
+    varent = float(lr.var(ddof=1))
+    centered = lr - lr.mean()
+    integrand = ens.model.sigma**2 * (-lr - 1.0 + entropy) * sl**2
+    return MCFunctionals(
+        float(ens.times[k]), entropy, float(lr.std(ddof=1) / math.sqrt(n)), varent,
+        float(math.sqrt(max((centered**4).mean() - varent**2, 0.0) / n)),
+        float(integrand.mean()), float(integrand.std(ddof=1) / math.sqrt(n)),
+    )
+
+
+class TestDiagnosticsEqualInterpReference:
+    @pytest.fixture(scope="class")
+    def dw_case(self, dw_model, dw_grid, dw_stationary):
+        p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
+        ens = simulate_ensemble(dw_model, p0, dt=2e-3, t_end=0.04, n_paths=20_000, seed=17)
+        traj = solve(p0, dw_model, ens.times, SolverConfig(dt=1e-3))
+        return ens, traj, dw_stationary
+
+    def test_martingale_rows(self, dw_case):
+        ens, traj, pbar = dw_case
+        bins = make_uniform_grid(-2.9, 2.9, 29)
+        rows = martingale_diagnostic(ens, traj, pbar, bins=bins)
+        assert rows == _reference_martingale(ens, traj, pbar, bins)
+        assert sum(r.cond_residual is not None for r in rows) == len(rows) - 1
+
+    def test_mc_functionals_rows(self, dw_case):
+        ens, traj, pbar = dw_case
+        for k in range(len(ens.times)):
+            assert mc_functionals(ens, traj, pbar, k) == _reference_mc_functionals(ens, traj, pbar, k)

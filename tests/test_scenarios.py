@@ -1,15 +1,19 @@
 """Scenario configs, the runner, sweeps, the convergence study and the CLI."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
 from varentropy_lab.cli import main
-from varentropy_lab.scenarios import OUTPUT_ROOT_ENV, ConfigError
+from varentropy_lab.scenarios import OUTPUT_ROOT_ENV, ConfigError, _deep_merge
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 #: A valid Monte Carlo block too small for any backward-drift bin to reach
@@ -113,12 +117,70 @@ class TestConfigParsing:
         ("mc", "bin_span", float("nan"), "config.mc.bin_span"),
         ("mc", "t_end", 0.505, "config.mc.t_end"),
         ("mc", "dt", float("nan"), "config.mc.dt"),
+        # every real-valued field must hold a number
+        ("grid", "lo", "-8", "config.grid.lo"),
+        ("grid", "hi", None, "config.grid.hi"),
+        ("time", "t_end", "1.0", "config.time.t_end"),
+        ("solver", "dt", "2e-3", "config.solver.dt"),
+        ("solver", "theta", True, "config.solver.theta"),
+        ("solver", "mass_tol", [1e-10], "config.solver.mass_tol"),
+        ("drift", "sigma", "one", "config.drift.sigma"),
+        ("drift", "rate", "-0.5", "config.drift.rate"),
+        ("initial", "mean", "0", "config.initial.mean"),
+        ("initial", "variance", {}, "config.initial.variance"),
+        ("mc", "dt", "0.01", "config.mc.dt"),
+        ("mc", "t_end", "0.5", "config.mc.t_end"),
+        ("mc", "bin_span", "3", "config.mc.bin_span"),
+        ("tolerances", "mc_sigmas", "3", "config.tolerances.mc_sigmas"),
+        # and every block holds only the fields it knows
+        ("grid", "nn", 401, "config.grid.nn"),
+        ("time", "nsamples", 41, "config.time.nsamples"),
+        ("solver", "sheme", "chang_cooper", "config.solver.sheme"),
+        ("drift", "coeffs", [0, 0, 0.25, 0, 0], "config.drift.coeffs"),
+        ("initial", "varaince", 0.25, "config.initial.varaince"),
+        ("mc", "seeed", 5, "config.mc.seeed"),
     ])
     def test_bad_field_rejected(self, section, key, value, field):
         data = ou_config(mc=SMALL_MC)
         data[section] = {**data[section], key: value}
         with pytest.raises(ConfigError, match=f"^{field}: "):
             ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("typo, section", [("mcc", "mc"), ("grdi", "grid")])
+    def test_misspelled_block_rejected(self, typo, section):
+        """A misspelled block is an unknown field, not a block left out: a
+        config without its Monte Carlo block would run no MC check at all."""
+        data = ou_config(mc=SMALL_MC)
+        data[typo] = data.pop(section)
+        with pytest.raises(ConfigError, match=f"^config.{typo}: unknown field"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("component, field", [
+        ({"weight": "half"}, "config.initial.components[1].weight"),
+        ({"sd": 0.5}, "config.initial.components[1].sd"),
+    ])
+    def test_bad_mixture_component_rejected(self, component, field):
+        comps = [{"weight": 0.5, "mean": -1.0, "variance": 0.25},
+                 {"weight": 0.5, "mean": 1.0, "variance": 0.25, **component}]
+        data = ou_config(initial={"kind": "mixture", "components": comps})
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            ScenarioConfig.from_dict(data)
+
+    def test_bad_coefficient_rejected(self):
+        data = ou_config(drift={"kind": "gradient", "coeffs": [0, 0, 0.25, 0, "x"]})
+        with pytest.raises(ConfigError, match=r"^config.drift.coeffs\[4\]: must be a number"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["ou_benchmark", "double_well_relax"])
+    def test_shipped_configs_parse(self, name):
+        cfg = ScenarioConfig.from_json(CONFIGS / f"{name}.json")
+        assert cfg.name == name and cfg.mc is not None
+
+    def test_shipped_sweep_members_parse(self):
+        sweep = SweepConfig.from_json(CONFIGS / "sweep_double_well.json")
+        ScenarioConfig.from_dict(sweep.base)
+        for value in sweep.values:
+            ScenarioConfig.from_dict(_deep_merge(sweep.base, value))
 
     def test_table_initial(self, tmp_path):
         grid_n = 401
@@ -239,6 +301,21 @@ class TestSweep:
         assert abs(rows[0].max_rate) < 1e-10
         assert not rows[0].sign_change
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"parameter": "solvr.dt", "values": [1e-3]}, "sweep.parameter: 'solvr.dt' names no field"),
+        ({"parameter": "grid.nn", "values": [401]}, "config.grid.nn: unknown field"),
+        ({"values": [0.5]}, "config.override: unknown field"),
+        ({"parameter": "initial.variance", "values": 0.5}, "sweep.values: must be a non-empty list"),
+        ({"parameter": "initial.variance", "values": [0.25], "bass": {}}, "sweep.bass: unknown field"),
+    ])
+    def test_bad_sweep_rejected(self, tmp_path, fields, message):
+        """Each fault stops the sweep with a config error before any member
+        is solved."""
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": ou_config(name="bad_sweep"), **fields}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            monotonicity_sweep(SweepConfig.from_json(path))
+
     def test_dict_override_merging(self):
         base = ou_config(name="merge")
         sweep = SweepConfig(
@@ -333,6 +410,21 @@ class TestCli:
         path.write_text(json.dumps(ou_config(mc={**SMALL_MC, "store_every": 30})))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config.mc.store_every: must divide the 50 steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["drift"].update(sigma="one"), "config.drift.sigma: must be a number"),
+        (lambda d: d.update(mcc=d.pop("mc")), "config.mcc: unknown field"),
+    ])
+    def test_bad_field_exit_2(self, tmp_path, capsys, edit, field):
+        """A bad field ends the run at parse time with its path on stderr,
+        before anything is written."""
+        data = ou_config(mc=SMALL_MC)
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_nan_initial_variance_exit_2(self, tmp_path, capsys):
