@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .drifts import GradientDrift, backward_drift_on_grid
 from .grids import (
@@ -88,8 +87,8 @@ class SolverConfig:
     mass_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in ("chang_cooper", "crank_nicolson"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.theta <= 1.0:
@@ -176,6 +175,10 @@ class _ThetaStep:
     of ``I - theta dt L``."""
 
     def __init__(self, gen: _Generator, dt: float, theta: float):
+        # imported on the first factored step, not with the package: importing
+        # scipy.linalg takes longer than parsing a config or printing the oracle
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         explicit = (1.0 - theta) * dt
         self.center = 1.0 + explicit * gen.diag
         self.lower = explicit * gen.lower[1:]
@@ -188,12 +191,13 @@ class _ThetaStep:
         if info != 0:
             raise RuntimeError(f"tridiagonal time-step factorization failed (info={info})")
         self.factors = factors
+        self._dgttrs = dgttrs
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         rhs = values * self.center
         rhs[1:] += self.lower * values[:-1]
         rhs[:-1] += self.upper * values[1:]
-        out, info = dgttrs(*self.factors, rhs, overwrite_b=True)
+        out, info = self._dgttrs(*self.factors, rhs, overwrite_b=True)
         if info != 0:
             raise RuntimeError(f"tridiagonal time-step solve failed (info={info})")
         return out

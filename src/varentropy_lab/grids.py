@@ -27,6 +27,10 @@ DEFAULT_LOG_FLOOR = 1e-300
 #: integrands are numerically meaningless in the far tails.
 DEFAULT_TAIL_CUT = 1e-12
 
+#: Times closer than this are one time: a trajectory state may carry a time
+#: this far from its label, and a scenario run solves them as one mesh time.
+SAME_TIME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -158,7 +162,7 @@ class DensityTrajectory:
         for t, s in zip(times, states):
             if s.grid is not grid and s.grid != grid:
                 raise ValueError("all states must share one grid")
-            if abs(s.time - t) > 1e-9:
+            if abs(s.time - t) > SAME_TIME_TOL:
                 raise ValueError(f"state time {s.time} does not match mesh time {t}")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)

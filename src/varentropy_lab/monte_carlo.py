@@ -161,6 +161,26 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> None:
     raise RuntimeError("reflection failed to terminate; dt is far too large")
 
 
+def ensemble_times(
+    dt: float, t_end: float, store_every: int = 1, t0: float = 0.0
+) -> np.ndarray:
+    """Times at which :func:`simulate_ensemble` stores the paths of a run
+    from ``t0`` to ``t0 + t_end`` in steps of ``dt``, every
+    ``store_every``-th step. ``t_end`` must be an integer multiple of ``dt``
+    and the step count a multiple of ``store_every``.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"invalid step: dt must be positive, got {dt}")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"invalid step: t_end={t_end} is not a multiple of dt={dt}")
+    if store_every < 1 or n_steps % store_every:
+        raise ValueError(
+            f"store_every={store_every} must divide the {n_steps} steps"
+        )
+    return t0 + dt * store_every * np.arange(n_steps // store_every + 1)
+
+
 def simulate_ensemble(
     model: GradientDrift,
     init: Density,
@@ -178,23 +198,15 @@ def simulate_ensemble(
     ``dt`` and the step count a multiple of ``store_every``; only every
     ``store_every``-th step is stored.
     """
-    if not dt > 0.0:
-        raise ValueError(f"invalid step: dt must be positive, got {dt}")
+    times = ensemble_times(dt, t_end, store_every, t0=init.time)
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"invalid step: t_end={t_end} is not a multiple of dt={dt}")
-    if store_every < 1 or n_steps % store_every:
-        raise ValueError(
-            f"store_every={store_every} must divide the {n_steps} steps"
-        )
+    n_steps = (len(times) - 1) * store_every
 
     rng = np.random.default_rng(seed)
     lo, hi = init.grid.lo, init.grid.hi
     x = _sample_initial(init, n_paths, rng)
-    n_stored = n_steps // store_every + 1
-    paths = np.empty((n_paths, n_stored), order="F")
+    paths = np.empty((n_paths, len(times)), order="F")
     paths[:, 0] = x
     noise_scale = model.sigma * math.sqrt(dt)
     drift = np.empty(n_paths)
@@ -211,7 +223,6 @@ def simulate_ensemble(
             _reflect(x, lo, hi)
         if k % store_every == 0:
             paths[:, k // store_every] = x
-    times = init.time + dt * store_every * np.arange(n_stored)
     paths.flags.writeable = False
     return PathEnsemble(times=times, paths=paths, seed=seed, model=model)
 

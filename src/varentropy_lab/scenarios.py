@@ -2,7 +2,10 @@
 
 A scenario is a single JSON document naming a drift model, an initial
 density, grids and tolerances; running it produces CSV reports and a list of
-pass/fail tolerance checks. Sweeps rerun a base scenario across a list of
+pass/fail tolerance checks. A run solves the PDE once, on the sample times
+merged with the stored times of both Monte Carlo ensembles, so the report
+rows, the solver checks and the Monte Carlo references all read one
+solution. Sweeps rerun a base scenario across a list of
 parameter overrides and tabulate the sign behaviour of the varentropy rate.
 The convergence study reruns the exactly solvable benchmark on a ladder of
 refined meshes and reports observed orders.
@@ -15,6 +18,7 @@ dispatched concurrently; this implementation runs them in sequence.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 import math
@@ -42,7 +46,9 @@ from .functionals import (
     varentropy_rate,
 )
 from .grids import (
+    SAME_TIME_TOL,
     Density,
+    DensityTrajectory,
     Grid,
     gaussian_mass_outside,
     gaussian_density,
@@ -53,6 +59,7 @@ from .grids import (
 )
 from .monte_carlo import (
     backward_drift_target,
+    ensemble_times,
     estimate_backward_drift,
     martingale_diagnostic,
     mc_functionals,
@@ -118,7 +125,11 @@ class Tolerances:
     @classmethod
     def from_dict(cls, data: dict, path: str) -> "Tolerances":
         _fields(data, cls.__dataclass_fields__, path)
-        return cls(**{k: _number(v, f"{path}.{k}") for k, v in data.items()})
+        values = {k: _number(v, f"{path}.{k}") for k, v in data.items()}
+        for key, value in values.items():
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{path}.{key}: must be positive and finite, got {value!r}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -498,21 +509,26 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
     only if every check passed.
     """
     tol = cfg.tolerances
-    p0 = cfg.initial_density()
     pbar = cfg.stationary_density()
-    t_samples = cfg.time_samples()
-    traj = solve(p0, cfg.model, t_samples, cfg.solver)
+    # one solve on every time any output reads: the sample times, then the
+    # dense and the coarse Monte Carlo ensembles' stored times
+    time_sets = [cfg.time_samples()]
+    if cfg.mc is not None:
+        mc = cfg.mc
+        time_sets.append(ensemble_times(mc.dt, mc.diag_steps * mc.dt))
+        time_sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
+    solution, (traj, *mc_trajs) = _solve_once(cfg, time_sets)
     rows = report(traj, pbar, cfg.model.sigma)
 
     checks: list[Check] = []
 
     # solver hygiene
-    worst_mass = max(abs(state.mass() - 1.0) for state in traj.states)
+    worst_mass = max(abs(state.mass() - 1.0) for state in solution.states)
     checks.append(
         Check("mass_conservation", worst_mass <= tol.mass_tol,
               f"max |mass-1| = {worst_mass:.3e} (tol {tol.mass_tol:g})")
     )
-    min_value = min(float(state.values.min()) for state in traj.states)
+    min_value = min(float(state.values.min()) for state in solution.states)
     positive = min_value >= 0.0
     checks.append(Check("positivity", positive, f"min node value = {min_value:.3e}"))
     fixed = step(pbar, cfg.model, cfg.solver)
@@ -571,7 +587,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
 
     mc_rows = []
     if cfg.mc is not None:
-        mc_rows = _run_mc_diagnostics(cfg, p0, pbar, checks)
+        # the run's memory peaks in the Monte Carlo part, which needs only
+        # the states at the ensembles' times
+        del solution, traj
+        mc_rows = _run_mc_diagnostics(cfg, *mc_trajs, pbar, checks)
 
     target = resolve_output_dir(cfg, out_dir)
     if target is not None:
@@ -622,12 +641,50 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
     return ScenarioResult(cfg.name, target, checks, rows)
 
 
+def _solve_once(
+    cfg: ScenarioConfig, time_sets: Sequence[np.ndarray]
+) -> tuple[DensityTrajectory, list[DensityTrajectory]]:
+    """Solve the scenario once, on a mesh holding every time of every set.
+
+    Times within ``SAME_TIME_TOL`` of the previous mesh time are that mesh
+    time. Returns the solution and, per set, the trajectory at that set's
+    times, made of the solution's states; a single set is the mesh, and its
+    trajectory the solution. The few hundred times are merged with Python's
+    sort: numpy's sort and search kernels would add their code pages to the
+    run's resident memory.
+    """
+    p0 = cfg.initial_density()
+    if len(time_sets) == 1:
+        solution = solve(p0, cfg.model, time_sets[0], cfg.solver)
+        return solution, [solution]
+    mesh: list[float] = []
+    for t in sorted(set().union(*(times.tolist() for times in time_sets))):
+        if not mesh or t - mesh[-1] > SAME_TIME_TOL:
+            mesh.append(t)
+    solution = solve(p0, cfg.model, np.array(mesh), cfg.solver)
+    return solution, [
+        DensityTrajectory(
+            times, tuple(solution[bisect.bisect(mesh, t) - 1] for t in times.tolist())
+        )
+        for times in time_sets
+    ]
+
+
 def _run_mc_diagnostics(
-    cfg: ScenarioConfig, p0: Density, pbar: Density, checks: list[Check]
+    cfg: ScenarioConfig,
+    dense_traj: DensityTrajectory,
+    traj: DensityTrajectory,
+    pbar: Density,
+    checks: list[Check],
 ) -> list[tuple]:
-    """Run the configured ensembles and append the Monte Carlo checks."""
+    """Run the configured ensembles and append the Monte Carlo checks.
+
+    ``dense_traj`` and ``traj`` are the run's solution at the stored times of
+    the dense and of the coarse ensemble; both start from the initial density.
+    """
     mc = cfg.mc
     tol = cfg.tolerances
+    p0 = traj[0]
     bins = make_uniform_grid(-mc.bin_span, mc.bin_span, mc.bins)
     rows: list[tuple] = []
 
@@ -636,7 +693,6 @@ def _run_mc_diagnostics(
     dense = simulate_ensemble(
         cfg.model, p0, mc.dt, mc.diag_steps * mc.dt, mc.n_paths, mc.seed + 1
     )
-    dense_traj = solve(p0, cfg.model, dense.times, cfg.solver)
 
     last = len(dense.times) - 1
     est = estimate_backward_drift(dense, last, bins)
@@ -689,7 +745,6 @@ def _run_mc_diagnostics(
     ens = simulate_ensemble(
         cfg.model, p0, mc.dt, mc.t_end, mc.n_paths, mc.seed, store_every=mc.store_every
     )
-    traj = solve(p0, cfg.model, ens.times, cfg.solver)
 
     worst_z = 0.0
     for k in range(len(ens.times)):
@@ -880,9 +935,9 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
         factor = 2**level
         grid = make_uniform_grid(cfg.grid.lo, cfg.grid.hi, (cfg.grid.n - 1) * factor + 1)
         solver = replace(cfg.solver, dt=cfg.solver.dt / factor)
-        p0 = gaussian_density(grid, 0.0, float(cfg.initial["variance"]))
-        pbar = invariant_density(cfg.model, grid)
-        traj = solve(p0, cfg.model, t_samples, solver)
+        refined = replace(cfg, grid=grid, solver=solver)
+        pbar = refined.stationary_density()
+        traj = solve(refined.initial_density(), cfg.model, t_samples, solver)
         err = max(
             abs(varentropy(state, pbar) - bench.varentropy(t))
             for t, state in zip(t_samples, traj.states)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
+from varentropy_lab import scenarios
 from varentropy_lab.cli import main
+from varentropy_lab.grids import SAME_TIME_TOL
 from varentropy_lab.scenarios import OUTPUT_ROOT_ENV, ConfigError, _deep_merge
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -20,6 +22,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: the default minimum count of 50 samples.
 SMALL_MC = {"n_paths": 200, "dt": 1e-2, "seed": 5, "t_end": 0.5, "store_every": 25,
             "bins": 25, "bin_span": 3.0}
+
+#: A Monte Carlo block large enough for every diagnostic to report.
+MEDIUM_MC = {"n_paths": 2000, "dt": 1e-2, "seed": 5, "t_end": 0.5, "store_every": 25,
+             "bins": 13, "bin_span": 2.5}
 
 
 def ou_config(**overrides):
@@ -139,6 +145,12 @@ class TestConfigParsing:
         ("drift", "coeffs", [0, 0, 0.25, 0, 0], "config.drift.coeffs"),
         ("initial", "varaince", 0.25, "config.initial.varaince"),
         ("mc", "seeed", 5, "config.mc.seeed"),
+        # a solver step and every tolerance must be positive and finite
+        ("solver", "dt", float("inf"), "config.solver"),
+        ("tolerances", "rate_floor", 0, "config.tolerances.rate_floor"),
+        ("tolerances", "mass_tol", -1e-10, "config.tolerances.mass_tol"),
+        ("tolerances", "mc_sigmas", float("nan"), "config.tolerances.mc_sigmas"),
+        ("tolerances", "oracle_rel", float("inf"), "config.tolerances.oracle_rel"),
     ])
     def test_bad_field_rejected(self, section, key, value, field):
         data = ou_config(mc=SMALL_MC)
@@ -234,11 +246,7 @@ class TestRunScenario:
             assert row.relative_fisher < 1e-10
 
     def test_byte_identical_reruns(self, tmp_path):
-        data = ou_config(
-            mc={"n_paths": 2000, "dt": 1e-2, "seed": 5, "t_end": 0.5,
-                "store_every": 25, "bins": 13, "bin_span": 2.5}
-        )
-        cfg = ScenarioConfig.from_dict(data)
+        cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
         run_scenario(cfg, out_dir=tmp_path / "a")
         run_scenario(cfg, out_dir=tmp_path / "b")
         for name in ("functionals.csv", "consistency.csv", "checks.csv", "mc_diagnostics.csv"):
@@ -271,6 +279,49 @@ class TestRunScenario:
         for name in ("functionals.csv", "consistency.csv", "checks.csv", "mc_diagnostics.csv"):
             assert (tmp_path / name).exists()
         assert "mc_duality,False,no bin reached" in (tmp_path / "checks.csv").read_text()
+
+    def test_one_solve_on_every_output_time(self, monkeypatch):
+        """The grid rows and both ensembles' references read one solution,
+        solved on a mesh that holds every sample and stored MC time."""
+        meshes = []
+        solve = scenarios.solve
+
+        def counting_solve(p0, model, t_grid, cfg):
+            meshes.append(np.asarray(t_grid))
+            return solve(p0, model, t_grid, cfg)
+
+        monkeypatch.setattr(scenarios, "solve", counting_solve)
+        cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
+        run_scenario(cfg, out_dir=None)
+        assert len(meshes) == 1
+        mc = cfg.mc
+        wanted = np.concatenate([
+            cfg.time_samples(),
+            mc.dt * np.arange(mc.diag_steps + 1),
+            mc.dt * mc.store_every * np.arange(round(mc.t_end / mc.dt) // mc.store_every + 1),
+        ])
+        gaps = np.abs(wanted[:, None] - meshes[0][None, :]).min(axis=1)
+        assert gaps.max() <= SAME_TIME_TOL
+        assert np.all(np.diff(meshes[0]) > SAME_TIME_TOL)
+
+    def test_mc_references_are_the_report_values(self, tmp_path):
+        """At a time that is both a sample time and a stored time of the
+        coarse ensemble, the Monte Carlo references equal the report row's
+        values: both read the one solution."""
+        cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
+        result = run_scenario(cfg, out_dir=tmp_path)
+        columns = {"entropy_mc": "relative_entropy", "varentropy_mc": "varentropy",
+                   "varentropy_rate_mc": "varentropy_rate"}
+        compared = set()
+        for line in (tmp_path / "mc_diagnostics.csv").read_text().splitlines()[1:]:
+            name, time, *_, reference = line.split(",")
+            if name not in columns:
+                continue
+            rows = [r for r in result.reports if abs(r.time - float(time)) <= 1e-9]
+            if rows:
+                assert float(reference) == getattr(rows[0], columns[name]), (name, time)
+                compared.add(float(time))
+        assert compared == {0.0, 0.25, 0.5}
 
 
 class TestSweep:
@@ -415,6 +466,8 @@ class TestCli:
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d["drift"].update(sigma="one"), "config.drift.sigma: must be a number"),
         (lambda d: d.update(mcc=d.pop("mc")), "config.mcc: unknown field"),
+        (lambda d: d["solver"].update(dt=float("inf")),
+         "config.solver: dt must be positive and finite"),
     ])
     def test_bad_field_exit_2(self, tmp_path, capsys, edit, field):
         """A bad field ends the run at parse time with its path on stderr,
@@ -493,6 +546,21 @@ class TestCli:
         code = main(["converge", str(path), "--levels", "2", "--out", str(tmp_path / "conv.csv")])
         assert code == 0
         assert (tmp_path / "conv.csv").exists()
+
+    def test_parsing_does_not_import_scipy_linalg(self):
+        """scipy.linalg is imported on the first factored time step, so the
+        CLI, config parsing and config errors do without it."""
+        code = (
+            "import sys\n"
+            "import varentropy_lab.cli\n"
+            "from varentropy_lab import ScenarioConfig\n"
+            "for name in ('ou_benchmark', 'double_well_relax'):\n"
+            f"    ScenarioConfig.from_json({str(CONFIGS)!r} + '/' + name + '.json')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
