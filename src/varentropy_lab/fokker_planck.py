@@ -93,8 +93,8 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not self.mass_tol > 0.0:
-            raise ValueError(f"mass_tol must be positive, got {self.mass_tol}")
+        if not 0.0 < self.mass_tol < math.inf:
+            raise ValueError(f"mass_tol must be positive and finite, got {self.mass_tol}")
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:

@@ -176,7 +176,7 @@ def ensemble_times(
         raise ValueError(f"invalid step: t_end={t_end} is not a multiple of dt={dt}")
     if store_every < 1 or n_steps % store_every:
         raise ValueError(
-            f"store_every={store_every} must divide the {n_steps} steps"
+            f"must divide the {n_steps} steps of t_end / dt, got store_every={store_every}"
         )
     return t0 + dt * store_every * np.arange(n_steps // store_every + 1)
 

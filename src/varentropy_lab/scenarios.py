@@ -165,14 +165,14 @@ class McConfig:
             raise ConfigError(f"{path}.dt: must be positive and finite")
         if not 0 < t_end <= horizon + 1e-12:
             raise ConfigError(f"{path}.t_end: must lie in (0, t_end of the run]")
-        # the same step count test simulate_ensemble applies, made at parse time
-        n_steps = round(t_end / dt)
-        if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise ConfigError(f"{path}.t_end: must be a multiple of {path}.dt = {dt:g}")
-        if store_every < 1 or n_steps % store_every:
-            raise ConfigError(
-                f"{path}.store_every: must divide the {n_steps} steps of t_end / dt"
-            )
+        try:
+            ensemble_times(dt, t_end)
+        except ValueError as err:
+            raise ConfigError(f"{path}.t_end: {err}") from err
+        try:
+            ensemble_times(dt, t_end, store_every)
+        except ValueError as err:
+            raise ConfigError(f"{path}.store_every: {err}") from err
         if diag_steps < 2:
             raise ConfigError(f"{path}.diag_steps: need at least 2 steps")
         if bins < 3:
@@ -648,20 +648,15 @@ def _solve_once(
 
     Times within ``SAME_TIME_TOL`` of the previous mesh time are that mesh
     time. Returns the solution and, per set, the trajectory at that set's
-    times, made of the solution's states; a single set is the mesh, and its
-    trajectory the solution. The few hundred times are merged with Python's
-    sort: numpy's sort and search kernels would add their code pages to the
-    run's resident memory.
+    times, made of the solution's states. The few hundred times are merged
+    with Python's sort: numpy's sort and search kernels would add their code
+    pages to the run's resident memory.
     """
-    p0 = cfg.initial_density()
-    if len(time_sets) == 1:
-        solution = solve(p0, cfg.model, time_sets[0], cfg.solver)
-        return solution, [solution]
     mesh: list[float] = []
     for t in sorted(set().union(*(times.tolist() for times in time_sets))):
         if not mesh or t - mesh[-1] > SAME_TIME_TOL:
             mesh.append(t)
-    solution = solve(p0, cfg.model, np.array(mesh), cfg.solver)
+    solution = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
     return solution, [
         DensityTrajectory(
             times, tuple(solution[bisect.bisect(mesh, t) - 1] for t in times.tolist())

@@ -66,7 +66,8 @@ def configs(draw):
         "initial": draw(st.one_of(_gaussian, _mixture())),
         "grid": {"lo": draw(st.floats(-8.0, -5.0)), "hi": draw(st.floats(5.0, 8.0)),
                  "n": draw(st.integers(3, 201))},
-        "solver": {"dt": draw(st.floats(1e-3, 0.1)), "theta": draw(st.floats(0.0, 1.0))},
+        "solver": {"dt": draw(st.floats(1e-3, 0.1)), "theta": draw(st.floats(0.0, 1.0)),
+                   "mass_tol": draw(st.floats(1e-10, 1e-6))},
         "time": {"t_end": draw(st.floats(0.01, 0.5)), "n_samples": draw(st.integers(3, 30))},
         "tolerances": {"rate_floor": draw(st.floats(1e-8, 1.0))},
     }

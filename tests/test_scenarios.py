@@ -147,6 +147,7 @@ class TestConfigParsing:
         ("mc", "seeed", 5, "config.mc.seeed"),
         # a solver step and every tolerance must be positive and finite
         ("solver", "dt", float("inf"), "config.solver"),
+        ("solver", "mass_tol", float("inf"), "config.solver"),
         ("tolerances", "rate_floor", 0, "config.tolerances.rate_floor"),
         ("tolerances", "mass_tol", -1e-10, "config.tolerances.mass_tol"),
         ("tolerances", "mc_sigmas", float("nan"), "config.tolerances.mc_sigmas"),
