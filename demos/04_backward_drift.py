@@ -30,7 +30,7 @@ pbar = invariant_density(bench.model(), grid)
 ens = simulate_ensemble(bench.model(), pbar, dt=1e-3, t_end=0.05,
                         n_paths=100_000, seed=20240801)
 bins = make_uniform_grid(-3.0, 3.0, 25)
-est = estimate_backward_drift(ens, len(ens.times) - 1, bins)
+est = estimate_backward_drift(ens.paths[:, -2], ens.paths[:, -1], ens.dt, bins)
 curve = backward_drift_on_grid(bench.model(), pbar)
 
 print("stationary ensemble: binned backward-increment means vs x/2")

@@ -26,7 +26,7 @@ pbar = invariant_density(bench.model(), grid)
 ens = simulate_ensemble(bench.model(), p0, dt=2.5e-3, t_end=0.25,
                         n_paths=40_000, seed=99)
 traj = solve(p0, bench.model(), ens.times, SolverConfig(dt=1e-3))
-rows = martingale_diagnostic(ens, traj, pbar, bins=make_uniform_grid(-3, 3, 25))
+rows = martingale_diagnostic(ens.paths.T, traj, pbar, bins=make_uniform_grid(-3, 3, 25))
 
 print("reverse-time martingale diagnostic, start N(0, 1/4)")
 print(f"{'t':>7} {'mean ratio':>11} {'std err':>9} {'cond resid':>11} {'pooled se':>10}")

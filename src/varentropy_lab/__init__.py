@@ -53,6 +53,7 @@ from .monte_carlo import (
     BinnedEstimate,
     MartingaleRow,
     MCFunctionals,
+    ensemble_columns,
     simulate_ensemble,
     estimate_backward_drift,
     backward_drift_target,

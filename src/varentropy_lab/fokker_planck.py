@@ -104,7 +104,11 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     small = np.abs(z) < 1e-12
     out[small] = 1.0 - 0.5 * z[small]
     zs = z[~small]
-    out[~small] = zs / np.expm1(zs)
+    # a large potential drop overflows e^z to inf, and z / inf = 0 is the
+    # right limit
+    with np.errstate(over="ignore"):
+        denominator = np.expm1(zs)
+    out[~small] = zs / denominator
     return out
 
 

@@ -16,10 +16,14 @@ Paths are advanced with a single seeded generator, so ensembles are
 reproducible bit for bit from ``(seed, model, init, dt, t_end, n_paths)``.
 A parallel implementation would need to partition the stream per path; this
 sequential one vectorizes over paths at each step instead. The step updates
-preallocated position, drift and noise buffers in place, reflects only when
-some path has left the domain, and writes each stored step into one
-column of a Fortran-ordered ``(n_paths, n_times)`` array, so every stored
-column is contiguous and nothing is copied per step.
+preallocated position, drift and noise buffers in place and reflects only
+when some path has left the domain. :func:`ensemble_columns` is that one
+loop: it yields the live position buffer at every stored step, so a
+diagnostic that reads one column at a time (:func:`martingale_diagnostic`)
+runs as the paths advance and no path array is held.
+:func:`simulate_ensemble` stores the same columns in a Fortran-ordered
+``(n_paths, n_times)`` array, so every stored column is contiguous, for the
+callers that want whole paths.
 
 Grids are uniform, so every lookup of a path position in a grid or a bin
 array is index arithmetic, ``floor((x - lo) / dx)``, corrected by one
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -181,7 +185,7 @@ def ensemble_times(
     return t0 + dt * store_every * np.arange(n_steps // store_every + 1)
 
 
-def simulate_ensemble(
+def ensemble_columns(
     model: GradientDrift,
     init: Density,
     dt: float,
@@ -189,25 +193,37 @@ def simulate_ensemble(
     n_paths: int,
     seed: int,
     store_every: int = 1,
-) -> PathEnsemble:
-    """Simulate ``n_paths`` Euler-Maruyama paths from ``init``.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Advance ``n_paths`` Euler-Maruyama paths from ``init``, yielding
+    ``(k, x)`` at the ``k``-th stored time of :func:`ensemble_times`.
 
-    Initial states are drawn by inverse-CDF sampling of the gridded density,
-    so ensembles and grid solves share exactly the same initial law. Paths
-    reflect at the grid boundaries. ``t_end`` must be an integer multiple of
-    ``dt`` and the step count a multiple of ``store_every``; only every
-    ``store_every``-th step is stored.
+    ``x`` is the live position buffer: the next step overwrites it, so a
+    caller that keeps a column copies it. Initial states are drawn by
+    inverse-CDF sampling of the gridded density, so ensembles and grid
+    solves share exactly the same initial law. Paths reflect at the grid
+    boundaries. ``t_end`` must be an integer multiple of ``dt`` and the step
+    count a multiple of ``store_every``; the arguments are checked when this
+    is called, not when the first column is drawn.
     """
-    times = ensemble_times(dt, t_end, store_every, t0=init.time)
+    n_stored = len(ensemble_times(dt, t_end, store_every)) - 1
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
-    n_steps = (len(times) - 1) * store_every
+    return _euler_maruyama(model, init, dt, n_stored * store_every, n_paths, seed, store_every)
 
+
+def _euler_maruyama(
+    model: GradientDrift,
+    init: Density,
+    dt: float,
+    n_steps: int,
+    n_paths: int,
+    seed: int,
+    store_every: int,
+) -> Iterator[tuple[int, np.ndarray]]:
     rng = np.random.default_rng(seed)
     lo, hi = init.grid.lo, init.grid.hi
     x = _sample_initial(init, n_paths, rng)
-    paths = np.empty((n_paths, len(times)), order="F")
-    paths[:, 0] = x
+    yield 0, x
     noise_scale = model.sigma * math.sqrt(dt)
     drift = np.empty(n_paths)
     noise = np.empty(n_paths)
@@ -222,7 +238,27 @@ def simulate_ensemble(
         if x.min() < lo or x.max() > hi:
             _reflect(x, lo, hi)
         if k % store_every == 0:
-            paths[:, k // store_every] = x
+            yield k // store_every, x
+
+
+def simulate_ensemble(
+    model: GradientDrift,
+    init: Density,
+    dt: float,
+    t_end: float,
+    n_paths: int,
+    seed: int,
+    store_every: int = 1,
+) -> PathEnsemble:
+    """Simulate ``n_paths`` Euler-Maruyama paths from ``init`` and store
+    every column that :func:`ensemble_columns` yields with the same
+    arguments.
+    """
+    columns = ensemble_columns(model, init, dt, t_end, n_paths, seed, store_every)
+    times = ensemble_times(dt, t_end, store_every, t0=init.time)
+    paths = np.empty((n_paths, len(times)), order="F")
+    for k, x in columns:
+        paths[:, k] = x
     paths.flags.writeable = False
     return PathEnsemble(times=times, paths=paths, seed=seed, model=model)
 
@@ -334,21 +370,27 @@ def _bin_statistics(
 
 
 def estimate_backward_drift(
-    ens: PathEnsemble,
-    t_index: int,
+    before: np.ndarray,
+    here: np.ndarray,
+    dt: float,
     bins: Grid,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> BinnedEstimate:
     """Binned means of backward increments ``(X_t - X_{t-dt}) / dt`` given
     the bin of ``X_t``.
 
+    ``before`` and ``here`` hold the positions of the same paths at
+    ``t - dt`` and ``t``: two consecutive stored columns, such as
+    ``ens.paths[:, k - 1]`` and ``ens.paths[:, k]`` with ``dt = ens.dt``.
     As the step shrinks the conditional means converge to the backward drift
     at the bin centers. Bin edges are the nodes of ``bins``.
     """
-    if not 1 <= t_index < len(ens.times):
-        raise IndexError(f"t_index must lie in [1, {len(ens.times) - 1}], got {t_index}")
-    here = ens.paths[:, t_index]
-    increments = (here - ens.paths[:, t_index - 1]) / ens.dt
+    if np.shape(before) != np.shape(here) or np.ndim(here) != 1:
+        raise ValueError(
+            "need two columns of the same paths, got shapes "
+            f"{np.shape(before)} and {np.shape(here)}"
+        )
+    increments = (here - before) / dt
     counts, means, ses = _bin_statistics(here, increments, bins, min_count)
     centers = 0.5 * (bins.x[1:] + bins.x[:-1])
     return BinnedEstimate(centers, means, counts, ses, min_count)
@@ -383,7 +425,7 @@ class MartingaleRow:
 
 
 def martingale_diagnostic(
-    ens: PathEnsemble,
+    columns: Iterable[np.ndarray],
     traj: DensityTrajectory,
     pbar: Density,
     bins: Grid | None = None,
@@ -391,6 +433,12 @@ def martingale_diagnostic(
 ) -> list[MartingaleRow]:
     """Empirical check that ``pbar(X_t) / p_t(X_t)`` is a reverse-time
     martingale.
+
+    ``columns`` yields the positions of the same paths at each time of
+    ``traj``, in order: ``ens.paths.T`` for a stored ensemble, or the
+    columns of :func:`ensemble_columns` as the paths advance. Each column is
+    read once, before the next is drawn, and the stream must hold exactly
+    ``len(traj)`` columns; a mismatch raises ``ValueError``.
 
     At every stored time the sample mean of the ratio is reported with its
     standard error (population value 1). At every time with a stored
@@ -404,25 +452,27 @@ def martingale_diagnostic(
     ``pbar``, which inflates ``se_ratio``; the conditional statistic is
     binned and does not suffer from this.
     """
-    if len(ens.times) != len(traj.times) or not np.allclose(
-        ens.times, traj.times, rtol=1e-9, atol=1e-12
-    ):
-        raise ValueError("time mesh mismatch between ensemble and trajectory")
     if pbar.grid != traj.grid:
         raise ValueError("grid mismatch between trajectory and stationary density")
     if bins is None:
         bins = make_uniform_grid(traj.grid.lo, traj.grid.hi, 41)
 
     grid = traj.grid
-    n = ens.n_paths
-    # one set of buffers serves every stored column: a fresh path-sized
-    # temporary costs more in page faults than the arithmetic done on it
-    cells = (np.empty(n, dtype=np.intp), np.empty(n))
-    work = (np.empty(n, dtype=np.intp), np.empty(n))
-    ratio, previous, den = np.empty(n), np.empty(n), np.empty(n)
+    n_times = len(traj)
     rows: list[MartingaleRow] = []
-    for k in range(len(traj)):
-        x = ens.paths[:, k]
+    for k, x in enumerate(columns):
+        if k == n_times:
+            raise ValueError(
+                f"time mesh mismatch: more columns than the {n_times} trajectory times"
+            )
+        if k == 0:
+            n = len(x)
+            # one set of buffers serves every stored column: a fresh
+            # path-sized temporary costs more in page faults than the
+            # arithmetic done on it
+            cells = (np.empty(n, dtype=np.intp), np.empty(n))
+            work = (np.empty(n, dtype=np.intp), np.empty(n))
+            ratio, previous, den = np.empty(n), np.empty(n), np.empty(n)
         _locate(x, grid, *cells)
         _interp(cells, pbar.values, grid, out=ratio, scratch=den)
         _interp(cells, traj[k].values, grid, out=den, scratch=work[1])
@@ -438,8 +488,12 @@ def martingale_diagnostic(
                 c = counts[d]
                 cond_res = float(np.sqrt(np.sum(c * means[d] ** 2) / c.sum()))
                 cond_pooled = float(np.sqrt(np.sum(c * ses[d] ** 2) / c.sum()))
-        rows.append(MartingaleRow(float(ens.times[k]), mean, se, cond_res, cond_pooled))
+        rows.append(MartingaleRow(float(traj.times[k]), mean, se, cond_res, cond_pooled))
         ratio, previous = previous, ratio
+    if len(rows) != n_times:
+        raise ValueError(
+            f"time mesh mismatch: {len(rows)} columns for {n_times} trajectory times"
+        )
     return rows
 
 

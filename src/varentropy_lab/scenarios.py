@@ -59,6 +59,7 @@ from .grids import (
 )
 from .monte_carlo import (
     backward_drift_target,
+    ensemble_columns,
     ensemble_times,
     estimate_backward_drift,
     martingale_diagnostic,
@@ -684,17 +685,30 @@ def _run_mc_diagnostics(
     rows: list[tuple] = []
 
     # dense short ensemble: backward-drift duality and the martingale check
-    # need consecutive fine steps, not the coarse functional stride
-    dense = simulate_ensemble(
-        cfg.model, p0, mc.dt, mc.diag_steps * mc.dt, mc.n_paths, mc.seed + 1
-    )
+    # need consecutive fine steps, not the coarse functional stride. Its
+    # columns stream through the martingale diagnostic as the paths advance;
+    # only the last two, which the backward-drift estimate reads, are kept.
+    last = mc.diag_steps
+    kept: list[np.ndarray] = []
 
-    last = len(dense.times) - 1
-    est = estimate_backward_drift(dense, last, bins)
+    def dense_columns():
+        for k, x in ensemble_columns(
+            cfg.model, p0, mc.dt, mc.diag_steps * mc.dt, mc.n_paths, mc.seed + 1
+        ):
+            if k >= last - 1:
+                kept.append(x.copy())
+            yield x
+
+    marti = martingale_diagnostic(dense_columns(), dense_traj, pbar, bins=bins)
+    t_last = float(dense_traj.times[last])
+
+    est = estimate_backward_drift(*kept, mc.dt, bins)
+    # free the copies: the coarse ensemble below sets the run's memory peak
+    kept.clear()
     if not np.any(est.defined):
         checks.append(
             Check("mc_duality", False,
-                  f"no bin reached min_count = {est.min_count} samples ({dense.n_paths} paths)")
+                  f"no bin reached min_count = {est.min_count} samples ({mc.n_paths} paths)")
         )
     else:
         target = backward_drift_target(est, cfg.model, dense_traj[last])
@@ -711,12 +725,11 @@ def _run_mc_diagnostics(
             est.std_errors[est.defined],
             target,
         ):
-            rows.append(("backward_drift", float(dense.times[last]), float(center),
+            rows.append(("backward_drift", t_last, float(center),
                          int(count), float(value), float(se), float(ref)))
-        rows.append(("duality_residual", float(dense.times[last]), None,
+        rows.append(("duality_residual", t_last, None,
                      int(est.counts[est.defined].sum()), residual, pooled, 0.0))
 
-    marti = martingale_diagnostic(dense, dense_traj, pbar, bins=bins)
     worst_mean = max(abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti)
     cond = [r for r in marti if r.cond_residual is not None]
     worst_cond = max((r.cond_residual / r.cond_pooled_se for r in cond), default=0.0)
@@ -729,10 +742,10 @@ def _run_mc_diagnostics(
               f"worst residual/pooled SE = {worst_cond:.2f}")
     )
     for r in marti:
-        rows.append(("martingale_mean", r.time, None, dense.n_paths,
+        rows.append(("martingale_mean", r.time, None, mc.n_paths,
                      r.mean_ratio, r.se_ratio, 1.0))
         if r.cond_residual is not None:
-            rows.append(("martingale_conditional", r.time, None, dense.n_paths,
+            rows.append(("martingale_conditional", r.time, None, mc.n_paths,
                          r.cond_residual, r.cond_pooled_se, 0.0))
 
     # coarse-stride ensemble: sample-mean functionals against quadrature at

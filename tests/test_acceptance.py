@@ -163,7 +163,7 @@ class TestCriterion5Duality:
             bench.model(), pbar, dt=1e-3, t_end=0.05, n_paths=100_000, seed=20240801
         )
         bins = make_uniform_grid(-3.0, 3.0, 25)
-        est = estimate_backward_drift(ens, len(ens.times) - 1, bins)
+        est = estimate_backward_drift(ens.paths[:, -2], ens.paths[:, -1], ens.dt, bins)
         residual = duality_residual(est, bench.model(), pbar)
         pooled = est.pooled_standard_error()
         _announce(
@@ -184,7 +184,7 @@ def martingale_rows():
     )
     traj = solve(p0, bench.model(), ens.times, SolverConfig(dt=1e-3))
     bins = make_uniform_grid(-3.0, 3.0, 25)
-    return martingale_diagnostic(ens, traj, pbar, bins=bins)
+    return martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
 
 
 class TestCriterion6ReverseMartingale:

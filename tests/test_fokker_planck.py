@@ -20,7 +20,8 @@ from varentropy_lab import (
     step,
     weighted_residual_norm,
 )
-from varentropy_lab.fokker_planck import _STEP_CACHE_SIZE, _Generator
+from varentropy_lab.fokker_planck import _STEP_CACHE_SIZE, _Generator, _bernoulli
+from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,35 @@ class TestGeneratorInternals:
     def test_fully_implicit_needs_no_substeps(self, wide_grid, ou_model):
         gen = _Generator(wide_grid, ou_model, "chang_cooper")
         assert gen.positivity_dt(1.0) == np.inf
+
+
+class TestBernoulliWeight:
+    def test_large_drop_gives_zero_weight(self):
+        """e^z overflows to inf for a large potential drop; the weight is
+        the limit z / inf = 0, exactly."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = _bernoulli(np.array([800.0, 1e5, -800.0]))
+        assert weights[0] == 0.0 and weights[1] == 0.0
+        assert weights[2] == 800.0
+
+    def test_steep_quartic_runs_without_warnings(self):
+        """A steep quartic at sigma 0.5 on a wide coarse grid drops the
+        potential by far more than sigma^2 across the outer cells."""
+        cfg = ScenarioConfig.from_dict({
+            "name": "steep_quartic",
+            "drift": {"kind": "gradient", "coeffs": [0, 0, 0, 0, 1], "sigma": 0.5},
+            "initial": {"kind": "gaussian", "mean": 0.0, "variance": 0.25},
+            "grid": {"lo": -7.0, "hi": 7.0, "n": 101},
+            "solver": {"dt": 1e-2},
+            "time": {"t_end": 0.1, "n_samples": 11},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_scenario(cfg)
+        solver_checks = {c.name: c.passed for c in result.checks}
+        assert solver_checks["mass_conservation"] and solver_checks["positivity"]
+        assert solver_checks["stationary_fixed_point"]
 
 
 def _reference_advance(gen, values, dt, theta):

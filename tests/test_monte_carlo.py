@@ -5,6 +5,7 @@ standard errors come from the estimators themselves, so a wrong
 implementation fails systematically rather than marginally.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from varentropy_lab import (
     SolverConfig,
     backward_drift_on_grid,
     duality_residual,
+    ensemble_columns,
     estimate_backward_drift,
     gaussian_density,
     invariant_density,
@@ -33,6 +35,17 @@ from varentropy_lab import (
 )
 from varentropy_lab.grids import DEFAULT_LOG_FLOOR, gradient, safe_log_ratio
 from varentropy_lab.monte_carlo import _bin_statistics, _interp, _locate, _nodes_at_or_below
+
+
+def _first_two(ens):
+    """The first two stored columns and their spacing, for
+    ``estimate_backward_drift``."""
+    return ens.paths[:, 0], ens.paths[:, 1], ens.dt
+
+
+def _last_two(ens):
+    """The last two stored columns and their spacing."""
+    return ens.paths[:, -2], ens.paths[:, -1], ens.dt
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +131,7 @@ class TestBackwardDrift:
         """At stationarity the backward drift is +x/2: the forward drift
         -x/2 plus the stationary score correction +x."""
         bins = make_uniform_grid(-3.0, 3.0, 13)
-        est = estimate_backward_drift(stationary_ensemble, len(stationary_ensemble.times) - 1, bins)
+        est = estimate_backward_drift(*_last_two(stationary_ensemble), bins)
         k = int(np.argmin(np.abs(est.bin_centers - 2.0)))
         assert est.defined[k]
         expected = est.bin_centers[k] / 2.0
@@ -126,7 +139,7 @@ class TestBackwardDrift:
 
     def test_sparse_bins_undefined(self, stationary_ensemble):
         bins = make_uniform_grid(-8.0, 8.0, 65)
-        est = estimate_backward_drift(stationary_ensemble, 1, bins)
+        est = estimate_backward_drift(*_first_two(stationary_ensemble), bins)
         far = np.abs(est.bin_centers) > 5.0
         assert not est.defined[far].any()
         assert np.isnan(est.values[far]).all()
@@ -142,17 +155,19 @@ class TestBackwardDrift:
         mid = dw_grid.n // 2
         assert curve[mid] == pytest.approx(dw_model.drift(0.0), abs=1e-8)
 
-    def test_index_validation(self, stationary_ensemble):
+    def test_column_shapes_validated(self, stationary_ensemble):
         bins = make_uniform_grid(-3, 3, 13)
-        with pytest.raises(IndexError):
-            estimate_backward_drift(stationary_ensemble, 0, bins)
+        before, here, dt = _last_two(stationary_ensemble)
+        with pytest.raises(ValueError, match="same paths"):
+            estimate_backward_drift(before[:-1], here, dt, bins)
+        with pytest.raises(ValueError, match="same paths"):
+            estimate_backward_drift(stationary_ensemble.paths, stationary_ensemble.paths, dt, bins)
 
 
 class TestDuality:
     def test_stationary_residual_within_noise(self, stationary_ensemble, ou_model, ou_stationary):
         bins = make_uniform_grid(-3.0, 3.0, 25)
-        last = len(stationary_ensemble.times) - 1
-        est = estimate_backward_drift(stationary_ensemble, last, bins)
+        est = estimate_backward_drift(*_last_two(stationary_ensemble), bins)
         residual = duality_residual(est, ou_model, ou_stationary)
         assert residual <= 3.0 * est.pooled_standard_error()
 
@@ -174,7 +189,7 @@ class TestDuality:
         traj = solve(narrow_gaussian, ou_model, ens.times, cfg)
         bins = make_uniform_grid(-2.5, 2.5, 21)
         last = len(ens.times) - 1
-        est = estimate_backward_drift(ens, last, bins)
+        est = estimate_backward_drift(*_last_two(ens), bins)
         pooled = est.pooled_standard_error()
 
         good = duality_residual(est, ou_model, traj[last])
@@ -190,7 +205,7 @@ class TestDuality:
 
     def test_no_defined_bins_raises(self, stationary_ensemble, ou_model, ou_stationary):
         bins = make_uniform_grid(6.0, 8.0, 5)
-        est = estimate_backward_drift(stationary_ensemble, 1, bins)
+        est = estimate_backward_drift(*_first_two(stationary_ensemble), bins)
         with pytest.raises(ValueError, match="minimum count"):
             duality_residual(est, ou_model, ou_stationary)
 
@@ -203,7 +218,7 @@ def diag(ou_model, narrow_gaussian, wide_grid):
     traj = solve(narrow_gaussian, ou_model, ens.times, SolverConfig(dt=1e-3))
     pbar = invariant_density(ou_model, wide_grid)
     bins = make_uniform_grid(-3.0, 3.0, 25)
-    return martingale_diagnostic(ens, traj, pbar, bins=bins)
+    return martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
 
 
 class TestMartingale:
@@ -222,7 +237,7 @@ class TestMartingale:
             ou_model, ou_stationary, dt=1e-2, t_end=0.05, n_paths=2_000, seed=13
         )
         traj = solve(ou_stationary, ou_model, ens.times, SolverConfig(dt=1e-2))
-        rows = martingale_diagnostic(ens, traj, ou_stationary)
+        rows = martingale_diagnostic(ens.paths.T, traj, ou_stationary)
         for row in rows:
             assert row.mean_ratio == pytest.approx(1.0, abs=1e-7)
             if row.cond_residual is not None:
@@ -230,9 +245,9 @@ class TestMartingale:
 
     def test_time_mesh_mismatch_rejected(self, ou_model, narrow_gaussian, ou_stationary):
         ens = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 100, seed=1)
-        traj = solve(narrow_gaussian, ou_model, np.linspace(0, 0.2, 11), SolverConfig(dt=1e-2))
+        traj = solve(narrow_gaussian, ou_model, np.linspace(0, 0.2, 21), SolverConfig(dt=1e-2))
         with pytest.raises(ValueError, match="time mesh"):
-            martingale_diagnostic(ens, traj, ou_stationary)
+            martingale_diagnostic(ens.paths.T, traj, ou_stationary)
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +446,71 @@ class TestInPlaceEnsemble:
         assert ens.paths.flags.f_contiguous and not ens.paths.flags.writeable
 
 
+class TestEnsembleColumns:
+    @pytest.mark.parametrize("store_every", [1, 3])
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    def test_stored_ensemble_equals_stacked_columns(self, store_every, start, dw_model):
+        """The stream and the stored ensemble are one loop: same draws,
+        same rounding, reflections included (the start at 1 sits next to
+        the boundary of a narrow grid)."""
+        grid = make_uniform_grid(-1.6, 1.6, 161)
+        init = gaussian_density(grid, start, 0.09)
+        kw = dict(dt=1e-2, t_end=0.6, n_paths=2_000, seed=8, store_every=store_every)
+        ens = simulate_ensemble(dw_model, init, **kw)
+        # each yielded column is the live buffer: copy on arrival
+        stream = [(k, x.copy()) for k, x in ensemble_columns(dw_model, init, **kw)]
+        assert [k for k, _ in stream] == list(range(len(ens.times)))
+        assert np.array_equal(ens.paths, np.column_stack([x for _, x in stream]))
+        if start == 1.0:
+            _, reflected = _reference_ensemble(dw_model, init, **kw)
+            assert reflected > 100
+
+    def test_invalid_arguments_rejected_on_call(self, ou_model, narrow_gaussian):
+        with pytest.raises(ValueError, match="invalid step"):
+            ensemble_columns(ou_model, narrow_gaussian, 3e-3, 0.01, 8, seed=0)
+        with pytest.raises(ValueError, match="store_every"):
+            ensemble_columns(ou_model, narrow_gaussian, 1e-2, 0.1, 8, seed=0, store_every=3)
+        with pytest.raises(ValueError, match="at least one path"):
+            ensemble_columns(ou_model, narrow_gaussian, 1e-2, 0.1, 0, seed=0)
+
+
+class TestStreamedMartingale:
+    KW = dict(dt=2e-3, t_end=0.04, n_paths=5_000, seed=17)
+
+    @pytest.fixture(scope="class")
+    def case(self, dw_model, dw_grid, dw_stationary):
+        p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
+        ens = simulate_ensemble(dw_model, p0, **self.KW)
+        traj = solve(p0, dw_model, ens.times, SolverConfig(dt=1e-3))
+        return dw_model, p0, ens, traj, dw_stationary
+
+    def _stream(self, model, p0):
+        return (x for _, x in ensemble_columns(model, p0, **self.KW))
+
+    def test_rows_equal_stored_ensemble(self, case):
+        model, p0, ens, traj, pbar = case
+        bins = make_uniform_grid(-2.9, 2.9, 29)
+        streamed = martingale_diagnostic(self._stream(model, p0), traj, pbar, bins=bins)
+        assert streamed == martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
+        assert len(streamed) == len(traj)
+
+    def test_short_stream_rejected(self, case):
+        model, p0, ens, traj, pbar = case
+        short = itertools.islice(self._stream(model, p0), len(traj) - 1)
+        with pytest.raises(ValueError, match="time mesh mismatch"):
+            martingale_diagnostic(short, traj, pbar)
+        with pytest.raises(ValueError, match="time mesh mismatch"):
+            martingale_diagnostic(ens.paths.T[:-1], traj, pbar)
+
+    def test_long_stream_rejected(self, case):
+        model, p0, ens, traj, pbar = case
+        long = itertools.chain(self._stream(model, p0), [ens.paths[:, -1]])
+        with pytest.raises(ValueError, match="time mesh mismatch"):
+            martingale_diagnostic(long, traj, pbar)
+        with pytest.raises(ValueError, match="time mesh mismatch"):
+            martingale_diagnostic(np.vstack([ens.paths.T, ens.paths.T[-1:]]), traj, pbar)
+
+
 def _reference_martingale(ens, traj, pbar, bins, min_count=50):
     """martingale_diagnostic written with ``np.interp``, ``searchsorted`` and
     a list of every stored ratio."""
@@ -494,7 +574,7 @@ class TestDiagnosticsEqualInterpReference:
     def test_martingale_rows(self, dw_case):
         ens, traj, pbar = dw_case
         bins = make_uniform_grid(-2.9, 2.9, 29)
-        rows = martingale_diagnostic(ens, traj, pbar, bins=bins)
+        rows = martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
         assert rows == _reference_martingale(ens, traj, pbar, bins)
         assert sum(r.cond_residual is not None for r in rows) == len(rows) - 1
 

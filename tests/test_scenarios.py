@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,25 @@ class TestRunScenario:
                 assert float(reference) == getattr(rows[0], columns[name]), (name, time)
                 compared.add(float(time))
         assert compared == {0.0, 0.25, 0.5}
+
+
+    def test_dense_ensemble_is_not_stored(self):
+        """The dense ensemble streams through its diagnostics: the run's
+        traced peak stays far below the (diag_steps + 1) x n_paths doubles a
+        stored ensemble would take."""
+        mc = {**MEDIUM_MC, "n_paths": 20_000, "diag_steps": 50}
+        cfg = ScenarioConfig.from_dict(ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 201}, mc=mc))
+        # a first run imports the solver's scipy modules, whose objects
+        # would otherwise count towards the traced peak
+        run_scenario(cfg)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = (mc["diag_steps"] + 1) * mc["n_paths"] * 8
+        assert peak < 0.5 * dense_bytes, (peak, dense_bytes)
 
 
 class TestSweep:
