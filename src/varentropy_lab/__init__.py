@@ -33,7 +33,6 @@ from .drifts import (
 )
 from .fokker_planck import (
     SolverConfig,
-    step,
     solve,
     reverse_harmonic_residual,
     weighted_residual_norm,

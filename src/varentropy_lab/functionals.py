@@ -11,6 +11,11 @@ Everything is built from the local free energy, the nodewise log ratio
   ``sigma^2 * E[(-logratio - 1 + entropy) * slope^2]``, cross-checkable
   against a finite difference of the varentropy along a solved trajectory.
 
+One kernel computes all of them for a block of states, one state per row of
+an array: :func:`report` walks a trajectory's array in blocks of rows, and
+each scalar function passes it a block of one row. A row's values do not
+depend on the block it is in.
+
 Log-ratio weighted integrals exclude nodes below a relative tail cut of the
 weighting density; the integrands there are products of huge logarithms and
 vanishing weights and carry no reliable information. Relative entropy,
@@ -26,17 +31,21 @@ from typing import Optional
 import numpy as np
 
 from .grids import (
+    DEFAULT_LOG_FLOOR,
     DEFAULT_TAIL_CUT,
     Density,
     DensityTrajectory,
-    gradient,
-    integrate,
-    safe_log_ratio,
-    support_mask,
+    integrate_rows,
 )
 
 
-@dataclass(frozen=True)
+#: Trajectory rows per pass of the kernel in :func:`report`. Large enough
+#: that numpy's per-call overhead is spread over many states, small enough
+#: that a block's temporaries add nothing measurable to a run's peak memory.
+_BLOCK = 16
+
+
+@dataclass(frozen=True, slots=True)
 class FunctionalReport:
     """All functionals of one trajectory sample.
 
@@ -76,26 +85,46 @@ def _check_sigma(sigma: float):
         raise ValueError(f"sigma must be positive, got {sigma}")
 
 
+def _block_terms(
+    values: np.ndarray, pbar: Density, rel_cut: float
+) -> list[tuple[float, float, float, float]]:
+    """Everything the functionals need from a block of states, in one pass.
+
+    ``values`` holds one state per row. The log ratio, the masked weight and
+    the squared slope are each computed once for the whole block. Returns,
+    per row, ``(entropy, fisher, varentropy, rate_integral)`` with the
+    varentropy rate equal to ``sigma**2 * rate_integral``; the public
+    functions and :func:`report` all read their values from here. Each
+    nodewise term is the one a single row would get and each integral sums
+    one contiguous row, so a row's values do not depend on its block.
+    """
+    grid = pbar.grid
+    logratio = np.log(
+        np.maximum(values, DEFAULT_LOG_FLOOR) / np.maximum(pbar.values, DEFAULT_LOG_FLOOR)
+    )
+    weight = np.where(values >= rel_cut * values.max(axis=1, keepdims=True), values, 0.0)
+    firsts = integrate_rows(logratio * weight, grid).tolist()
+    seconds = integrate_rows(logratio**2 * weight, grid).tolist()
+    slope_sq = np.gradient(logratio, grid.dx, axis=1, edge_order=2) ** 2
+    fishers = integrate_rows(slope_sq * weight, grid).tolist()
+    entropies = [max(first, 0.0) for first in firsts]
+    shifted = -logratio - 1.0 + np.array(entropies)[:, None]
+    rates = integrate_rows(shifted * slope_sq * weight, grid).tolist()
+    # ``first**2`` stays a Python float power: numpy's array square is
+    # x * x, which can differ from it in the last bit
+    return [
+        (entropy, max(fisher, 0.0), max(second - first**2, 0.0), rate)
+        for entropy, first, second, fisher, rate in zip(entropies, firsts, seconds, fishers, rates)
+    ]
+
+
 def _state_terms(
     p: Density, pbar: Density, rel_cut: float
 ) -> tuple[float, float, float, float]:
-    """Everything the functionals need from one state, in one pass.
-
-    The log ratio, the masked weight and the squared slope are each computed
-    once. Returns ``(entropy, fisher, varentropy, rate_integral)`` with the
-    varentropy rate equal to ``sigma**2 * rate_integral``; the public
-    functions and :func:`report` all read their values from here.
-    """
-    logratio = safe_log_ratio(p, pbar)
-    weight = np.where(support_mask(p, rel_cut), p.values, 0.0)
-    first = integrate(logratio * weight, p.grid)
-    second = integrate(logratio**2 * weight, p.grid)
-    slope_sq = gradient(logratio, p.grid) ** 2
-    entropy = max(first, 0.0)
-    fisher = max(integrate(slope_sq * weight, p.grid), 0.0)
-    variance = max(second - first**2, 0.0)
-    rate_integral = integrate((-logratio - 1.0 + entropy) * slope_sq * weight, p.grid)
-    return entropy, fisher, variance, rate_integral
+    """:func:`_block_terms` of the one state ``p``."""
+    if p.grid != pbar.grid:
+        raise ValueError("grid mismatch between densities")
+    return _block_terms(p.values[None, :], pbar, rel_cut)[0]
 
 
 def relative_entropy(
@@ -149,27 +178,29 @@ def report(
 ) -> list[FunctionalReport]:
     """Evaluate every functional at every trajectory sample.
 
-    Each state goes through one pass of the shared kernel, so its log ratio,
-    tail mask and slope are computed once; every value equals what the
-    public scalar functions return for that state. The finite-difference
-    varentropy rate uses the trajectory's native sampling (central
-    differences over neighbouring samples) and is None at the two end
-    samples.
+    The trajectory's array goes through the shared kernel in blocks of
+    ``_BLOCK`` rows, so each state's log ratio, tail mask and slope are
+    computed once and numpy is called once per block, not once per state;
+    every value equals what the public scalar functions return for that
+    state. The finite-difference varentropy rate uses the trajectory's
+    native sampling (central differences over neighbouring samples) and is
+    None at the two end samples.
     """
     if pbar.grid != traj.grid:
         raise ValueError("grid mismatch between trajectory and stationary density")
     _check_sigma(sigma)
-    terms = [_state_terms(state, pbar, rel_cut) for state in traj.states]
+    terms = []
+    for start in range(0, len(traj), _BLOCK):
+        terms.extend(_block_terms(traj.values[start:start + _BLOCK], pbar, rel_cut))
+    times = traj.times.tolist()
     rows: list[FunctionalReport] = []
     for k, (entropy, fisher, variance, rate_integral) in enumerate(terms):
         fd = None
-        if 0 < k < len(traj) - 1:
-            fd = (terms[k + 1][2] - terms[k - 1][2]) / (
-                traj.times[k + 1] - traj.times[k - 1]
-            )
+        if 0 < k < len(times) - 1:
+            fd = (terms[k + 1][2] - terms[k - 1][2]) / (times[k + 1] - times[k - 1])
         rows.append(
             FunctionalReport(
-                time=float(traj.times[k]),
+                time=times[k],
                 relative_entropy=entropy,
                 relative_fisher=fisher,
                 varentropy=variance,

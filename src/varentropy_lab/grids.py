@@ -1,10 +1,13 @@
-"""Uniform 1-D grids, gridded probability densities, and the small set of
-numerical primitives (trapezoid quadrature, finite differencing, guarded
-log-ratios) that the rest of the library is built on.
+"""Uniform 1-D grids, gridded probability densities, trajectories of them,
+and the small set of numerical primitives (trapezoid quadrature, finite
+differencing, guarded log-ratios) that the rest of the library is built on.
 
 All values are plain float64 numpy arrays; every public function is pure and
 every container is immutable after construction, so everything here is safe
-to share across threads.
+to share across threads. A trajectory is one read-only ``(times x nodes)``
+array, and each of its states is a view of one row. Quadrature
+(:func:`integrate_rows`) and the density checks (:func:`first_invalid_row`)
+work on such arrays row by row in one pass; one density is the one-row case.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,12 +68,21 @@ def make_uniform_grid(lo: float, hi: float, n: int) -> Grid:
     return Grid(float(lo), float(hi), int(n))
 
 
+def integrate_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Trapezoid-rule integral of every row of a ``(rows, grid.n)`` array.
+
+    The interior sum of each row runs over that row alone, so a row's
+    integral does not depend on the other rows.
+    """
+    return grid.dx * (0.5 * values[:, 0] + values[:, 1:-1].sum(axis=1) + 0.5 * values[:, -1])
+
+
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Trapezoid-rule integral of nodal values over the grid."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
         raise ValueError(f"length mismatch: expected {grid.n} values, got {values.shape}")
-    return float(grid.dx * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
+    return float(integrate_rows(values[None, :], grid)[0])
 
 
 def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -96,6 +108,28 @@ def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def first_invalid_row(
+    values: np.ndarray, masses: np.ndarray, mass_tol: float
+) -> Optional[tuple[int, str]]:
+    """Index of the first row of ``values`` that is not a density, and why.
+
+    A row must be finite, non-negative and of mass (``masses``, from
+    :func:`integrate_rows`) within ``mass_tol`` of one. Returns None when every
+    row is. Each condition is one reduction over the whole array.
+    """
+    finite = np.isfinite(values).all(axis=1)
+    non_negative = ~(values < 0.0).any(axis=1)
+    bad = ~finite | ~non_negative | ~(np.abs(masses - 1.0) <= mass_tol)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    if not finite[k]:
+        return k, "density has non-finite values"
+    if not non_negative[k]:
+        return k, f"density has negative values (min {values[k].min():.3e})"
+    return k, f"density mass {float(masses[k])!r} outside 1 +/- {mass_tol}"
+
+
 @dataclass(frozen=True, eq=False)
 class Density:
     """Non-negative, unit-mass probability density sampled on a grid.
@@ -118,16 +152,23 @@ class Density:
             raise ValueError(
                 f"length mismatch: grid has {self.grid.n} nodes, values has shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density has non-finite values")
-        if np.any(vals < 0.0):
-            raise ValueError(f"density has negative values (min {vals.min():.3e})")
+        masses = integrate_rows(vals[None, :], self.grid)
+        problem = first_invalid_row(vals[None, :], masses, self.mass_tol)
+        if problem is not None:
+            raise ValueError(problem[1])
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        mass = integrate(vals, self.grid)
-        if abs(mass - 1.0) > self.mass_tol:
-            raise ValueError(f"density mass {mass!r} outside 1 +/- {self.mass_tol}")
-        object.__setattr__(self, "_mass", mass)
+        object.__setattr__(self, "_mass", float(masses[0]))
+
+    @classmethod
+    def _checked(cls, grid: Grid, values: np.ndarray, time: float, mass: float) -> "Density":
+        """A density over read-only ``values`` whose checks the caller has
+        already made: no copy, no second pass over the nodes."""
+        out = object.__new__(cls)
+        for name, value in (("grid", grid), ("values", values), ("time", time),
+                            ("mass_tol", DEFAULT_MASS_TOL), ("_mass", mass)):
+            object.__setattr__(out, name, value)
+        return out
 
     def mass(self) -> float:
         return self._mass
@@ -144,39 +185,77 @@ class Density:
         return Density(self.grid, self.values, time=float(time), mass_tol=self.mass_tol)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityTrajectory:
-    """Sequence of densities on one grid at strictly increasing times."""
+    """Densities on one grid at strictly increasing times, held as one
+    read-only ``(len(times), grid.n)`` array with the mass of every row.
+
+    ``traj[k]`` is a :class:`Density` over row ``k`` of that array: a
+    read-only view, neither copied nor checked again. ``states`` derives the
+    tuple of all of them. Built from ``(times, states)``, the states are
+    stacked once; the solver and row selections build a trajectory from an
+    array they have checked themselves.
+    """
 
     times: np.ndarray
-    states: tuple[Density, ...]
+    grid: Grid
+    values: np.ndarray
+    masses: np.ndarray
 
-    def __post_init__(self):
-        times = np.array(self.times, dtype=float, copy=True)
-        states = tuple(self.states)
+    def __init__(self, times: np.ndarray, states: Iterable[Density]):
+        times = np.array(times, dtype=float, copy=True)
+        states = tuple(states)
         if times.ndim != 1 or len(times) != len(states):
             raise ValueError("times and states must have equal length")
-        if len(times) and np.any(np.diff(times) <= 0.0):
+        if not states:
+            raise ValueError("a trajectory needs at least one state")
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        grid = states[0].grid if states else None
+        grid = states[0].grid
         for t, s in zip(times, states):
             if s.grid is not grid and s.grid != grid:
                 raise ValueError("all states must share one grid")
             if abs(s.time - t) > SAME_TIME_TOL:
                 raise ValueError(f"state time {s.time} does not match mesh time {t}")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        self._set(times, grid, np.stack([s.values for s in states]),
+                  np.array([s.mass() for s in states]))
+
+    @classmethod
+    def _from_rows(
+        cls, times: np.ndarray, grid: Grid, values: np.ndarray, masses: np.ndarray
+    ) -> "DensityTrajectory":
+        """A trajectory over rows the caller has checked to be densities."""
+        out = object.__new__(cls)
+        out._set(np.array(times, dtype=float, copy=True), grid, values, masses)
+        return out
+
+    def _set(self, times, grid, values, masses):
+        for array in (times, values, masses):
+            array.flags.writeable = False
+        for name, value in (("times", times), ("grid", grid),
+                            ("values", values), ("masses", masses)):
+            object.__setattr__(self, name, value)
+
+    def rows(self, index: Sequence[int], times: np.ndarray) -> "DensityTrajectory":
+        """The rows ``index`` relabelled with ``times``. A run of consecutive
+        rows is a view of this trajectory's array; any other set is copied."""
+        index = list(index)
+        if index == list(range(index[0], index[0] + len(index))):
+            pick = slice(index[0], index[0] + len(index))
+        else:
+            pick = index
+        return DensityTrajectory._from_rows(times, self.grid, self.values[pick], self.masses[pick])
 
     @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+    def states(self) -> tuple[Density, ...]:
+        return tuple(self[k] for k in range(len(self)))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
-    def __getitem__(self, i: int) -> Density:
-        return self.states[i]
+    def __getitem__(self, k: int) -> Density:
+        return Density._checked(self.grid, self.values[k], float(self.times[k]),
+                                float(self.masses[k]))
 
 
 def safe_log_ratio(p: Density, q: Density, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:

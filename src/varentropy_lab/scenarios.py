@@ -37,7 +37,7 @@ from .drifts import (
     invariant_density,
     linear_drift,
 )
-from .fokker_planck import SolverConfig, solve, step
+from .fokker_planck import SolverConfig, solve
 from .functionals import (
     FunctionalReport,
     relative_entropy,
@@ -524,15 +524,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
     checks: list[Check] = []
 
     # solver hygiene
-    worst_mass = max(abs(state.mass() - 1.0) for state in solution.states)
+    worst_mass = float(np.max(np.abs(solution.masses - 1.0)))
     checks.append(
         Check("mass_conservation", worst_mass <= tol.mass_tol,
               f"max |mass-1| = {worst_mass:.3e} (tol {tol.mass_tol:g})")
     )
-    min_value = min(float(state.values.min()) for state in solution.states)
+    min_value = float(solution.values.min())
     positive = min_value >= 0.0
     checks.append(Check("positivity", positive, f"min node value = {min_value:.3e}"))
-    fixed = step(pbar, cfg.model, cfg.solver)
+    # one solver step of size dt from the stationary density
+    fixed = solve(pbar, cfg.model, np.array([0.0, cfg.solver.dt]), cfg.solver)[1]
     fixed_err = float(np.max(np.abs(fixed.values - pbar.values)))
     checks.append(
         Check("stationary_fixed_point", fixed_err <= tol.fixed_point_sup,
@@ -649,9 +650,9 @@ def _solve_once(
 
     Times within ``SAME_TIME_TOL`` of the previous mesh time are that mesh
     time. Returns the solution and, per set, the trajectory at that set's
-    times, made of the solution's states. The few hundred times are merged
-    with Python's sort: numpy's sort and search kernels would add their code
-    pages to the run's resident memory.
+    times, made of the solution's rows (a view when they are consecutive).
+    The few hundred times are merged with Python's sort: numpy's sort and
+    search kernels would add their code pages to the run's resident memory.
     """
     mesh: list[float] = []
     for t in sorted(set().union(*(times.tolist() for times in time_sets))):
@@ -659,9 +660,7 @@ def _solve_once(
             mesh.append(t)
     solution = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
     return solution, [
-        DensityTrajectory(
-            times, tuple(solution[bisect.bisect(mesh, t) - 1] for t in times.tolist())
-        )
+        solution.rows([bisect.bisect(mesh, t) - 1 for t in times.tolist()], times)
         for times in time_sets
     ]
 
@@ -892,6 +891,8 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
                 failed_checks=tuple(c.name for c in result.checks if not c.passed),
             )
         )
+        # the member's reports go before the next member's run
+        del result
     return rows
 
 
@@ -947,8 +948,8 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
         pbar = refined.stationary_density()
         traj = solve(refined.initial_density(), cfg.model, t_samples, solver)
         err = max(
-            abs(varentropy(state, pbar) - bench.varentropy(t))
-            for t, state in zip(t_samples, traj.states)
+            abs(row.varentropy - bench.varentropy(t))
+            for t, row in zip(t_samples, report(traj, pbar, cfg.model.sigma))
         )
         order = None
         if prev_err is not None:

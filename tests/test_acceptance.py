@@ -28,7 +28,6 @@ from varentropy_lab import (
     reverse_harmonic_residual,
     simulate_ensemble,
     solve,
-    step,
     varentropy,
     varentropy_rate,
     weighted_residual_norm,
@@ -254,7 +253,7 @@ class TestCriterion8SolverHygiene:
     @pytest.mark.parametrize("case_name", ["ou_case", "dw_case"])
     def test_stationary_fixed_point(self, case_name, request):
         cfg, _, pbar, _, _ = request.getfixturevalue(case_name)
-        out = step(pbar, cfg.model, cfg.solver)
+        out = solve(pbar, cfg.model, np.array([0.0, cfg.solver.dt]), cfg.solver)[1]
         err = float(np.max(np.abs(out.values - pbar.values)))
         _announce(
             f"criterion 8c (stationary fixed point, {case_name[:2]})",

@@ -17,9 +17,9 @@ from varentropy_lab import (
     relative_entropy,
     reverse_harmonic_residual,
     solve,
-    step,
     weighted_residual_norm,
 )
+from varentropy_lab import fokker_planck
 from varentropy_lab.fokker_planck import _STEP_CACHE_SIZE, _Generator, _bernoulli
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
@@ -29,31 +29,38 @@ def cfg():
     return SolverConfig(dt=1e-3)
 
 
+def _one_step(p, model, cfg):
+    """The state one nominal step ``cfg.dt`` after ``p``."""
+    return solve(p, model, np.array([p.time, p.time + cfg.dt]), cfg)[1]
+
+
 class TestStep:
+    """One nominal step ``dt``, taken as a solve on ``[t, t + dt]``."""
+
     def test_stationary_fixed_point(self, wide_grid, ou_model, ou_stationary, cfg):
-        out = step(ou_stationary, ou_model, cfg)
+        out = _one_step(ou_stationary, ou_model, cfg)
         assert np.max(np.abs(out.values - ou_stationary.values)) < 1e-10
 
     def test_double_well_fixed_point(self, dw_model, dw_stationary, cfg):
         """The exponential-fitting weights make the sampled stationary density
         an exact fixed point for gradient drifts too."""
-        out = step(dw_stationary, dw_model, cfg)
+        out = _one_step(dw_stationary, dw_model, cfg)
         assert np.max(np.abs(out.values - dw_stationary.values)) < 1e-12
 
     def test_variance_growth_one_step(self, wide_grid, ou_model, narrow_gaussian, cfg):
         """d(variance)/dt = 1 - variance, so one millisecond step from
         variance 1/4 grows it by about 0.75e-3."""
-        out = step(narrow_gaussian, ou_model, cfg)
+        out = _one_step(narrow_gaussian, ou_model, cfg)
         grown = out.variance() - narrow_gaussian.variance()
         expected = OUBenchmark(0.25).variance(cfg.dt) - 0.25
         assert grown == pytest.approx(expected, rel=1e-2)
 
     def test_mass_preserved(self, wide_grid, ou_model, narrow_gaussian, cfg):
-        out = step(narrow_gaussian, ou_model, cfg)
+        out = _one_step(narrow_gaussian, ou_model, cfg)
         assert out.mass() == pytest.approx(narrow_gaussian.mass(), abs=1e-12)
 
     def test_time_advances(self, narrow_gaussian, ou_model, cfg):
-        assert step(narrow_gaussian, ou_model, cfg).time == pytest.approx(cfg.dt)
+        assert _one_step(narrow_gaussian, ou_model, cfg).time == pytest.approx(cfg.dt)
 
 
 class TestSolve:
@@ -115,6 +122,68 @@ class TestSolve:
         assert 3.0 < errs[0] / errs[1] < 5.2
 
 
+def _with_node(index, value):
+    """A fault that sets one node of a produced state."""
+    def fault(values):
+        out = values.copy()
+        out[index] = value
+        return out
+    return fault
+
+
+class TestSolveValidation:
+    """``solve`` checks every produced row in one pass after stepping and
+    names the first bad output time."""
+
+    TIMES = np.linspace(0.0, 0.6, 7)
+
+    def _solve_with_faults(self, monkeypatch, faults, p0, model, cfg):
+        """Solve on TIMES with ``faults[k]`` applied to the state produced
+        for ``TIMES[k]``: with dt = 0.1 each output interval is one
+        ``_advance_interval`` call."""
+        real = fokker_planck._advance_interval
+        calls = []
+
+        def faulty(values, gen, dt, solver_cfg):
+            out = real(values, gen, dt, solver_cfg)
+            calls.append(dt)
+            fault = faults.get(len(calls))
+            return out if fault is None else fault(out)
+
+        monkeypatch.setattr(fokker_planck, "_advance_interval", faulty)
+        return solve(p0, model, self.TIMES, cfg)
+
+    def test_clean_solve_passes(self, monkeypatch, ou_model, narrow_gaussian):
+        traj = self._solve_with_faults(monkeypatch, {}, narrow_gaussian, ou_model,
+                                       SolverConfig(dt=0.1))
+        assert len(traj) == len(self.TIMES)
+
+    def test_mass_drift_names_its_time(self, monkeypatch, ou_model, narrow_gaussian):
+        with pytest.raises(RuntimeError, match=r"t=0\.3: density mass .* outside 1 \+/- 1e-10"):
+            self._solve_with_faults(monkeypatch, {3: lambda v: v * (1.0 + 1e-9)},
+                                    narrow_gaussian, ou_model, SolverConfig(dt=0.1))
+
+    def test_default_mass_tolerance_also_applies(self, monkeypatch, ou_model, narrow_gaussian):
+        """A loose ``cfg.mass_tol`` does not admit a row that no Density
+        would accept."""
+        with pytest.raises(RuntimeError, match=r"t=0\.5: density mass .* outside 1 \+/- 1e-06"):
+            self._solve_with_faults(monkeypatch, {5: lambda v: v * (1.0 + 1e-5)},
+                                    narrow_gaussian, ou_model, SolverConfig(dt=0.1, mass_tol=1e-3))
+
+    def test_negative_value_names_the_first_bad_time(self, monkeypatch, ou_model, narrow_gaussian):
+        """The negative node at t = 0.2 is reported, not the mass drift
+        that follows at t = 0.4."""
+        faults = {2: _with_node(0, -1e-300), 4: lambda v: v * (1.0 + 1e-9)}
+        with pytest.raises(RuntimeError, match=r"t=0\.2: density has negative values"):
+            self._solve_with_faults(monkeypatch, faults, narrow_gaussian, ou_model,
+                                    SolverConfig(dt=0.1))
+
+    def test_non_finite_value_names_its_time(self, monkeypatch, ou_model, narrow_gaussian):
+        with pytest.raises(RuntimeError, match=r"t=0\.1: density has non-finite values"):
+            self._solve_with_faults(monkeypatch, {1: _with_node(400, np.nan)},
+                                    narrow_gaussian, ou_model, SolverConfig(dt=0.1))
+
+
 class TestCrankNicolsonScheme:
     def test_matches_exponential_fitting_on_smooth_data(self, wide_grid, ou_model, narrow_gaussian):
         """Both discretizations are second order; their mutual deviation is
@@ -131,7 +200,7 @@ class TestCrankNicolsonScheme:
     def test_warns_beyond_positivity_bound(self, ou_model, narrow_gaussian):
         cfg = SolverConfig(dt=1e-3, scheme="crank_nicolson")
         with pytest.warns(RuntimeWarning, match="positivity"):
-            step(narrow_gaussian, ou_model, cfg)
+            _one_step(narrow_gaussian, ou_model, cfg)
 
     def test_clips_rounding_negatives(self, ou_model, narrow_gaussian):
         with warnings.catch_warnings():

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from varentropy_lab import (
     Density,
+    DensityTrajectory,
     FunctionalReport,
     OUBenchmark,
     SolverConfig,
@@ -16,6 +17,8 @@ from varentropy_lab import (
     gaussian_density,
     gradient,
     integrate,
+    invariant_density,
+    linear_drift,
     make_uniform_grid,
     mixture_density,
     relative_entropy,
@@ -27,6 +30,7 @@ from varentropy_lab import (
     varentropy,
     varentropy_rate,
 )
+from varentropy_lab.functionals import _BLOCK
 
 # KL divergences between centered Gaussians, from the closed form
 # ln(s2/s1) + s1^2/(2 s2^2) - 1/2
@@ -284,6 +288,38 @@ class TestReport:
             FunctionalReport(0.0, -0.1, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="<= 0"):
             FunctionalReport(0.0, 0.1, 0.1, 0.1, 0.5, 0.0)
+
+
+class TestBlockKernel:
+    """``report`` reads the trajectory array in blocks of ``_BLOCK`` rows."""
+
+    @pytest.mark.parametrize("length", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_rows_equal_public_functionals(self, length, dw_model, dw_grid, dw_stationary):
+        """Every row equals (==) the scalar functions, whether the trajectory
+        ends inside a block, on its edge or one row past it."""
+        p0 = mixture_density(dw_grid, [(0.5, -1.2, 0.09), (0.5, 1.2, 0.09)])
+        times = np.linspace(0.0, 0.01 * (length - 1), length)
+        traj = solve(p0, dw_model, times, SolverConfig(dt=1e-3))
+        assert len(report(traj, dw_stationary, dw_model.sigma)) == length
+        _assert_rows_equal_public(traj, dw_stationary, dw_model.sigma)
+
+    def test_squared_mean_is_a_python_power(self):
+        """The varentropy is ``second - first**2`` with Python's float power.
+        For this state ``first * first`` (what numpy's array square computes)
+        rounds differently, and the difference survives the subtraction; the
+        value is the same at every position of a block."""
+        grid = make_uniform_grid(-8.0, 8.0, 201)
+        pbar = invariant_density(linear_drift(-0.5), grid)
+        p = gaussian_density(grid, 0.0, 0.24277)
+        weight = np.where(support_mask(p), p.values, 0.0)
+        logratio = safe_log_ratio(p, pbar)
+        first = integrate(logratio * weight, grid)
+        second = integrate(logratio**2 * weight, grid)
+        assert second - first * first != second - first**2  # the pinned case
+        assert varentropy(p, pbar) == second - first**2
+        length = _BLOCK + 3
+        traj = DensityTrajectory(np.arange(float(length)), [p.at_time(t) for t in range(length)])
+        assert [row.varentropy for row in report(traj, pbar, 1.0)] == [second - first**2] * length
 
 
 def _separate_assembly(p, pbar, sigma):

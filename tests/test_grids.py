@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from varentropy_lab import (
     Density,
     DensityTrajectory,
+    SolverConfig,
     gaussian_density,
     gradient,
     integrate,
@@ -17,8 +18,10 @@ from varentropy_lab import (
     mixture_density,
     normalized_density,
     safe_log_ratio,
+    solve,
     support_mask,
 )
+from varentropy_lab.grids import integrate_rows
 
 #: exact mass of the standard normal over (-8, 8): erf(8 / sqrt(2))
 NORMAL_MASS_WIDE = 0.9999999999999988
@@ -192,6 +195,62 @@ class TestTrajectory:
         p = gaussian_density(wide_grid, 0.0, 1.0)
         with pytest.raises(ValueError, match="equal length"):
             DensityTrajectory(np.array([0.0, 1.0, 2.0]), (p, p.at_time(1.0)))
+
+
+    def test_states_are_stacked_into_one_array(self, wide_grid):
+        p = gaussian_density(wide_grid, 0.0, 1.0)
+        q = gaussian_density(wide_grid, 0.5, 0.5, time=1.0)
+        traj = DensityTrajectory([0.0, 1.0], (p, q))
+        assert traj.values.shape == (2, wide_grid.n)
+        assert traj.masses.tolist() == [p.mass(), q.mass()]
+        for state, given in zip(traj.states, (p, q)):
+            assert np.array_equal(state.values, given.values)
+            assert state.time == given.time
+
+    def test_empty_trajectory_refused(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            DensityTrajectory([], ())
+
+
+class TestTrajectoryArray:
+    """A solved trajectory is one read-only (times x nodes) array."""
+
+    @pytest.fixture(scope="class")
+    def traj(self, ou_model, narrow_gaussian):
+        return solve(narrow_gaussian, ou_model, np.linspace(0.0, 0.5, 6), SolverConfig(dt=1e-3))
+
+    def test_state_is_a_read_only_view_of_its_row(self, traj):
+        state = traj[3]
+        assert np.shares_memory(state.values, traj.values)
+        assert np.array_equal(state.values, traj.values[3])
+        assert state.time == traj.times[3]
+        assert state.mass() == traj.masses[3]
+        with pytest.raises(ValueError):
+            state.values[0] = 1.0
+        with pytest.raises(ValueError):
+            traj.values[3, 0] = 1.0
+
+    def test_row_masses_are_integrate_bit_for_bit(self, traj):
+        assert traj.masses.tolist() == [integrate(row, traj.grid) for row in traj.values]
+
+    def test_row_integrals_do_not_depend_on_the_block(self, wide_grid):
+        rng = np.random.default_rng(5)
+        values = rng.lognormal(size=(40, wide_grid.n))
+        assert integrate_rows(values, wide_grid).tolist() == [
+            integrate(row, wide_grid) for row in values
+        ]
+
+    def test_consecutive_rows_are_a_view(self, traj):
+        sub = traj.rows([2, 3, 4], traj.times[2:5] + 1e-12)
+        assert np.shares_memory(sub.values, traj.values)
+        assert np.array_equal(sub.values, traj.values[2:5])
+        assert sub.times.tolist() == (traj.times[2:5] + 1e-12).tolist()
+
+    def test_scattered_rows_are_copied(self, traj):
+        sub = traj.rows([0, 2, 5], traj.times[[0, 2, 5]])
+        assert not np.shares_memory(sub.values, traj.values)
+        assert np.array_equal(sub.values, traj.values[[0, 2, 5]])
+        assert sub.masses.tolist() == traj.masses[[0, 2, 5]].tolist()
 
 
 class TestSafeLogRatio:

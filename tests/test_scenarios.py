@@ -18,6 +18,12 @@ from varentropy_lab.scenarios import OUTPUT_ROOT_ENV, ConfigError, _deep_merge
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+#: The benchmark's reference CSV of the shipped sweep at one sample per
+#: solver step; read here, never written.
+DENSE_SWEEP_REFERENCE = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "sweep_dense" / "sweep.csv"
+)
+
 
 #: A valid Monte Carlo block too small for any backward-drift bin to reach
 #: the default minimum count of 50 samples.
@@ -284,18 +290,24 @@ class TestRunScenario:
 
     def test_one_solve_on_every_output_time(self, monkeypatch):
         """The grid rows and both ensembles' references read one solution,
-        solved on a mesh that holds every sample and stored MC time."""
-        meshes = []
+        solved on a mesh that holds every sample and stored MC time. The
+        only other solve is the fixed-point check's one step of size dt
+        from the stationary density."""
+        calls = []
         solve = scenarios.solve
 
         def counting_solve(p0, model, t_grid, cfg):
-            meshes.append(np.asarray(t_grid))
+            calls.append((p0, np.asarray(t_grid)))
             return solve(p0, model, t_grid, cfg)
 
         monkeypatch.setattr(scenarios, "solve", counting_solve)
         cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
         run_scenario(cfg, out_dir=None)
+        pbar = cfg.stationary_density()
+        steps = [t for p0, t in calls if np.array_equal(p0.values, pbar.values)]
+        meshes = [t for p0, t in calls if not np.array_equal(p0.values, pbar.values)]
         assert len(meshes) == 1
+        assert len(steps) == 1 and steps[0].tolist() == [0.0, cfg.solver.dt]
         mc = cfg.mc
         wanted = np.concatenate([
             cfg.time_samples(),
@@ -399,6 +411,19 @@ class TestSweep:
         assert len(rows) == 1
         # variance 1/2 start: varentropy (1 - v)^2 / 2 = 1/8 at t = 0
         assert rows[0].varentropy_initial == pytest.approx(0.125, rel=1e-3)
+
+
+    def test_dense_sweep_writes_the_reference_bytes(self, tmp_path, capsys):
+        """The shipped sweep with ``base.time.n_samples`` 1201 (one sample
+        per solver step) and no ``outputs`` writes the benchmark's
+        reference CSV byte for byte."""
+        data = json.loads((CONFIGS / "sweep_double_well.json").read_text())
+        data.pop("outputs", None)
+        data["base"]["time"]["n_samples"] = 1201
+        path = tmp_path / "sweep_dense.json"
+        path.write_text(json.dumps(data, indent=1))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == DENSE_SWEEP_REFERENCE.read_bytes()
 
 
 class TestConvergence:
