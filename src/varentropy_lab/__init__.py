@@ -2,7 +2,7 @@
 drift-diffusion processes with constant diffusion coefficient.
 
 The library solves the forward continuity (Fokker-Planck) equation with a
-conservative positivity-preserving scheme, evaluates relative entropy,
+conservative positivity-preserving method, evaluates relative entropy,
 relative Fisher information and varentropy along the solution, checks the
 closed-form varentropy rate against trajectory finite differences, and
 cross-validates everything against Monte Carlo path ensembles and the

@@ -2,7 +2,9 @@
 print the exact-benchmark table.
 
 Exit status of ``run`` is zero only when every configured tolerance check
-passes, so acceptance suites can shell out to scenario runs directly.
+passes, so acceptance suites can shell out to scenario runs directly. A
+config error exits 2 and a failed solve exits 1, each with one line on
+stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        print(f"solver error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,25 +7,18 @@ on a truncated interval with reflecting (zero-flux) boundaries, plus the
 reverse-time harmonicity residual used to cross-check the backward-drift
 representation of the same process.
 
-Two flux discretizations are available:
+The fluxes are discretized one way only, by the Chang-Cooper method (Chang
+& Cooper, J. Comput. Phys. 6, 1970): exponentially fitted two-point fluxes,
+the Scharfetter-Gummel weighting. The fitting weight on each cell is computed
+from the exact potential difference across the cell, which makes the
+grid-sampled stationary density an exact fixed point of the discrete
+operator for every drift in :mod:`varentropy_lab.drifts`, not just
+asymptotically. Time stepping is theta-weighted; when the explicit part of
+the update would violate the positivity bound
+``(1 - theta) * dt * max|diag| <= 1`` the step is transparently split into
+equal substeps, so no step produces a negative node value.
 
-``chang_cooper``
-    Exponentially fitted two-point fluxes (Chang-Cooper / Scharfetter-Gummel
-    weighting). The fitting weight on each cell is computed from the exact
-    potential difference across the cell, which makes the grid-sampled
-    stationary density an exact fixed point of the discrete operator for
-    every drift in :mod:`varentropy_lab.drifts`, not just asymptotically.
-    Time stepping is theta-weighted; when the explicit part of the update
-    would violate the positivity bound ``(1 - theta) * dt * max|diag| <= 1``
-    the step is transparently split into equal substeps, so the scheme never
-    produces a negative node value.
-
-``crank_nicolson``
-    Plain central (midpoint-drift) fluxes with the same theta stepping and no
-    positivity substepping. Smooth data stays positive in practice; values in
-    ``[-1e-14, 0)`` are clipped to zero and anything below that raises.
-
-Both schemes conserve trapezoid-rule mass to rounding because the update is
+Each step conserves trapezoid-rule mass to rounding because the update is
 in flux form and the boundary fluxes are identically zero. :func:`solve`
 writes its output times into one preallocated ``(times x nodes)`` array and
 checks every row of it in one pass when stepping is done.
@@ -43,9 +36,7 @@ output meshes cannot grow memory.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -65,11 +56,6 @@ from .grids import (
     support_mask,
 )
 
-Scheme = Literal["chang_cooper", "crank_nicolson"]
-
-#: Most negative node value tolerated (then clipped) for the central scheme.
-CN_NEGATIVE_TOL = -1e-14
-
 #: Most substep sizes whose factored step one generator keeps. The shipped
 #: meshes need 8-10: ``linspace`` rounding makes equal-looking output
 #: intervals differ in their last bits.
@@ -78,24 +64,21 @@ _STEP_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping configuration.
+    """Time-stepping configuration of the Chang-Cooper flux discretization,
+    the only one the solver has (see module docstring).
 
     dt:        nominal time step used for sub-stepping between output times.
-    scheme:    flux discretization, see module docstring.
     theta:     implicitness weight in [0, 1]; 1/2 is second order in time.
     mass_tol:  maximum |mass - 1| tolerated on any produced state.
     """
 
     dt: float
-    scheme: Scheme = "chang_cooper"
     theta: float = 0.5
     mass_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.scheme not in ("chang_cooper", "crank_nicolson"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.mass_tol < math.inf:
@@ -119,27 +102,22 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
-    (grid, model, scheme) and reused across steps.
+    (grid, model) and reused across steps.
 
     ``advance`` keeps a factored :class:`_ThetaStep` per ``(dt, theta)``, at
     most ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full.
     """
 
-    def __init__(self, grid: Grid, model: GradientDrift, scheme: Scheme):
+    def __init__(self, grid: Grid, model: GradientDrift):
         x = grid.x
         dx = grid.dx
         diff = model.sigma**2 / 2.0
-        if scheme == "chang_cooper":
-            # cell weight from the exact potential drop across the cell:
-            # the discrete stationary state then reproduces exp(-2 Phi / sigma^2)
-            # nodewise exactly.
-            w = -2.0 * (model.potential(x[1:]) - model.potential(x[:-1])) / model.sigma**2
-            a_edge = (diff / dx) * _bernoulli(-w)  # coefficient of p_i   in flux_{i+1/2}
-            c_edge = (diff / dx) * _bernoulli(w)   # coefficient of p_{i+1} in flux_{i+1/2}
-        else:
-            b_mid = model.drift(0.5 * (x[1:] + x[:-1]))
-            a_edge = 0.5 * b_mid + diff / dx
-            c_edge = diff / dx - 0.5 * b_mid
+        # cell weight from the exact potential drop across the cell:
+        # the discrete stationary state then reproduces exp(-2 Phi / sigma^2)
+        # nodewise exactly.
+        w = -2.0 * (model.potential(x[1:]) - model.potential(x[:-1])) / model.sigma**2
+        a_edge = (diff / dx) * _bernoulli(-w)  # coefficient of p_i   in flux_{i+1/2}
+        c_edge = (diff / dx) * _bernoulli(w)   # coefficient of p_{i+1} in flux_{i+1/2}
 
         # finite-volume cells: half cells at the two boundary nodes
         widths = np.full(grid.n, dx)
@@ -162,7 +140,7 @@ class _Generator:
 
     def positivity_dt(self, theta: float) -> float:
         """Largest dt for which the explicit stage keeps non-negative data
-        non-negative (infinite for the fully implicit scheme)."""
+        non-negative (infinite for the fully implicit step)."""
         if theta >= 1.0 or self.max_rate == 0.0:
             return math.inf
         return 1.0 / ((1.0 - theta) * self.max_rate)
@@ -215,30 +193,12 @@ class _ThetaStep:
 def _advance_interval(
     values: np.ndarray, gen: _Generator, dt: float, cfg: SolverConfig
 ) -> np.ndarray:
-    """Advance by dt, substepping the exponential-fitting scheme to preserve
-    positivity and warning when the central scheme exceeds the same bound."""
-    if cfg.scheme == "chang_cooper":
-        dt_pos = gen.positivity_dt(cfg.theta)
-        n_sub = max(1, math.ceil(dt / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
-    else:
-        if dt > gen.positivity_dt(cfg.theta):
-            warnings.warn(
-                "explicit stage exceeds the positivity/stability bound "
-                f"(dt={dt:g} > {gen.positivity_dt(cfg.theta):g}); "
-                "small negative values may appear and will be clipped",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        n_sub = 1
+    """Advance by dt in equal substeps, each within the positivity bound."""
+    dt_pos = gen.positivity_dt(cfg.theta)
+    n_sub = max(1, math.ceil(dt / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
     out = values
     for _ in range(n_sub):
         out = gen.advance(out, dt / n_sub, cfg.theta)
-    if cfg.scheme == "crank_nicolson":
-        low = out.min()
-        if low < CN_NEGATIVE_TOL:
-            raise RuntimeError(f"central scheme produced value {low:.3e} below tolerance")
-        if low < 0.0:
-            out = np.maximum(out, 0.0)
     return out
 
 
@@ -263,7 +223,7 @@ def solve(
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    gen = _Generator(p0.grid, model, cfg.scheme)
+    gen = _Generator(p0.grid, model)
     values = np.empty((len(t_grid), p0.grid.n))
     values[0] = p0.values
     for k in range(1, len(t_grid)):
@@ -300,10 +260,10 @@ def reverse_harmonic_residual(
 
         d/dt + b_minus(x) d/dx - (sigma^2 / 2) d^2/dx^2,
 
-    where ``b_minus = b - sigma^2 d/dx ln p_t`` is the backward drift.
-    evaluates that operator discretely: the time derivative by a central
-    difference across the neighbouring trajectory samples, space derivatives
-    by the grid stencils. Nodes below the tail cut of ``p_t`` are reported
+    where ``b_minus = b - sigma^2 d/dx ln p_t`` is the backward drift. This
+    function evaluates that operator discretely: the time derivative by a
+    central difference across the neighbouring trajectory samples, space
+    derivatives by the grid stencils. Nodes below the tail cut of ``p_t`` are reported
     as zero; elsewhere the residual converges to zero at second order in the
     grid spacing and the trajectory sampling interval.
     """

@@ -228,12 +228,7 @@ class ScenarioConfig:
         theta = _number(solver_spec.get("theta", 0.5), "config.solver.theta")
         mass_tol = _number(solver_spec.get("mass_tol", 1e-10), "config.solver.mass_tol")
         try:
-            solver = SolverConfig(
-                dt=dt,
-                scheme=solver_spec.get("scheme", "chang_cooper"),
-                theta=theta,
-                mass_tol=mass_tol,
-            )
+            solver = SolverConfig(dt=dt, theta=theta, mass_tol=mass_tol)
         except ValueError as err:
             raise ConfigError(f"config.solver: {err}") from err
         time_spec = _fields(_require(data, "time", "config"), ("t_end", "n_samples"), "config.time")
@@ -286,7 +281,10 @@ class ScenarioConfig:
                 raise ConfigError(f"config.initial.components: {err}") from err
         if kind == "table":
             path = self.base_dir / self.initial["path"]
-            values = np.loadtxt(path, dtype=float)
+            try:
+                values = np.loadtxt(path, dtype=float)
+            except (OSError, ValueError) as err:
+                raise ConfigError(f"config.initial.path: {err}") from err
             if values.ndim != 1 or len(values) != self.grid.n:
                 raise ConfigError(
                     f"config.initial.path: table must hold {self.grid.n} values"

@@ -184,43 +184,14 @@ class TestSolveValidation:
                                     narrow_gaussian, ou_model, SolverConfig(dt=0.1))
 
 
-class TestCrankNicolsonScheme:
-    def test_matches_exponential_fitting_on_smooth_data(self, wide_grid, ou_model, narrow_gaussian):
-        """Both discretizations are second order; their mutual deviation is
-        bounded by the sum of their truncation errors."""
-        cc = solve(narrow_gaussian, ou_model, np.array([0.0, 1.0]), SolverConfig(dt=1e-3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cn = solve(
-                narrow_gaussian, ou_model, np.array([0.0, 1.0]),
-                SolverConfig(dt=1e-3, scheme="crank_nicolson"),
-            )
-        assert np.max(np.abs(cc[1].values - cn[1].values)) < 1e-5
-
-    def test_warns_beyond_positivity_bound(self, ou_model, narrow_gaussian):
-        cfg = SolverConfig(dt=1e-3, scheme="crank_nicolson")
-        with pytest.warns(RuntimeWarning, match="positivity"):
-            _one_step(narrow_gaussian, ou_model, cfg)
-
-    def test_clips_rounding_negatives(self, ou_model, narrow_gaussian):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            traj = solve(
-                narrow_gaussian, ou_model, np.linspace(0, 1, 5),
-                SolverConfig(dt=1e-3, scheme="crank_nicolson"),
-            )
-        for state in traj.states:
-            assert state.values.min() >= 0.0
-
-
 class TestGeneratorInternals:
     def test_positivity_substep_bound(self, wide_grid, ou_model):
-        gen = _Generator(wide_grid, ou_model, "chang_cooper")
+        gen = _Generator(wide_grid, ou_model)
         dt_pos = gen.positivity_dt(0.5)
         assert 0.0 < dt_pos < 1e-3  # the nominal millisecond step gets split
 
     def test_fully_implicit_needs_no_substeps(self, wide_grid, ou_model):
-        gen = _Generator(wide_grid, ou_model, "chang_cooper")
+        gen = _Generator(wide_grid, ou_model)
         assert gen.positivity_dt(1.0) == np.inf
 
 
@@ -267,12 +238,11 @@ def _reference_advance(gen, values, dt, theta):
 
 
 class TestFactoredStep:
-    @pytest.mark.parametrize("scheme", ["chang_cooper", "crank_nicolson"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_bit_identical_to_unfactored_solve(self, dw_model, dw_grid, scheme, theta):
+    def test_bit_identical_to_unfactored_solve(self, dw_model, dw_grid, theta):
         """Reusing the cached factors changes no bit of any state over
         1200 steps cycling through three substep sizes."""
-        gen = _Generator(dw_grid, dw_model, scheme)
+        gen = _Generator(dw_grid, dw_model)
         values = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
         sizes = (1e-3 / 8, 1e-4, 1e-3 / 9)
         for k in range(1200):
@@ -282,7 +252,7 @@ class TestFactoredStep:
             values = new
 
     def test_cache_stays_bounded(self, dw_model, dw_grid, dw_stationary):
-        gen = _Generator(dw_grid, dw_model, "chang_cooper")
+        gen = _Generator(dw_grid, dw_model)
         sizes = [1e-4 * (1.0 + k / 64) for k in range(2 * _STEP_CACHE_SIZE + 3)]
         values = dw_stationary.values
         for dt in sizes:
@@ -294,7 +264,7 @@ class TestFactoredStep:
         assert np.array_equal(again, _reference_advance(gen, values, sizes[0], 0.5))
 
     def test_singular_step_raises(self, dw_model, dw_grid):
-        gen = _Generator(dw_grid, dw_model, "chang_cooper")
+        gen = _Generator(dw_grid, dw_model)
         gen.lower = np.zeros(dw_grid.n)
         gen.upper = np.zeros(dw_grid.n)
         gen.diag = np.ones(dw_grid.n)  # I - 1 * 1 * L is the zero matrix

@@ -54,7 +54,6 @@ class TestConfigParsing:
         cfg = ScenarioConfig.from_dict(ou_config())
         assert cfg.name == "ou_small"
         assert cfg.grid.n == 401
-        assert cfg.solver.scheme == "chang_cooper"
         assert cfg.mc is None
         assert cfg.is_ou_benchmark()
 
@@ -159,6 +158,8 @@ class TestConfigParsing:
         ("tolerances", "mass_tol", -1e-10, "config.tolerances.mass_tol"),
         ("tolerances", "mc_sigmas", float("nan"), "config.tolerances.mc_sigmas"),
         ("tolerances", "oracle_rel", float("inf"), "config.tolerances.oracle_rel"),
+        # there is one flux discretization, so the solver has no scheme field
+        ("solver", "scheme", "chang_cooper", "config.solver.scheme"),
     ])
     def test_bad_field_rejected(self, section, key, value, field):
         data = ou_config(mc=SMALL_MC)
@@ -524,6 +525,37 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table, reason", [
+        (None, "table.txt not found"),
+        ("a b c\n", "could not convert string 'a'"),
+    ], ids=["missing", "not_numeric"])
+    def test_unreadable_table_exit_2(self, tmp_path, capsys, table, reason):
+        """A table initial state that is missing or not numeric ends the run
+        at parse time with its field path, not with a traceback."""
+        if table is not None:
+            (tmp_path / "table.txt").write_text(table)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ou_config(initial={"kind": "table", "path": "table.txt"})))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.initial.path: ") and reason in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_solve_exit_1(self, tmp_path, capsys):
+        """A mass tolerance below rounding parses, then fails the solve: the
+        run ends with one line giving the solver's message, no traceback."""
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(ou_config(solver={"dt": 2e-3, "mass_tol": 1e-17})))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"solver error: solve failed advancing to t=\S+: "
+            r"density mass \S+ outside 1 \+/- 1e-17\n",
+            captured.err,
+        )
+        assert "[PASS]" not in captured.out
         assert not (tmp_path / "out").exists()
 
     def test_nan_initial_variance_exit_2(self, tmp_path, capsys):
