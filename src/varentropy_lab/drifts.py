@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +43,6 @@ class QuarticPotential:
         c0, c1, c2, c3, c4 = self.coeffs
         return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
 
-    def derivative(self, x, out=None):
-        """``c1 + x (2 c2 + x (3 c3 + x 4 c4))``, evaluated in place in ``out``
-        when it is given."""
-        _, c1, c2, c3, c4 = self.coeffs
-        out = np.multiply(x, 4.0, out=out)
-        out *= c4
-        out += 3.0 * c3
-        out *= x
-        out += 2.0 * c2
-        out *= x
-        out += c1
-        return out
-
     @property
     def confining(self) -> bool:
         _, _, c2, c3, c4 = self.coeffs
@@ -72,10 +60,38 @@ class GradientDrift:
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
+    @cached_property
+    def _horner(self) -> tuple[float, tuple[float, ...], float]:
+        """Horner coefficients ``(lead, middle, constant)`` of the drift
+        ``-c1 - 2 c2 x - 3 c3 x^2 - 4 c4 x^3``, highest power first, with
+        leading zeros dropped down to the coefficient of x.
+
+        Negation is exact and ``x * (-4 c4)`` rounds as ``(x * 4) * c4``, so
+        each step rounds as in the negated ``c1 + x (2 c2 + x (3 c3 + x 4 c4))``;
+        a zero result may differ from it only in its sign.
+        """
+        _, c1, c2, c3, c4 = self.potential_spec.coeffs
+        terms = [-(4.0 * c4), -(3.0 * c3), -(2.0 * c2)]
+        while len(terms) > 1 and terms[0] == 0.0:
+            terms.pop(0)
+        return terms[0], tuple(terms[1:]), -c1
+
     def drift(self, x, out=None):
-        """``-potential'(x)``, written into ``out`` when it is given."""
-        slope = self.potential_spec.derivative(np.asarray(x, dtype=float), out=out)
-        return np.negative(slope, out=out)
+        """``-potential'(x)``, written into ``out`` when it is given.
+
+        Horner's scheme on :attr:`_horner`; adding a zero coefficient is
+        skipped, so the double well takes four passes over ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        lead, middle, constant = self._horner
+        out = np.multiply(x, lead, out=out)
+        for coeff in middle:
+            if coeff != 0.0:
+                out += coeff
+            out *= x
+        if constant != 0.0:
+            out += constant
+        return out
 
     def potential(self, x):
         return self.potential_spec(np.asarray(x, dtype=float))

@@ -31,6 +31,15 @@ for every step of that size through ``gttrs`` (the LU / Thomas reuse for a
 constant tridiagonal operator), together with the prebuilt coefficients of
 the explicit stage. The number of cached sizes is bounded, so irregular
 output meshes cannot grow memory.
+
+One nominal step is one kernel call: the factored step is looked up once,
+and its positivity substeps all run in place in a state buffer that the
+generator holds, padded with one zero node at each end. The explicit stage
+of a substep is one ``(3, n)`` coefficient array times the three shifted
+windows of that buffer, summed over the three rows, and ``gttrs`` then
+overwrites the buffer's interior with the solution. Every product and sum
+rounds as in ``c_i v_i + l_i v_{i-1} + u_i v_{i+1}`` evaluated left to
+right, so the states do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .drifts import GradientDrift, backward_drift_on_grid
 from .grids import (
@@ -104,8 +114,9 @@ class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
     (grid, model) and reused across steps.
 
-    ``advance`` keeps a factored :class:`_ThetaStep` per ``(dt, theta)``, at
-    most ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full.
+    ``run`` keeps a factored :class:`_ThetaStep` per ``(dt, theta)``, at most
+    ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
+    the state in place in the generator's zero-padded buffer.
     """
 
     def __init__(self, grid: Grid, model: GradientDrift):
@@ -137,6 +148,12 @@ class _Generator:
         self.upper = upper
         self.max_rate = float(np.max(-diag))
         self._steps: dict[tuple[float, float], _ThetaStep] = {}
+        # the state between substeps, with a zero node at each end: row k of
+        # the window view is the state shifted by k - 1 nodes
+        padded = np.zeros(grid.n + 2)
+        self._state = padded[1:-1]
+        self._windows = sliding_window_view(padded, grid.n)
+        self._products = np.empty((3, grid.n))
 
     def positivity_dt(self, theta: float) -> float:
         """Largest dt for which the explicit stage keeps non-negative data
@@ -145,21 +162,43 @@ class _Generator:
             return math.inf
         return 1.0 / ((1.0 - theta) * self.max_rate)
 
-    def advance(self, values: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        """One theta-weighted step: solve (I - theta dt L) v+ = (I + (1-theta) dt L) v."""
+    def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
+        """``n_steps`` theta-weighted steps of size ``dt`` from ``values``,
+        each solving (I - theta dt L) v+ = (I + (1-theta) dt L) v in place.
+
+        Returns the generator's state buffer, which the next call overwrites.
+        """
         key = (dt, theta)
         theta_step = self._steps.get(key)
         if theta_step is None:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
             theta_step = self._steps[key] = _ThetaStep(self, dt, theta)
-        return theta_step.apply(values)
+        state, windows, products = self._state, self._windows, self._products
+        explicit, factors, dgttrs = theta_step.explicit, theta_step.factors, theta_step.dgttrs
+        np.copyto(state, values)
+        for _ in range(n_steps):
+            np.multiply(explicit, windows, out=products)
+            np.add.reduce(products, axis=0, out=state)
+            _, info = dgttrs(*factors, state, overwrite_b=True)
+            if info != 0:
+                raise RuntimeError(f"tridiagonal time-step solve failed (info={info})")
+        return state
+
+    def advance(self, values: np.ndarray, dt: float, theta: float) -> np.ndarray:
+        """One theta-weighted step of size ``dt``, as a new array."""
+        return self.run(values, dt, theta, 1).copy()
 
 
 class _ThetaStep:
     """One theta step of fixed size for one generator: the explicit-stage
     coefficients of ``I + (1-theta) dt L`` and the LAPACK ``gttrf`` factors
-    of ``I - theta dt L``."""
+    of ``I - theta dt L``.
+
+    ``explicit`` holds the sub-, main and superdiagonal of the explicit
+    stage as its three rows, each aligned with the node it updates, so the
+    zero ends of ``lower`` and ``upper`` multiply the padding nodes.
+    """
 
     def __init__(self, gen: _Generator, dt: float, theta: float):
         # imported on the first factored step, not with the package: importing
@@ -167,9 +206,9 @@ class _ThetaStep:
         from scipy.linalg.lapack import dgttrf, dgttrs
 
         explicit = (1.0 - theta) * dt
-        self.center = 1.0 + explicit * gen.diag
-        self.lower = explicit * gen.lower[1:]
-        self.upper = explicit * gen.upper[:-1]
+        self.explicit = np.stack(
+            (explicit * gen.lower, 1.0 + explicit * gen.diag, explicit * gen.upper)
+        )
         *factors, info = dgttrf(
             -theta * dt * gen.lower[1:],
             1.0 - theta * dt * gen.diag,
@@ -178,28 +217,17 @@ class _ThetaStep:
         if info != 0:
             raise RuntimeError(f"tridiagonal time-step factorization failed (info={info})")
         self.factors = factors
-        self._dgttrs = dgttrs
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        rhs = values * self.center
-        rhs[1:] += self.lower * values[:-1]
-        rhs[:-1] += self.upper * values[1:]
-        out, info = self._dgttrs(*self.factors, rhs, overwrite_b=True)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal time-step solve failed (info={info})")
-        return out
+        self.dgttrs = dgttrs
 
 
 def _advance_interval(
     values: np.ndarray, gen: _Generator, dt: float, cfg: SolverConfig
 ) -> np.ndarray:
-    """Advance by dt in equal substeps, each within the positivity bound."""
+    """Advance by dt in equal substeps, each within the positivity bound, in
+    one call of the generator's kernel; returns its state buffer."""
     dt_pos = gen.positivity_dt(cfg.theta)
     n_sub = max(1, math.ceil(dt / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
-    out = values
-    for _ in range(n_sub):
-        out = gen.advance(out, dt / n_sub, cfg.theta)
-    return out
+    return gen.run(values, dt / n_sub, cfg.theta, n_sub)
 
 
 def solve(

@@ -35,6 +35,7 @@ from .grids import (
     DEFAULT_TAIL_CUT,
     Density,
     DensityTrajectory,
+    gradient_rows,
     integrate_rows,
 )
 
@@ -105,7 +106,7 @@ def _block_terms(
     weight = np.where(values >= rel_cut * values.max(axis=1, keepdims=True), values, 0.0)
     firsts = integrate_rows(logratio * weight, grid).tolist()
     seconds = integrate_rows(logratio**2 * weight, grid).tolist()
-    slope_sq = np.gradient(logratio, grid.dx, axis=1, edge_order=2) ** 2
+    slope_sq = gradient_rows(logratio, grid) ** 2
     fishers = integrate_rows(slope_sq * weight, grid).tolist()
     entropies = [max(first, 0.0) for first in firsts]
     shifted = -logratio - 1.0 + np.array(entropies)[:, None]

@@ -6,8 +6,9 @@ All values are plain float64 numpy arrays; every public function is pure and
 every container is immutable after construction, so everything here is safe
 to share across threads. A trajectory is one read-only ``(times x nodes)``
 array, and each of its states is a view of one row. Quadrature
-(:func:`integrate_rows`) and the density checks (:func:`first_invalid_row`)
-work on such arrays row by row in one pass; one density is the one-row case.
+(:func:`integrate_rows`), differencing (:func:`gradient_rows`) and the
+density checks (:func:`first_invalid_row`) work on such arrays row by row in
+one pass; one density is the one-row case.
 """
 
 from __future__ import annotations
@@ -85,13 +86,33 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(integrate_rows(values[None, :], grid)[0])
 
 
+def gradient_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """First derivative of every row of a ``(rows, grid.n)`` array: central
+    differences inside, second-order one-sided stencils at the two boundary
+    nodes.
+
+    This is numpy's own uniform-spacing stencil of ``np.gradient(...,
+    edge_order=2)``, coefficient for coefficient and in the same order, so
+    the result is bit-identical to it without its per-call setup.
+    """
+    dx = grid.dx
+    out = np.empty_like(values)
+    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
+    out[:, 0] = (
+        (-1.5 / dx) * values[:, 0] + (2.0 / dx) * values[:, 1] + (-0.5 / dx) * values[:, 2]
+    )
+    out[:, -1] = (
+        (0.5 / dx) * values[:, -3] + (-2.0 / dx) * values[:, -2] + (1.5 / dx) * values[:, -1]
+    )
+    return out
+
+
 def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """First derivative: central differences inside, second-order one-sided
-    stencils at the two boundary nodes."""
+    """First derivative of nodal values: :func:`gradient_rows` of one row."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
         raise ValueError(f"length mismatch: expected {grid.n} values, got {values.shape}")
-    return np.gradient(values, grid.dx, edge_order=2)
+    return gradient_rows(values[None, :], grid)[0]
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:

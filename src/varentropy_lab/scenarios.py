@@ -25,6 +25,7 @@ import math
 import numbers
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -102,6 +103,13 @@ def _number(value, path: str) -> float:
     raise ConfigError(f"{path}: must be a number, got {value!r}")
 
 
+def _optional_string(value, path: str) -> Optional[str]:
+    """A config field that is a string or absent (``null`` counts as absent)."""
+    if value is None or isinstance(value, str):
+        return value
+    raise ConfigError(f"{path}: must be a string, got {value!r}")
+
+
 def _integer(value, path: str) -> int:
     """An integer config field; an integral float such as ``1e5`` counts."""
     if isinstance(value, float) and value.is_integer():
@@ -162,6 +170,8 @@ class McConfig:
         bin_span = _number(data.get("bin_span", 4.0), f"{path}.bin_span")
         if n_paths < 1:
             raise ConfigError(f"{path}.n_paths: must be >= 1")
+        if seed < 0:
+            raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
         if not 0 < dt < math.inf:
             raise ConfigError(f"{path}.dt: must be positive and finite")
         if not 0 < t_end <= horizon + 1e-12:
@@ -255,7 +265,7 @@ class ScenarioConfig:
             n_samples=n_samples,
             mc=mc,
             tolerances=tolerances,
-            outputs=data.get("outputs"),
+            outputs=_optional_string(data.get("outputs"), "config.outputs"),
             base_dir=Path(base_dir),
         )
         cfg.validate()
@@ -282,8 +292,12 @@ class ScenarioConfig:
         if kind == "table":
             path = self.base_dir / self.initial["path"]
             try:
-                values = np.loadtxt(path, dtype=float)
-            except (OSError, ValueError) as err:
+                # an empty file is refused like an unreadable one: loadtxt
+                # reports it with a UserWarning, raised here as an error
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    values = np.loadtxt(path, dtype=float)
+            except (OSError, ValueError, UserWarning) as err:
                 raise ConfigError(f"config.initial.path: {err}") from err
             if values.ndim != 1 or len(values) != self.grid.n:
                 raise ConfigError(
@@ -803,7 +817,7 @@ class SweepConfig:
             base=base,
             parameter=str(data.get("parameter", "override")),
             values=values,
-            outputs=data.get("outputs"),
+            outputs=_optional_string(data.get("outputs"), "sweep.outputs"),
             base_dir=path.parent,
         )
 

@@ -53,6 +53,39 @@ class TestDriftEvaluation:
         assert np.array_equal(model.drift(x), expected)
         assert model.drift(0.5) == -(c1 + 0.5 * (2.0 * c2 + 0.5 * (3.0 * c3 + 0.5 * 4.0 * c4)))
 
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 0.0, -0.5, 0.0, 0.25),  # the double well
+        (0.0, 0.0, 0.25, 0.0, 0.0),   # the linear drift of rate -1/2
+        (0.3, -0.7, 1.1, 0.9, 0.4),   # every coefficient nonzero
+    ], ids=["double_well", "linear", "full_quartic"])
+    def test_folded_drift_equals_unfolded_evaluation(self, coeffs):
+        """Horner on the negated, pre-scaled coefficients, zero adds skipped,
+        equals the unfolded evaluation: multiply by 4, by ``c4``, add
+        ``3 c3``, multiply by x, add ``2 c2``, multiply by x, add ``c1``,
+        negate."""
+        def unfolded(x):
+            _, c1, c2, c3, c4 = coeffs
+            out = np.multiply(x, 4.0)
+            out *= c4
+            out += 3.0 * c3
+            out *= x
+            out += 2.0 * c2
+            out *= x
+            out += c1
+            return np.negative(out)
+
+        model = GradientDrift(QuarticPotential(coeffs))
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            rng.normal(scale=2.0, size=50_001),
+            rng.uniform(-1e3, 1e3, size=1_000),
+            [0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324],
+        ])
+        assert np.array_equal(model.drift(x), unfolded(x))
+        buf = np.empty_like(x)
+        assert model.drift(x, out=buf) is buf
+        assert np.array_equal(buf, unfolded(x))
+
     def test_drift_derivative(self):
         """The drift's slope is -potential'': 1 - 3 x^2 on the double well."""
         model = double_well_drift()

@@ -1,6 +1,7 @@
 """Forward solver: conservation, positivity, fixed point, convergence, and
 the reverse-time harmonicity residual."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,12 @@ from varentropy_lab import (
     weighted_residual_norm,
 )
 from varentropy_lab import fokker_planck
-from varentropy_lab.fokker_planck import _STEP_CACHE_SIZE, _Generator, _bernoulli
+from varentropy_lab.fokker_planck import (
+    _STEP_CACHE_SIZE,
+    _advance_interval,
+    _Generator,
+    _bernoulli,
+)
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
 
@@ -270,6 +276,49 @@ class TestFactoredStep:
         gen.diag = np.ones(dw_grid.n)  # I - 1 * 1 * L is the zero matrix
         with pytest.raises(RuntimeError, match="factorization failed"):
             gen.advance(np.ones(dw_grid.n), 1.0, 1.0)
+
+
+class TestSubstepKernel:
+    """One nominal step runs all its positivity substeps in place in the
+    generator's padded buffer; the states equal a chain of independently
+    assembled steps."""
+
+    def _start(self, dw_grid):
+        return mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
+
+    def test_interval_equals_chain_of_reference_steps(self, dw_model, dw_grid):
+        """theta = 1/2: each 1 ms interval takes several substeps, and 40
+        intervals chained through the kernel's own buffer keep every bit."""
+        cfg = SolverConfig(dt=1e-3, theta=0.5)
+        gen = _Generator(dw_grid, dw_model)
+        n_sub = math.ceil(cfg.dt / gen.positivity_dt(cfg.theta) - 1e-12)
+        assert n_sub >= 2
+        values = reference = self._start(dw_grid)
+        for k in range(40):
+            values = _advance_interval(values, gen, cfg.dt, cfg)
+            for _ in range(n_sub):
+                reference = _reference_advance(gen, reference, cfg.dt / n_sub, cfg.theta)
+            assert np.array_equal(values, reference), k
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_run_equals_chain_of_reference_steps(self, dw_model, dw_grid, theta):
+        """Several substeps per kernel call at theta = 1/2 and theta = 1, which
+        needs no positivity substeps of its own."""
+        gen = _Generator(dw_grid, dw_model)
+        values = reference = self._start(dw_grid)
+        for k, (dt, n_steps) in enumerate([(1e-4, 5), (1e-3 / 9, 9), (1e-4, 3)] * 4):
+            values = gen.run(values, dt, theta, n_steps)
+            for _ in range(n_steps):
+                reference = _reference_advance(gen, reference, dt, theta)
+            assert np.array_equal(values, reference), k
+
+    def test_fully_implicit_interval_is_one_substep(self, dw_model, dw_grid):
+        cfg = SolverConfig(dt=1e-3, theta=1.0)
+        gen = _Generator(dw_grid, dw_model)
+        values = self._start(dw_grid)
+        out = _advance_interval(values, gen, cfg.dt, cfg)
+        assert np.array_equal(out, _reference_advance(gen, values, cfg.dt, 1.0))
+        assert list(gen._steps) == [(cfg.dt, 1.0)]
 
 
 class TestReverseHarmonicResidual:

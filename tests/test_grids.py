@@ -21,7 +21,7 @@ from varentropy_lab import (
     solve,
     support_mask,
 )
-from varentropy_lab.grids import integrate_rows
+from varentropy_lab.grids import gradient_rows, integrate_rows
 
 #: exact mass of the standard normal over (-8, 8): erf(8 / sqrt(2))
 NORMAL_MASS_WIDE = 0.9999999999999988
@@ -112,6 +112,21 @@ class TestGradient:
         g = make_uniform_grid(0, 1, 11)
         with pytest.raises(ValueError, match="length mismatch"):
             gradient(np.ones(12), g)
+
+    @pytest.mark.parametrize("n", [3, 4, 201, 501])
+    @pytest.mark.parametrize("lo, hi", [(-3.5, 3.5), (-8.0, 8.0), (0.0, 1.0), (-2e-3, 7e-4)])
+    def test_stencil_bit_identical_to_numpy(self, n, lo, hi):
+        """The written-out stencil is numpy's ``edge_order=2`` uniform one:
+        every row and the one-row case equal ``np.gradient`` bit for bit,
+        on values spanning many orders of magnitude."""
+        g = make_uniform_grid(lo, hi, n)
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(17, n)) * np.exp(rng.normal(scale=5.0, size=(17, n)))
+        assert np.array_equal(
+            gradient_rows(rows, g), np.gradient(rows, g.dx, axis=1, edge_order=2)
+        )
+        for row in rows[:3]:
+            assert np.array_equal(gradient(row, g), np.gradient(row, g.dx, edge_order=2))
 
 
 class TestLaplacian:

@@ -160,12 +160,25 @@ class TestConfigParsing:
         ("tolerances", "oracle_rel", float("inf"), "config.tolerances.oracle_rel"),
         # there is one flux discretization, so the solver has no scheme field
         ("solver", "scheme", "chang_cooper", "config.solver.scheme"),
+        # numpy seeds only non-negative integers
+        ("mc", "seed", -1, "config.mc.seed"),
     ])
     def test_bad_field_rejected(self, section, key, value, field):
         data = ou_config(mc=SMALL_MC)
         data[section] = {**data[section], key: value}
         with pytest.raises(ConfigError, match=f"^{field}: "):
             ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("outputs", [5, ["out"], {"dir": "out"}, True])
+    def test_non_string_outputs_rejected(self, outputs):
+        """``outputs`` names a directory: anything but a string is refused at
+        parse time, not when the reports are written after the run."""
+        with pytest.raises(ConfigError, match=r"^config.outputs: must be a string"):
+            ScenarioConfig.from_dict(ou_config(outputs=outputs))
+
+    def test_string_or_absent_outputs_accepted(self):
+        assert ScenarioConfig.from_dict(ou_config(outputs="out")).outputs == "out"
+        assert ScenarioConfig.from_dict(ou_config()).outputs is None
 
     @pytest.mark.parametrize("typo, section", [("mcc", "mc"), ("grdi", "grid")])
     def test_misspelled_block_rejected(self, typo, section):
@@ -392,6 +405,8 @@ class TestSweep:
         ({"values": [0.5]}, "config.override: unknown field"),
         ({"parameter": "initial.variance", "values": 0.5}, "sweep.values: must be a non-empty list"),
         ({"parameter": "initial.variance", "values": [0.25], "bass": {}}, "sweep.bass: unknown field"),
+        ({"parameter": "initial.variance", "values": [0.25], "outputs": 7},
+         "sweep.outputs: must be a string, got 7"),
     ])
     def test_bad_sweep_rejected(self, tmp_path, fields, message):
         """Each fault stops the sweep with a config error before any member
@@ -515,6 +530,8 @@ class TestCli:
         (lambda d: d.update(mcc=d.pop("mc")), "config.mcc: unknown field"),
         (lambda d: d["solver"].update(dt=float("inf")),
          "config.solver: dt must be positive and finite"),
+        (lambda d: d.update(mc={**d["mc"], "seed": -1}), "config.mc.seed: must be >= 0, got -1"),
+        (lambda d: d.update(outputs=5), "config.outputs: must be a string, got 5"),
     ])
     def test_bad_field_exit_2(self, tmp_path, capsys, edit, field):
         """A bad field ends the run at parse time with its path on stderr,
@@ -530,7 +547,9 @@ class TestCli:
     @pytest.mark.parametrize("table, reason", [
         (None, "table.txt not found"),
         ("a b c\n", "could not convert string 'a'"),
-    ], ids=["missing", "not_numeric"])
+        # loadtxt reports an empty file with a warning; warnings are errors here
+        pytest.param("", "input contained no data", marks=pytest.mark.filterwarnings("error")),
+    ], ids=["missing", "not_numeric", "empty"])
     def test_unreadable_table_exit_2(self, tmp_path, capsys, table, reason):
         """A table initial state that is missing or not numeric ends the run
         at parse time with its field path, not with a traceback."""
@@ -542,6 +561,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: config.initial.path: ") and reason in err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_non_string_outputs_exit_2(self, tmp_path, capsys):
+        """Refused when the sweep file is read, before any member runs."""
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": ou_config(name="sweep_outputs"),
+                                    "parameter": "initial.variance", "values": [0.25],
+                                    "outputs": 7}))
+        assert main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: sweep.outputs: must be a string, got 7\n"
+        assert captured.out == ""
 
     def test_failed_solve_exit_1(self, tmp_path, capsys):
         """A mass tolerance below rounding parses, then fails the solve: the
