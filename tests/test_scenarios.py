@@ -176,10 +176,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^config.outputs: must be a string"):
             ScenarioConfig.from_dict(ou_config(outputs=outputs))
 
-    def test_string_or_absent_outputs_accepted(self):
-        assert ScenarioConfig.from_dict(ou_config(outputs="out")).outputs == "out"
-        assert ScenarioConfig.from_dict(ou_config()).outputs is None
-
     @pytest.mark.parametrize("typo, section", [("mcc", "mc"), ("grdi", "grid")])
     def test_misspelled_block_rejected(self, typo, section):
         """A misspelled block is an unknown field, not a block left out: a
@@ -551,8 +547,8 @@ class TestCli:
         pytest.param("", "input contained no data", marks=pytest.mark.filterwarnings("error")),
     ], ids=["missing", "not_numeric", "empty"])
     def test_unreadable_table_exit_2(self, tmp_path, capsys, table, reason):
-        """A table initial state that is missing or not numeric ends the run
-        at parse time with its field path, not with a traceback."""
+        """A table initial state that is missing, empty or not numeric ends
+        the run at parse time with its field path, not with a traceback."""
         if table is not None:
             (tmp_path / "table.txt").write_text(table)
         path = tmp_path / "bad.json"
