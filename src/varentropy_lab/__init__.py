@@ -60,10 +60,8 @@ from .monte_carlo import (
     martingale_diagnostic,
     mc_functionals,
 )
+from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
 from .scenarios import (
-    ScenarioConfig,
-    SweepConfig,
-    Tolerances,
     ScenarioResult,
     run_scenario,
     monotonicity_sweep,

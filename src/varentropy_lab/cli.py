@@ -3,22 +3,23 @@ print the exact-benchmark table.
 
 Exit status of ``run`` is zero only when every configured tolerance check
 passes, so acceptance suites can shell out to scenario runs directly. A
-config error exits 2 and a failed solve exits 1, each with one line on
-stderr and no traceback.
+config error (an unreadable file included) exits 2 and a failed solve exits
+1, each with one line on stderr and no traceback; argparse refuses a bad
+argument with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, ScenarioConfig, SweepConfig
 from .ou_exact import OUBenchmark
 from .scenarios import (
-    ConfigError,
-    ScenarioConfig,
-    SweepConfig,
     convergence_study,
     monotonicity_sweep,
     run_scenario,
@@ -40,6 +41,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = SweepConfig.from_json(args.config)
+    where, path = "--out", args.out
+    if path is None and sweep.outputs is not None:
+        where, path = "sweep.outputs", sweep.base_dir / sweep.outputs
+    if path is not None and Path(path).is_dir():
+        # refused before any member runs, not when the table is written
+        raise ConfigError(f"{where}: '{path}' is a directory, not a file")
     rows = monotonicity_sweep(sweep)
     print(f"{'label':<42} {'min_rate':>12} {'max_rate':>12} {'sign':>5} {'t_max':>8}")
     for r in rows:
@@ -50,9 +57,7 @@ def _cmd_sweep(args) -> int:
         if r.failed_checks:
             print(f"warning: sweep member {r.label}: failed checks: "
                   f"{', '.join(r.failed_checks)}", file=sys.stderr)
-    out = args.out or sweep.outputs
-    if out is not None:
-        path = sweep.base_dir / out if args.out is None else out
+    if path is not None:
         write_sweep_csv(rows, path)
         print(f"sweep table written to {path}")
     return 0
@@ -83,6 +88,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argument type: a positive, finite number of ``kind``."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varentropy-lab",
@@ -108,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_converge)
 
     p_oracle = sub.add_parser("oracle", help="print the exact benchmark table")
-    p_oracle.add_argument("--sigma0-sq", type=float, required=True,
+    p_oracle.add_argument("--sigma0-sq", type=_positive(float), required=True,
                           dest="sigma0_sq", help="initial variance")
-    p_oracle.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p_oracle.add_argument("--samples", type=int, default=13)
+    p_oracle.add_argument("--t-end", type=_positive(float), required=True, dest="t_end")
+    p_oracle.add_argument("--samples", type=_positive(int), default=13)
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

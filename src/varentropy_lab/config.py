@@ -1,0 +1,432 @@
+"""Scenario and sweep configs: reading, parsing and validation.
+
+A scenario is one JSON document naming a drift model, an initial density,
+grids and tolerances; a sweep names a base scenario and the values its
+members override. Every field is checked when the document is parsed, and a
+bad one raises ``ConfigError`` naming its path (``config.mc.seed: must be
+>= 0, got -1``), so a run refuses a bad config before anything is solved.
+Parsing also refuses a grid that truncates the initial or the stationary
+density.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+import numbers
+import warnings
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from .drifts import GradientDrift, QuarticPotential, invariant_density, linear_drift
+from .fokker_planck import SolverConfig
+from .grids import (
+    Density,
+    Grid,
+    gaussian_mass_outside,
+    integrate,
+    make_uniform_grid,
+    mixture_density,
+    normalized_density,
+)
+from .monte_carlo import ensemble_times
+from .ou_exact import OUBenchmark
+
+#: Mass allowed outside the grid for initial and stationary densities.
+GRID_MASS_TOL = 1e-10
+
+
+class ConfigError(ValueError):
+    """Configuration problem, annotated with the offending field path."""
+
+
+def _load_json(path: Path, where: str):
+    """The JSON document in ``path``; a file that cannot be read or parsed
+    is a config error at ``where``, the field that names the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"{where}: cannot read {path}: {err.strerror}") from err
+    except ValueError as err:
+        raise ConfigError(f"{where}: {path} is not JSON: {err}") from err
+
+
+def _require(mapping: dict, key: str, path: str):
+    if key not in mapping:
+        raise ConfigError(f"{path}.{key}: missing required field")
+    return mapping[key]
+
+
+def _fields(data, known: Iterable[str], path: str) -> dict:
+    """A config object: a JSON object holding no key outside ``known``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be an object, got {data!r}")
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    return data
+
+
+def _number(value, path: str) -> float:
+    """A real-valued config field: a number, not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{path}: must be a number, got {value!r}")
+
+
+def _numbers(data: dict, keys: Sequence[str], path: str) -> dict:
+    return {k: _number(_require(data, k, path), f"{path}.{k}") for k in keys}
+
+
+def _kind(data, keys_by_kind: dict, path: str) -> str:
+    """The ``kind`` of a block that holds no field outside that kind's keys."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be an object, got {data!r}")
+    kind = data.get("kind")
+    if kind not in keys_by_kind:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    _fields(data, keys_by_kind[kind], path)
+    return kind
+
+
+def _optional_string(value, path: str) -> Optional[str]:
+    """A config field that is a string or absent (``null`` counts as absent)."""
+    if value is None or isinstance(value, str):
+        return value
+    raise ConfigError(f"{path}: must be a string, got {value!r}")
+
+
+def _integer(value, path: str) -> int:
+    """An integer config field; an integral float such as ``1e5`` counts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}: must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Tolerance knobs checked by the runner; defaults match the test suite.
+    The mass check reads ``solver.mass_tol``, which ``solve`` enforces."""
+
+    fixed_point_sup: float = 1e-8
+    oracle_rel: float = 1e-3
+    varentropy_rate_rel: float = 0.01
+    entropy_rate_rel: float = 0.01
+    rate_floor: float = 1e-6
+    mc_sigmas: float = 3.0
+
+    @classmethod
+    def from_dict(cls, data: dict, path: str) -> "Tolerances":
+        _fields(data, cls.__dataclass_fields__, path)
+        values = {k: _number(v, f"{path}.{k}") for k, v in data.items()}
+        for key, value in values.items():
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{path}.{key}: must be positive and finite, got {value!r}")
+        return cls(**values)
+
+
+@dataclass(frozen=True)
+class McConfig:
+    """Monte Carlo block: one ensemble stored at a coarse stride feeds the
+    functional estimates, a second short densely stored ensemble feeds the
+    backward-drift and martingale diagnostics (whose statistics need
+    consecutive fine steps)."""
+
+    n_paths: int
+    dt: float
+    seed: int
+    t_end: float
+    store_every: int = 1
+    diag_steps: int = 50
+    bins: int = 31
+    bin_span: float = 4.0  # bins cover [-span, span] around the state-space origin
+
+    @classmethod
+    def from_dict(cls, data: dict, path: str, horizon: float) -> "McConfig":
+        _fields(data, cls.__dataclass_fields__, path)
+        n_paths = _integer(_require(data, "n_paths", path), f"{path}.n_paths")
+        dt = _number(_require(data, "dt", path), f"{path}.dt")
+        seed = _integer(_require(data, "seed", path), f"{path}.seed")
+        t_end = _number(data.get("t_end", min(1.0, horizon)), f"{path}.t_end")
+        store_every = _integer(data.get("store_every", cls.store_every), f"{path}.store_every")
+        diag_steps = _integer(data.get("diag_steps", cls.diag_steps), f"{path}.diag_steps")
+        bins = _integer(data.get("bins", cls.bins), f"{path}.bins")
+        bin_span = _number(data.get("bin_span", cls.bin_span), f"{path}.bin_span")
+        if n_paths < 1:
+            raise ConfigError(f"{path}.n_paths: must be >= 1")
+        if seed < 0:
+            raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
+        if not 0 < dt < math.inf:
+            raise ConfigError(f"{path}.dt: must be positive and finite")
+        if not 0 < t_end <= horizon + 1e-12:
+            raise ConfigError(f"{path}.t_end: must lie in (0, t_end of the run]")
+        try:
+            ensemble_times(dt, t_end)
+        except ValueError as err:
+            raise ConfigError(f"{path}.t_end: {err}") from err
+        try:
+            ensemble_times(dt, t_end, store_every)
+        except ValueError as err:
+            raise ConfigError(f"{path}.store_every: {err}") from err
+        if diag_steps < 2:
+            raise ConfigError(f"{path}.diag_steps: need at least 2 steps")
+        if bins < 3:
+            raise ConfigError(f"{path}.bins: need at least 3 bin edges")
+        if not 0 < bin_span < math.inf:
+            raise ConfigError(f"{path}.bin_span: must be positive and finite")
+        return cls(n_paths, dt, seed, t_end, store_every, diag_steps, bins, bin_span)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Validated scenario description; see ``configs/`` for examples."""
+
+    name: str
+    model: GradientDrift
+    initial: dict
+    grid: Grid
+    solver: SolverConfig
+    t_end: float
+    n_samples: int
+    mc: Optional[McConfig]
+    tolerances: Tolerances
+    outputs: Optional[str]
+    base_dir: Path = field(default_factory=Path)
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "ScenarioConfig":
+        path = Path(path)
+        return cls.from_dict(_load_json(path, "config"), base_dir=path.parent)
+
+    @classmethod
+    def from_dict(cls, data: dict, base_dir: str | Path = ".") -> "ScenarioConfig":
+        _fields(data, _CONFIG_KEYS, "config")
+        name = str(_require(data, "name", "config"))
+        model = _parse_drift(_require(data, "drift", "config"))
+        grid_spec = _fields(_require(data, "grid", "config"), ("lo", "hi", "n"), "config.grid")
+        bounds = _numbers(grid_spec, ("lo", "hi"), "config.grid")
+        n = _integer(_require(grid_spec, "n", "config.grid"), "config.grid.n")
+        try:
+            grid = make_uniform_grid(bounds["lo"], bounds["hi"], n)
+        except ValueError as err:
+            raise ConfigError(f"config.grid: {err}") from err
+        solver_spec = _fields(
+            _require(data, "solver", "config"), SolverConfig.__dataclass_fields__, "config.solver"
+        )
+        _require(solver_spec, "dt", "config.solver")
+        solver_values = {k: _number(v, f"config.solver.{k}") for k, v in solver_spec.items()}
+        try:
+            solver = SolverConfig(**solver_values)
+        except ValueError as err:
+            raise ConfigError(f"config.solver: {err}") from err
+        time_spec = _fields(_require(data, "time", "config"), ("t_end", "n_samples"), "config.time")
+        t_end = _number(_require(time_spec, "t_end", "config.time"), "config.time.t_end")
+        n_samples = _integer(
+            _require(time_spec, "n_samples", "config.time"), "config.time.n_samples"
+        )
+        if not 0 < t_end < math.inf:
+            raise ConfigError("config.time.t_end: must be positive and finite")
+        if n_samples < 3:
+            raise ConfigError("config.time.n_samples: need at least 3 samples")
+        base_dir = Path(base_dir)
+        initial, _ = _initial(_require(data, "initial", "config"), grid, base_dir)
+        mc = None
+        if data.get("mc") is not None:
+            mc = McConfig.from_dict(data["mc"], "config.mc", horizon=t_end)
+        tolerances = Tolerances.from_dict(data.get("tolerances", {}), "config.tolerances")
+        outputs = _optional_string(data.get("outputs"), "config.outputs")
+        _check_stationary_mass(model, grid)
+        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, tolerances,
+                   outputs, base_dir)
+
+    def time_samples(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_end, self.n_samples)
+
+    def initial_density(self) -> Density:
+        return _initial(self.initial, self.grid, self.base_dir)[1]
+
+    def stationary_density(self) -> Density:
+        return invariant_density(self.model, self.grid)
+
+    def is_ou_benchmark(self) -> bool:
+        """True when the exact benchmark closed forms apply to this scenario."""
+        return (
+            self.model == linear_drift(OUBenchmark.DRIFT_RATE, OUBenchmark.SIGMA)
+            and self.initial.get("kind") == "gaussian"
+            and float(self.initial.get("mean", 0.0)) == 0.0
+        )
+
+
+#: Keys of a scenario config document.
+_CONFIG_KEYS = (
+    "name", "drift", "initial", "grid", "solver", "time", "mc", "tolerances", "outputs",
+)
+
+#: Keys of the ``drift`` block, by kind.
+_DRIFT_KEYS = {"linear": ("kind", "rate", "sigma"), "gradient": ("kind", "coeffs", "sigma")}
+
+#: Keys of the ``initial`` block, by kind.
+_INITIAL_KEYS = {
+    "gaussian": ("kind", "mean", "variance"),
+    "mixture": ("kind", "components"),
+    "table": ("kind", "path"),
+}
+
+
+def _parse_drift(data) -> GradientDrift:
+    path = "config.drift"
+    kind = _kind(data, _DRIFT_KEYS, path)
+    sigma = _number(data.get("sigma", 1.0), f"{path}.sigma")
+    if kind == "linear":
+        rate = _number(_require(data, "rate", path), f"{path}.rate")
+        if not rate < 0.0:
+            raise ConfigError(f"{path}.rate: linear drift must have rate < 0")
+    else:
+        coeffs = _require(data, "coeffs", path)
+        if not isinstance(coeffs, list) or len(coeffs) != 5:
+            raise ConfigError(f"{path}.coeffs: expected 5 coefficients c0..c4")
+        coeffs = tuple(_number(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs))
+    try:
+        if kind == "linear":
+            return linear_drift(rate, sigma)
+        return GradientDrift(QuarticPotential(coeffs), sigma=sigma)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
+def _initial(data, grid: Grid, base_dir: Path) -> tuple[dict, Density]:
+    """The ``initial`` block with every number checked and converted, and the
+    density it gives on ``grid``, refused if more than ``GRID_MASS_TOL`` of
+    its mass lies outside the grid. Parsing and ``initial_density`` both
+    come here. A Gaussian is the one-component mixture of weight 1, which
+    gives the same bits."""
+    path = "config.initial"
+    kind = _kind(data, _INITIAL_KEYS, path)
+    if kind == "table":
+        initial = {"kind": kind, "path": str(_require(data, "path", path))}
+        try:
+            # an empty file is refused like an unreadable one: loadtxt
+            # reports it with a UserWarning, raised here as an error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(base_dir / initial["path"], dtype=float)
+            if values.ndim != 1 or len(values) != grid.n:
+                raise ValueError(f"table must hold {grid.n} values")
+            p0 = normalized_density(grid, values)
+        except (OSError, ValueError, UserWarning) as err:
+            raise ConfigError(f"{path}.path: {err}") from err
+        outside = float(max(p0.values[0], p0.values[-1]) / p0.values.max())
+    else:
+        if kind == "gaussian":
+            initial = {"kind": kind, **_numbers(data, ("mean", "variance"), path)}
+            comps, where = [{"weight": 1.0, **initial}], path
+        else:
+            comps = _require(data, "components", path)
+            if not isinstance(comps, list):
+                raise ConfigError(f"{path}.components: must be a list")
+            keys = ("weight", "mean", "variance")
+            comps = [
+                _numbers(_fields(c, keys, f"{path}.components[{i}]"), keys,
+                         f"{path}.components[{i}]")
+                for i, c in enumerate(comps)
+            ]
+            initial, where = {"kind": kind, "components": comps}, f"{path}.components"
+        try:
+            p0 = mixture_density(grid, [(c["weight"], c["mean"], c["variance"]) for c in comps])
+        except ValueError as err:
+            raise ConfigError(f"{where}: {err}") from err
+        outside = sum(
+            c["weight"] * gaussian_mass_outside(grid.lo, grid.hi, c["mean"], c["variance"])
+            for c in comps
+        )
+    if outside > GRID_MASS_TOL:
+        raise ConfigError(
+            f"config.grid: initial density mass outside the grid is "
+            f"{outside:.3e} > {GRID_MASS_TOL:g}; widen [lo, hi]"
+        )
+    return initial, p0
+
+
+def _check_stationary_mass(model: GradientDrift, grid: Grid):
+    """Refuse a drift that does not confine, or a grid that cuts more than
+    ``GRID_MASS_TOL`` of the stationary density's mass."""
+    if not model.confining:
+        raise ConfigError("config.drift: potential must be confining")
+    lo, hi = grid.lo, grid.hi
+    wide = make_uniform_grid(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 2 * grid.n)
+    values = invariant_density(model, wide).values
+    outside = 1.0 - integrate(np.where((wide.x >= lo) & (wide.x <= hi), values, 0.0), wide)
+    if outside > GRID_MASS_TOL:
+        raise ConfigError(
+            f"config.grid: stationary density mass outside the grid is "
+            f"{outside:.3e} > {GRID_MASS_TOL:g}; widen [lo, hi]"
+        )
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A base scenario document and the values its members override."""
+
+    base: dict
+    parameter: str
+    values: list
+    outputs: Optional[str] = None
+    base_dir: Path = field(default_factory=Path)
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "SweepConfig":
+        path = Path(path)
+        data = _fields(_load_json(path, "sweep"), ("base", "parameter", "values", "outputs"),
+                       "sweep")
+        base = _require(data, "base", "sweep")
+        if isinstance(base, str):
+            base = _load_json(path.parent / base, "sweep.base")
+        _fields(base, _CONFIG_KEYS, "sweep.base")
+        values = _require(data, "values", "sweep")
+        if not isinstance(values, list) or not values:
+            raise ConfigError("sweep.values: must be a non-empty list")
+        outputs = _optional_string(data.get("outputs"), "sweep.outputs")
+        if outputs == "":
+            raise ConfigError("sweep.outputs: must name a file, got ''")
+        return cls(base, str(data.get("parameter", "override")), values, outputs, path.parent)
+
+    def member(self, value) -> tuple[str, ScenarioConfig]:
+        """The label and the parsed scenario of the member for ``value``: a
+        dict is merged into the base, any other value is set at
+        ``parameter``. Members are grid-only and write no reports."""
+        if isinstance(value, dict):
+            data, label = _deep_merge(self.base, value), json.dumps(value, sort_keys=True)
+        else:
+            data, label = copy.deepcopy(self.base), f"{self.parameter}={value}"
+            _set_dotted(data, self.parameter, value)
+        data["name"] = f"{data.get('name', 'sweep')}[{label}]"
+        data.pop("mc", None)
+        data.pop("outputs", None)
+        return label, ScenarioConfig.from_dict(data, base_dir=self.base_dir)
+
+
+def _set_dotted(data: dict, dotted: str, value):
+    keys = dotted.split(".")
+    node = data
+    for key in keys[:-1]:
+        node = node.get(key)
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep.parameter: {dotted!r} names no field of the base config")
+    node[keys[-1]] = value
+
+
+def _deep_merge(base: dict, override: dict) -> dict:
+    out = copy.deepcopy(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = _deep_merge(out[key], value)
+        else:
+            out[key] = copy.deepcopy(value)
+    return out

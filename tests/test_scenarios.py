@@ -13,8 +13,9 @@ import pytest
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
 from varentropy_lab import scenarios
 from varentropy_lab.cli import main
-from varentropy_lab.grids import SAME_TIME_TOL
-from varentropy_lab.scenarios import OUTPUT_ROOT_ENV, ConfigError, _deep_merge
+from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
+from varentropy_lab.config import ConfigError, _deep_merge
+from varentropy_lab.scenarios import OUTPUT_ROOT_ENV
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -228,6 +229,46 @@ class TestConfigParsing:
         path.write_text(json.dumps(ou_config()))
         cfg = ScenarioConfig.from_json(path)
         assert cfg.name == "ou_small"
+
+    @pytest.mark.parametrize("mean, variance", [(0.0, 0.25), (0.3, 1.2), (-1.1, 0.09)])
+    def test_gaussian_start_is_bit_identical_to_gaussian_density(self, mean, variance):
+        """A Gaussian start is built as the one-component mixture of weight
+        1; its values equal ``gaussian_density``'s bit for bit."""
+        cfg = ScenarioConfig.from_dict(
+            ou_config(initial={"kind": "gaussian", "mean": mean, "variance": variance})
+        )
+        reference = gaussian_density(cfg.grid, mean, variance)
+        assert np.array_equal(cfg.initial_density().values, reference.values)
+
+    def test_table_read_once_per_parse(self, tmp_path, monkeypatch):
+        """Parsing reads a table start once: one pass builds the density
+        and checks its mass outside the grid."""
+        np.savetxt(tmp_path / "table.txt", np.exp(-np.linspace(-8, 8, 401) ** 2 / 0.5))
+        reads = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(*args, **kwargs):
+            reads.append(args[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        ScenarioConfig.from_dict(ou_config(initial={"kind": "table", "path": "table.txt"}),
+                                 base_dir=tmp_path)
+        assert len(reads) == 1
+
+    def test_mass_check_reads_the_solver_bound(self):
+        """``tolerances.mass_tol`` is gone: the ``mass_conservation`` check
+        reads ``solver.mass_tol``, the bound ``solve`` enforces."""
+        cfg = ScenarioConfig.from_dict(ou_config(solver={"dt": 2e-3, "mass_tol": 1e-8}))
+        check = next(c for c in run_scenario(cfg).checks if c.name == "mass_conservation")
+        assert check.passed and check.detail.endswith("(tol 1e-08)")
+
+    def test_sweep_base_file_is_read_next_to_the_sweep(self, tmp_path):
+        (tmp_path / "base.json").write_text(json.dumps(ou_config(name="from_file")))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": "base.json", "parameter": "initial.variance",
+                                    "values": [0.5]}))
+        assert SweepConfig.from_json(path).base == ou_config(name="from_file")
 
 
 class TestRunScenario:
@@ -568,6 +609,80 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "config error: sweep.outputs: must be a string, got 7\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, name, text, message", [
+        ("run", "nope.json", None, "config: cannot read {d}/nope.json: No such file or directory"),
+        ("run", "cut.json", '{"name": ',
+         "config: {d}/cut.json is not JSON: Expecting value: line 1 column 10 (char 9)"),
+        ("sweep", "sweep.json", json.dumps({"base": "missing.json", "values": [0.5]}),
+         "sweep.base: cannot read {d}/missing.json: No such file or directory"),
+    ], ids=["missing", "truncated", "missing_sweep_base"])
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys, command, name, text, message):
+        """A config file that cannot be read or parsed is a config error
+        naming the file and the field, not a traceback."""
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        assert main([command, str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message.format(d=tmp_path)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("data, levels, message", [
+        (ou_config(), "1", "--levels: need at least 2 levels, got 1"),
+        (ou_config(drift={"kind": "linear", "rate": -1.0}), "2",
+         "config: the convergence study requires the exactly solvable benchmark"),
+    ], ids=["one_level", "not_the_benchmark"])
+    def test_converge_refusal_exit_2(self, tmp_path, capsys, monkeypatch, data, levels, message):
+        """Refused with one stderr line before any solve."""
+        monkeypatch.setattr(scenarios, "solve", None)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["converge", str(path), "--levels", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv, argument", [
+        (["--sigma0-sq", "-1", "--t-end", "3"], "--sigma0-sq"),
+        (["--sigma0-sq", "0.25", "--t-end", "-1"], "--t-end"),
+        (["--sigma0-sq", "0.25", "--t-end", "3", "--samples", "0"], "--samples"),
+    ])
+    def test_oracle_bad_argument_exit_2(self, capsys, argv, argument):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", *argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argument}: must be positive and finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("outputs, out, message", [
+        ("", None, "sweep.outputs: must name a file, got ''"),
+        (".", None, "sweep.outputs: '{d}' is a directory, not a file"),
+        (None, "{d}", "--out: '{d}' is a directory, not a file"),
+    ], ids=["empty_outputs", "outputs_directory", "out_directory"])
+    def test_sweep_output_directory_exit_2(self, tmp_path, capsys, monkeypatch, outputs, out,
+                                           message):
+        """Refused before the first member runs, not after the last."""
+        monkeypatch.setattr(scenarios, "solve", None)
+        sweep = {"base": ou_config(name="dir_sweep"), "parameter": "initial.variance",
+                 "values": [0.5]}
+        if outputs is not None:
+            sweep["outputs"] = outputs
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        argv = ["sweep", str(path)] + ([] if out is None else ["--out", out.format(d=tmp_path)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message.format(d=tmp_path)}\n"
+        assert captured.out == ""
+
+    def test_tolerances_mass_tol_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ou_config(tolerances={"mass_tol": 1e-10})))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.tolerances.mass_tol: unknown field\n"
+        )
 
     def test_failed_solve_exit_1(self, tmp_path, capsys):
         """A mass tolerance below rounding parses, then fails the solve: the
