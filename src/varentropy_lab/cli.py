@@ -22,14 +22,33 @@ from .ou_exact import OUBenchmark
 from .scenarios import (
     convergence_study,
     monotonicity_sweep,
+    resolve_output_dir,
     run_scenario,
     write_convergence_csv,
     write_sweep_csv,
 )
 
 
+def _refuse_output(where: str, path, directory: bool):
+    """Refuse, before any work, an output path that the final write would
+    fail on: one below an existing non-directory, an existing non-directory
+    where a run writes its reports, or a directory where a table file goes."""
+    if path is None:
+        return
+    target = Path(path)
+    blocker = next((p for p in target.parents if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        raise ConfigError(f"{where}: '{path}' lies below '{blocker}', which is not a directory")
+    if directory and target.exists() and not target.is_dir():
+        raise ConfigError(f"{where}: '{path}' is not a directory")
+    if not directory and target.is_dir():
+        raise ConfigError(f"{where}: '{path}' is a directory, not a file")
+
+
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
+    _refuse_output("--out" if args.out is not None else "output directory",
+                   resolve_output_dir(cfg, args.out), directory=True)
     result = run_scenario(cfg, out_dir=args.out)
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -44,9 +63,7 @@ def _cmd_sweep(args) -> int:
     where, path = "--out", args.out
     if path is None and sweep.outputs is not None:
         where, path = "sweep.outputs", sweep.base_dir / sweep.outputs
-    if path is not None and Path(path).is_dir():
-        # refused before any member runs, not when the table is written
-        raise ConfigError(f"{where}: '{path}' is a directory, not a file")
+    _refuse_output(where, path, directory=False)
     rows = monotonicity_sweep(sweep)
     print(f"{'label':<42} {'min_rate':>12} {'max_rate':>12} {'sign':>5} {'t_max':>8}")
     for r in rows:
@@ -65,6 +82,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
+    _refuse_output("--out", args.out, directory=False)
     rows = convergence_study(cfg, args.levels)
     print(f"{'level':>5} {'nodes':>7} {'dt':>10} {'max_abs_err':>13} {'order':>7}")
     for r in rows:

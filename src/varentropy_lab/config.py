@@ -411,6 +411,19 @@ class SweepConfig:
         data.pop("outputs", None)
         return label, ScenarioConfig.from_dict(data, base_dir=self.base_dir)
 
+    def members(self) -> list[tuple[str, ScenarioConfig]]:
+        """:meth:`member` of every value, in order, so that a bad value is
+        refused before any member runs; the error names its index and value."""
+        parsed = []
+        for index, value in enumerate(self.values):
+            try:
+                parsed.append(self.member(value))
+            except ConfigError as err:
+                raise ConfigError(
+                    f"{err} (sweep.values[{index}] = {json.dumps(value, sort_keys=True)})"
+                ) from err
+        return parsed
+
 
 def _set_dotted(data: dict, dotted: str, value):
     keys = dotted.split(".")

@@ -32,6 +32,13 @@ constant tridiagonal operator), together with the prebuilt coefficients of
 the explicit stage. The number of cached sizes is bounded, so irregular
 output meshes cannot grow memory.
 
+The two LAPACK routines come from scipy's compiled f2py wrapper
+``scipy/linalg/_flapack*.so``, the module that ``scipy.linalg.lapack``
+re-exports, loaded on its own on the first factored step: importing them
+through ``scipy.linalg`` would load that whole package as well. A scipy
+that keeps no such file gets the public import instead; either way the same
+compiled functions run.
+
 One nominal step is one kernel call: the factored step is looked up once,
 and its positivity substeps all run in place in a state buffer that the
 generator holds, padded with one zero node at each end. The explicit stage
@@ -44,8 +51,12 @@ right, so the states do not depend on this layout.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,6 +104,30 @@ class SolverConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.mass_tol < math.inf:
             raise ValueError(f"mass_tol must be positive and finite, got {self.mass_tol}")
+
+
+def _flapack_spec():
+    """The import spec of scipy's compiled LAPACK wrapper, found without
+    importing scipy, or None when this scipy has no ``linalg/_flapack*.so``."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    return finder.find_spec("scipy.linalg._flapack")
+
+
+@functools.cache
+def _gt_routines():
+    """LAPACK ``dgttrf`` and ``dgttrs``, loaded once per process (see the
+    module docstring)."""
+    spec = _flapack_spec()
+    if spec is None:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        return dgttrf, dgttrs
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgttrf, flapack.dgttrs
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
@@ -201,10 +236,9 @@ class _ThetaStep:
     """
 
     def __init__(self, gen: _Generator, dt: float, theta: float):
-        # imported on the first factored step, not with the package: importing
-        # scipy.linalg takes longer than parsing a config or printing the oracle
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
+        # loaded on the first factored step, not with the package, so parsing
+        # a config or printing the oracle loads no LAPACK
+        dgttrf, dgttrs = _gt_routines()
         explicit = (1.0 - theta) * dt
         self.explicit = np.stack(
             (explicit * gen.lower, 1.0 + explicit * gen.diag, explicit * gen.upper)

@@ -427,11 +427,11 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
 
     No expected sign is asserted: the rate formula's bracket is indefinite
     and the sweep exists to record what actually happens. Each row also
-    keeps the names of the member's failed tolerance checks.
+    keeps the names of the member's failed tolerance checks. Every member
+    is parsed before the first one runs.
     """
     rows: list[SweepRow] = []
-    for value in sweep.values:
-        label, cfg = sweep.member(value)
+    for label, cfg in sweep.members():
         result = run_scenario(cfg, out_dir=None)
         rates = np.array([r.varentropy_rate for r in result.reports])
         varentropies = np.array([r.varentropy for r in result.reports])

@@ -277,6 +277,31 @@ class TestFactoredStep:
         with pytest.raises(RuntimeError, match="factorization failed"):
             gen.advance(np.ones(dw_grid.n), 1.0, 1.0)
 
+    def test_public_lapack_fallback_is_bit_identical(self, dw_model, dw_grid, monkeypatch):
+        """Where scipy has no ``linalg/_flapack*.so`` to load on its own, the
+        routines come from ``scipy.linalg.lapack``, and every trajectory row
+        is the same as from the compiled wrapper loaded directly."""
+        p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
+        times = np.linspace(0.0, 0.05, 11)
+        cfg = SolverConfig(dt=1e-3)
+        assert fokker_planck._flapack_spec() is not None  # this scipy's layout
+        lookups = []
+
+        def no_flapack_file():
+            lookups.append(None)
+            return None
+
+        try:
+            fokker_planck._gt_routines.cache_clear()
+            direct = solve(p0, dw_model, times, cfg).values
+            monkeypatch.setattr(fokker_planck, "_flapack_spec", no_flapack_file)
+            fokker_planck._gt_routines.cache_clear()
+            fallback = solve(p0, dw_model, times, cfg).values
+        finally:
+            fokker_planck._gt_routines.cache_clear()
+        assert lookups == [None]  # looked up once, on the first factored step
+        assert np.array_equal(fallback, direct)
+
 
 class TestSubstepKernel:
     """One nominal step runs all its positivity substeps in place in the

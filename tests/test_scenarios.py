@@ -395,7 +395,7 @@ class TestRunScenario:
         stored ensemble would take."""
         mc = {**MEDIUM_MC, "n_paths": 20_000, "diag_steps": 50}
         cfg = ScenarioConfig.from_dict(ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 201}, mc=mc))
-        # a first run imports the solver's scipy modules, whose objects
+        # a first run loads the solver's LAPACK wrapper, whose objects
         # would otherwise count towards the traced peak
         run_scenario(cfg)
         tracemalloc.start()
@@ -676,6 +676,47 @@ class TestCli:
         assert captured.err == f"config error: {message.format(d=tmp_path)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, existing, out, message", [
+        ("run", "file", "{d}/taken", "'{d}/taken' is not a directory"),
+        ("converge", "directory", "{d}/taken", "'{d}/taken' is a directory, not a file"),
+        ("run", "file", "{d}/taken/run",
+         "'{d}/taken/run' lies below '{d}/taken', which is not a directory"),
+        ("converge", "file", "{d}/taken/conv.csv",
+         "'{d}/taken/conv.csv' lies below '{d}/taken', which is not a directory"),
+    ], ids=["run_out_file", "converge_out_directory", "run_out_below_file",
+            "converge_out_below_file"])
+    def test_output_path_refused_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                        existing, out, message):
+        """An output path the final write would fail on is refused before
+        any solve, not after the last one."""
+        monkeypatch.setattr(scenarios, "solve", None)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ou_config()))
+        if existing == "file":
+            (tmp_path / "taken").write_text("")
+        else:
+            (tmp_path / "taken").mkdir()
+        argv = [command, str(path), "--out", out.format(d=tmp_path)]
+        assert main(argv + (["--levels", "2"] if command == "converge" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out: {message.format(d=tmp_path)}\n"
+        assert captured.out == ""
+
+    def test_bad_late_sweep_member_exit_2(self, tmp_path, capsys, monkeypatch):
+        """Every member is parsed before the first one is solved, and the
+        error names the bad member's index and value."""
+        monkeypatch.setattr(scenarios, "solve", None)
+        sweep = {"base": ou_config(name="late_sweep"), "parameter": "initial.variance",
+                 "values": [0.25, 0.5, -1.0]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: config.initial: variance must be positive, "
+                                "got -1.0 (sweep.values[2] = -1.0)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_tolerances_mass_tol_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(ou_config(tolerances={"mass_tol": 1e-10})))
@@ -780,6 +821,41 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_do_not_import_scipy_linalg(self, tmp_path):
+        """The solver loads its two LAPACK routines from scipy's compiled
+        wrapper on its own, so a run, a sweep and a convergence study, one
+        after another in one interpreter, leave scipy.linalg unimported."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(ou_config(
+            grid={"lo": -8.0, "hi": 8.0, "n": 201},
+            solver={"dt": 4e-3},
+            time={"t_end": 0.5, "n_samples": 6},
+            mc=MEDIUM_MC,
+        )))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "base": ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 101}, solver={"dt": 4e-3},
+                              time={"t_end": 0.2, "n_samples": 6}),
+            "parameter": "initial.variance", "values": [0.25, 0.5],
+        }))
+        argvs = [
+            ["run", str(cfg), "--out", str(tmp_path / "run")],
+            ["sweep", str(sweep), "--out", str(tmp_path / "sweep.csv")],
+            ["converge", str(cfg), "--levels", "2", "--out", str(tmp_path / "conv.csv")],
+        ]
+        code = (
+            "import sys\n"
+            "from varentropy_lab.cli import main\n"
+            f"codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(codes, 'scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the run's exit code says only whether its checks passed at this size
+        assert re.fullmatch(r"\[[01], 0, 0\] False", proc.stdout.splitlines()[-1])
+        assert (tmp_path / "run" / "mc_diagnostics.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
