@@ -159,8 +159,8 @@ class McConfig:
         diag_steps = _integer(data.get("diag_steps", cls.diag_steps), f"{path}.diag_steps")
         bins = _integer(data.get("bins", cls.bins), f"{path}.bins")
         bin_span = _number(data.get("bin_span", cls.bin_span), f"{path}.bin_span")
-        if n_paths < 1:
-            raise ConfigError(f"{path}.n_paths: must be >= 1")
+        if n_paths < 2:
+            raise ConfigError(f"{path}.n_paths: must be >= 2")
         if seed < 0:
             raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
         if not 0 < dt < math.inf:

@@ -39,14 +39,15 @@ through ``scipy.linalg`` would load that whole package as well. A scipy
 that keeps no such file gets the public import instead; either way the same
 compiled functions run.
 
-One nominal step is one kernel call: the factored step is looked up once,
-and its positivity substeps all run in place in a state buffer that the
-generator holds, padded with one zero node at each end. The explicit stage
-of a substep is one ``(3, n)`` coefficient array times the three shifted
-windows of that buffer, summed over the three rows, and ``gttrs`` then
-overwrites the buffer's interior with the solution. Every product and sum
-rounds as in ``c_i v_i + l_i v_{i-1} + u_i v_{i+1}`` evaluated left to
-right, so the states do not depend on this layout.
+One output interval is one kernel call: all its steps have one size, its
+nominal steps each split into the same number of positivity substeps, so
+the factored step is looked up once and every substep runs in place in a
+state buffer that the generator holds, padded with one zero node at each
+end. The explicit stage of a substep is one ``(3, n)`` coefficient array
+times the three shifted windows of that buffer, summed over the three rows,
+and ``gttrs`` then overwrites the buffer's interior with the solution.
+Every product and sum rounds as in ``c_i v_i + l_i v_{i-1} + u_i v_{i+1}``
+evaluated left to right, so the states do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .drifts import GradientDrift, backward_drift_on_grid
 from .grids import (
     DEFAULT_LOG_FLOOR,
     DEFAULT_MASS_TOL,
-    DEFAULT_TAIL_CUT,
     Density,
     DensityTrajectory,
     Grid,
@@ -149,7 +149,7 @@ class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
     (grid, model) and reused across steps.
 
-    ``run`` keeps a factored :class:`_ThetaStep` per ``(dt, theta)``, at most
+    ``run`` keeps the factored step of each ``(dt, theta)``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
     the state in place in the generator's zero-padded buffer.
     """
@@ -182,7 +182,7 @@ class _Generator:
         self.diag = diag
         self.upper = upper
         self.max_rate = float(np.max(-diag))
-        self._steps: dict[tuple[float, float], _ThetaStep] = {}
+        self._steps: dict[tuple[float, float], tuple[np.ndarray, list]] = {}
         # the state between substeps, with a zero node at each end: row k of
         # the window view is the state shifted by k - 1 nodes
         padded = np.zeros(grid.n + 2)
@@ -197,6 +197,28 @@ class _Generator:
             return math.inf
         return 1.0 / ((1.0 - theta) * self.max_rate)
 
+    def _factored_step(self, dt: float, theta: float) -> tuple[np.ndarray, list]:
+        """The theta step of size ``dt``: the sub-, main and superdiagonal of
+        the explicit stage ``I + (1-theta) dt L`` as the rows of one ``(3, n)``
+        array, each aligned with the node it updates (so the zero ends of
+        ``lower`` and ``upper`` multiply the padding nodes), and the LAPACK
+        ``gttrf`` factors of ``I - theta dt L``."""
+        # loaded on the first factored step, not with the package, so parsing
+        # a config or printing the oracle loads no LAPACK
+        dgttrf, _ = _gt_routines()
+        explicit = (1.0 - theta) * dt
+        coefficients = np.stack(
+            (explicit * self.lower, 1.0 + explicit * self.diag, explicit * self.upper)
+        )
+        *factors, info = dgttrf(
+            -theta * dt * self.lower[1:],
+            1.0 - theta * dt * self.diag,
+            -theta * dt * self.upper[:-1],
+        )
+        if info != 0:
+            raise RuntimeError(f"tridiagonal time-step factorization failed (info={info})")
+        return coefficients, factors
+
     def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
         """``n_steps`` theta-weighted steps of size ``dt`` from ``values``,
         each solving (I - theta dt L) v+ = (I + (1-theta) dt L) v in place.
@@ -204,13 +226,14 @@ class _Generator:
         Returns the generator's state buffer, which the next call overwrites.
         """
         key = (dt, theta)
-        theta_step = self._steps.get(key)
-        if theta_step is None:
+        step = self._steps.get(key)
+        if step is None:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
-            theta_step = self._steps[key] = _ThetaStep(self, dt, theta)
+            step = self._steps[key] = self._factored_step(dt, theta)
+        explicit, factors = step
+        dgttrs = _gt_routines()[1]
         state, windows, products = self._state, self._windows, self._products
-        explicit, factors, dgttrs = theta_step.explicit, theta_step.factors, theta_step.dgttrs
         np.copyto(state, values)
         for _ in range(n_steps):
             np.multiply(explicit, windows, out=products)
@@ -220,62 +243,21 @@ class _Generator:
                 raise RuntimeError(f"tridiagonal time-step solve failed (info={info})")
         return state
 
-    def advance(self, values: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        """One theta-weighted step of size ``dt``, as a new array."""
-        return self.run(values, dt, theta, 1).copy()
-
-
-class _ThetaStep:
-    """One theta step of fixed size for one generator: the explicit-stage
-    coefficients of ``I + (1-theta) dt L`` and the LAPACK ``gttrf`` factors
-    of ``I - theta dt L``.
-
-    ``explicit`` holds the sub-, main and superdiagonal of the explicit
-    stage as its three rows, each aligned with the node it updates, so the
-    zero ends of ``lower`` and ``upper`` multiply the padding nodes.
-    """
-
-    def __init__(self, gen: _Generator, dt: float, theta: float):
-        # loaded on the first factored step, not with the package, so parsing
-        # a config or printing the oracle loads no LAPACK
-        dgttrf, dgttrs = _gt_routines()
-        explicit = (1.0 - theta) * dt
-        self.explicit = np.stack(
-            (explicit * gen.lower, 1.0 + explicit * gen.diag, explicit * gen.upper)
-        )
-        *factors, info = dgttrf(
-            -theta * dt * gen.lower[1:],
-            1.0 - theta * dt * gen.diag,
-            -theta * dt * gen.upper[:-1],
-        )
-        if info != 0:
-            raise RuntimeError(f"tridiagonal time-step factorization failed (info={info})")
-        self.factors = factors
-        self.dgttrs = dgttrs
-
-
-def _advance_interval(
-    values: np.ndarray, gen: _Generator, dt: float, cfg: SolverConfig
-) -> np.ndarray:
-    """Advance by dt in equal substeps, each within the positivity bound, in
-    one call of the generator's kernel; returns its state buffer."""
-    dt_pos = gen.positivity_dt(cfg.theta)
-    n_sub = max(1, math.ceil(dt / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
-    return gen.run(values, dt / n_sub, cfg.theta, n_sub)
-
 
 def solve(
     p0: Density, model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
 ) -> DensityTrajectory:
     """Integrate from ``p0`` and sample the solution at ``t_grid``.
 
-    ``t_grid`` must be strictly increasing and start at ``p0.time``. Between
-    consecutive output times the solver takes equal substeps no longer than
-    ``cfg.dt``. Each output time fills one row of a preallocated
-    ``(len(t_grid), n)`` array. The produced rows are then checked in one
-    pass over the whole array: finite, non-negative, and of trapezoid mass
-    within both ``cfg.mass_tol`` and the :class:`Density` default of one; a
-    failure raises ``RuntimeError`` naming the first bad time.
+    ``t_grid`` must be strictly increasing and start at ``p0.time``. Each
+    output interval is split into equal nominal steps no longer than
+    ``cfg.dt``, each of them into equal substeps within the positivity bound,
+    and all of them run in one kernel call. Each output time fills one row of
+    a preallocated ``(len(t_grid), n)`` array. The produced rows are then
+    checked in one pass over the whole array: finite, non-negative, and of
+    trapezoid mass within both ``cfg.mass_tol`` and the :class:`Density`
+    default of one; a failure raises ``RuntimeError`` naming the first bad
+    time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -286,18 +268,18 @@ def solve(
         raise ValueError("t_grid must be strictly increasing")
 
     gen = _Generator(p0.grid, model)
+    dt_pos = gen.positivity_dt(cfg.theta)
     values = np.empty((len(t_grid), p0.grid.n))
     values[0] = p0.values
     for k in range(1, len(t_grid)):
         width = t_grid[k] - t_grid[k - 1]
-        n_sub = max(1, math.ceil(width / cfg.dt - 1e-12))
-        row = values[k - 1]
+        n_nominal = max(1, math.ceil(width / cfg.dt - 1e-12))
+        nominal = width / n_nominal
+        n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
         try:
-            for _ in range(n_sub):
-                row = _advance_interval(row, gen, width / n_sub, cfg)
+            values[k] = gen.run(values[k - 1], nominal / n_pos, cfg.theta, n_nominal * n_pos)
         except RuntimeError as err:
             raise RuntimeError(f"solve failed advancing to t={t_grid[k]:g}: {err}") from err
-        values[k] = row
 
     masses = integrate_rows(values, p0.grid)
     # row 0 is p0, a Density already checked against its own tolerance
@@ -309,11 +291,7 @@ def solve(
 
 
 def reverse_harmonic_residual(
-    traj: DensityTrajectory,
-    pbar: Density,
-    model: GradientDrift,
-    t_index: int,
-    rel_cut: float = DEFAULT_TAIL_CUT,
+    traj: DensityTrajectory, pbar: Density, model: GradientDrift, t_index: int
 ) -> np.ndarray:
     """Nodewise residual of the reverse-time harmonicity of ``pbar / p_t``.
 
@@ -352,7 +330,7 @@ def reverse_harmonic_residual(
         + b_minus * gradient(r, grid)
         - 0.5 * model.sigma**2 * laplacian(r, grid)
     )
-    return np.where(support_mask(p_here, rel_cut), residual, 0.0)
+    return np.where(support_mask(p_here), residual, 0.0)
 
 
 def weighted_residual_norm(residual: np.ndarray, p: Density) -> float:

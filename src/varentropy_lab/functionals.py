@@ -86,9 +86,7 @@ def _check_sigma(sigma: float):
         raise ValueError(f"sigma must be positive, got {sigma}")
 
 
-def _block_terms(
-    values: np.ndarray, pbar: Density, rel_cut: float
-) -> list[tuple[float, float, float, float]]:
+def _block_terms(values: np.ndarray, pbar: Density) -> list[tuple[float, float, float, float]]:
     """Everything the functionals need from a block of states, in one pass.
 
     ``values`` holds one state per row. The log ratio, the masked weight and
@@ -103,7 +101,8 @@ def _block_terms(
     logratio = np.log(
         np.maximum(values, DEFAULT_LOG_FLOOR) / np.maximum(pbar.values, DEFAULT_LOG_FLOOR)
     )
-    weight = np.where(values >= rel_cut * values.max(axis=1, keepdims=True), values, 0.0)
+    cut = DEFAULT_TAIL_CUT * values.max(axis=1, keepdims=True)
+    weight = np.where(values >= cut, values, 0.0)
     firsts = integrate_rows(logratio * weight, grid).tolist()
     seconds = integrate_rows(logratio**2 * weight, grid).tolist()
     slope_sq = gradient_rows(logratio, grid) ** 2
@@ -119,45 +118,35 @@ def _block_terms(
     ]
 
 
-def _state_terms(
-    p: Density, pbar: Density, rel_cut: float
-) -> tuple[float, float, float, float]:
+def _state_terms(p: Density, pbar: Density) -> tuple[float, float, float, float]:
     """:func:`_block_terms` of the one state ``p``."""
     if p.grid != pbar.grid:
         raise ValueError("grid mismatch between densities")
-    return _block_terms(p.values[None, :], pbar, rel_cut)[0]
+    return _block_terms(p.values[None, :], pbar)[0]
 
 
-def relative_entropy(
-    p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT
-) -> float:
+def relative_entropy(p: Density, pbar: Density) -> float:
     """Kullback-Leibler divergence of ``p`` from ``pbar`` in nats."""
-    return _state_terms(p, pbar, rel_cut)[0]
+    return _state_terms(p, pbar)[0]
 
 
-def relative_fisher(
-    p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT
-) -> float:
+def relative_fisher(p: Density, pbar: Density) -> float:
     """Relative Fisher information: mean squared slope of the log ratio."""
-    return _state_terms(p, pbar, rel_cut)[1]
+    return _state_terms(p, pbar)[1]
 
 
-def varentropy(p: Density, pbar: Density, rel_cut: float = DEFAULT_TAIL_CUT) -> float:
+def varentropy(p: Density, pbar: Density) -> float:
     """Variance of the log ratio under ``p`` (second moment minus squared mean)."""
-    return _state_terms(p, pbar, rel_cut)[2]
+    return _state_terms(p, pbar)[2]
 
 
-def free_energy_rate(
-    p: Density, pbar: Density, sigma: float, rel_cut: float = DEFAULT_TAIL_CUT
-) -> float:
+def free_energy_rate(p: Density, pbar: Density, sigma: float) -> float:
     """Decay rate of the relative entropy: ``-(sigma^2 / 2) * fisher``."""
     _check_sigma(sigma)
-    return -0.5 * sigma**2 * relative_fisher(p, pbar, rel_cut)
+    return -0.5 * sigma**2 * relative_fisher(p, pbar)
 
 
-def varentropy_rate(
-    p: Density, pbar: Density, sigma: float, rel_cut: float = DEFAULT_TAIL_CUT
-) -> float:
+def varentropy_rate(p: Density, pbar: Density, sigma: float) -> float:
     """Instantaneous rate of change of the varentropy.
 
     Computed as
@@ -168,15 +157,10 @@ def varentropy_rate(
     has no definite sign, so unlike the entropy rate this can be positive.
     """
     _check_sigma(sigma)
-    return sigma**2 * _state_terms(p, pbar, rel_cut)[3]
+    return sigma**2 * _state_terms(p, pbar)[3]
 
 
-def report(
-    traj: DensityTrajectory,
-    pbar: Density,
-    sigma: float,
-    rel_cut: float = DEFAULT_TAIL_CUT,
-) -> list[FunctionalReport]:
+def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> list[FunctionalReport]:
     """Evaluate every functional at every trajectory sample.
 
     The trajectory's array goes through the shared kernel in blocks of
@@ -192,7 +176,7 @@ def report(
     _check_sigma(sigma)
     terms = []
     for start in range(0, len(traj), _BLOCK):
-        terms.extend(_block_terms(traj.values[start:start + _BLOCK], pbar, rel_cut))
+        terms.extend(_block_terms(traj.values[start:start + _BLOCK], pbar))
     times = traj.times.tolist()
     rows: list[FunctionalReport] = []
     for k, (entropy, fisher, variance, rate_integral) in enumerate(terms):

@@ -23,10 +23,10 @@ import numpy as np
 #: Default relative mass tolerance accepted when validating a Density.
 DEFAULT_MASS_TOL = 1e-6
 
-#: Default floor used inside logarithms of density ratios.
+#: Floor used inside logarithms of density ratios.
 DEFAULT_LOG_FLOOR = 1e-300
 
-#: Default relative tail cut: nodes where a density falls below this fraction
+#: Relative tail cut: nodes where a density falls below this fraction
 #: of its maximum are excluded from log-ratio weighted integrals, whose
 #: integrands are numerically meaningless in the far tails.
 DEFAULT_TAIL_CUT = 1e-12
@@ -279,8 +279,8 @@ class DensityTrajectory:
                                 float(self.masses[k]))
 
 
-def safe_log_ratio(p: Density, q: Density, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
-    """Nodewise ``ln(max(p, floor) / max(q, floor))``.
+def safe_log_ratio(p: Density, q: Density) -> np.ndarray:
+    """Nodewise ``ln(max(p, DEFAULT_LOG_FLOOR) / max(q, DEFAULT_LOG_FLOOR))``.
 
     The floor keeps the logarithm finite where either density underflows;
     callers combining the result with tail-sensitive integrals should also
@@ -288,14 +288,14 @@ def safe_log_ratio(p: Density, q: Density, floor: float = DEFAULT_LOG_FLOOR) -> 
     """
     if p.grid != q.grid:
         raise ValueError("grid mismatch between densities")
-    if not floor > 0.0:
-        raise ValueError(f"floor must be positive, got {floor}")
-    return np.log(np.maximum(p.values, floor) / np.maximum(q.values, floor))
+    return np.log(
+        np.maximum(p.values, DEFAULT_LOG_FLOOR) / np.maximum(q.values, DEFAULT_LOG_FLOOR)
+    )
 
 
-def support_mask(p: Density, rel_cut: float = DEFAULT_TAIL_CUT) -> np.ndarray:
-    """Boolean mask of nodes where ``p`` exceeds ``rel_cut * max(p)``."""
-    return p.values >= rel_cut * p.values.max()
+def support_mask(p: Density) -> np.ndarray:
+    """Boolean mask of nodes where ``p`` reaches ``DEFAULT_TAIL_CUT * max(p)``."""
+    return p.values >= DEFAULT_TAIL_CUT * p.values.max()
 
 
 def normalized_density(grid: Grid, values: np.ndarray, time: float = 0.0) -> Density:

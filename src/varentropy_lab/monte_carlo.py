@@ -109,18 +109,17 @@ class BinnedEstimate:
     """Binned conditional-mean estimate with per-bin standard errors.
 
     ``values`` and ``std_errors`` are NaN on bins with fewer than
-    ``min_count`` samples; ``defined`` masks the usable bins.
+    ``DEFAULT_MIN_COUNT`` samples; ``defined`` masks the usable bins.
     """
 
     bin_centers: np.ndarray
     values: np.ndarray
     counts: np.ndarray
     std_errors: np.ndarray
-    min_count: int = DEFAULT_MIN_COUNT
 
     @property
     def defined(self) -> np.ndarray:
-        return self.counts >= self.min_count
+        return self.counts >= DEFAULT_MIN_COUNT
 
     def pooled_standard_error(self) -> float:
         """Count-weighted root mean square of the per-bin standard errors."""
@@ -340,7 +339,6 @@ def _bin_statistics(
     positions: np.ndarray,
     samples: np.ndarray,
     bins: Grid,
-    min_count: int,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts, means and standard errors of ``samples`` binned by ``positions``
@@ -363,18 +361,14 @@ def _bin_statistics(
     means = sums / safe
     variances = np.maximum(squares / safe - means**2, 0.0)
     std_errors = np.sqrt(variances / np.maximum(counts - 1, 1))
-    undefined = counts < min_count
+    undefined = counts < DEFAULT_MIN_COUNT
     means[undefined] = np.nan
     std_errors[undefined] = np.nan
     return counts, means, std_errors
 
 
 def estimate_backward_drift(
-    before: np.ndarray,
-    here: np.ndarray,
-    dt: float,
-    bins: Grid,
-    min_count: int = DEFAULT_MIN_COUNT,
+    before: np.ndarray, here: np.ndarray, dt: float, bins: Grid
 ) -> BinnedEstimate:
     """Binned means of backward increments ``(X_t - X_{t-dt}) / dt`` given
     the bin of ``X_t``.
@@ -391,9 +385,9 @@ def estimate_backward_drift(
             f"{np.shape(before)} and {np.shape(here)}"
         )
     increments = (here - before) / dt
-    counts, means, ses = _bin_statistics(here, increments, bins, min_count)
+    counts, means, ses = _bin_statistics(here, increments, bins)
     centers = 0.5 * (bins.x[1:] + bins.x[:-1])
-    return BinnedEstimate(centers, means, counts, ses, min_count)
+    return BinnedEstimate(centers, means, counts, ses)
 
 
 def backward_drift_target(est: BinnedEstimate, model: GradientDrift, p_t: Density) -> np.ndarray:
@@ -429,7 +423,6 @@ def martingale_diagnostic(
     traj: DensityTrajectory,
     pbar: Density,
     bins: Grid | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
 ) -> list[MartingaleRow]:
     """Empirical check that ``pbar(X_t) / p_t(X_t)`` is a reverse-time
     martingale.
@@ -482,8 +475,8 @@ def martingale_diagnostic(
         cond_res = cond_pooled = None
         if k >= 1:
             previous -= ratio
-            counts, means, ses = _bin_statistics(x, previous, bins, min_count, work)
-            d = counts >= min_count
+            counts, means, ses = _bin_statistics(x, previous, bins, work)
+            d = counts >= DEFAULT_MIN_COUNT
             if np.any(d):
                 c = counts[d]
                 cond_res = float(np.sqrt(np.sum(c * means[d] ** 2) / c.sum()))

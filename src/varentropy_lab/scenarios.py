@@ -39,6 +39,7 @@ from .functionals import (
 )
 from .grids import SAME_TIME_TOL, Density, DensityTrajectory, make_uniform_grid
 from .monte_carlo import (
+    DEFAULT_MIN_COUNT,
     MartingaleRow,
     backward_drift_target,
     ensemble_columns,
@@ -155,9 +156,15 @@ def _mc_martingale_mean(marti: Sequence[MartingaleRow], tol: Tolerances) -> Chec
                  f"worst |mean-1|/se = {worst:.2f}")
 
 
-def _mc_martingale_conditional(marti: Sequence[MartingaleRow], tol: Tolerances) -> Check:
-    worst = max((r.cond_residual / r.cond_pooled_se for r in marti
-                 if r.cond_residual is not None), default=0.0)
+def _mc_martingale_conditional(marti: Sequence[MartingaleRow], tol: Tolerances,
+                               undefined: str) -> Check:
+    """The worst binned martingale residual within ``mc_sigmas`` pooled
+    standard errors; fails with ``undefined`` when no bin was usable at any
+    time."""
+    ratios = [r.cond_residual / r.cond_pooled_se for r in marti if r.cond_residual is not None]
+    if not ratios:
+        return Check("mc_martingale_conditional", False, undefined)
+    worst = max(ratios)
     return Check("mc_martingale_conditional", worst <= tol.mc_sigmas,
                  f"worst residual/pooled SE = {worst:.2f}")
 
@@ -364,11 +371,11 @@ def _run_mc_diagnostics(
         ]
         rows.append(("duality_residual", t_last, None, int(est.counts[defined].sum()),
                      residual, pooled, 0.0))
+    undefined = f"no bin reached min_count = {DEFAULT_MIN_COUNT} samples ({mc.n_paths} paths)"
     checks = [
-        _mc_duality(residual, pooled, tol,
-                    f"no bin reached min_count = {est.min_count} samples ({mc.n_paths} paths)"),
+        _mc_duality(residual, pooled, tol, undefined),
         _mc_martingale_mean(marti, tol),
-        _mc_martingale_conditional(marti, tol),
+        _mc_martingale_conditional(marti, tol, undefined),
     ]
     for r in marti:
         rows.append(("martingale_mean", r.time, None, mc.n_paths,

@@ -23,7 +23,6 @@ from varentropy_lab import (
 from varentropy_lab import fokker_planck
 from varentropy_lab.fokker_planck import (
     _STEP_CACHE_SIZE,
-    _advance_interval,
     _Generator,
     _bernoulli,
 )
@@ -145,18 +144,18 @@ class TestSolveValidation:
 
     def _solve_with_faults(self, monkeypatch, faults, p0, model, cfg):
         """Solve on TIMES with ``faults[k]`` applied to the state produced
-        for ``TIMES[k]``: with dt = 0.1 each output interval is one
-        ``_advance_interval`` call."""
-        real = fokker_planck._advance_interval
+        for ``TIMES[k]``: each output interval is one ``_Generator.run``
+        call."""
+        real = _Generator.run
         calls = []
 
-        def faulty(values, gen, dt, solver_cfg):
-            out = real(values, gen, dt, solver_cfg)
+        def faulty(gen, values, dt, theta, n_steps):
+            out = real(gen, values, dt, theta, n_steps)
             calls.append(dt)
             fault = faults.get(len(calls))
             return out if fault is None else fault(out)
 
-        monkeypatch.setattr(fokker_planck, "_advance_interval", faulty)
+        monkeypatch.setattr(_Generator, "run", faulty)
         return solve(p0, model, self.TIMES, cfg)
 
     def test_clean_solve_passes(self, monkeypatch, ou_model, narrow_gaussian):
@@ -253,7 +252,7 @@ class TestFactoredStep:
         sizes = (1e-3 / 8, 1e-4, 1e-3 / 9)
         for k in range(1200):
             dt = sizes[k % len(sizes)]
-            new = gen.advance(values, dt, theta)
+            new = gen.run(values, dt, theta, 1).copy()
             assert np.array_equal(new, _reference_advance(gen, values, dt, theta)), k
             values = new
 
@@ -262,11 +261,11 @@ class TestFactoredStep:
         sizes = [1e-4 * (1.0 + k / 64) for k in range(2 * _STEP_CACHE_SIZE + 3)]
         values = dw_stationary.values
         for dt in sizes:
-            values = gen.advance(values, dt, 0.5)
+            values = gen.run(values, dt, 0.5, 1).copy()
             assert len(gen._steps) <= _STEP_CACHE_SIZE
         # an evicted size is factored again and still matches the reference
         assert (sizes[0], 0.5) not in gen._steps
-        again = gen.advance(values, sizes[0], 0.5)
+        again = gen.run(values, sizes[0], 0.5, 1).copy()
         assert np.array_equal(again, _reference_advance(gen, values, sizes[0], 0.5))
 
     def test_singular_step_raises(self, dw_model, dw_grid):
@@ -275,7 +274,7 @@ class TestFactoredStep:
         gen.upper = np.zeros(dw_grid.n)
         gen.diag = np.ones(dw_grid.n)  # I - 1 * 1 * L is the zero matrix
         with pytest.raises(RuntimeError, match="factorization failed"):
-            gen.advance(np.ones(dw_grid.n), 1.0, 1.0)
+            gen.run(np.ones(dw_grid.n), 1.0, 1.0, 1).copy()
 
     def test_public_lapack_fallback_is_bit_identical(self, dw_model, dw_grid, monkeypatch):
         """Where scipy has no ``linalg/_flapack*.so`` to load on its own, the
@@ -304,46 +303,68 @@ class TestFactoredStep:
 
 
 class TestSubstepKernel:
-    """One nominal step runs all its positivity substeps in place in the
-    generator's padded buffer; the states equal a chain of independently
-    assembled steps."""
+    """One output interval runs all its substeps in one kernel call, in place
+    in the generator's padded buffer; the states equal a chain of
+    independently assembled steps."""
 
     def _start(self, dw_grid):
-        return mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
+        return mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
 
-    def test_interval_equals_chain_of_reference_steps(self, dw_model, dw_grid):
-        """theta = 1/2: each 1 ms interval takes several substeps, and 40
-        intervals chained through the kernel's own buffer keep every bit."""
+    def _count_runs(self, monkeypatch):
+        """Record ``(dt, n_steps)`` of every ``_Generator.run`` call."""
+        real = _Generator.run
+        calls = []
+
+        def counting(gen, values, dt, theta, n_steps):
+            calls.append((dt, n_steps))
+            return real(gen, values, dt, theta, n_steps)
+
+        monkeypatch.setattr(_Generator, "run", counting)
+        return calls
+
+    def test_interval_equals_chain_of_reference_steps(self, dw_model, dw_grid, monkeypatch):
+        """theta = 1/2, dt = 1 ms and 10 ms output intervals: each interval is
+        one ``run`` call of 10 nominal steps times several positivity
+        substeps, and every row keeps every bit of the chained reference."""
         cfg = SolverConfig(dt=1e-3, theta=0.5)
         gen = _Generator(dw_grid, dw_model)
-        n_sub = math.ceil(cfg.dt / gen.positivity_dt(cfg.theta) - 1e-12)
-        assert n_sub >= 2
-        values = reference = self._start(dw_grid)
-        for k in range(40):
-            values = _advance_interval(values, gen, cfg.dt, cfg)
-            for _ in range(n_sub):
-                reference = _reference_advance(gen, reference, cfg.dt / n_sub, cfg.theta)
-            assert np.array_equal(values, reference), k
+        n_nominal = 10
+        n_pos = math.ceil(1e-2 / n_nominal / gen.positivity_dt(cfg.theta) - 1e-12)
+        assert n_pos >= 2
+        calls = self._count_runs(monkeypatch)
+        times = np.linspace(0.0, 0.1, 11)
+        p0 = self._start(dw_grid)
+        traj = solve(p0, dw_model, times, cfg)
+        assert [n_steps for _, n_steps in calls] == [n_nominal * n_pos] * (len(times) - 1)
+        reference = p0.values
+        for k in range(1, len(times)):
+            substep = (times[k] - times[k - 1]) / n_nominal / n_pos
+            for _ in range(n_nominal * n_pos):
+                reference = _reference_advance(gen, reference, substep, cfg.theta)
+            assert np.array_equal(traj.values[k], reference), k
+
+    def test_fully_implicit_interval_is_one_substep(self, dw_model, dw_grid, monkeypatch):
+        """theta = 1 has no positivity bound, so one nominal step is one
+        substep of the full size."""
+        cfg = SolverConfig(dt=1e-3, theta=1.0)
+        p0 = self._start(dw_grid)
+        calls = self._count_runs(monkeypatch)
+        out = solve(p0, dw_model, np.array([0.0, cfg.dt]), cfg).values[1]
+        assert calls == [(cfg.dt, 1)]
+        gen = _Generator(dw_grid, dw_model)
+        assert np.array_equal(out, _reference_advance(gen, p0.values, cfg.dt, 1.0))
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_run_equals_chain_of_reference_steps(self, dw_model, dw_grid, theta):
         """Several substeps per kernel call at theta = 1/2 and theta = 1, which
         needs no positivity substeps of its own."""
         gen = _Generator(dw_grid, dw_model)
-        values = reference = self._start(dw_grid)
+        values = reference = self._start(dw_grid).values
         for k, (dt, n_steps) in enumerate([(1e-4, 5), (1e-3 / 9, 9), (1e-4, 3)] * 4):
             values = gen.run(values, dt, theta, n_steps)
             for _ in range(n_steps):
                 reference = _reference_advance(gen, reference, dt, theta)
             assert np.array_equal(values, reference), k
-
-    def test_fully_implicit_interval_is_one_substep(self, dw_model, dw_grid):
-        cfg = SolverConfig(dt=1e-3, theta=1.0)
-        gen = _Generator(dw_grid, dw_model)
-        values = self._start(dw_grid)
-        out = _advance_interval(values, gen, cfg.dt, cfg)
-        assert np.array_equal(out, _reference_advance(gen, values, cfg.dt, 1.0))
-        assert list(gen._steps) == [(cfg.dt, 1.0)]
 
 
 class TestReverseHarmonicResidual:

@@ -379,7 +379,7 @@ class TestUniformGridKernel:
         means = sums / safe
         ses = np.sqrt(np.maximum(squares / safe - means**2, 0.0) / np.maximum(counts - 1, 1))
         defined = counts >= 50
-        got_counts, got_means, got_ses = _bin_statistics(positions, samples, bins, 50)
+        got_counts, got_means, got_ses = _bin_statistics(positions, samples, bins)
         assert np.array_equal(got_counts, counts)
         assert np.array_equal(got_means[defined], means[defined])
         assert np.array_equal(got_ses[defined], ses[defined])

@@ -163,6 +163,8 @@ class TestConfigParsing:
         ("solver", "scheme", "chang_cooper", "config.solver.scheme"),
         # numpy seeds only non-negative integers
         ("mc", "seed", -1, "config.mc.seed"),
+        # one path has no sample variance
+        ("mc", "n_paths", 1, "config.mc.n_paths"),
     ])
     def test_bad_field_rejected(self, section, key, value, field):
         data = ou_config(mc=SMALL_MC)
@@ -325,13 +327,15 @@ class TestRunScenario:
         assert result.out_dir is None
 
     def test_too_small_ensemble_fails_duality_check(self, tmp_path):
-        """No backward-drift bin reaches min_count: mc_duality fails with a
-        reason, the other checks still run and every report is written."""
+        """No backward-drift or martingale bin reaches min_count: mc_duality
+        and mc_martingale_conditional fail with a reason, the other checks
+        still run and every report is written."""
         cfg = ScenarioConfig.from_dict(ou_config(mc=SMALL_MC))
         result = run_scenario(cfg, out_dir=tmp_path)
-        duality = next(c for c in result.checks if c.name == "mc_duality")
-        assert not duality.passed
-        assert duality.detail == "no bin reached min_count = 50 samples (200 paths)"
+        for name in ("mc_duality", "mc_martingale_conditional"):
+            check = next(c for c in result.checks if c.name == name)
+            assert not check.passed
+            assert check.detail == "no bin reached min_count = 50 samples (200 paths)"
         assert result.exit_code == 1
         names = [c.name for c in result.checks]
         assert "mc_martingale_mean" in names and "mc_functionals_agreement" in names
