@@ -26,41 +26,42 @@ checks every row of it in one pass when stepping is done.
 The implicit matrix ``I - theta dt L`` of a step depends only on the
 generator, ``theta`` and the substep size ``dt``, and a run uses only a few
 distinct substep sizes. Each generator therefore factors that tridiagonal
-matrix once per ``(dt, theta)`` with LAPACK ``gttrf`` and reuses the factors
-for every step of that size through ``gttrs`` (the LU / Thomas reuse for a
-constant tridiagonal operator), together with the prebuilt coefficients of
-the explicit stage. The number of cached sizes is bounded, so irregular
-output meshes cannot grow memory.
+matrix once per ``(dt, theta)`` with LAPACK ``dgttrf`` and keeps the factors
+(the LU / Thomas reuse for a constant tridiagonal operator) with the
+prebuilt arguments of each call a substep makes, for a bounded number of
+sizes, so irregular output meshes cannot grow memory.
 
-The two LAPACK routines come from scipy's compiled f2py wrapper
-``scipy/linalg/_flapack*.so``, the module that ``scipy.linalg.lapack``
-re-exports, loaded on its own on the first factored step: importing them
-through ``scipy.linalg`` would load that whole package as well. A scipy
-that keeps no such file gets the public import instead; either way the same
-compiled functions run.
+One output interval is one kernel call: all its substeps have one size.
+Each is two LAPACK calls through ``ctypes`` between the generator's two
+state buffers: ``dlagtm`` writes the explicit stage ``(I + (1-theta) dt L) v``
+of one into the other, and ``dgttrs`` solves there in place. ``dlagtm``
+rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``, the
+three-point sum evaluated left to right. On x86_64, where this was checked,
+the states therefore equal separately assembled steps bit for bit; a LAPACK
+compiled with fused multiply-add contraction (GCC's default on aarch64)
+may fuse a product into the running sum and round differently.
 
-One output interval is one kernel call: all its steps have one size, its
-nominal steps each split into the same number of positivity substeps, so
-the factored step is looked up once and every substep runs in place in a
-state buffer that the generator holds, padded with one zero node at each
-end. The explicit stage of a substep is one ``(3, n)`` coefficient array
-times the three shifted windows of that buffer, summed over the three rows,
-and ``gttrs`` then overwrites the buffer's interior with the solution.
-Every product and sum rounds as in ``c_i v_i + l_i v_{i-1} + u_i v_{i+1}``
-evaluated left to right, so the states do not depend on this layout.
+The routines are loaded once per process, on the first factored step, from
+the OpenBLAS bundled in numpy's wheel (symbols ``scipy_dgttrf_64_`` and so
+on: 64-bit integers, gfortran's hidden string lengths), found through
+numpy's own extension module with no scipy import. Where numpy has no such
+library they come from the capsules of scipy's ``cython_lapack`` (32-bit
+integers), loaded as a file of its own without ``scipy.linalg``. Both run
+the same reference LAPACK code and, on x86_64, give the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .drifts import GradientDrift, backward_drift_on_grid
 from .grids import (
@@ -106,28 +107,60 @@ class SolverConfig:
             raise ValueError(f"mass_tol must be positive and finite, got {self.mass_tol}")
 
 
-def _flapack_spec():
-    """The import spec of scipy's compiled LAPACK wrapper, found without
-    importing scipy, or None when this scipy has no ``linalg/_flapack*.so``."""
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None or not scipy.submodule_search_locations:
+def _openblas_addresses():
+    """The addresses of ``dgttrf``, ``dgttrs`` and ``dlagtm`` in the OpenBLAS
+    that numpy's wheel bundles, or None where numpy links no such library."""
+    try:
+        from numpy._core import _multiarray_umath
+        # dlsym on this handle also searches the libraries the module links
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+        return [ctypes.cast(getattr(library, f"scipy_{name}_64_"), ctypes.c_void_p).value
+                for name in ("dgttrf", "dgttrs", "dlagtm")]
+    except (ImportError, OSError, AttributeError):
         return None
-    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
-    finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    return finder.find_spec("scipy.linalg._flapack")
+
+
+def _cython_lapack():
+    """scipy's Cython LAPACK module, loaded from its file in ``scipy/linalg``
+    without importing ``scipy.linalg``."""
+    scipy = importlib.util.find_spec("scipy")
+    finder = scipy and FileFinder(os.path.join(scipy.submodule_search_locations[0], "linalg"),
+                                  (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder and finder.find_spec("scipy.linalg.cython_lapack")
+    if spec is None:
+        raise ImportError("no LAPACK: numpy bundles no OpenBLAS and scipy no cython_lapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @functools.cache
 def _gt_routines():
-    """LAPACK ``dgttrf`` and ``dgttrs``, loaded once per process (see the
-    module docstring)."""
-    spec = _flapack_spec()
-    if spec is None:
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        return dgttrf, dgttrs
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dgttrf, flapack.dgttrs
+    """``dgttrf``, ``dgttrs`` and ``dlagtm`` as ctypes functions of pointers,
+    their integer type, and the arguments that the calling convention appends
+    to each call of the last two (see the module docstring)."""
+    addresses = _openblas_addresses()
+    if addresses is not None:
+        integer, lengths = ctypes.c_int64, (ctypes.c_size_t(1),)
+    else:
+        cython_lapack = _cython_lapack()
+        api, obj = ctypes.pythonapi, ctypes.py_object
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))
+        capsules = [cython_lapack.__pyx_capi__[r] for r in ("dgttrf", "dgttrs", "dlagtm")]
+        addresses = [pointer(capsule, name(capsule)) for capsule in capsules]
+        integer, lengths = ctypes.c_int32, ()
+    pointers, tail = [ctypes.c_void_p] * 12, [ctypes.c_size_t] * len(lengths)
+    dgttrf = ctypes.CFUNCTYPE(None, *pointers[:7])(addresses[0])
+    dgttrs = ctypes.CFUNCTYPE(None, *pointers[:11], *tail)(addresses[1])
+    dlagtm = ctypes.CFUNCTYPE(None, *pointers, *tail)(addresses[2])
+    return dgttrf, dgttrs, dlagtm, integer, lengths
+
+
+def _pointers(*arrays: np.ndarray) -> tuple:
+    """Pointer arguments to the data of ``arrays``, each keeping its array alive."""
+    return tuple(array.ctypes.data_as(ctypes.c_void_p) for array in arrays)
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
@@ -151,7 +184,7 @@ class _Generator:
 
     ``run`` keeps the factored step of each ``(dt, theta)``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
-    the state in place in the generator's zero-padded buffer.
+    the state back and forth between the generator's two state buffers.
     """
 
     def __init__(self, grid: Grid, model: GradientDrift):
@@ -182,13 +215,9 @@ class _Generator:
         self.diag = diag
         self.upper = upper
         self.max_rate = float(np.max(-diag))
-        self._steps: dict[tuple[float, float], tuple[np.ndarray, list]] = {}
-        # the state between substeps, with a zero node at each end: row k of
-        # the window view is the state shifted by k - 1 nodes
-        padded = np.zeros(grid.n + 2)
-        self._state = padded[1:-1]
-        self._windows = sliding_window_view(padded, grid.n)
-        self._products = np.empty((3, grid.n))
+        self._steps: dict[tuple[float, float], tuple] = {}
+        # the state between substeps, which read one row and write the other
+        self._buffers = np.empty((2, grid.n))
 
     def positivity_dt(self, theta: float) -> float:
         """Largest dt for which the explicit stage keeps non-negative data
@@ -197,33 +226,35 @@ class _Generator:
             return math.inf
         return 1.0 / ((1.0 - theta) * self.max_rate)
 
-    def _factored_step(self, dt: float, theta: float) -> tuple[np.ndarray, list]:
-        """The theta step of size ``dt``: the sub-, main and superdiagonal of
-        the explicit stage ``I + (1-theta) dt L`` as the rows of one ``(3, n)``
-        array, each aligned with the node it updates (so the zero ends of
-        ``lower`` and ``upper`` multiply the padding nodes), and the LAPACK
-        ``gttrf`` factors of ``I - theta dt L``."""
-        # loaded on the first factored step, not with the package, so parsing
-        # a config or printing the oracle loads no LAPACK
-        dgttrf, _ = _gt_routines()
-        explicit = (1.0 - theta) * dt
-        coefficients = np.stack(
-            (explicit * self.lower, 1.0 + explicit * self.diag, explicit * self.upper)
-        )
-        *factors, info = dgttrf(
-            -theta * dt * self.lower[1:],
-            1.0 - theta * dt * self.diag,
-            -theta * dt * self.upper[:-1],
-        )
-        if info != 0:
-            raise RuntimeError(f"tridiagonal time-step factorization failed (info={info})")
-        return coefficients, factors
+    def _factored_step(self, dt: float, theta: float) -> tuple:
+        """The prebuilt arguments of one theta step of size ``dt``: ``dlagtm``
+        (alpha 1, beta 0) from state buffer 0 into buffer 1, then ``dgttrs``
+        in buffer 1 with the ``dgttrf`` factors of ``I - theta dt L``; the same
+        two from buffer 1 into buffer 0; and the ``info`` that ``dgttrs`` sets."""
+        # loaded here, not with the package, so parsing a config loads no LAPACK
+        dgttrf, _, _, integer, lengths = _gt_routines()
+        n, one, info = (np.array([k], dtype=integer) for k in (self.diag.size, 1, 0))
+        trans, alpha, beta = np.array(b"N"), np.array([1.0]), np.array([0.0])
+
+        def shifted(scale):  # the three diagonals of I + scale L
+            return scale * self.lower[1:], 1.0 + scale * self.diag, scale * self.upper[:-1]
+
+        explicit = shifted((1.0 - theta) * dt)
+        factors = (*shifted(-theta * dt), np.empty(n[0] - 2), np.empty(n[0], dtype=integer))
+        dgttrf(*_pointers(n, *factors, info))
+        if info[0] != 0:
+            raise RuntimeError(f"tridiagonal time-step factorization failed (info={info[0]})")
+        calls = [(_pointers(trans, n, one, alpha, *explicit, v, n, beta, w, n) + lengths,
+                  _pointers(trans, n, one, *factors, w, n, info) + lengths)
+                 for v, w in (self._buffers, self._buffers[::-1])]
+        return *calls, info
 
     def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
         """``n_steps`` theta-weighted steps of size ``dt`` from ``values``,
-        each solving (I - theta dt L) v+ = (I + (1-theta) dt L) v in place.
+        each solving (I - theta dt L) v+ = (I + (1-theta) dt L) v.
 
-        Returns the generator's state buffer, which the next call overwrites.
+        Returns the generator's state buffer that holds the last state; the
+        next call overwrites it.
         """
         key = (dt, theta)
         step = self._steps.get(key)
@@ -231,17 +262,16 @@ class _Generator:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
             step = self._steps[key] = self._factored_step(dt, theta)
-        explicit, factors = step
-        dgttrs = _gt_routines()[1]
-        state, windows, products = self._state, self._windows, self._products
-        np.copyto(state, values)
-        for _ in range(n_steps):
-            np.multiply(explicit, windows, out=products)
-            np.add.reduce(products, axis=0, out=state)
-            _, info = dgttrs(*factors, state, overwrite_b=True)
-            if info != 0:
-                raise RuntimeError(f"tridiagonal time-step solve failed (info={info})")
-        return state
+        *calls, info = step
+        _, dgttrs, dlagtm, _, _ = _gt_routines()
+        np.copyto(self._buffers[0], values)
+        # the calls alternate between the two directions, buffer 0 to 1 first
+        for explicit, implicit in itertools.islice(itertools.cycle(calls), n_steps):
+            dlagtm(*explicit)
+            dgttrs(*implicit)
+            if info[0]:
+                raise RuntimeError(f"tridiagonal time-step solve failed (info={info[0]})")
+        return self._buffers[n_steps % 2]
 
 
 def solve(

@@ -1,6 +1,7 @@
 """Forward solver: conservation, positivity, fixed point, convergence, and
 the reverse-time harmonicity residual."""
 
+import ctypes
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from scipy.linalg import solve_banded
 from varentropy_lab import (
     OUBenchmark,
     SolverConfig,
+    double_well_drift,
     gaussian_density,
     invariant_density,
     make_uniform_grid,
@@ -276,36 +278,74 @@ class TestFactoredStep:
         with pytest.raises(RuntimeError, match="factorization failed"):
             gen.run(np.ones(dw_grid.n), 1.0, 1.0, 1).copy()
 
-    def test_public_lapack_fallback_is_bit_identical(self, dw_model, dw_grid, monkeypatch):
-        """Where scipy has no ``linalg/_flapack*.so`` to load on its own, the
-        routines come from ``scipy.linalg.lapack``, and every trajectory row
-        is the same as from the compiled wrapper loaded directly."""
-        p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
-        times = np.linspace(0.0, 0.05, 11)
-        cfg = SolverConfig(dt=1e-3)
-        assert fokker_planck._flapack_spec() is not None  # this scipy's layout
-        lookups = []
 
-        def no_flapack_file():
-            lookups.append(None)
-            return None
+class TestLapackSources:
+    """The solver takes ``dgttrf``, ``dgttrs`` and ``dlagtm`` from numpy's
+    bundled OpenBLAS, else from scipy's Cython LAPACK module loaded as a file.
+    Each source gives every trajectory row bit for bit, the sign of a zero
+    included, and each lookup runs once per cache."""
 
-        try:
-            fokker_planck._gt_routines.cache_clear()
-            direct = solve(p0, dw_model, times, cfg).values
-            monkeypatch.setattr(fokker_planck, "_flapack_spec", no_flapack_file)
-            fokker_planck._gt_routines.cache_clear()
-            fallback = solve(p0, dw_model, times, cfg).values
-        finally:
-            fokker_planck._gt_routines.cache_clear()
-        assert lookups == [None]  # looked up once, on the first factored step
-        assert np.array_equal(fallback, direct)
+    TIMES = np.linspace(0.0, 0.05, 11)
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        fokker_planck._gt_routines.cache_clear()
+        yield
+        fokker_planck._gt_routines.cache_clear()
+
+    def _solve(self, monkeypatch, dw_model, dw_grid, *, openblas=True):
+        """Rows of a double-well solve from a start with exact zero nodes,
+        with numpy's OpenBLAS found only if ``openblas``, and the number of
+        calls of each lookup."""
+        lookups = {"openblas": 0, "cython": 0}
+
+        def counted(name, lookup, found=True):
+            def wrapper():
+                lookups[name] += 1
+                return lookup() if found else None
+            return wrapper
+
+        monkeypatch.setattr(fokker_planck, "_openblas_addresses",
+                            counted("openblas", fokker_planck._openblas_addresses, openblas))
+        monkeypatch.setattr(fokker_planck, "_cython_lapack",
+                            counted("cython", fokker_planck._cython_lapack))
+        p0 = gaussian_density(dw_grid, 1.0, 1e-4)
+        assert np.any(p0.values == 0.0)
+        rows = [solve(p0, dw_model, self.TIMES, SolverConfig(dt=1e-3)).values for _ in range(2)]
+        assert rows[0].tobytes() == rows[1].tobytes()
+        return rows[0], lookups
+
+    def test_numpy_openblas_where_numpy_bundles_it(self, monkeypatch, dw_model, dw_grid):
+        """Where numpy bundles OpenBLAS (as CI's wheel does) the solver takes
+        it, so a silent fallback fails. The rows equal a chain of
+        independently assembled steps."""
+        if fokker_planck._openblas_addresses() is None:
+            pytest.skip("this numpy bundles no OpenBLAS with the scipy_*_64_ LAPACK symbols")
+        rows, lookups = self._solve(monkeypatch, dw_model, dw_grid)
+        assert lookups == {"openblas": 1, "cython": 0}
+        assert fokker_planck._gt_routines()[3] is ctypes.c_int64
+        gen = _Generator(dw_grid, dw_model)
+        reference = rows[0]
+        n_pos = math.ceil(1e-3 / gen.positivity_dt(0.5) - 1e-12)
+        for k in range(1, len(self.TIMES)):
+            substep = (self.TIMES[k] - self.TIMES[k - 1]) / 5 / n_pos
+            for _ in range(5 * n_pos):
+                reference = _reference_advance(gen, reference, substep, 0.5)
+            assert np.array_equal(rows[k], reference), k
+
+    def test_cython_lapack_file_where_numpy_has_none(self, monkeypatch, dw_model, dw_grid):
+        expected, _ = self._solve(monkeypatch, dw_model, dw_grid)
+        fokker_planck._gt_routines.cache_clear()
+        rows, lookups = self._solve(monkeypatch, dw_model, dw_grid, openblas=False)
+        assert lookups == {"openblas": 1, "cython": 1}
+        assert fokker_planck._gt_routines()[3] is ctypes.c_int32
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestSubstepKernel:
-    """One output interval runs all its substeps in one kernel call, in place
-    in the generator's padded buffer; the states equal a chain of
-    independently assembled steps."""
+    """One output interval runs all its substeps in one kernel call, back and
+    forth between the generator's two state buffers; the states equal a chain
+    of independently assembled steps."""
 
     def _start(self, dw_grid):
         return mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
@@ -357,14 +397,35 @@ class TestSubstepKernel:
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_run_equals_chain_of_reference_steps(self, dw_model, dw_grid, theta):
         """Several substeps per kernel call at theta = 1/2 and theta = 1, which
-        needs no positivity substeps of its own."""
+        needs no positivity substeps of its own. Odd and even counts end a
+        call in either state buffer."""
         gen = _Generator(dw_grid, dw_model)
         values = reference = self._start(dw_grid).values
-        for k, (dt, n_steps) in enumerate([(1e-4, 5), (1e-3 / 9, 9), (1e-4, 3)] * 4):
+        calls = [(1e-4, 5), (1e-3 / 9, 9), (1e-4, 2), (1e-3 / 8, 8), (1e-4, 3)]
+        for k, (dt, n_steps) in enumerate(calls * 4):
             values = gen.run(values, dt, theta, n_steps)
             for _ in range(n_steps):
                 reference = _reference_advance(gen, reference, dt, theta)
             assert np.array_equal(values, reference), k
+
+    @pytest.mark.parametrize("grid, model, components", [
+        (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0),
+         [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]),
+        (make_uniform_grid(-8.0, 8.0, 801), OUBenchmark(0.25).model(), [(1.0, 0.0, 0.25)]),
+    ], ids=["double_well", "ou"])
+    def test_explicit_step_rounds_as_three_point_sum(self, grid, model, components):
+        """At theta = 0 the implicit matrix is the identity, so one step is the
+        explicit stage alone, and every node rounds as
+        ``(l v[i-1] + c v[i]) + u v[i+1]`` evaluated left to right."""
+        gen = _Generator(grid, model)
+        v = mixture_density(grid, components).values
+        dt = 0.5 * gen.positivity_dt(0.0)
+        lower, centre, upper = dt * gen.lower[1:], 1.0 + dt * gen.diag, dt * gen.upper[:-1]
+        expected = np.empty(grid.n)
+        expected[0] = centre[0] * v[0] + upper[0] * v[1]
+        expected[1:-1] = (lower[:-1] * v[:-2] + centre[1:-1] * v[1:-1]) + upper[1:] * v[2:]
+        expected[-1] = lower[-1] * v[-2] + centre[-1] * v[-1]
+        assert gen.run(v, dt, 0.0, 1).tobytes() == expected.tobytes()
 
 
 class TestReverseHarmonicResidual:

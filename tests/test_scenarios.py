@@ -812,8 +812,8 @@ class TestCli:
         assert (tmp_path / "conv.csv").exists()
 
     def test_parsing_does_not_import_scipy_linalg(self):
-        """scipy.linalg is imported on the first factored time step, so the
-        CLI, config parsing and config errors do without it."""
+        """LAPACK is loaded on the first factored time step, so the CLI,
+        config parsing and config errors do without scipy.linalg."""
         code = (
             "import sys\n"
             "import varentropy_lab.cli\n"
@@ -827,9 +827,10 @@ class TestCli:
         assert proc.stdout.strip() == "[]"
 
     def test_runs_do_not_import_scipy_linalg(self, tmp_path):
-        """The solver loads its two LAPACK routines from scipy's compiled
-        wrapper on its own, so a run, a sweep and a convergence study, one
-        after another in one interpreter, leave scipy.linalg unimported."""
+        """A run, a sweep and a convergence study, one after another in one
+        interpreter, leave scipy.linalg unimported; where numpy's bundled
+        OpenBLAS has the solver's LAPACK routines, they leave scipy itself
+        unimported too."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(ou_config(
             grid={"lo": -8.0, "hi": 8.0, "n": 201},
@@ -851,14 +852,20 @@ class TestCli:
         code = (
             "import sys\n"
             "from varentropy_lab.cli import main\n"
+            "from varentropy_lab.fokker_planck import _openblas_addresses\n"
             f"codes = [main(argv) for argv in {argvs!r}]\n"
-            "print(codes, 'scipy.linalg' in sys.modules)\n"
+            "print(codes, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules,\n"
+            "      _openblas_addresses() is not None)\n"
         )
         proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         # the run's exit code says only whether its checks passed at this size
-        assert re.fullmatch(r"\[[01], 0, 0\] False", proc.stdout.splitlines()[-1])
+        codes, linalg, scipy, openblas = proc.stdout.splitlines()[-1].rsplit(" ", 3)
+        assert re.fullmatch(r"\[[01], 0, 0\]", codes)
+        assert linalg == "False"
+        if openblas == "True":
+            assert scipy == "False"
         assert (tmp_path / "run" / "mc_diagnostics.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
