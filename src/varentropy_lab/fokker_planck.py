@@ -227,12 +227,13 @@ class _Generator:
         return 1.0 / ((1.0 - theta) * self.max_rate)
 
     def _factored_step(self, dt: float, theta: float) -> tuple:
-        """The prebuilt arguments of one theta step of size ``dt``: ``dlagtm``
-        (alpha 1, beta 0) from state buffer 0 into buffer 1, then ``dgttrs``
-        in buffer 1 with the ``dgttrf`` factors of ``I - theta dt L``; the same
-        two from buffer 1 into buffer 0; and the ``info`` that ``dgttrs`` sets."""
+        """One theta step of size ``dt``, ready to call: ``dlagtm`` and
+        ``dgttrs``; the prebuilt arguments of ``dlagtm`` (alpha 1, beta 0) from
+        state buffer 0 into buffer 1, then of ``dgttrs`` in buffer 1 with the
+        ``dgttrf`` factors of ``I - theta dt L``, and the same two from buffer 1
+        into buffer 0; and the ``info`` that ``dgttrs`` sets."""
         # loaded here, not with the package, so parsing a config loads no LAPACK
-        dgttrf, _, _, integer, lengths = _gt_routines()
+        dgttrf, dgttrs, dlagtm, integer, lengths = _gt_routines()
         n, one, info = (np.array([k], dtype=integer) for k in (self.diag.size, 1, 0))
         trans, alpha, beta = np.array(b"N"), np.array([1.0]), np.array([0.0])
 
@@ -241,13 +242,19 @@ class _Generator:
 
         explicit = shifted((1.0 - theta) * dt)
         factors = (*shifted(-theta * dt), np.empty(n[0] - 2), np.empty(n[0], dtype=integer))
-        dgttrf(*_pointers(n, *factors, info))
+        # one pointer per array, shared by every call that passes the array
+        trans_ptr, n_ptr, one_ptr, alpha_ptr, beta_ptr, info_ptr = _pointers(
+            trans, n, one, alpha, beta, info)
+        explicit_ptr, factors_ptr = _pointers(*explicit), _pointers(*factors)
+        states = _pointers(*self._buffers)
+        dgttrf(n_ptr, *factors_ptr, info_ptr)
         if info[0] != 0:
             raise RuntimeError(f"tridiagonal time-step factorization failed (info={info[0]})")
-        calls = [(_pointers(trans, n, one, alpha, *explicit, v, n, beta, w, n) + lengths,
-                  _pointers(trans, n, one, *factors, w, n, info) + lengths)
-                 for v, w in (self._buffers, self._buffers[::-1])]
-        return *calls, info
+        calls = [((trans_ptr, n_ptr, one_ptr, alpha_ptr, *explicit_ptr, v, n_ptr, beta_ptr, w,
+                   n_ptr, *lengths),
+                  (trans_ptr, n_ptr, one_ptr, *factors_ptr, w, n_ptr, info_ptr, *lengths))
+                 for v, w in (states, states[::-1])]
+        return dlagtm, dgttrs, calls, info
 
     def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
         """``n_steps`` theta-weighted steps of size ``dt`` from ``values``,
@@ -262,8 +269,7 @@ class _Generator:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
             step = self._steps[key] = self._factored_step(dt, theta)
-        *calls, info = step
-        _, dgttrs, dlagtm, _, _ = _gt_routines()
+        dlagtm, dgttrs, calls, info = step
         np.copyto(self._buffers[0], values)
         # the calls alternate between the two directions, buffer 0 to 1 first
         for explicit, implicit in itertools.islice(itertools.cycle(calls), n_steps):
@@ -301,15 +307,17 @@ def solve(
     dt_pos = gen.positivity_dt(cfg.theta)
     values = np.empty((len(t_grid), p0.grid.n))
     values[0] = p0.values
-    for k in range(1, len(t_grid)):
-        width = t_grid[k] - t_grid[k - 1]
+    # the interval plan in Python floats: the same roundings as numpy's scalars
+    times = t_grid.tolist()
+    for k in range(1, len(times)):
+        width = times[k] - times[k - 1]
         n_nominal = max(1, math.ceil(width / cfg.dt - 1e-12))
         nominal = width / n_nominal
         n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
         try:
             values[k] = gen.run(values[k - 1], nominal / n_pos, cfg.theta, n_nominal * n_pos)
         except RuntimeError as err:
-            raise RuntimeError(f"solve failed advancing to t={t_grid[k]:g}: {err}") from err
+            raise RuntimeError(f"solve failed advancing to t={times[k]:g}: {err}") from err
 
     masses = integrate_rows(values, p0.grid)
     # row 0 is p0, a Density already checked against its own tolerance

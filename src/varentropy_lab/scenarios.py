@@ -79,11 +79,17 @@ class ScenarioResult:
         return 0 if all(c.passed for c in self.checks) else 1
 
 
+def _worst(values: Iterable[float]) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN, so that a
+    check fails on it: Python's ``max`` drops a NaN that is not first."""
+    return float(np.max(np.fromiter(values, dtype=float)))
+
+
 def _worst_relative(name: str, pairs: Iterable[tuple[float, float]], floor: float,
                     bound: float) -> Check:
     """Passes when ``|value - ref| / max(|ref|, floor) <= bound`` for every
     ``(value, ref)`` pair."""
-    worst = max([0.0] + [abs(value - ref) / max(abs(ref), floor) for value, ref in pairs])
+    worst = _worst([0.0] + [abs(value - ref) / max(abs(ref), floor) for value, ref in pairs])
     return Check(name, worst <= bound, f"max rel err = {worst:.3e} (tol {bound:g})")
 
 
@@ -128,7 +134,7 @@ def _entropy_rate_consistency(rows: Sequence[FunctionalReport], entropy_fd: list
 
 
 def _entropy_rate_nonpositive(rows: Sequence[FunctionalReport]) -> Check:
-    highest = max(r.entropy_rate for r in rows)
+    highest = _worst(r.entropy_rate for r in rows)
     return Check("entropy_rate_nonpositive", highest <= 0.0,
                  f"max entropy rate = {highest:.3e}")
 
@@ -151,7 +157,7 @@ def _mc_duality(residual: Optional[float], pooled: float, tol: Tolerances,
 
 
 def _mc_martingale_mean(marti: Sequence[MartingaleRow], tol: Tolerances) -> Check:
-    worst = max(abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti)
+    worst = _worst(abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti)
     return Check("mc_martingale_mean", worst <= tol.mc_sigmas,
                  f"worst |mean-1|/se = {worst:.2f}")
 
@@ -164,15 +170,15 @@ def _mc_martingale_conditional(marti: Sequence[MartingaleRow], tol: Tolerances,
     ratios = [r.cond_residual / r.cond_pooled_se for r in marti if r.cond_residual is not None]
     if not ratios:
         return Check("mc_martingale_conditional", False, undefined)
-    worst = max(ratios)
+    worst = _worst(ratios)
     return Check("mc_martingale_conditional", worst <= tol.mc_sigmas,
                  f"worst residual/pooled SE = {worst:.2f}")
 
 
 def _mc_functionals_agreement(rows: Sequence[tuple], tol: Tolerances) -> Check:
     """Sample means against quadrature, over the ``mc_diagnostics.csv`` rows
-    of the functionals; a row with no spread is skipped."""
-    worst = max([0.0] + [abs(value - ref) / se for *_, value, se, ref in rows if se > 0])
+    of the functionals; a row with no spread (``se`` 0) is skipped."""
+    worst = _worst([0.0] + [abs(value - ref) / se for *_, value, se, ref in rows if se != 0.0])
     return Check("mc_functionals_agreement", worst <= tol.mc_sigmas,
                  f"worst |mc - quadrature|/se = {worst:.2f}")
 

@@ -30,7 +30,7 @@ from varentropy_lab import (
     varentropy,
     varentropy_rate,
 )
-from varentropy_lab.functionals import _BLOCK
+from varentropy_lab import functionals
 
 # KL divergences between centered Gaussians, from the closed form
 # ln(s2/s1) + s1^2/(2 s2^2) - 1/2
@@ -289,19 +289,75 @@ class TestReport:
         with pytest.raises(ValueError, match="<= 0"):
             FunctionalReport(0.0, 0.1, 0.1, 0.1, 0.5, 0.0)
 
+    @pytest.mark.parametrize("field", FunctionalReport.CSV_FIELDS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_report_rejects_non_finite(self, field, bad):
+        """Every number must be finite; only the finite difference may be None."""
+        values = dict(zip(FunctionalReport.CSV_FIELDS, (0.0, 0.1, 0.1, 0.1, -0.1, 0.2, 0.3)))
+        FunctionalReport(**values)
+        FunctionalReport(**{**values, "varentropy_rate_fd": None})
+        with pytest.raises(ValueError, match="finite"):
+            FunctionalReport(**{**values, field: bad})
+
 
 class TestBlockKernel:
-    """``report`` reads the trajectory array in blocks of ``_BLOCK`` rows."""
+    """``report`` reads the trajectory array in blocks of as many rows as
+    ``functionals._BLOCK_BYTES`` holds; no row depends on its block."""
 
-    @pytest.mark.parametrize("length", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-    def test_rows_equal_public_functionals(self, length, dw_model, dw_grid, dw_stationary):
-        """Every row equals (==) the scalar functions, whether the trajectory
-        ends inside a block, on its edge or one row past it."""
+    @staticmethod
+    def _block_rows(monkeypatch, rows, grid):
+        """Make ``report`` take ``rows`` trajectory rows per block."""
+        monkeypatch.setattr(functionals, "_BLOCK_BYTES", rows * grid.n * 8)
+
+    @pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 35])
+    def test_rows_equal_public_functionals(self, length, dw_model, dw_grid, dw_stationary,
+                                           monkeypatch):
+        """In blocks of 16 rows, every row equals (==) the scalar functions,
+        whether the trajectory ends inside a block, on its edge or one row
+        past it, or is shorter than one block."""
+        self._block_rows(monkeypatch, 16, dw_grid)
         p0 = mixture_density(dw_grid, [(0.5, -1.2, 0.09), (0.5, 1.2, 0.09)])
         times = np.linspace(0.0, 0.01 * (length - 1), length)
         traj = solve(p0, dw_model, times, SolverConfig(dt=1e-3))
         assert len(report(traj, dw_stationary, dw_model.sigma)) == length
         _assert_rows_equal_public(traj, dw_stationary, dw_model.sigma)
+
+    @pytest.fixture(scope="class")
+    def masked_run(self, dw_model, dw_grid, dw_stationary):
+        """A double-well trajectory of 300 rows, each with nodes below the
+        tail cut, and each row's one-row values from the public scalar
+        functions, which the separate assembly confirms."""
+        p0 = mixture_density(dw_grid, [(0.5, -1.2, 0.09), (0.5, 1.2, 0.09)])
+        traj = solve(p0, dw_model, np.linspace(0.0, 0.6, 300), SolverConfig(dt=1e-3))
+        assert not any(support_mask(state).all() for state in traj.states)
+        sigma = dw_model.sigma
+        expected = []
+        for state in traj.states:
+            public = (
+                relative_entropy(state, dw_stationary),
+                relative_fisher(state, dw_stationary),
+                varentropy(state, dw_stationary),
+                free_energy_rate(state, dw_stationary, sigma),
+                varentropy_rate(state, dw_stationary, sigma),
+            )
+            assert public == _separate_assembly(state, dw_stationary, sigma)
+            expected.append(public)
+        return traj, expected
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, None, 128],
+                             ids=["1", "7", "16", "default", "128"])
+    def test_rows_do_not_depend_on_block_width(self, rows, masked_run, dw_grid, dw_model,
+                                               dw_stationary, monkeypatch):
+        """Every row is the same (==) at every block width, from one row per
+        block to blocks that leave a short last block; None keeps the
+        module's own width."""
+        traj, expected = masked_run
+        if rows is not None:
+            self._block_rows(monkeypatch, rows, dw_grid)
+        got = [(row.relative_entropy, row.relative_fisher, row.varentropy, row.entropy_rate,
+                row.varentropy_rate) for row in report(traj, dw_stationary, dw_model.sigma)]
+        assert got == expected
 
     def test_squared_mean_is_a_python_power(self):
         """The varentropy is ``second - first**2`` with Python's float power.
@@ -317,7 +373,7 @@ class TestBlockKernel:
         second = integrate(logratio**2 * weight, grid)
         assert second - first * first != second - first**2  # the pinned case
         assert varentropy(p, pbar) == second - first**2
-        length = _BLOCK + 3
+        length = functionals._BLOCK_BYTES // (8 * grid.n) + 3
         traj = DensityTrajectory(np.arange(float(length)), [p.at_time(t) for t in range(length)])
         assert [row.varentropy for row in report(traj, pbar, 1.0)] == [second - first**2] * length
 

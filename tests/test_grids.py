@@ -122,11 +122,21 @@ class TestGradient:
         g = make_uniform_grid(lo, hi, n)
         rng = np.random.default_rng(n)
         rows = rng.normal(size=(17, n)) * np.exp(rng.normal(scale=5.0, size=(17, n)))
-        assert np.array_equal(
-            gradient_rows(rows, g), np.gradient(rows, g.dx, axis=1, edge_order=2)
-        )
+        expected = np.gradient(rows, g.dx, axis=1, edge_order=2)
+        assert np.array_equal(gradient_rows(rows, g), expected)
+        assert np.array_equal(gradient_rows(np.asfortranarray(rows), g), expected)
+        out = np.empty_like(rows)
+        assert gradient_rows(rows, g, out=out) is out
+        assert np.array_equal(out, expected)
         for row in rows[:3]:
             assert np.array_equal(gradient(row, g), np.gradient(row, g.dx, edge_order=2))
+
+    def test_out_must_be_contiguous_of_the_same_shape(self):
+        g = make_uniform_grid(0.0, 1.0, 11)
+        rows = np.ones((4, 11))
+        for out in (np.empty((4, 12)), np.empty((11, 4)).T, np.empty((4, 22))[:, ::2]):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                gradient_rows(rows, g, out=out)
 
 
 class TestLaplacian:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monot
 from varentropy_lab import scenarios
 from varentropy_lab.cli import main
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
-from varentropy_lab.config import ConfigError, _deep_merge
+from varentropy_lab.config import ConfigError, Tolerances, _deep_merge
+from varentropy_lab.monte_carlo import MartingaleRow
 from varentropy_lab.scenarios import OUTPUT_ROOT_ENV
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -410,6 +412,45 @@ class TestRunScenario:
             tracemalloc.stop()
         dense_bytes = (mc["diag_steps"] + 1) * mc["n_paths"] * 8
         assert peak < 0.5 * dense_bytes, (peak, dense_bytes)
+
+
+class TestChecksFailOnNaN:
+    """A NaN anywhere in what a check reduces fails the check, and its detail
+    shows ``nan``; Python's ``max`` would drop a NaN that is not first."""
+
+    NAN = float("nan")
+
+    @staticmethod
+    def _failed_with_nan(check):
+        assert not check.passed, check
+        assert "nan" in check.detail, check
+
+    def test_worst_relative(self):
+        self._failed_with_nan(scenarios._worst_relative("x", [(1.0, 1.0), (self.NAN, 1.0)],
+                                                        1e-6, 1e-2))
+        self._failed_with_nan(scenarios._worst_relative("x", [(1.0, 1.0), (1.0, self.NAN)],
+                                                        1e-6, 1e-2))
+
+    def test_entropy_rate_nonpositive(self):
+        rows = [SimpleNamespace(entropy_rate=-1.0), SimpleNamespace(entropy_rate=self.NAN)]
+        self._failed_with_nan(scenarios._entropy_rate_nonpositive(rows))
+
+    def test_mc_martingale_mean(self):
+        marti = [MartingaleRow(0.0, 1.0, 0.1, None, None),
+                 MartingaleRow(0.5, self.NAN, 0.1, None, None)]
+        self._failed_with_nan(scenarios._mc_martingale_mean(marti, Tolerances()))
+
+    def test_mc_martingale_conditional(self):
+        marti = [MartingaleRow(0.0, 1.0, 0.1, 0.0, 0.1),
+                 MartingaleRow(0.5, 1.0, 0.1, self.NAN, 0.1)]
+        self._failed_with_nan(scenarios._mc_martingale_conditional(marti, Tolerances(), "none"))
+
+    @pytest.mark.parametrize("field", ["value", "se", "ref"])
+    def test_mc_functionals_agreement(self, field):
+        bad = {"value": 0.5, "se": 0.1, "ref": 0.5, field: self.NAN}
+        rows = [("entropy_mc", 0.0, None, 100, 0.5, 0.1, 0.5),
+                ("entropy_mc", 0.5, None, 100, bad["value"], bad["se"], bad["ref"])]
+        self._failed_with_nan(scenarios._mc_functionals_agreement(rows, Tolerances()))
 
 
 class TestSweep:
