@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -22,11 +23,14 @@ from .ou_exact import OUBenchmark
 from .scenarios import (
     convergence_study,
     monotonicity_sweep,
-    resolve_output_dir,
     run_scenario,
     write_convergence_csv,
     write_sweep_csv,
 )
+
+#: Environment variable naming a root directory under which ``run`` writes
+#: each scenario's reports, in a directory named by ``config.name``.
+OUTPUT_ROOT_ENV = "VARENTROPY_LAB_OUTPUT_ROOT"
 
 
 def _refuse_output(where: str, path, directory: bool):
@@ -47,9 +51,17 @@ def _refuse_output(where: str, path, directory: bool):
 
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
-    _refuse_output("--out" if args.out is not None else "output directory",
-                   resolve_output_dir(cfg, args.out), directory=True)
-    result = run_scenario(cfg, out_dir=args.out)
+    where, out_dir, root = "--out", args.out, os.environ.get(OUTPUT_ROOT_ENV)
+    if out_dir is None and root:
+        # a name that is not one plain path component could leave the root
+        if cfg.name in ("", ".", "..") or any(c in cfg.name for c in ("/", os.sep, "\0")):
+            raise ConfigError(f"config.name: {cfg.name!r} is not one plain path component, "
+                              f"which a directory under {OUTPUT_ROOT_ENV} needs")
+        where, out_dir = "output directory", Path(root) / cfg.name
+    elif out_dir is None and cfg.outputs is not None:
+        where, out_dir = "output directory", cfg.base_dir / cfg.outputs
+    _refuse_output(where, out_dir, directory=True)
+    result = run_scenario(cfg, out_dir)
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {cfg.name}: {check.name}: {check.detail}")

@@ -25,9 +25,7 @@ rounding-level cancellation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,22 +48,24 @@ from .grids import (
 _BLOCK_BYTES = 256 * 1024
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FunctionalReport:
-    """All functionals of one trajectory sample.
+    """All functionals of one trajectory, one column per field.
 
-    ``varentropy_rate`` is the closed-form rate; ``varentropy_rate_fd`` is the
-    central finite difference of the varentropy along the trajectory, present
-    only at interior sample times. Every number present must be finite.
+    Each column is a read-only float64 array with one entry per sample,
+    except ``varentropy_rate_fd``: the central finite difference of the
+    varentropy along the trajectory exists only at the ``len - 2`` interior
+    samples and holds those alone. ``varentropy_rate`` is the closed-form
+    rate. Every number must be finite.
     """
 
-    time: float
-    relative_entropy: float
-    relative_fisher: float
-    varentropy: float
-    entropy_rate: float
-    varentropy_rate: float
-    varentropy_rate_fd: Optional[float] = None
+    time: np.ndarray
+    relative_entropy: np.ndarray
+    relative_fisher: np.ndarray
+    varentropy: np.ndarray
+    entropy_rate: np.ndarray
+    varentropy_rate: np.ndarray
+    varentropy_rate_fd: np.ndarray
 
     #: CSV column order used by the scenario runner.
     CSV_FIELDS = (
@@ -79,15 +79,25 @@ class FunctionalReport:
     )
 
     def __post_init__(self):
-        # a None finite difference, at the two end samples, reads as 0.0
-        numbers = (self.time, self.relative_entropy, self.relative_fisher, self.varentropy,
-                   self.entropy_rate, self.varentropy_rate, self.varentropy_rate_fd or 0.0)
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"functionals must be finite, got {numbers}")
-        if self.relative_entropy < 0.0 or self.relative_fisher < 0.0 or self.varentropy < 0.0:
+        samples = np.size(self.time)
+        for field in self.CSV_FIELDS:
+            column = np.array(getattr(self, field), dtype=np.float64)
+            shape = (max(samples - 2, 0),) if field == "varentropy_rate_fd" else (samples,)
+            if column.shape != shape:
+                raise ValueError(f"{field}: expected shape {shape}, got {column.shape}")
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise ValueError(f"{field}[{bad[0]}] = {column[bad[0]]}: must be finite")
+            column.flags.writeable = False
+            object.__setattr__(self, field, column)
+        if ((self.relative_entropy < 0.0).any() or (self.relative_fisher < 0.0).any()
+                or (self.varentropy < 0.0).any()):
             raise ValueError("entropy, Fisher information and varentropy must be >= 0")
-        if self.entropy_rate > 0.0:
+        if (self.entropy_rate > 0.0).any():
             raise ValueError("entropy rate must be <= 0")
+
+    def __len__(self) -> int:
+        return len(self.time)
 
 
 def _check_sigma(sigma: float):
@@ -103,19 +113,21 @@ def _buffers(rows: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
-                 buffers: tuple[np.ndarray, ...]) -> list[tuple[float, float, float, float]]:
+                 buffers: tuple[np.ndarray, ...], out: np.ndarray):
     """Everything the functionals need from a block of states, in one pass.
 
     ``values`` holds one state per row, ``floored_pbar`` is the stationary
     density raised to ``DEFAULT_LOG_FLOOR`` and ``buffers`` comes from
     :func:`_buffers` with at least as many rows as ``values``; every
-    nodewise term is written into it. Returns, per row, ``(entropy, fisher,
-    varentropy, rate_integral)`` with the varentropy rate equal to
-    ``sigma**2 * rate_integral``; the public functions and :func:`report` all
-    read their values from here. Each nodewise term is the one a single row
-    would get and each integral sums one contiguous row, so a row's values do
-    not depend on its block.
+    nodewise term is written into it. Writes, per row, ``entropy, fisher,
+    varentropy, rate_integral`` into the four rows of ``out``, a ``(4,
+    len(values))`` array, with the varentropy rate equal to ``sigma**2 *
+    rate_integral``; the public functions and :func:`report` all read their
+    values from here. Each nodewise term is the one a single row would get
+    and each integral sums one contiguous row, so a row's values do not
+    depend on its block.
     """
+    entropy, fisher, variance, rate = out
     logratio, weight, slope_sq, product, mask = (buffer[:len(values)] for buffer in buffers)
     np.maximum(values, DEFAULT_LOG_FLOOR, out=logratio)
     logratio /= floored_pbar
@@ -123,25 +135,24 @@ def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
     np.greater_equal(values, DEFAULT_TAIL_CUT * values.max(axis=1, keepdims=True), out=mask)
     weight.fill(0.0)
     np.copyto(weight, values, where=mask)
-    firsts = integrate_rows(np.multiply(logratio, weight, out=product), grid).tolist()
+    entropy[:] = integrate_rows(np.multiply(logratio, weight, out=product), grid)
     np.multiply(logratio, logratio, out=product)
-    seconds = integrate_rows(np.multiply(product, weight, out=product), grid).tolist()
-    gradient_rows(logratio, grid, out=slope_sq)
-    np.multiply(slope_sq, slope_sq, out=slope_sq)
-    fishers = integrate_rows(np.multiply(slope_sq, weight, out=product), grid).tolist()
-    entropies = [max(first, 0.0) for first in firsts]
-    # -1 - logratio and -logratio - 1 are one rounding of the same number
-    np.subtract(-1.0, logratio, out=product)
-    product += np.array(entropies)[:, None]
-    product *= slope_sq
-    product *= weight
-    rates = integrate_rows(product, grid).tolist()
+    seconds = integrate_rows(np.multiply(product, weight, out=product), grid)
     # ``first**2`` stays a Python float power: numpy's array square is
     # x * x, which can differ from it in the last bit
-    return [
-        (entropy, max(fisher, 0.0), max(second - first**2, 0.0), rate)
-        for entropy, first, second, fisher, rate in zip(entropies, firsts, seconds, fishers, rates)
-    ]
+    variance[:] = [second - first**2 for first, second in zip(entropy.tolist(), seconds.tolist())]
+    gradient_rows(logratio, grid, out=slope_sq)
+    np.multiply(slope_sq, slope_sq, out=slope_sq)
+    fisher[:] = integrate_rows(np.multiply(slope_sq, weight, out=product), grid)
+    # clamped as ``max(x, 0.0)`` clamps: a -0.0 or a NaN stays
+    for column in (entropy, fisher, variance):
+        np.copyto(column, 0.0, where=column < 0.0)
+    # -1 - logratio and -logratio - 1 are one rounding of the same number
+    np.subtract(-1.0, logratio, out=product)
+    product += entropy[:, None]
+    product *= slope_sq
+    product *= weight
+    rate[:] = integrate_rows(product, grid)
 
 
 def _state_terms(p: Density, pbar: Density) -> tuple[float, float, float, float]:
@@ -149,7 +160,9 @@ def _state_terms(p: Density, pbar: Density) -> tuple[float, float, float, float]
     if p.grid != pbar.grid:
         raise ValueError("grid mismatch between densities")
     floored_pbar = np.maximum(pbar.values, DEFAULT_LOG_FLOOR)
-    return _block_terms(p.values[None, :], floored_pbar, p.grid, _buffers(1, p.grid.n))[0]
+    out = np.empty((4, 1))
+    _block_terms(p.values[None, :], floored_pbar, p.grid, _buffers(1, p.grid.n), out)
+    return tuple(out[:, 0].tolist())
 
 
 def relative_entropy(p: Density, pbar: Density) -> float:
@@ -187,7 +200,7 @@ def varentropy_rate(p: Density, pbar: Density, sigma: float) -> float:
     return sigma**2 * _state_terms(p, pbar)[3]
 
 
-def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> list[FunctionalReport]:
+def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> FunctionalReport:
     """Evaluate every functional at every trajectory sample.
 
     The trajectory's array goes through the shared kernel in blocks of as
@@ -196,8 +209,7 @@ def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> list[Functio
     and numpy is called once per block, not once per state; every value
     equals what the public scalar functions return for that state. The
     finite-difference varentropy rate uses the trajectory's native sampling
-    (central differences over neighbouring samples) and is None at the two
-    end samples.
+    (central differences over neighbouring samples) at the interior samples.
     """
     if pbar.grid != traj.grid:
         raise ValueError("grid mismatch between trajectory and stationary density")
@@ -205,18 +217,12 @@ def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> list[Functio
     floored_pbar = np.maximum(pbar.values, DEFAULT_LOG_FLOOR)
     block = max(1, _BLOCK_BYTES // traj.values[0].nbytes)
     buffers = _buffers(min(len(traj), block), traj.grid.n)
-    terms = []
+    terms = np.empty((4, len(traj)))
     for start in range(0, len(traj), block):
-        terms.extend(_block_terms(traj.values[start:start + block], floored_pbar, traj.grid,
-                                  buffers))
-    times = traj.times.tolist()
-    entropy_rate_scale, rate_scale = -0.5 * sigma**2, sigma**2
-    rows: list[FunctionalReport] = []
-    for k, (entropy, fisher, variance, rate_integral) in enumerate(terms):
-        fd = None
-        if 0 < k < len(times) - 1:
-            fd = (terms[k + 1][2] - terms[k - 1][2]) / (times[k + 1] - times[k - 1])
-        # positional, in CSV_FIELDS order: keywords cost a frozen dataclass more
-        rows.append(FunctionalReport(times[k], entropy, fisher, variance,
-                                     entropy_rate_scale * fisher, rate_scale * rate_integral, fd))
-    return rows
+        _block_terms(traj.values[start:start + block], floored_pbar, traj.grid, buffers,
+                     terms[:, start:start + block])
+    entropy, fisher, variance, rate_integral = terms
+    times = traj.times
+    return FunctionalReport(times, entropy, fisher, variance, -0.5 * sigma**2 * fisher,
+                            sigma**2 * rate_integral,
+                            (variance[2:] - variance[:-2]) / (times[2:] - times[:-2]))

@@ -3,7 +3,7 @@
 Running a scenario (parsed by :mod:`varentropy_lab.config`) produces CSV
 reports and a list of pass/fail tolerance checks. A run solves the PDE once,
 on the sample times merged with the stored times of both Monte Carlo
-ensembles, so the report rows, the solver checks and the Monte Carlo
+ensembles, so the functionals report, the solver checks and the Monte Carlo
 references all read one solution. Each check compares two computations and
 is one function returning a :class:`Check`. Sweeps rerun a base scenario
 across a list of parameter overrides and tabulate the sign behaviour of the
@@ -51,9 +51,6 @@ from .monte_carlo import (
 )
 from .ou_exact import OUBenchmark
 
-#: Environment variable overriding the output root directory.
-OUTPUT_ROOT_ENV = "VARENTROPY_LAB_OUTPUT_ROOT"
-
 
 # ---------------------------------------------------------------------------
 # run results and checks
@@ -72,24 +69,24 @@ class ScenarioResult:
     name: str
     out_dir: Optional[Path]
     checks: list[Check]
-    reports: list[FunctionalReport]
+    report: FunctionalReport
 
     @property
     def exit_code(self) -> int:
         return 0 if all(c.passed for c in self.checks) else 1
 
 
-def _worst(values: Iterable[float]) -> float:
+def _worst(values: Sequence[float] | np.ndarray) -> float:
     """The largest of ``values``, or NaN if any of them is NaN, so that a
     check fails on it: Python's ``max`` drops a NaN that is not first."""
-    return float(np.max(np.fromiter(values, dtype=float)))
+    return float(np.max(values))
 
 
-def _worst_relative(name: str, pairs: Iterable[tuple[float, float]], floor: float,
+def _worst_relative(name: str, values: np.ndarray, refs: np.ndarray, floor: float,
                     bound: float) -> Check:
     """Passes when ``|value - ref| / max(|ref|, floor) <= bound`` for every
-    ``(value, ref)`` pair."""
-    worst = _worst([0.0] + [abs(value - ref) / max(abs(ref), floor) for value, ref in pairs])
+    value and its ref."""
+    worst = _worst(np.append(0.0, np.abs(values - refs) / np.maximum(np.abs(refs), floor)))
     return Check(name, worst <= bound, f"max rel err = {worst:.3e} (tol {bound:g})")
 
 
@@ -113,37 +110,37 @@ def _stationary_fixed_point(cfg: ScenarioConfig, pbar: Density) -> Check:
                  f"sup |step(pbar) - pbar| = {err:.3e} (tol {bound:g})")
 
 
-def _varentropy_rate_consistency(rows: Sequence[FunctionalReport], tol: Tolerances) -> Check:
+def _varentropy_rate_consistency(rep: FunctionalReport, tol: Tolerances) -> Check:
     """The rate formula against the trajectory's central differences."""
-    pairs = ((r.varentropy_rate, r.varentropy_rate_fd) for r in rows[1:-1])
-    return _worst_relative("varentropy_rate_consistency", pairs, tol.rate_floor,
-                           tol.varentropy_rate_rel)
+    return _worst_relative("varentropy_rate_consistency", rep.varentropy_rate[1:-1],
+                           rep.varentropy_rate_fd, tol.rate_floor, tol.varentropy_rate_rel)
 
 
-def _entropy_fd(rows: Sequence[FunctionalReport]) -> list[float]:
-    """Central differences of the relative entropy at the interior rows."""
-    return [(b.relative_entropy - a.relative_entropy) / (b.time - a.time)
-            for a, b in zip(rows, rows[2:])]
+def _entropy_fd(rep: FunctionalReport) -> np.ndarray:
+    """Central differences of the relative entropy at the interior samples."""
+    entropy, times = rep.relative_entropy, rep.time
+    return (entropy[2:] - entropy[:-2]) / (times[2:] - times[:-2])
 
 
-def _entropy_rate_consistency(rows: Sequence[FunctionalReport], entropy_fd: list[float],
+def _entropy_rate_consistency(rep: FunctionalReport, entropy_fd: np.ndarray,
                               tol: Tolerances) -> Check:
-    pairs = zip((r.entropy_rate for r in rows[1:-1]), entropy_fd)
-    return _worst_relative("entropy_rate_consistency", pairs, tol.rate_floor,
-                           tol.entropy_rate_rel)
+    return _worst_relative("entropy_rate_consistency", rep.entropy_rate[1:-1], entropy_fd,
+                           tol.rate_floor, tol.entropy_rate_rel)
 
 
-def _entropy_rate_nonpositive(rows: Sequence[FunctionalReport]) -> Check:
-    highest = _worst(r.entropy_rate for r in rows)
+def _entropy_rate_nonpositive(rep: FunctionalReport) -> Check:
+    highest = _worst(rep.entropy_rate)
     return Check("entropy_rate_nonpositive", highest <= 0.0,
                  f"max entropy rate = {highest:.3e}")
 
 
-def _vs_exact(rows: Sequence[FunctionalReport], bench: OUBenchmark, quantity: str,
+def _vs_exact(rep: FunctionalReport, bench: OUBenchmark, quantity: str,
               tol: Tolerances) -> Check:
-    """One reported quantity against the benchmark's closed form of it."""
-    pairs = ((getattr(r, quantity), getattr(bench, quantity)(r.time)) for r in rows)
-    return _worst_relative(f"{quantity}_vs_exact", pairs, 1e-12, tol.oracle_rel)
+    """One reported quantity against the benchmark's closed form of it,
+    evaluated per time with ``math``: ``np.exp`` can round differently."""
+    exact = np.array([getattr(bench, quantity)(t) for t in rep.time.tolist()])
+    return _worst_relative(f"{quantity}_vs_exact", getattr(rep, quantity), exact, 1e-12,
+                           tol.oracle_rel)
 
 
 def _mc_duality(residual: Optional[float], pooled: float, tol: Tolerances,
@@ -157,7 +154,7 @@ def _mc_duality(residual: Optional[float], pooled: float, tol: Tolerances,
 
 
 def _mc_martingale_mean(marti: Sequence[MartingaleRow], tol: Tolerances) -> Check:
-    worst = _worst(abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti)
+    worst = _worst([abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti])
     return Check("mc_martingale_mean", worst <= tol.mc_sigmas,
                  f"worst |mean-1|/se = {worst:.2f}")
 
@@ -210,18 +207,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Optional[Path]:
-    """Output directory: explicit argument, then env root override, then config."""
-    if out_dir is not None:
-        return Path(out_dir)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root:
-        return Path(root) / cfg.name
-    if cfg.outputs is not None:
-        return cfg.base_dir / cfg.outputs
-    return None
-
-
 # ---------------------------------------------------------------------------
 # scenario run
 # ---------------------------------------------------------------------------
@@ -230,11 +215,12 @@ def resolve_output_dir(cfg: ScenarioConfig, out_dir: str | Path | None = None) -
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioResult:
     """Solve the scenario, evaluate every configured check, write reports.
 
-    Writes ``functionals.csv`` (one row per sample time), ``consistency.csv``
-    (closed-form rates against trajectory finite differences at interior
-    times), ``checks.csv``, and ``mc_diagnostics.csv`` when a Monte Carlo
-    block is configured. Returns the in-memory result; ``exit_code`` is zero
-    only if every check passed.
+    Writes into ``out_dir``, when it is given, ``functionals.csv`` (one row
+    per sample time), ``consistency.csv`` (closed-form rates against
+    trajectory finite differences at interior times), ``checks.csv``, and
+    ``mc_diagnostics.csv`` when a Monte Carlo block is configured; with no
+    ``out_dir`` it writes nothing. Returns the in-memory result;
+    ``exit_code`` is zero only if every check passed.
     """
     tol = cfg.tolerances
     pbar = cfg.stationary_density()
@@ -246,19 +232,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
         time_sets.append(ensemble_times(mc.dt, mc.diag_steps * mc.dt))
         time_sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
     solution, (traj, *mc_trajs) = _solve_once(cfg, time_sets)
-    rows = report(traj, pbar, cfg.model.sigma)
-    entropy_fd = _entropy_fd(rows)
+    rep = report(traj, pbar, cfg.model.sigma)
+    entropy_fd = _entropy_fd(rep)
     checks = [
         _mass_conservation(solution, cfg.solver.mass_tol),
         _positivity(solution),
         _stationary_fixed_point(cfg, pbar),
-        _varentropy_rate_consistency(rows, tol),
-        _entropy_rate_consistency(rows, entropy_fd, tol),
-        _entropy_rate_nonpositive(rows),
+        _varentropy_rate_consistency(rep, tol),
+        _entropy_rate_consistency(rep, entropy_fd, tol),
+        _entropy_rate_nonpositive(rep),
     ]
     if cfg.is_ou_benchmark():
         bench = OUBenchmark(float(cfg.initial["variance"]))
-        checks += [_vs_exact(rows, bench, q, tol) for q in ("varentropy", "varentropy_rate")]
+        checks += [_vs_exact(rep, bench, q, tol) for q in ("varentropy", "varentropy_rate")]
 
     mc_rows = []
     if cfg.mc is not None:
@@ -268,23 +254,22 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
         mc_checks, mc_rows = _run_mc_diagnostics(cfg, *mc_trajs, pbar)
         checks += mc_checks
 
-    target = resolve_output_dir(cfg, out_dir)
+    target = None if out_dir is None else Path(out_dir)
     if target is not None:
-        _write_csv(
-            target / "functionals.csv",
-            FunctionalReport.CSV_FIELDS,
-            ([getattr(r, f) for f in FunctionalReport.CSV_FIELDS] for r in rows),
-        )
+        columns = [getattr(rep, f).tolist() for f in FunctionalReport.CSV_FIELDS]
+        # the finite difference leaves the two end samples' cells empty
+        columns[-1] = ([None] + columns[-1] + [None])[:len(rep)]
+        _write_csv(target / "functionals.csv", FunctionalReport.CSV_FIELDS, zip(*columns))
+        varentropy_rate, entropy_rate = rep.varentropy_rate[1:-1], rep.entropy_rate[1:-1]
         _write_csv(
             target / "consistency.csv",
             ("time", "varentropy_rate", "varentropy_rate_fd", "abs_diff_varentropy_rate",
              "entropy_rate", "entropy_rate_fd", "abs_diff_entropy_rate"),
-            (
-                (r.time, r.varentropy_rate, r.varentropy_rate_fd,
-                 abs(r.varentropy_rate - r.varentropy_rate_fd),
-                 r.entropy_rate, fd, abs(r.entropy_rate - fd))
-                for r, fd in zip(rows[1:-1], entropy_fd)
-            ),
+            zip(*(column.tolist() for column in (
+                rep.time[1:-1], varentropy_rate, rep.varentropy_rate_fd,
+                np.abs(varentropy_rate - rep.varentropy_rate_fd),
+                entropy_rate, entropy_fd, np.abs(entropy_rate - entropy_fd),
+            ))),
         )
         _write_csv(
             target / "checks.csv",
@@ -298,7 +283,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
                 mc_rows,
             )
 
-    return ScenarioResult(cfg.name, target, checks, rows)
+    return ScenarioResult(cfg.name, target, checks, rep)
 
 
 def _solve_once(
@@ -445,9 +430,8 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     """
     rows: list[SweepRow] = []
     for label, cfg in sweep.members():
-        result = run_scenario(cfg, out_dir=None)
-        rates = np.array([r.varentropy_rate for r in result.reports])
-        varentropies = np.array([r.varentropy for r in result.reports])
+        result = run_scenario(cfg)
+        rates, varentropies = result.report.varentropy_rate, result.report.varentropy
         scale = float(np.max(np.abs(rates)))
         sign_tol = 1e-6 * scale if scale > 0 else 0.0
         sign_change = bool(rates.min() < -sign_tol and rates.max() > sign_tol)
@@ -459,13 +443,13 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
                 min_rate=float(rates.min()),
                 max_rate=float(rates.max()),
                 sign_change=sign_change,
-                time_of_max=result.reports[k_max].time if interior_max else None,
+                time_of_max=float(result.report.time[k_max]) if interior_max else None,
                 varentropy_initial=float(varentropies[0]),
                 varentropy_final=float(varentropies[-1]),
                 failed_checks=tuple(c.name for c in result.checks if not c.passed),
             )
         )
-        # the member's reports go before the next member's run
+        # the member's report goes before the next member's run
         del result
     return rows
 
@@ -514,6 +498,7 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
                           "benchmark: linear drift rate -0.5, sigma 1, Gaussian start of mean 0")
     bench = OUBenchmark(float(cfg.initial["variance"]))
     t_samples = cfg.time_samples()
+    exact = np.array([bench.varentropy(t) for t in t_samples.tolist()])
     rows: list[ConvergenceRow] = []
     prev_err = None
     for level in range(levels):
@@ -523,10 +508,7 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
         refined = replace(cfg, grid=grid, solver=solver)
         pbar = refined.stationary_density()
         traj = solve(refined.initial_density(), cfg.model, t_samples, solver)
-        err = max(
-            abs(row.varentropy - bench.varentropy(t))
-            for t, row in zip(t_samples, report(traj, pbar, cfg.model.sigma))
-        )
+        err = _worst(np.abs(report(traj, pbar, cfg.model.sigma).varentropy - exact))
         order = None
         if prev_err is not None:
             order = math.log2(prev_err / err) if err > 0 else math.inf

@@ -48,8 +48,8 @@ def ou_case():
     p0 = cfg.initial_density()
     pbar = cfg.stationary_density()
     traj = solve(p0, cfg.model, cfg.time_samples(), cfg.solver)
-    rows = report(traj, pbar, cfg.model.sigma)
-    return cfg, p0, pbar, traj, rows
+    rep = report(traj, pbar, cfg.model.sigma)
+    return cfg, p0, pbar, traj, rep
 
 
 @pytest.fixture(scope="module")
@@ -58,36 +58,31 @@ def dw_case():
     p0 = cfg.initial_density()
     pbar = cfg.stationary_density()
     traj = solve(p0, cfg.model, cfg.time_samples(), cfg.solver)
-    rows = report(traj, pbar, cfg.model.sigma)
-    return cfg, p0, pbar, traj, rows
+    rep = report(traj, pbar, cfg.model.sigma)
+    return cfg, p0, pbar, traj, rep
 
 
 class TestCriterion1GaussianVarentropyDecay:
     def test_varentropy_tracks_exponential_decay(self, ou_case):
         """Computed varentropy matches (1/2)(3/4)^2 e^{-2t} to 1e-3 relative
         at every sampled time of the benchmark run."""
-        cfg, _, _, _, rows = ou_case
+        cfg, _, _, _, rep = ou_case
         bench = OUBenchmark(float(cfg.initial["variance"]))
-        worst = max(
-            abs(r.varentropy - bench.varentropy(r.time)) / bench.varentropy(r.time)
-            for r in rows
-        )
+        exact = np.array([bench.varentropy(t) for t in rep.time.tolist()])
+        worst = np.max(np.abs(rep.varentropy - exact) / exact)
         _announce(
             "criterion 1 (Gaussian varentropy decay)",
             worst <= 1e-3,
-            f"max rel err = {worst:.3e} (tol 1e-3) over t in [0, {rows[-1].time:g}]",
+            f"max rel err = {worst:.3e} (tol 1e-3) over t in [0, {rep.time[-1]:g}]",
         )
 
 
 class TestCriterion2GaussianVarentropyRate:
     def test_rate_formula_matches_closed_form(self, ou_case):
-        cfg, _, _, _, rows = ou_case
+        cfg, _, _, _, rep = ou_case
         bench = OUBenchmark(float(cfg.initial["variance"]))
-        worst = max(
-            abs(r.varentropy_rate - bench.varentropy_rate(r.time))
-            / abs(bench.varentropy_rate(r.time))
-            for r in rows
-        )
+        exact = np.array([bench.varentropy_rate(t) for t in rep.time.tolist()])
+        worst = np.max(np.abs(rep.varentropy_rate - exact) / np.abs(exact))
         _announce(
             "criterion 2a (rate formula vs closed form)",
             worst <= 1e-3,
@@ -95,11 +90,9 @@ class TestCriterion2GaussianVarentropyRate:
         )
 
     def test_rate_formula_matches_finite_difference(self, ou_case):
-        _, _, _, _, rows = ou_case
-        worst = max(
-            abs(r.varentropy_rate - r.varentropy_rate_fd) / abs(r.varentropy_rate_fd)
-            for r in rows[1:-1]
-        )
+        _, _, _, _, rep = ou_case
+        fd = rep.varentropy_rate_fd
+        worst = np.max(np.abs(rep.varentropy_rate[1:-1] - fd) / np.abs(fd))
         _announce(
             "criterion 2b (rate formula vs finite difference, Gaussian)",
             worst <= 1e-2,
@@ -111,29 +104,23 @@ class TestCriterion3NonGaussianVarentropyRate:
     def test_rate_formula_matches_finite_difference(self, dw_case):
         """The core non-Gaussian check: no closed form exists, so the
         trajectory finite difference is the ground truth."""
-        _, _, _, _, rows = dw_case
-        worst = max(
-            abs(r.varentropy_rate - r.varentropy_rate_fd)
-            / max(abs(r.varentropy_rate_fd), 1e-6)
-            for r in rows[1:-1]
-        )
+        _, _, _, _, rep = dw_case
+        fd = rep.varentropy_rate_fd
+        worst = np.max(np.abs(rep.varentropy_rate[1:-1] - fd) / np.maximum(np.abs(fd), 1e-6))
         _announce(
             "criterion 3 (rate formula vs finite difference, double well)",
             worst <= 1e-2,
-            f"max rel err = {worst:.3e} (tol 1e-2) over {len(rows) - 2} interior times",
+            f"max rel err = {worst:.3e} (tol 1e-2) over {len(rep) - 2} interior times",
         )
 
 
 class TestCriterion4FreeEnergyDecay:
     @pytest.mark.parametrize("case_name", ["ou_case", "dw_case"])
     def test_entropy_rate_matches_finite_difference(self, case_name, request):
-        _, _, _, _, rows = request.getfixturevalue(case_name)
-        worst = 0.0
-        for k in range(1, len(rows) - 1):
-            fd = (rows[k + 1].relative_entropy - rows[k - 1].relative_entropy) / (
-                rows[k + 1].time - rows[k - 1].time
-            )
-            worst = max(worst, abs(rows[k].entropy_rate - fd) / max(abs(fd), 1e-6))
+        _, _, _, _, rep = request.getfixturevalue(case_name)
+        entropy, times = rep.relative_entropy, rep.time
+        fd = (entropy[2:] - entropy[:-2]) / (times[2:] - times[:-2])
+        worst = np.max(np.abs(rep.entropy_rate[1:-1] - fd) / np.maximum(np.abs(fd), 1e-6))
         _announce(
             f"criterion 4a (entropy decay rate, {case_name[:2]})",
             worst <= 1e-2,
@@ -142,8 +129,8 @@ class TestCriterion4FreeEnergyDecay:
 
     @pytest.mark.parametrize("case_name", ["ou_case", "dw_case"])
     def test_entropy_rate_nonpositive(self, case_name, request):
-        _, _, _, _, rows = request.getfixturevalue(case_name)
-        worst = max(r.entropy_rate for r in rows)
+        _, _, _, _, rep = request.getfixturevalue(case_name)
+        worst = rep.entropy_rate.max()
         _announce(
             f"criterion 4b (entropy rate nonpositive, {case_name[:2]})",
             worst <= 0.0,

@@ -247,32 +247,30 @@ class TestRates:
 class TestReport:
     def test_stationary_trajectory_all_zero(self, ou_model, ou_stationary):
         traj = solve(ou_stationary, ou_model, np.linspace(0, 1, 5), SolverConfig(dt=1e-3))
-        for row in report(traj, ou_stationary, 1.0):
-            assert row.relative_entropy < 1e-12
-            assert row.varentropy < 1e-12
-            assert row.relative_fisher < 1e-12
-            assert abs(row.varentropy_rate) < 1e-12
+        rep = report(traj, ou_stationary, 1.0)
+        assert np.all(rep.relative_entropy < 1e-12)
+        assert np.all(rep.varentropy < 1e-12)
+        assert np.all(rep.relative_fisher < 1e-12)
+        assert np.all(np.abs(rep.varentropy_rate) < 1e-12)
 
     def test_varentropy_column_decays_exponentially(
         self, ou_model, narrow_gaussian, ou_stationary, bench
     ):
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 3, 31), SolverConfig(dt=1e-3))
-        rows = report(traj, ou_stationary, 1.0)
-        for row in rows:
-            assert row.varentropy == pytest.approx(bench.varentropy(row.time), rel=1e-3)
+        rep = report(traj, ou_stationary, 1.0)
+        exact = [bench.varentropy(t) for t in rep.time.tolist()]
+        assert rep.varentropy.tolist() == pytest.approx(exact, rel=1e-3)
 
     def test_entropy_rate_column_nonpositive(self, dw_model, dw_grid, dw_stationary):
         p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
         traj = solve(p0, dw_model, np.linspace(0, 0.5, 11), SolverConfig(dt=1e-3))
-        for row in report(traj, dw_stationary, 1.0):
-            assert row.entropy_rate <= 0.0
+        assert np.all(report(traj, dw_stationary, 1.0).entropy_rate <= 0.0)
 
     def test_fd_column_present_only_interior(self, ou_model, narrow_gaussian, ou_stationary):
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 0.5, 6), SolverConfig(dt=1e-3))
-        rows = report(traj, ou_stationary, 1.0)
-        assert rows[0].varentropy_rate_fd is None
-        assert rows[-1].varentropy_rate_fd is None
-        assert all(r.varentropy_rate_fd is not None for r in rows[1:-1])
+        rep = report(traj, ou_stationary, 1.0)
+        assert len(rep) == 6
+        assert rep.varentropy_rate_fd.shape == (4,)
 
     def test_rows_equal_public_functionals_ou(self, ou_model, narrow_gaussian, ou_stationary):
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 1, 11), SolverConfig(dt=1e-3))
@@ -285,20 +283,46 @@ class TestReport:
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError, match=">= 0"):
-            FunctionalReport(0.0, -0.1, 0.0, 0.0, 0.0, 0.0)
+            FunctionalReport([0.0], [-0.1], [0.0], [0.0], [0.0], [0.0], [])
         with pytest.raises(ValueError, match="<= 0"):
-            FunctionalReport(0.0, 0.1, 0.1, 0.1, 0.5, 0.0)
+            FunctionalReport([0.0], [0.1], [0.1], [0.1], [0.5], [0.0], [])
 
     @pytest.mark.parametrize("field", FunctionalReport.CSV_FIELDS)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
                              ids=["nan", "inf", "-inf"])
     def test_report_rejects_non_finite(self, field, bad):
-        """Every number must be finite; only the finite difference may be None."""
-        values = dict(zip(FunctionalReport.CSV_FIELDS, (0.0, 0.1, 0.1, 0.1, -0.1, 0.2, 0.3)))
+        """Every number must be finite, the finite difference's one
+        interior entry included; the error names the column and the entry.
+        Two samples have no finite difference at all."""
+        values = _three_samples()
         FunctionalReport(**values)
-        FunctionalReport(**{**values, "varentropy_rate_fd": None})
-        with pytest.raises(ValueError, match="finite"):
-            FunctionalReport(**{**values, field: bad})
+        FunctionalReport(**{name: column[:2] for name, column in values.items()
+                            if name != "varentropy_rate_fd"}, varentropy_rate_fd=[])
+        last = len(values[field]) - 1
+        with pytest.raises(ValueError, match=rf"^{field}\[{last}\] = {bad}: must be finite"):
+            FunctionalReport(**{**values, field: values[field][:last] + [bad]})
+
+    @pytest.mark.parametrize("field", FunctionalReport.CSV_FIELDS)
+    def test_report_rejects_wrong_shape(self, field):
+        """A column of the wrong shape is refused by name: here a row
+        vector of the right length, and the finite difference as long as
+        the others."""
+        values = _three_samples()
+        with pytest.raises(ValueError, match=rf"^{field}: expected shape"):
+            FunctionalReport(**{**values, field: [values[field]]})
+        with pytest.raises(ValueError, match=r"^varentropy_rate_fd: expected shape \(1,\)"):
+            FunctionalReport(**{**values, "varentropy_rate_fd": values["time"]})
+
+    def test_columns_are_read_only_copies(self):
+        """Each column is a read-only float64 copy of what was passed."""
+        values = {name: np.array(column) for name, column in _three_samples().items()}
+        rep = FunctionalReport(**values)
+        for name, column in values.items():
+            assert getattr(rep, name).dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rep, name)[0] = 0.0
+            column[0] = 7.0
+            assert getattr(rep, name)[0] != 7.0
 
 
 class TestBlockKernel:
@@ -355,8 +379,10 @@ class TestBlockKernel:
         traj, expected = masked_run
         if rows is not None:
             self._block_rows(monkeypatch, rows, dw_grid)
-        got = [(row.relative_entropy, row.relative_fisher, row.varentropy, row.entropy_rate,
-                row.varentropy_rate) for row in report(traj, dw_stationary, dw_model.sigma)]
+        rep = report(traj, dw_stationary, dw_model.sigma)
+        got = list(zip(rep.relative_entropy.tolist(), rep.relative_fisher.tolist(),
+                       rep.varentropy.tolist(), rep.entropy_rate.tolist(),
+                       rep.varentropy_rate.tolist()))
         assert got == expected
 
     def test_squared_mean_is_a_python_power(self):
@@ -375,7 +401,7 @@ class TestBlockKernel:
         assert varentropy(p, pbar) == second - first**2
         length = functionals._BLOCK_BYTES // (8 * grid.n) + 3
         traj = DensityTrajectory(np.arange(float(length)), [p.at_time(t) for t in range(length)])
-        assert [row.varentropy for row in report(traj, pbar, 1.0)] == [second - first**2] * length
+        assert report(traj, pbar, 1.0).varentropy.tolist() == [second - first**2] * length
 
 
 def _separate_assembly(p, pbar, sigma):
@@ -394,12 +420,20 @@ def _separate_assembly(p, pbar, sigma):
     return entropy, fisher, variance, -0.5 * sigma**2 * fisher, rate
 
 
+def _three_samples():
+    """Valid columns of a three-sample report, one interior finite difference."""
+    return dict(zip(FunctionalReport.CSV_FIELDS, ([0.0, 0.5, 1.0], [0.1] * 3, [0.1] * 3,
+                                                  [0.1] * 3, [-0.1] * 3, [0.2] * 3, [0.3])))
+
+
 def _assert_rows_equal_public(traj, pbar, sigma):
-    """Every report row holds exactly (==) what the public scalar functions
-    and the separate assembly give for the same state."""
-    for row, state in zip(report(traj, pbar, sigma), traj.states):
-        from_row = (row.relative_entropy, row.relative_fisher, row.varentropy,
-                    row.entropy_rate, row.varentropy_rate)
+    """Every report sample holds exactly (==) what the public scalar
+    functions and the separate assembly give for the same state."""
+    rep = report(traj, pbar, sigma)
+    columns = (rep.relative_entropy, rep.relative_fisher, rep.varentropy, rep.entropy_rate,
+               rep.varentropy_rate)
+    for *from_row, state in zip(*(column.tolist() for column in columns), traj.states):
+        from_row = tuple(from_row)
         public = (
             relative_entropy(state, pbar),
             relative_fisher(state, pbar),

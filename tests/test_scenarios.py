@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,12 +13,11 @@ import numpy as np
 import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
-from varentropy_lab import scenarios
-from varentropy_lab.cli import main
+from varentropy_lab import FunctionalReport, scenarios
+from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
 from varentropy_lab.config import ConfigError, Tolerances, _deep_merge
 from varentropy_lab.monte_carlo import MartingaleRow
-from varentropy_lab.scenarios import OUTPUT_ROOT_ENV
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -303,10 +303,26 @@ class TestRunScenario:
         )
         result = run_scenario(cfg, out_dir=tmp_path)
         assert result.exit_code == 0
-        for row in result.reports:
-            assert row.relative_entropy < 1e-10
-            assert row.varentropy < 1e-10
-            assert row.relative_fisher < 1e-10
+        assert np.all(result.report.relative_entropy < 1e-10)
+        assert np.all(result.report.varentropy < 1e-10)
+        assert np.all(result.report.relative_fisher < 1e-10)
+
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_short_trajectory_csv_end_cells(self, samples, tmp_path):
+        """1, 2 and 3 samples give 0, 0 and 1 finite differences, and
+        ``functionals.csv`` leaves the end samples' last cell empty. The
+        parse-time floor of 3 samples is skipped with ``replace``."""
+        cfg = replace(ScenarioConfig.from_dict(ou_config()), n_samples=samples)
+        rep = run_scenario(cfg, out_dir=tmp_path).report
+        assert len(rep) == samples
+        assert rep.varentropy_rate_fd.shape == ({1: 0, 2: 0, 3: 1}[samples],)
+        lines = [",".join(FunctionalReport.CSV_FIELDS)]
+        for k in range(samples):
+            cells = [f"{getattr(rep, f)[k].item():.17g}" for f in FunctionalReport.CSV_FIELDS[:-1]]
+            interior = 0 < k < samples - 1
+            cells.append(f"{rep.varentropy_rate_fd[k - 1].item():.17g}" if interior else "")
+            lines.append(",".join(cells))
+        assert (tmp_path / "functionals.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
@@ -315,18 +331,24 @@ class TestRunScenario:
         for name in ("functionals.csv", "consistency.csv", "checks.csv", "mc_diagnostics.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_output_root_env_override(self, tmp_path, monkeypatch):
+    def test_output_root_env_override(self, tmp_path, monkeypatch, capsys):
+        """``run`` with no ``--out`` writes under the env root, in a
+        directory named by the scenario."""
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ou_config()))
+        assert main(["run", str(path)]) == 0
+        out_dir = tmp_path / "root" / "ou_small"
+        assert f"reports written to {out_dir}\n" in capsys.readouterr().out
+        assert (out_dir / "functionals.csv").exists()
+
+    def test_no_outputs_writes_nothing(self, tmp_path, monkeypatch):
+        """With no ``out_dir`` a run writes nothing, whatever the env root."""
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         cfg = ScenarioConfig.from_dict(ou_config())
         result = run_scenario(cfg)
-        assert result.out_dir == tmp_path / "root" / "ou_small"
-        assert (result.out_dir / "functionals.csv").exists()
-
-    def test_no_outputs_writes_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
-        cfg = ScenarioConfig.from_dict(ou_config())
-        result = run_scenario(cfg)
         assert result.out_dir is None
+        assert not (tmp_path / "root").exists()
 
     def test_too_small_ensemble_fails_duality_check(self, tmp_path):
         """No backward-drift or martingale bin reaches min_count: mc_duality
@@ -388,9 +410,10 @@ class TestRunScenario:
             name, time, *_, reference = line.split(",")
             if name not in columns:
                 continue
-            rows = [r for r in result.reports if abs(r.time - float(time)) <= 1e-9]
-            if rows:
-                assert float(reference) == getattr(rows[0], columns[name]), (name, time)
+            at = np.flatnonzero(np.abs(result.report.time - float(time)) <= 1e-9)
+            if at.size:
+                value = getattr(result.report, columns[name])[at[0]]
+                assert float(reference) == value, (name, time)
                 compared.add(float(time))
         assert compared == {0.0, 0.25, 0.5}
 
@@ -426,14 +449,13 @@ class TestChecksFailOnNaN:
         assert "nan" in check.detail, check
 
     def test_worst_relative(self):
-        self._failed_with_nan(scenarios._worst_relative("x", [(1.0, 1.0), (self.NAN, 1.0)],
-                                                        1e-6, 1e-2))
-        self._failed_with_nan(scenarios._worst_relative("x", [(1.0, 1.0), (1.0, self.NAN)],
-                                                        1e-6, 1e-2))
+        good, bad = np.array([1.0, 1.0]), np.array([1.0, self.NAN])
+        self._failed_with_nan(scenarios._worst_relative("x", bad, good, 1e-6, 1e-2))
+        self._failed_with_nan(scenarios._worst_relative("x", good, bad, 1e-6, 1e-2))
 
     def test_entropy_rate_nonpositive(self):
-        rows = [SimpleNamespace(entropy_rate=-1.0), SimpleNamespace(entropy_rate=self.NAN)]
-        self._failed_with_nan(scenarios._entropy_rate_nonpositive(rows))
+        rep = SimpleNamespace(entropy_rate=np.array([-1.0, self.NAN]))
+        self._failed_with_nan(scenarios._entropy_rate_nonpositive(rep))
 
     def test_mc_martingale_mean(self):
         marti = [MartingaleRow(0.0, 1.0, 0.1, None, None),
@@ -761,6 +783,31 @@ class TestCli:
                                 "got -1.0 (sweep.values[2] = -1.0)\n")
         assert captured.out == ""
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\0b"],
+                             ids=["empty", "dot", "dotdot", "parent", "separator", "nul"])
+    def test_name_outside_output_root_exit_2(self, name, tmp_path, capsys, monkeypatch):
+        """Under the env root the scenario name is one directory; a name
+        that is not one plain path component is refused before any solve."""
+        monkeypatch.setattr(scenarios, "solve", None)
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ou_config(name=name)))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config.name: {name!r} is not one plain")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_sweep_under_output_root_writes_only_its_csv(self, tmp_path, monkeypatch, capsys):
+        """Sweep members write no reports, with the env root set too."""
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        sweep = {"base": ou_config(name="root_sweep"), "parameter": "initial.variance",
+                 "values": [0.25, 0.5]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
 
     def test_tolerances_mass_tol_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
