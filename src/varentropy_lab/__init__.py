@@ -16,7 +16,6 @@ from .grids import (
     make_uniform_grid,
     integrate,
     gradient,
-    laplacian,
     safe_log_ratio,
     support_mask,
     normalized_density,
@@ -31,12 +30,7 @@ from .drifts import (
     invariant_density,
     backward_drift_on_grid,
 )
-from .fokker_planck import (
-    SolverConfig,
-    solve,
-    reverse_harmonic_residual,
-    weighted_residual_norm,
-)
+from .fokker_planck import SolverConfig, solve
 from .functionals import (
     FunctionalReport,
     relative_entropy,

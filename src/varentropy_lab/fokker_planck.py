@@ -3,9 +3,7 @@ equation
 
     dp/dt = d/dx [ -b(x) p + (sigma^2 / 2) dp/dx ]
 
-on a truncated interval with reflecting (zero-flux) boundaries, plus the
-reverse-time harmonicity residual used to cross-check the backward-drift
-representation of the same process.
+on a truncated interval with reflecting (zero-flux) boundaries.
 
 The fluxes are discretized one way only, by the Chang-Cooper method (Chang
 & Cooper, J. Comput. Phys. 6, 1970): exponentially fitted two-point fluxes,
@@ -29,12 +27,20 @@ distinct substep sizes. Each generator therefore factors that tridiagonal
 matrix once per ``(dt, theta)`` with LAPACK ``dgttrf`` and keeps the factors
 (the LU / Thomas reuse for a constant tridiagonal operator) with the
 prebuilt arguments of each call a substep makes, for a bounded number of
-sizes, so irregular output meshes cannot grow memory.
+sizes, so irregular output meshes cannot grow memory. :func:`solve` keeps
+the generator of its last ``(grid, drift)`` pair, both frozen value types,
+and the next solve on an equal pair takes it with its factored steps: a
+run's main and fixed-point solves share one, and so do all sweep members.
 
 One output interval is one kernel call: all its substeps have one size.
-Each is two LAPACK calls through ``ctypes`` between the generator's two
-state buffers: ``dlagtm`` writes the explicit stage ``(I + (1-theta) dt L) v``
-of one into the other, and ``dgttrs`` solves there in place. ``dlagtm``
+Each is two LAPACK calls between the generator's two state buffers:
+``dlagtm`` writes the explicit stage ``(I + (1-theta) dt L) v`` of one into
+the other, and ``dgttrs`` solves there in place. Both are bare ``ctypes``
+function pointers, declaring no argument types, so the prebuilt pointer
+arguments pass unconverted, and ``info`` is read once per interval. At
+n = 501 a substep takes about 11 us, 8.5 us of it LAPACK arithmetic and
+2.2 us call overhead, which argument conversion and an ``info`` read per
+substep made 2.7 us (x86_64, median of in-process timings). ``dlagtm``
 rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``, the
 three-point sum evaluated left to right. On x86_64, where this was checked,
 the states therefore equal separately assembled steps bit for bit; a LAPACK
@@ -63,24 +69,20 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .drifts import GradientDrift, backward_drift_on_grid
+from .drifts import GradientDrift
 from .grids import (
-    DEFAULT_LOG_FLOOR,
     DEFAULT_MASS_TOL,
     Density,
     DensityTrajectory,
     Grid,
     first_invalid_row,
-    gradient,
-    integrate,
-    laplacian,
     integrate_rows,
-    support_mask,
 )
 
-#: Most substep sizes whose factored step one generator keeps. The shipped
-#: meshes need 8-10: ``linspace`` rounding makes equal-looking output
-#: intervals differ in their last bits.
+#: Most substep sizes whose factored step one generator keeps. ``linspace``
+#: rounding makes equal-looking output intervals differ in their last bits:
+#: the shipped sweep with its fixed-point solves needs 8 sizes, at 1201
+#: samples 10, and both in one process 16.
 _STEP_CACHE_SIZE = 16
 
 
@@ -136,9 +138,12 @@ def _cython_lapack():
 
 @functools.cache
 def _gt_routines():
-    """``dgttrf``, ``dgttrs`` and ``dlagtm`` as ctypes functions of pointers,
+    """``dgttrf``, ``dgttrs`` and ``dlagtm`` as bare ctypes function pointers,
     their integer type, and the arguments that the calling convention appends
-    to each call of the last two (see the module docstring)."""
+    to each call of the last two (see the module docstring).
+
+    The pointers declare no argument types, so a call passes its prebuilt
+    ``c_void_p`` and ``c_size_t`` arguments as they are, converting none."""
     addresses = _openblas_addresses()
     if addresses is not None:
         integer, lengths = ctypes.c_int64, (ctypes.c_size_t(1),)
@@ -151,10 +156,7 @@ def _gt_routines():
         capsules = [cython_lapack.__pyx_capi__[r] for r in ("dgttrf", "dgttrs", "dlagtm")]
         addresses = [pointer(capsule, name(capsule)) for capsule in capsules]
         integer, lengths = ctypes.c_int32, ()
-    pointers, tail = [ctypes.c_void_p] * 12, [ctypes.c_size_t] * len(lengths)
-    dgttrf = ctypes.CFUNCTYPE(None, *pointers[:7])(addresses[0])
-    dgttrs = ctypes.CFUNCTYPE(None, *pointers[:11], *tail)(addresses[1])
-    dlagtm = ctypes.CFUNCTYPE(None, *pointers, *tail)(addresses[2])
+    dgttrf, dgttrs, dlagtm = map(ctypes.CFUNCTYPE(None), addresses)
     return dgttrf, dgttrs, dlagtm, integer, lengths
 
 
@@ -180,7 +182,8 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
-    (grid, model) and reused across steps.
+    (grid, model) and reused across steps and, through :func:`solve`'s keep,
+    across solves.
 
     ``run`` keeps the factored step of each ``(dt, theta)``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
@@ -275,9 +278,27 @@ class _Generator:
         for explicit, implicit in itertools.islice(itertools.cycle(calls), n_steps):
             dlagtm(*explicit)
             dgttrs(*implicit)
-            if info[0]:
-                raise RuntimeError(f"tridiagonal time-step solve failed (info={info[0]})")
+        # dgttrs sets info only for an illegal argument, and every substep
+        # passes the same ones but the states, so the last call speaks for all
+        if info[0]:
+            raise RuntimeError(f"tridiagonal time-step solve failed (info={info[0]})")
         return self._buffers[n_steps % 2]
+
+
+#: The generator of the last solve that finished stepping, with the grid and
+#: drift it was built for: at most one ``(grid, model, generator)``.
+_kept: list[tuple[Grid, GradientDrift, _Generator]] = []
+
+
+def _kept_generator(grid: Grid, model: GradientDrift) -> _Generator:
+    """The kept generator, taken out of the keep, if it was built for an equal
+    grid and drift, else a new one. Both are frozen value types, so equal ones
+    give the same generator; a solve that takes it has its buffers alone."""
+    try:
+        kept_grid, kept_model, gen = _kept.pop()
+    except IndexError:
+        return _Generator(grid, model)
+    return gen if (kept_grid, kept_model) == (grid, model) else _Generator(grid, model)
 
 
 def solve(
@@ -303,7 +324,7 @@ def solve(
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    gen = _Generator(p0.grid, model)
+    gen = _kept_generator(p0.grid, model)
     dt_pos = gen.positivity_dt(cfg.theta)
     values = np.empty((len(t_grid), p0.grid.n))
     values[0] = p0.values
@@ -318,6 +339,7 @@ def solve(
             values[k] = gen.run(values[k - 1], nominal / n_pos, cfg.theta, n_nominal * n_pos)
         except RuntimeError as err:
             raise RuntimeError(f"solve failed advancing to t={times[k]:g}: {err}") from err
+    _kept[:] = [(p0.grid, model, gen)]
 
     masses = integrate_rows(values, p0.grid)
     # row 0 is p0, a Density already checked against its own tolerance
@@ -326,51 +348,3 @@ def solve(
         k, why = problem
         raise RuntimeError(f"solve failed advancing to t={t_grid[k + 1]:g}: {why}")
     return DensityTrajectory._from_rows(t_grid, p0.grid, values, masses)
-
-
-def reverse_harmonic_residual(
-    traj: DensityTrajectory, pbar: Density, model: GradientDrift, t_index: int
-) -> np.ndarray:
-    """Nodewise residual of the reverse-time harmonicity of ``pbar / p_t``.
-
-    The ratio of the stationary density to any solution of the forward
-    equation is annihilated by the backward-in-time operator
-
-        d/dt + b_minus(x) d/dx - (sigma^2 / 2) d^2/dx^2,
-
-    where ``b_minus = b - sigma^2 d/dx ln p_t`` is the backward drift. This
-    function evaluates that operator discretely: the time derivative by a
-    central difference across the neighbouring trajectory samples, space
-    derivatives by the grid stencils. Nodes below the tail cut of ``p_t`` are reported
-    as zero; elsewhere the residual converges to zero at second order in the
-    grid spacing and the trajectory sampling interval.
-    """
-    if not 0 < t_index < len(traj) - 1:
-        raise IndexError(
-            f"t_index must be interior (0 < i < {len(traj) - 1}), got {t_index}"
-        )
-    if pbar.grid != traj.grid:
-        raise ValueError("grid mismatch between trajectory and stationary density")
-
-    grid = traj.grid
-    p_prev, p_here, p_next = (traj[t_index + k] for k in (-1, 0, 1))
-
-    def ratio(p: Density) -> np.ndarray:
-        return pbar.values / np.maximum(p.values, DEFAULT_LOG_FLOOR)
-
-    dratio_dt = (ratio(p_next) - ratio(p_prev)) / (
-        traj.times[t_index + 1] - traj.times[t_index - 1]
-    )
-    b_minus = backward_drift_on_grid(model, p_here)
-    r = ratio(p_here)
-    residual = (
-        dratio_dt
-        + b_minus * gradient(r, grid)
-        - 0.5 * model.sigma**2 * laplacian(r, grid)
-    )
-    return np.where(support_mask(p_here), residual, 0.0)
-
-
-def weighted_residual_norm(residual: np.ndarray, p: Density) -> float:
-    """L2 norm of a nodewise residual weighted by the density ``p``."""
-    return math.sqrt(max(integrate(residual**2 * p.values, p.grid), 0.0))

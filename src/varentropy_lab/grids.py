@@ -125,20 +125,6 @@ def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
     return gradient_rows(values[None, :], grid)[0]
 
 
-def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second derivative: three-point central stencil inside, second-order
-    one-sided four-point stencils at the boundaries."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        raise ValueError(f"length mismatch: expected {grid.n} values, got {values.shape}")
-    dx2 = grid.dx**2
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dx2
-    out[0] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]) / dx2
-    out[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / dx2
-    return out
-
-
 def first_invalid_row(
     values: np.ndarray, masses: np.ndarray, mass_tol: float
 ) -> Optional[tuple[int, str]]:

@@ -25,14 +25,14 @@ from varentropy_lab import (
     monotonicity_sweep,
     relative_entropy,
     report,
-    reverse_harmonic_residual,
     simulate_ensemble,
     solve,
     varentropy,
     varentropy_rate,
-    weighted_residual_norm,
 )
 from varentropy_lab.grids import gaussian_density
+
+from harmonicity import reverse_harmonic_residual, weighted_residual_norm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

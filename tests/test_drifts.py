@@ -10,10 +10,11 @@ from varentropy_lab import (
     double_well_drift,
     gradient,
     invariant_density,
-    laplacian,
     linear_drift,
     make_uniform_grid,
 )
+
+from harmonicity import laplacian
 
 STANDARD_NORMAL_PEAK = 0.3989422804014327  # 1 / sqrt(2 pi)
 

@@ -4,6 +4,7 @@ the reverse-time harmonicity residual."""
 import ctypes
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from scipy.linalg import solve_banded
 from varentropy_lab import (
     OUBenchmark,
     SolverConfig,
+    SweepConfig,
     double_well_drift,
     gaussian_density,
     invariant_density,
     make_uniform_grid,
     mixture_density,
+    monotonicity_sweep,
     relative_entropy,
-    reverse_harmonic_residual,
     solve,
-    weighted_residual_norm,
 )
 from varentropy_lab import fokker_planck
 from varentropy_lab.fokker_planck import (
@@ -29,6 +30,8 @@ from varentropy_lab.fokker_planck import (
     _bernoulli,
 )
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
+
+from harmonicity import laplacian, reverse_harmonic_residual, weighted_residual_norm
 
 
 @pytest.fixture(scope="module")
@@ -287,11 +290,18 @@ class TestLapackSources:
 
     TIMES = np.linspace(0.0, 0.05, 11)
 
+    @staticmethod
+    def _forget_routines():
+        """Clear the routine cache and the kept generator, whose factored
+        steps are bound to the routines of the source they were built with."""
+        fokker_planck._gt_routines.cache_clear()
+        fokker_planck._kept.clear()
+
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
-        fokker_planck._gt_routines.cache_clear()
+        self._forget_routines()
         yield
-        fokker_planck._gt_routines.cache_clear()
+        self._forget_routines()
 
     def _solve(self, monkeypatch, dw_model, dw_grid, *, openblas=True):
         """Rows of a double-well solve from a start with exact zero nodes,
@@ -335,11 +345,68 @@ class TestLapackSources:
 
     def test_cython_lapack_file_where_numpy_has_none(self, monkeypatch, dw_model, dw_grid):
         expected, _ = self._solve(monkeypatch, dw_model, dw_grid)
-        fokker_planck._gt_routines.cache_clear()
+        self._forget_routines()
         rows, lookups = self._solve(monkeypatch, dw_model, dw_grid, openblas=False)
         assert lookups == {"openblas": 1, "cython": 1}
         assert fokker_planck._gt_routines()[3] is ctypes.c_int32
         assert rows.tobytes() == expected.tobytes()
+
+
+class TestKeptGenerator:
+    """``solve`` keeps the generator of its last ``(grid, drift)`` pair, with
+    its factored steps, for the next solve on an equal pair."""
+
+    TIMES = np.linspace(0.0, 0.05, 11)
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self):
+        fokker_planck._kept.clear()
+
+    def _fresh_chain(self, p0, model, cfg):
+        """The rows of ``solve(p0, model, TIMES, cfg)`` stepped by a generator
+        of their own, one ``run`` per interval as ``solve`` plans it."""
+        gen = _Generator(p0.grid, model)
+        n_pos = math.ceil(cfg.dt / gen.positivity_dt(cfg.theta) - 1e-12)
+        rows = [p0.values]
+        for a, b in zip(self.TIMES[:-1], self.TIMES[1:]):
+            rows.append(gen.run(rows[-1], (b - a) / 5 / n_pos, cfg.theta, 5 * n_pos).copy())
+        return np.array(rows)
+
+    def test_interleaved_solves_equal_fresh_chains(self, dw_model, dw_grid):
+        """Two double-well solves, one on another grid, one with another
+        drift, and the double well again (on an equal grid built anew): each
+        gives the rows of a fresh generator bit for bit, and the second solve
+        reuses the first one's generator."""
+        cfg = SolverConfig(dt=1e-3)
+        starts = [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]
+        other_grid = make_uniform_grid(-3.5, 3.5, 601)
+        runs = [(dw_grid, dw_model), (dw_grid, dw_model), (other_grid, dw_model),
+                (dw_grid, double_well_drift(sigma=0.9)),
+                (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0))]
+        kept = []
+        for grid, model in runs:
+            p0 = mixture_density(grid, starts)
+            rows = solve(p0, model, self.TIMES, cfg).values
+            assert rows.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
+            kept.append(fokker_planck._kept[0][2])
+        assert kept[1] is kept[0]
+        assert len({id(gen) for gen in kept}) == 4
+
+    def test_shipped_sweep_factors_each_substep_size_once(self, monkeypatch):
+        """The members of the shipped sweep and their fixed-point solves share
+        one grid and drift, so each substep size is factored once for all of
+        them, within the step cache."""
+        real = _Generator._factored_step
+        factored = []
+
+        def counting(gen, dt, theta):
+            factored.append((dt, theta))
+            return real(gen, dt, theta)
+
+        monkeypatch.setattr(_Generator, "_factored_step", counting)
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        monotonicity_sweep(SweepConfig.from_json(configs / "sweep_double_well.json"))
+        assert len(factored) == len(set(factored)) <= _STEP_CACHE_SIZE
 
 
 class TestSubstepKernel:
@@ -464,7 +531,7 @@ class TestReverseHarmonicResidual:
             reverse_harmonic_residual(traj, pbar, model, k), traj[k]
         )
 
-        from varentropy_lab.grids import gradient, laplacian, support_mask
+        from varentropy_lab.grids import gradient, support_mask
 
         g = traj.grid
         ratio = lambda p: pbar.values / np.maximum(p.values, 1e-300)

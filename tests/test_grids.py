@@ -13,7 +13,6 @@ from varentropy_lab import (
     gaussian_density,
     gradient,
     integrate,
-    laplacian,
     make_uniform_grid,
     mixture_density,
     normalized_density,
@@ -22,6 +21,8 @@ from varentropy_lab import (
     support_mask,
 )
 from varentropy_lab.grids import gradient_rows, integrate_rows
+
+from harmonicity import laplacian
 
 #: exact mass of the standard normal over (-8, 8): erf(8 / sqrt(2))
 NORMAL_MASS_WIDE = 0.9999999999999988
