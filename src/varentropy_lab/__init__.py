@@ -36,7 +36,6 @@ from .functionals import (
     relative_entropy,
     relative_fisher,
     varentropy,
-    free_energy_rate,
     varentropy_rate,
     report,
 )

@@ -19,7 +19,9 @@ equal substeps, so no step produces a negative node value.
 Each step conserves trapezoid-rule mass to rounding because the update is
 in flux form and the boundary fluxes are identically zero. :func:`solve`
 writes its output times into one preallocated ``(times x nodes)`` array and
-checks every row of it in one pass when stepping is done.
+checks every row of it in one pass when stepping is done;
+:func:`solve_group` does the same for several starts on one grid, in one
+``(starts x times x nodes)`` array.
 
 The implicit matrix ``I - theta dt L`` of a step depends only on the
 generator, ``theta`` and the substep size ``dt``, and a run uses only a few
@@ -33,19 +35,32 @@ and the next solve on an equal pair takes it with its factored steps: a
 run's main and fixed-point solves share one, and so do all sweep members.
 
 One output interval is one kernel call: all its substeps have one size.
-Each is two LAPACK calls between the generator's two state buffers:
-``dlagtm`` writes the explicit stage ``(I + (1-theta) dt L) v`` of one into
-the other, and ``dgttrs`` solves there in place. Both are bare ``ctypes``
-function pointers, declaring no argument types, so the prebuilt pointer
-arguments pass unconverted, and ``info`` is read once per interval. At
-n = 501 a substep takes about 11 us, 8.5 us of it LAPACK arithmetic and
-2.2 us call overhead, which argument conversion and an ``info`` read per
-substep made 2.7 us (x86_64, median of in-process timings). ``dlagtm``
-rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``, the
-three-point sum evaluated left to right. On x86_64, where this was checked,
-the states therefore equal separately assembled steps bit for bit; a LAPACK
-compiled with fused multiply-add contraction (GCC's default on aarch64)
-may fuse a product into the running sum and round differently.
+The kernel steps a block of m states, one per row of the generator's two
+``(m, n)`` state buffers: one state for :func:`solve`, one per start for
+:func:`solve_group`. A substep is two LAPACK calls between the buffers,
+with ``NRHS = m`` and both leading dimensions ``LDX = LDB = n``: ``dlagtm``
+writes the explicit stage ``(I + (1-theta) dt L) v`` of one into the other,
+and ``dgttrs`` solves there in place. Both routines treat each right-hand
+side on its own, with the operations a single one gets (LAPACK Users'
+Guide, Anderson et al., 3rd ed., 1999), so each start's rows equal its solve
+alone bit for bit. Both are bare ``ctypes`` function pointers, declaring no
+argument types, so the prebuilt pointer arguments pass unconverted, and
+``info`` is read once per interval. At n = 501 a substep of one state takes
+about 11 us, 8.5 us of it LAPACK arithmetic and 2.2 us call overhead, which
+argument conversion and an ``info`` read per substep made 2.7 us (x86_64,
+median of in-process timings). A block shares the call overhead and the
+loads of the factors among its states: the 8 members of the 1201-sample
+sweep take 0.62 s solved one by one, 0.52 s in groups of 3 and 0.46 s as
+one group of 8 (one pinned CPU, median of 5, in process). A group holds all
+its trajectories at once, so the sweep bounds it at 16 MiB of rows
+(``scenarios._GROUP_BYTES``): 3 members of that sweep, all 8 of the shipped
+61-sample one.
+
+``dlagtm`` rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``,
+the three-point sum evaluated left to right. On x86_64, where this was
+checked, the states therefore equal separately assembled steps bit for bit;
+a LAPACK compiled with fused multiply-add contraction (GCC's default on
+aarch64) may fuse a product into the running sum and round differently.
 
 The routines are loaded once per process, on the first factored step, from
 the OpenBLAS bundled in numpy's wheel (symbols ``scipy_dgttrf_64_`` and so
@@ -66,6 +81,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from typing import Sequence
 
 import numpy as np
 
@@ -187,7 +203,8 @@ class _Generator:
 
     ``run`` keeps the factored step of each ``(dt, theta)``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
-    the state back and forth between the generator's two state buffers.
+    a block of states back and forth between the generator's two state
+    buffers.
     """
 
     def __init__(self, grid: Grid, model: GradientDrift):
@@ -219,8 +236,17 @@ class _Generator:
         self.upper = upper
         self.max_rate = float(np.max(-diag))
         self._steps: dict[tuple[float, float], tuple] = {}
-        # the state between substeps, which read one row and write the other
-        self._buffers = np.empty((2, grid.n))
+        # the block of states between substeps, which read one buffer and
+        # write the other, and the two pointers that every prebuilt call
+        # passes; both follow a block of another width
+        self._states = (ctypes.c_void_p(), ctypes.c_void_p())
+        self._resize(1)
+
+    def _resize(self, width: int):
+        """Reallocate the state buffers for blocks of ``width`` states."""
+        self._buffers = np.empty((2, width, self.diag.size))
+        for pointer, buffer in zip(self._states, self._buffers):
+            pointer.value = buffer.ctypes.data
 
     def positivity_dt(self, theta: float) -> float:
         """Largest dt for which the explicit stage keeps non-negative data
@@ -234,10 +260,12 @@ class _Generator:
         ``dgttrs``; the prebuilt arguments of ``dlagtm`` (alpha 1, beta 0) from
         state buffer 0 into buffer 1, then of ``dgttrs`` in buffer 1 with the
         ``dgttrf`` factors of ``I - theta dt L``, and the same two from buffer 1
-        into buffer 0; and the ``info`` that ``dgttrs`` sets."""
+        into buffer 0; the ``info`` that ``dgttrs`` sets; and the
+        right-hand-side count ``nrhs`` that ``run`` sets to its block's width.
+        A buffer holds one state per row, so both leading dimensions are n."""
         # loaded here, not with the package, so parsing a config loads no LAPACK
         dgttrf, dgttrs, dlagtm, integer, lengths = _gt_routines()
-        n, one, info = (np.array([k], dtype=integer) for k in (self.diag.size, 1, 0))
+        n, nrhs, info = (np.array([k], dtype=integer) for k in (self.diag.size, 1, 0))
         trans, alpha, beta = np.array(b"N"), np.array([1.0]), np.array([0.0])
 
         def shifted(scale):  # the three diagonals of I + scale L
@@ -246,34 +274,38 @@ class _Generator:
         explicit = shifted((1.0 - theta) * dt)
         factors = (*shifted(-theta * dt), np.empty(n[0] - 2), np.empty(n[0], dtype=integer))
         # one pointer per array, shared by every call that passes the array
-        trans_ptr, n_ptr, one_ptr, alpha_ptr, beta_ptr, info_ptr = _pointers(
-            trans, n, one, alpha, beta, info)
+        trans_ptr, n_ptr, nrhs_ptr, alpha_ptr, beta_ptr, info_ptr = _pointers(
+            trans, n, nrhs, alpha, beta, info)
         explicit_ptr, factors_ptr = _pointers(*explicit), _pointers(*factors)
-        states = _pointers(*self._buffers)
         dgttrf(n_ptr, *factors_ptr, info_ptr)
         if info[0] != 0:
             raise RuntimeError(f"tridiagonal time-step factorization failed (info={info[0]})")
-        calls = [((trans_ptr, n_ptr, one_ptr, alpha_ptr, *explicit_ptr, v, n_ptr, beta_ptr, w,
+        calls = [((trans_ptr, n_ptr, nrhs_ptr, alpha_ptr, *explicit_ptr, v, n_ptr, beta_ptr, w,
                    n_ptr, *lengths),
-                  (trans_ptr, n_ptr, one_ptr, *factors_ptr, w, n_ptr, info_ptr, *lengths))
-                 for v, w in (states, states[::-1])]
-        return dlagtm, dgttrs, calls, info
+                  (trans_ptr, n_ptr, nrhs_ptr, *factors_ptr, w, n_ptr, info_ptr, *lengths))
+                 for v, w in (self._states, self._states[::-1])]
+        return dlagtm, dgttrs, calls, info, nrhs
 
     def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
-        """``n_steps`` theta-weighted steps of size ``dt`` from ``values``,
-        each solving (I - theta dt L) v+ = (I + (1-theta) dt L) v.
+        """``n_steps`` theta-weighted steps of size ``dt`` from each state of
+        ``values``, an ``(m, n)`` block or one state of n nodes, each solving
+        (I - theta dt L) v+ = (I + (1-theta) dt L) v.
 
-        Returns the generator's state buffer that holds the last state; the
-        next call overwrites it.
+        Returns the generator's state buffer that holds the last states, in
+        the shape of ``values``; the next call overwrites it.
         """
+        block = np.reshape(values, (-1, self.diag.size))
+        if len(block) != self._buffers.shape[1]:
+            self._resize(len(block))
         key = (dt, theta)
         step = self._steps.get(key)
         if step is None:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
             step = self._steps[key] = self._factored_step(dt, theta)
-        dlagtm, dgttrs, calls, info = step
-        np.copyto(self._buffers[0], values)
+        dlagtm, dgttrs, calls, info, nrhs = step
+        nrhs[0] = len(block)
+        np.copyto(self._buffers[0], block)
         # the calls alternate between the two directions, buffer 0 to 1 first
         for explicit, implicit in itertools.islice(itertools.cycle(calls), n_steps):
             dlagtm(*explicit)
@@ -282,7 +314,7 @@ class _Generator:
         # passes the same ones but the states, so the last call speaks for all
         if info[0]:
             raise RuntimeError(f"tridiagonal time-step solve failed (info={info[0]})")
-        return self._buffers[n_steps % 2]
+        return self._buffers[n_steps % 2].reshape(np.shape(values))
 
 
 #: The generator of the last solve that finished stepping, with the grid and
@@ -301,6 +333,17 @@ def _kept_generator(grid: Grid, model: GradientDrift) -> _Generator:
     return gen if (kept_grid, kept_model) == (grid, model) else _Generator(grid, model)
 
 
+class SolveError(RuntimeError):
+    """A solve failed. ``start`` indexes, among the starts solved together,
+    the one whose trajectory failed; a failure of the stepping itself, which
+    no start causes, is the first start's, whose solve alone would meet it
+    first."""
+
+    def __init__(self, message: str, start: int = 0):
+        super().__init__(message)
+        self.start = start
+
+
 def solve(
     p0: Density, model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
 ) -> DensityTrajectory:
@@ -313,21 +356,43 @@ def solve(
     a preallocated ``(len(t_grid), n)`` array. The produced rows are then
     checked in one pass over the whole array: finite, non-negative, and of
     trapezoid mass within both ``cfg.mass_tol`` and the :class:`Density`
-    default of one; a failure raises ``RuntimeError`` naming the first bad
-    time.
+    default of one; a failure raises :class:`SolveError` naming the first
+    bad time. This is :func:`solve_group` of the one start ``p0``.
+    """
+    return solve_group([p0], model, t_grid, cfg)[0]
+
+
+def solve_group(
+    starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
+) -> list[DensityTrajectory]:
+    """:func:`solve` from every density of ``starts``, all on one grid, in one
+    pass: each kernel call steps the ``(len(starts), n)`` block of their
+    states, and each start's trajectory equals its solve alone bit for bit
+    (see the module docstring).
+
+    The trajectories are views of one ``(len(starts), len(t_grid), n)``
+    array, which lives as long as any of them. The first start, in order,
+    whose rows fail the checks raises :class:`SolveError` with its index.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ValueError("t_grid must be a non-empty 1-D array")
-    if abs(t_grid[0] - p0.time) > 1e-12:
-        raise ValueError(f"t_grid must start at p0.time={p0.time}, got {t_grid[0]}")
+    if not starts:
+        raise ValueError("need at least one start")
+    grid = starts[0].grid
+    for p0 in starts:
+        if p0.grid != grid:
+            raise ValueError("all starts must share one grid")
+        if abs(t_grid[0] - p0.time) > 1e-12:
+            raise ValueError(f"t_grid must start at p0.time={p0.time}, got {t_grid[0]}")
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    gen = _kept_generator(p0.grid, model)
+    gen = _kept_generator(grid, model)
     dt_pos = gen.positivity_dt(cfg.theta)
-    values = np.empty((len(t_grid), p0.grid.n))
-    values[0] = p0.values
+    values = np.empty((len(starts), len(t_grid), grid.n))
+    for rows, p0 in zip(values, starts):
+        rows[0] = p0.values
     # the interval plan in Python floats: the same roundings as numpy's scalars
     times = t_grid.tolist()
     for k in range(1, len(times)):
@@ -336,15 +401,19 @@ def solve(
         nominal = width / n_nominal
         n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
         try:
-            values[k] = gen.run(values[k - 1], nominal / n_pos, cfg.theta, n_nominal * n_pos)
+            values[:, k] = gen.run(values[:, k - 1], nominal / n_pos, cfg.theta,
+                                   n_nominal * n_pos)
         except RuntimeError as err:
-            raise RuntimeError(f"solve failed advancing to t={times[k]:g}: {err}") from err
-    _kept[:] = [(p0.grid, model, gen)]
+            raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
+    _kept[:] = [(grid, model, gen)]
 
-    masses = integrate_rows(values, p0.grid)
-    # row 0 is p0, a Density already checked against its own tolerance
-    problem = first_invalid_row(values[1:], masses[1:], min(cfg.mass_tol, DEFAULT_MASS_TOL))
-    if problem is not None:
-        k, why = problem
-        raise RuntimeError(f"solve failed advancing to t={t_grid[k + 1]:g}: {why}")
-    return DensityTrajectory._from_rows(t_grid, p0.grid, values, masses)
+    trajectories = []
+    for start, rows in enumerate(values):
+        masses = integrate_rows(rows, grid)
+        # row 0 is p0, a Density already checked against its own tolerance
+        problem = first_invalid_row(rows[1:], masses[1:], min(cfg.mass_tol, DEFAULT_MASS_TOL))
+        if problem is not None:
+            k, why = problem
+            raise SolveError(f"solve failed advancing to t={t_grid[k + 1]:g}: {why}", start)
+        trajectories.append(DensityTrajectory._from_rows(t_grid, grid, rows, masses))
+    return trajectories

@@ -180,12 +180,6 @@ def varentropy(p: Density, pbar: Density) -> float:
     return _state_terms(p, pbar)[2]
 
 
-def free_energy_rate(p: Density, pbar: Density, sigma: float) -> float:
-    """Decay rate of the relative entropy: ``-(sigma^2 / 2) * fisher``."""
-    _check_sigma(sigma)
-    return -0.5 * sigma**2 * relative_fisher(p, pbar)
-
-
 def varentropy_rate(p: Density, pbar: Density, sigma: float) -> float:
     """Instantaneous rate of change of the varentropy.
 

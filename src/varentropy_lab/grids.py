@@ -197,10 +197,6 @@ class Density:
         mu = self.mean()
         return integrate((self.grid.x - mu) ** 2 * self.values, self.grid)
 
-    def at_time(self, time: float) -> "Density":
-        """Same values tagged with a different model time."""
-        return Density(self.grid, self.values, time=float(time), mass_tol=self.mass_tol)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class DensityTrajectory:

@@ -7,13 +7,15 @@ ensembles, so the functionals report, the solver checks and the Monte Carlo
 references all read one solution. Each check compares two computations and
 is one function returning a :class:`Check`. Sweeps rerun a base scenario
 across a list of parameter overrides and tabulate the sign behaviour of the
-varentropy rate. The convergence study reruns the exactly solvable
-benchmark on a ladder of refined meshes and reports observed orders.
+varentropy rate; consecutive members that share a grid, drift, solver
+config and solve mesh are solved together, one block of states per kernel
+call, and each member's run then reads its own rows. The convergence study
+reruns the exactly solvable benchmark on a ladder of refined meshes and
+reports observed orders.
 
 Runs are deterministic end to end (Monte Carlo included, via seeds): a
-scenario run twice produces byte-identical CSV files. Output files are
-written atomically. Scenarios within a sweep are independent and could be
-dispatched concurrently; this implementation runs them in sequence.
+scenario run twice produces byte-identical CSV files, and a sweep member's
+rows are those of its run alone. Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
-from .fokker_planck import solve
+from .fokker_planck import SolveError, solve, solve_group
 from .functionals import (
     FunctionalReport,
     relative_entropy,
@@ -212,26 +214,33 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]):
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ScenarioResult:
+def run_scenario(
+    cfg: ScenarioConfig,
+    out_dir: str | Path | None = None,
+    solution: Optional[DensityTrajectory] = None,
+) -> ScenarioResult:
     """Solve the scenario, evaluate every configured check, write reports.
 
     Writes into ``out_dir``, when it is given, ``functionals.csv`` (one row
     per sample time), ``consistency.csv`` (closed-form rates against
     trajectory finite differences at interior times), ``checks.csv``, and
     ``mc_diagnostics.csv`` when a Monte Carlo block is configured; with no
-    ``out_dir`` it writes nothing. Returns the in-memory result;
-    ``exit_code`` is zero only if every check passed.
+    ``out_dir`` it writes nothing. ``solution``, when it is given, is the
+    scenario's solve on its mesh (:func:`_solve_times`), made elsewhere;
+    the sweep passes each member the rows of its group's solve. Returns the
+    in-memory result; ``exit_code`` is zero only if every check passed.
     """
     tol = cfg.tolerances
     pbar = cfg.stationary_density()
-    # one solve on every time any output reads: the sample times, then the
-    # dense and the coarse Monte Carlo ensembles' stored times
-    time_sets = [cfg.time_samples()]
-    if cfg.mc is not None:
-        mc = cfg.mc
-        time_sets.append(ensemble_times(mc.dt, mc.diag_steps * mc.dt))
-        time_sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
-    solution, (traj, *mc_trajs) = _solve_once(cfg, time_sets)
+    time_sets, mesh = _solve_times(cfg)
+    if solution is None:
+        solution = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
+    elif solution.grid != cfg.grid or solution.times.tolist() != mesh:
+        raise ValueError(f"{cfg.name}: the given solution is not on the scenario's grid and mesh")
+    traj, *mc_trajs = [
+        solution.rows([bisect.bisect(mesh, t) - 1 for t in times.tolist()], times)
+        for times in time_sets
+    ]
     rep = report(traj, pbar, cfg.model.sigma)
     entropy_fd = _entropy_fd(rep)
     checks = [
@@ -286,26 +295,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Scen
     return ScenarioResult(cfg.name, target, checks, rep)
 
 
-def _solve_once(
-    cfg: ScenarioConfig, time_sets: Sequence[np.ndarray]
-) -> tuple[DensityTrajectory, list[DensityTrajectory]]:
-    """Solve the scenario once, on a mesh holding every time of every set.
+def _solve_times(cfg: ScenarioConfig) -> tuple[list[np.ndarray], list[float]]:
+    """The time sets that a run's outputs read, and the mesh of its one solve.
 
-    Times within ``SAME_TIME_TOL`` of the previous mesh time are that mesh
-    time. Returns the solution and, per set, the trajectory at that set's
-    times, made of the solution's rows (a view when they are consecutive).
-    The few hundred times are merged with Python's sort: numpy's sort and
-    search kernels would add their code pages to the run's resident memory.
+    The sets are the sample times, then, with a Monte Carlo block, the
+    dense and the coarse ensembles' stored times. The mesh holds every time
+    of every set; times within ``SAME_TIME_TOL`` of the previous mesh time
+    are that mesh time, and each set reads the rows of its times' mesh
+    times. The few hundred times are merged with Python's sort: numpy's sort
+    and search kernels would add their code pages to the run's resident
+    memory.
     """
+    time_sets = [cfg.time_samples()]
+    if cfg.mc is not None:
+        mc = cfg.mc
+        time_sets.append(ensemble_times(mc.dt, mc.diag_steps * mc.dt))
+        time_sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
     mesh: list[float] = []
     for t in sorted(set().union(*(times.tolist() for times in time_sets))):
         if not mesh or t - mesh[-1] > SAME_TIME_TOL:
             mesh.append(t)
-    solution = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
-    return solution, [
-        solution.rows([bisect.bisect(mesh, t) - 1 for t in times.tolist()], times)
-        for times in time_sets
-    ]
+    return time_sets, mesh
 
 
 def _run_mc_diagnostics(
@@ -418,6 +428,50 @@ class SweepRow:
     failed_checks: tuple[str, ...]
 
 
+#: Most bytes of trajectory rows that one group of sweep members solved
+#: together holds: at n = 501, 3 members of a 1201-sample sweep, all 8 of
+#: the shipped 61-sample one. A wider group makes each substep cheaper per
+#: member but holds more rows at once: the 1201-sample sweep peaks at 46 MB
+#: with this bound, 36.5 MB one member at a time, and 69 MB as one group.
+_GROUP_BYTES = 16 * 2**20
+
+
+def _solve_groups(members: Sequence[tuple[str, ScenarioConfig]]) -> list[tuple[tuple, list]]:
+    """Consecutive members whose one solve can step them together, each
+    group with its key ``(grid, model, solver, mesh)``: they share all four,
+    and their trajectory rows fit in ``_GROUP_BYTES``. A member whose own
+    rows do not fit is a group alone."""
+    groups: list[tuple[tuple, list]] = []
+    for label, cfg in members:
+        key = (cfg.grid, cfg.model, cfg.solver, _solve_times(cfg)[1])
+        if groups and groups[-1][0] == key:
+            row_bytes = len(key[3]) * cfg.grid.n * 8
+            if (len(groups[-1][1]) + 1) * row_bytes <= _GROUP_BYTES:
+                groups[-1][1].append((label, cfg))
+                continue
+        groups.append((key, [(label, cfg)]))
+    return groups
+
+
+def _sweep_row(label: str, result: ScenarioResult) -> SweepRow:
+    """The sweep row of one member's run."""
+    rates, varentropies = result.report.varentropy_rate, result.report.varentropy
+    scale = float(np.max(np.abs(rates)))
+    sign_tol = 1e-6 * scale if scale > 0 else 0.0
+    k_max = int(np.argmax(varentropies))
+    interior_max = 0 < k_max < len(varentropies) - 1
+    return SweepRow(
+        label=label,
+        min_rate=float(rates.min()),
+        max_rate=float(rates.max()),
+        sign_change=bool(rates.min() < -sign_tol and rates.max() > sign_tol),
+        time_of_max=float(result.report.time[k_max]) if interior_max else None,
+        varentropy_initial=float(varentropies[0]),
+        varentropy_final=float(varentropies[-1]),
+        failed_checks=tuple(c.name for c in result.checks if not c.passed),
+    )
+
+
 def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     """Rerun the base scenario across parameter values and record, for each,
     the extremes of the varentropy rate over time, whether the rate changes
@@ -426,31 +480,26 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     No expected sign is asserted: the rate formula's bracket is indefinite
     and the sweep exists to record what actually happens. Each row also
     keeps the names of the member's failed tolerance checks. Every member
-    is parsed before the first one runs.
+    is parsed before the first one runs. Each group of
+    :func:`_solve_groups` is solved once, and each of its members then runs
+    on its own rows, checks and report included; a group's rows are freed
+    before the next group is solved. A solver error names the member that
+    met it; one in a group's solve comes before the group's earlier members
+    have run.
     """
     rows: list[SweepRow] = []
-    for label, cfg in sweep.members():
-        result = run_scenario(cfg)
-        rates, varentropies = result.report.varentropy_rate, result.report.varentropy
-        scale = float(np.max(np.abs(rates)))
-        sign_tol = 1e-6 * scale if scale > 0 else 0.0
-        sign_change = bool(rates.min() < -sign_tol and rates.max() > sign_tol)
-        k_max = int(np.argmax(varentropies))
-        interior_max = 0 < k_max < len(varentropies) - 1
-        rows.append(
-            SweepRow(
-                label=label,
-                min_rate=float(rates.min()),
-                max_rate=float(rates.max()),
-                sign_change=sign_change,
-                time_of_max=float(result.report.time[k_max]) if interior_max else None,
-                varentropy_initial=float(varentropies[0]),
-                varentropy_final=float(varentropies[-1]),
-                failed_checks=tuple(c.name for c in result.checks if not c.passed),
-            )
-        )
-        # the member's report goes before the next member's run
-        del result
+    for (grid, model, solver, mesh), group in _solve_groups(sweep.members()):
+        try:
+            solutions = solve_group([cfg.initial_density() for _, cfg in group], model,
+                                    np.array(mesh), solver)
+        except SolveError as err:
+            raise RuntimeError(f"sweep member {group[err.start][0]}: {err}") from err
+        for label, cfg in group:
+            try:
+                # the member's rows go with its run, and its report with its row
+                rows.append(_sweep_row(label, run_scenario(cfg, solution=solutions.pop(0))))
+            except RuntimeError as err:
+                raise RuntimeError(f"sweep member {label}: {err}") from err
     return rows
 
 

@@ -3,6 +3,7 @@ the reverse-time harmonicity residual."""
 
 import ctypes
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from varentropy_lab import (
+    Density,
     OUBenchmark,
     SolverConfig,
     SweepConfig,
@@ -26,8 +28,10 @@ from varentropy_lab import (
 from varentropy_lab import fokker_planck
 from varentropy_lab.fokker_planck import (
     _STEP_CACHE_SIZE,
+    SolveError,
     _Generator,
     _bernoulli,
+    solve_group,
 )
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
@@ -133,10 +137,10 @@ class TestSolve:
 
 
 def _with_node(index, value):
-    """A fault that sets one node of a produced state."""
+    """A fault that sets one node of a produced block of states."""
     def fault(values):
         out = values.copy()
-        out[index] = value
+        out[..., index] = value
         return out
     return fault
 
@@ -374,22 +378,30 @@ class TestKeptGenerator:
 
     def test_interleaved_solves_equal_fresh_chains(self, dw_model, dw_grid):
         """Two double-well solves, one on another grid, one with another
-        drift, and the double well again (on an equal grid built anew): each
-        gives the rows of a fresh generator bit for bit, and the second solve
-        reuses the first one's generator."""
+        drift, the double well again (on an equal grid built anew), then
+        grouped solves of 3 and of 2 starts around a solo one: each start
+        gives the rows of a fresh generator bit for bit, the second solve
+        reuses the first one's generator, and the last three reuse the
+        fifth one's whatever the group width."""
         cfg = SolverConfig(dt=1e-3)
-        starts = [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]
         other_grid = make_uniform_grid(-3.5, 3.5, 601)
-        runs = [(dw_grid, dw_model), (dw_grid, dw_model), (other_grid, dw_model),
-                (dw_grid, double_well_drift(sigma=0.9)),
-                (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0))]
+        dw_again = (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0))
+        runs = [(dw_grid, dw_model, 1), (dw_grid, dw_model, 1), (other_grid, dw_model, 1),
+                (dw_grid, double_well_drift(sigma=0.9), 1), (*dw_again, 1), (*dw_again, 3),
+                (*dw_again, 1), (*dw_again, 2)]
         kept = []
-        for grid, model in runs:
-            p0 = mixture_density(grid, starts)
-            rows = solve(p0, model, self.TIMES, cfg).values
-            assert rows.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
+        for grid, model, width in runs:
+            starts = [mixture_density(grid, [(0.5, -mean, 0.09), (0.5, mean, 0.09)])
+                      for mean in (1.0, 1.2, 0.8)[:width]]
+            if width == 1:
+                solved = [solve(starts[0], model, self.TIMES, cfg)]
+            else:
+                solved = solve_group(starts, model, self.TIMES, cfg)
+            for p0, traj in zip(starts, solved, strict=True):
+                assert traj.values.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
             kept.append(fokker_planck._kept[0][2])
         assert kept[1] is kept[0]
+        assert all(gen is kept[4] for gen in kept[5:])
         assert len({id(gen) for gen in kept}) == 4
 
     def test_shipped_sweep_factors_each_substep_size_once(self, monkeypatch):
@@ -407,6 +419,61 @@ class TestKeptGenerator:
         configs = Path(__file__).resolve().parent.parent / "configs"
         monotonicity_sweep(SweepConfig.from_json(configs / "sweep_double_well.json"))
         assert len(factored) == len(set(factored)) <= _STEP_CACHE_SIZE
+
+
+class TestSolveGroup:
+    """``solve_group`` steps several starts on one grid as one block; each
+    start's trajectory is its solve alone, and a failure names its start."""
+
+    TIMES = np.linspace(0.0, 0.05, 11)
+
+    def _starts(self, grid):
+        # the narrow start has exact zero nodes
+        return [mixture_density(grid, [(0.5, -1.1, 0.09), (0.5, 1.1, 0.09)]),
+                gaussian_density(grid, 1.0, 1e-4),
+                mixture_density(grid, [(0.3, -0.8, 0.05), (0.7, 1.3, 0.2)])]
+
+    def test_rows_equal_solo_solves(self, dw_model, dw_grid):
+        cfg = SolverConfig(dt=1e-3)
+        starts = self._starts(dw_grid)
+        group = solve_group(starts, dw_model, self.TIMES, cfg)
+        for p0, traj in zip(starts, group, strict=True):
+            alone = solve(p0, dw_model, self.TIMES, cfg)
+            assert np.array_equal(traj.values, alone.values)
+            assert np.array_equal(traj.masses, alone.masses)
+            assert np.array_equal(traj.times, alone.times)
+
+    def test_failing_start_is_named(self, dw_model, dw_grid, monkeypatch):
+        """A non-finite node in the second start's state at the third output
+        time fails that start, with the time in the message; the first start
+        stays clean."""
+        real = _Generator.run
+        calls = []
+
+        def faulty(gen, values, dt, theta, n_steps):
+            out = real(gen, values, dt, theta, n_steps)
+            calls.append(dt)
+            if len(calls) == 3:
+                out = out.copy()
+                out[1, 200] = np.nan
+            return out
+
+        monkeypatch.setattr(_Generator, "run", faulty)
+        with pytest.raises(SolveError, match=r"t=0\.015: density has non-finite values") as err:
+            solve_group(self._starts(dw_grid), dw_model, self.TIMES, SolverConfig(dt=1e-3))
+        assert err.value.start == 1
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda starts: [], "at least one start"),
+        (lambda starts: starts[:1] + [gaussian_density(make_uniform_grid(-3.5, 3.5, 601), 0.0,
+                                                       0.1)], "share one grid"),
+        (lambda starts: starts + [Density(starts[0].grid, starts[0].values, time=0.01)],
+         "start at p0.time=0.01"),
+    ], ids=["empty", "other_grid", "other_time"])
+    def test_refuses_starts_it_cannot_step_together(self, dw_model, dw_grid, change, message):
+        starts = change(self._starts(dw_grid))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_group(starts, dw_model, self.TIMES, SolverConfig(dt=1e-3))
 
 
 class TestSubstepKernel:

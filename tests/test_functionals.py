@@ -13,7 +13,6 @@ from varentropy_lab import (
     FunctionalReport,
     OUBenchmark,
     SolverConfig,
-    free_energy_rate,
     gaussian_density,
     gradient,
     integrate,
@@ -50,6 +49,13 @@ MIX_COMPONENTS = [(0.5, -1.0, 0.25), (0.5, 1.0, 0.25)]
 @pytest.fixture(scope="module")
 def mixture(wide_grid):
     return mixture_density(wide_grid, MIX_COMPONENTS)
+
+
+def free_energy_rate(p, pbar, sigma):
+    """Decay rate of the relative entropy of one state,
+    ``-(sigma^2 / 2) * fisher``: the expression of ``report``'s entropy
+    rate column."""
+    return -0.5 * sigma**2 * relative_fisher(p, pbar)
 
 
 class TestLocalFreeEnergy:
@@ -400,7 +406,8 @@ class TestBlockKernel:
         assert second - first * first != second - first**2  # the pinned case
         assert varentropy(p, pbar) == second - first**2
         length = functionals._BLOCK_BYTES // (8 * grid.n) + 3
-        traj = DensityTrajectory(np.arange(float(length)), [p.at_time(t) for t in range(length)])
+        states = [Density(grid, p.values, time=t) for t in range(length)]
+        traj = DensityTrajectory(np.arange(float(length)), states)
         assert report(traj, pbar, 1.0).varentropy.tolist() == [second - first**2] * length
 
 

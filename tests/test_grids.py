@@ -220,7 +220,8 @@ class TestTrajectory:
     def test_length_match_enforced(self, wide_grid):
         p = gaussian_density(wide_grid, 0.0, 1.0)
         with pytest.raises(ValueError, match="equal length"):
-            DensityTrajectory(np.array([0.0, 1.0, 2.0]), (p, p.at_time(1.0)))
+            DensityTrajectory(np.array([0.0, 1.0, 2.0]),
+                              (p, Density(wide_grid, p.values, time=1.0)))
 
 
     def test_states_are_stacked_into_one_array(self, wide_grid):

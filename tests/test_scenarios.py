@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ import pytest
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
 from varentropy_lab import FunctionalReport, scenarios
 from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
+from varentropy_lab.fokker_planck import SolveError, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
 from varentropy_lab.config import ConfigError, Tolerances, _deep_merge
 from varentropy_lab.monte_carlo import MartingaleRow
@@ -544,6 +546,163 @@ class TestSweep:
         path.write_text(json.dumps(data, indent=1))
         assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
         assert (tmp_path / "sweep.csv").read_bytes() == DENSE_SWEEP_REFERENCE.read_bytes()
+
+
+def shipped_sweep(n_samples: int = 61, **fields) -> SweepConfig:
+    """The shipped sweep with ``base.time.n_samples`` set, no ``outputs``,
+    and ``fields`` replacing its top-level fields."""
+    data = json.loads((CONFIGS / "sweep_double_well.json").read_text())
+    data.pop("outputs")
+    data["base"]["time"]["n_samples"] = n_samples
+    data.update(fields)
+    return SweepConfig(data["base"], data["parameter"], data["values"], base_dir=CONFIGS)
+
+
+#: Bytes of one member's trajectory rows in the shipped sweep at 61 samples.
+SHIPPED_MEMBER_BYTES = 61 * 501 * 8
+
+#: Three double-well drifts of the shipped sweep's grid.
+DRIFT_COEFFS = [[0.0, 0.0, -0.5, 0.0, 0.25], [0.0, 0.0, -0.6, 0.0, 0.25],
+                [0.0, 0.0, -0.4, 0.0, 0.3]]
+
+
+class TestGroupedSweep:
+    """Sweep members that share a grid, drift, solver config and solve mesh
+    are solved together in groups of bounded size; each member's rows equal
+    its solve alone bit for bit, and each group's rows are freed before the
+    next group is solved."""
+
+    def _record(self, monkeypatch):
+        """Record the width of every group solve, and whether each member's
+        rows equal a solve of the member alone, compared as it runs."""
+        real_group, real_run = scenarios.solve_group, scenarios.run_scenario
+        widths, equal = [], []
+
+        def group(starts, model, t_grid, cfg):
+            widths.append(len(starts))
+            return real_group(starts, model, t_grid, cfg)
+
+        def run(cfg, out_dir=None, solution=None):
+            alone = solve(cfg.initial_density(), cfg.model, solution.times, cfg.solver)
+            equal.append(np.array_equal(solution.values, alone.values)
+                         and np.array_equal(solution.masses, alone.masses))
+            return real_run(cfg, out_dir, solution)
+
+        monkeypatch.setattr(scenarios, "solve_group", group)
+        monkeypatch.setattr(scenarios, "run_scenario", run)
+        return widths, equal
+
+    @pytest.mark.parametrize("sweep, budget, widths", [
+        (shipped_sweep(61), None, [8]),
+        (shipped_sweep(1201), None, [3, 3, 2]),
+        (shipped_sweep(61), 3 * SHIPPED_MEMBER_BYTES, [3, 3, 2]),
+        (shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS), None, [1, 1, 1]),
+    ], ids=["shipped_61", "shipped_1201", "split_3_3_2", "drift_coeffs"])
+    def test_member_rows_equal_solo_solves(self, monkeypatch, sweep, budget, widths):
+        if budget is not None:
+            monkeypatch.setattr(scenarios, "_GROUP_BYTES", budget)
+        seen_widths, equal = self._record(monkeypatch)
+        rows = monotonicity_sweep(sweep)
+        assert seen_widths == widths
+        assert equal == [True] * len(rows) == [True] * len(sweep.values)
+
+    def test_split_groups_give_the_sweep_rows_of_solo_runs(self, monkeypatch):
+        """Groups of 3, 3 and 2 give the rows, failed checks included, that
+        each member's own run gives."""
+        sweep = shipped_sweep(61)
+        monkeypatch.setattr(scenarios, "_GROUP_BYTES", 3 * SHIPPED_MEMBER_BYTES)
+        solo = [scenarios._sweep_row(label, run_scenario(cfg)) for label, cfg in sweep.members()]
+        assert monotonicity_sweep(sweep) == solo
+
+    def test_groups_fill_the_budget(self):
+        """At 1201 samples the groups are 3, 3 and 2 members, each within
+        the budget, and no full group would fit one more member."""
+        groups = scenarios._solve_groups(shipped_sweep(1201).members())
+        assert [len(members) for _, members in groups] == [3, 3, 2]
+        for k, ((grid, _, _, mesh), members) in enumerate(groups):
+            member_bytes = len(mesh) * grid.n * 8
+            assert len(members) * member_bytes <= scenarios._GROUP_BYTES
+            if k < len(groups) - 1:
+                assert (len(members) + 1) * member_bytes > scenarios._GROUP_BYTES
+
+    def test_member_over_budget_runs_alone(self, monkeypatch):
+        """A member whose own rows exceed the budget is a group of one, and
+        the sweep still runs each member on its own rows."""
+        monkeypatch.setattr(scenarios, "_GROUP_BYTES", SHIPPED_MEMBER_BYTES - 1)
+        sweep = shipped_sweep(61)
+        assert [len(m) for _, m in scenarios._solve_groups(sweep.members())] == [1] * 8
+        widths, equal = self._record(monkeypatch)
+        monotonicity_sweep(sweep)
+        assert widths == [1] * 8 and equal == [True] * 8
+
+    def test_group_rows_freed_before_next_group(self, monkeypatch):
+        """When a group is solved, no earlier group's array is alive."""
+        monkeypatch.setattr(scenarios, "_GROUP_BYTES", 3 * SHIPPED_MEMBER_BYTES)
+        real_group = scenarios.solve_group
+        bases = []
+
+        def group(starts, model, t_grid, cfg):
+            assert [base() for base in bases] == [None] * len(bases)
+            solutions = real_group(starts, model, t_grid, cfg)
+            assert all(traj.values.base is solutions[0].values.base for traj in solutions)
+            bases.append(weakref.ref(solutions[0].values.base))
+            return solutions
+
+        monkeypatch.setattr(scenarios, "solve_group", group)
+        monotonicity_sweep(shipped_sweep(61))
+        assert len(bases) == 3 and bases[-1]() is None
+
+    def test_solution_on_another_mesh_refused(self):
+        """A solution passed in must be on the scenario's own grid and mesh."""
+        cfg = shipped_sweep(61).members()[0][1]
+        coarse = solve(cfg.initial_density(), cfg.model, np.linspace(0.0, cfg.t_end, 31),
+                       cfg.solver)
+        with pytest.raises(ValueError, match="not on the scenario's grid and mesh"):
+            run_scenario(cfg, solution=coarse)
+
+    def test_solver_error_names_the_member(self, tmp_path, capsys):
+        """A mass tolerance below rounding fails the first member's solve:
+        exit 1, one line naming the member, and no table."""
+        sweep = shipped_sweep(61)
+        sweep.base["solver"]["mass_tol"] = 1e-16
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps({"base": sweep.base, "parameter": sweep.parameter,
+                                    "values": sweep.values}))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 1
+        captured = capsys.readouterr()
+        label = sweep.members()[0][0]
+        assert re.fullmatch(
+            rf"solver error: sweep member {re.escape(label)}: solve failed advancing to "
+            r"t=0\.02: density mass \S+ outside 1 \+/- 1e-16\n",
+            captured.err,
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("where", ["group_solve", "member_run"])
+    def test_solver_error_names_a_later_member(self, monkeypatch, where):
+        """A group solve that fails on its third start, or the third
+        member's own fixed-point solve, names the third member."""
+        sweep = shipped_sweep(61)
+        label = sweep.members()[2][0]
+        if where == "group_solve":
+            def failing(starts, model, t_grid, cfg):
+                raise SolveError("solve failed advancing to t=0.5: density has non-finite values",
+                                 2)
+            monkeypatch.setattr(scenarios, "solve_group", failing)
+        else:
+            real = scenarios._stationary_fixed_point
+            calls = []
+
+            def failing(cfg, pbar):
+                calls.append(cfg)
+                if len(calls) == 3:
+                    raise SolveError("solve failed advancing to t=0.001: density has "
+                                     "non-finite values")
+                return real(cfg, pbar)
+            monkeypatch.setattr(scenarios, "_stationary_fixed_point", failing)
+        with pytest.raises(RuntimeError, match=rf"^sweep member {re.escape(label)}: solve failed"):
+            monotonicity_sweep(sweep)
 
 
 class TestConvergence:
