@@ -29,10 +29,9 @@ distinct substep sizes. Each generator therefore factors that tridiagonal
 matrix once per ``(dt, theta)`` with LAPACK ``dgttrf`` and keeps the factors
 (the LU / Thomas reuse for a constant tridiagonal operator) with the
 prebuilt arguments of each call a substep makes, for a bounded number of
-sizes, so irregular output meshes cannot grow memory. :func:`solve` keeps
-the generator of its last ``(grid, drift)`` pair, both frozen value types,
-and the next solve on an equal pair takes it with its factored steps: a
-run's main and fixed-point solves share one, and so do all sweep members.
+sizes, so irregular output meshes cannot grow memory. A solve builds its
+own generator and shares it, and its buffers, with no other solve, so
+solves may run in separate threads.
 
 One output interval is one kernel call: all its substeps have one size.
 The kernel steps a block of m states, one per row of the generator's two
@@ -95,10 +94,10 @@ from .grids import (
     integrate_rows,
 )
 
-#: Most substep sizes whose factored step one generator keeps. ``linspace``
-#: rounding makes equal-looking output intervals differ in their last bits:
-#: the shipped sweep with its fixed-point solves needs 8 sizes, at 1201
-#: samples 10, and both in one process 16.
+#: Most substep sizes whose factored step one generator keeps, the memory
+#: bound for irregular meshes. ``linspace`` rounding makes equal-looking output
+#: intervals differ in their last bits: a solve of a shipped config needs up
+#: to 11 sizes (``run ou_benchmark``), a group of the 1201-sample sweep 10.
 _STEP_CACHE_SIZE = 16
 
 
@@ -198,16 +197,15 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
-    (grid, model) and reused across steps and, through :func:`solve`'s keep,
-    across solves.
+    solve and reused across its steps.
 
     ``run`` keeps the factored step of each ``(dt, theta)``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
-    a block of states back and forth between the generator's two state
-    buffers.
+    a block of ``width`` states back and forth between the generator's two
+    ``(width, n)`` state buffers.
     """
 
-    def __init__(self, grid: Grid, model: GradientDrift):
+    def __init__(self, grid: Grid, model: GradientDrift, width: int = 1):
         x = grid.x
         dx = grid.dx
         diff = model.sigma**2 / 2.0
@@ -235,18 +233,12 @@ class _Generator:
         self.diag = diag
         self.upper = upper
         self.max_rate = float(np.max(-diag))
+        self.width = width
         self._steps: dict[tuple[float, float], tuple] = {}
         # the block of states between substeps, which read one buffer and
-        # write the other, and the two pointers that every prebuilt call
-        # passes; both follow a block of another width
-        self._states = (ctypes.c_void_p(), ctypes.c_void_p())
-        self._resize(1)
-
-    def _resize(self, width: int):
-        """Reallocate the state buffers for blocks of ``width`` states."""
-        self._buffers = np.empty((2, width, self.diag.size))
-        for pointer, buffer in zip(self._states, self._buffers):
-            pointer.value = buffer.ctypes.data
+        # write the other, and the two pointers that every prebuilt call passes
+        self._buffers = np.empty((2, width, grid.n))
+        self._states = _pointers(*self._buffers)
 
     def positivity_dt(self, theta: float) -> float:
         """Largest dt for which the explicit stage keeps non-negative data
@@ -260,12 +252,12 @@ class _Generator:
         ``dgttrs``; the prebuilt arguments of ``dlagtm`` (alpha 1, beta 0) from
         state buffer 0 into buffer 1, then of ``dgttrs`` in buffer 1 with the
         ``dgttrf`` factors of ``I - theta dt L``, and the same two from buffer 1
-        into buffer 0; the ``info`` that ``dgttrs`` sets; and the
-        right-hand-side count ``nrhs`` that ``run`` sets to its block's width.
-        A buffer holds one state per row, so both leading dimensions are n."""
+        into buffer 0; and the ``info`` that ``dgttrs`` sets. A buffer holds
+        one state per row, so the right-hand-side count is the generator's
+        width and both leading dimensions are n."""
         # loaded here, not with the package, so parsing a config loads no LAPACK
         dgttrf, dgttrs, dlagtm, integer, lengths = _gt_routines()
-        n, nrhs, info = (np.array([k], dtype=integer) for k in (self.diag.size, 1, 0))
+        n, nrhs, info = (np.array([k], dtype=integer) for k in (self.diag.size, self.width, 0))
         trans, alpha, beta = np.array(b"N"), np.array([1.0]), np.array([0.0])
 
         def shifted(scale):  # the three diagonals of I + scale L
@@ -284,7 +276,7 @@ class _Generator:
                    n_ptr, *lengths),
                   (trans_ptr, n_ptr, nrhs_ptr, *factors_ptr, w, n_ptr, info_ptr, *lengths))
                  for v, w in (self._states, self._states[::-1])]
-        return dlagtm, dgttrs, calls, info, nrhs
+        return dlagtm, dgttrs, calls, info
 
     def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
         """``n_steps`` theta-weighted steps of size ``dt`` from each state of
@@ -292,19 +284,20 @@ class _Generator:
         (I - theta dt L) v+ = (I + (1-theta) dt L) v.
 
         Returns the generator's state buffer that holds the last states, in
-        the shape of ``values``; the next call overwrites it.
+        the shape of ``values``; the next call overwrites it. A block of
+        another width than the generator's raises ``ValueError``.
         """
         block = np.reshape(values, (-1, self.diag.size))
-        if len(block) != self._buffers.shape[1]:
-            self._resize(len(block))
+        if len(block) != self.width:
+            raise ValueError(f"a generator of width {self.width} cannot step "
+                             f"a block of width {len(block)}")
         key = (dt, theta)
         step = self._steps.get(key)
         if step is None:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
             step = self._steps[key] = self._factored_step(dt, theta)
-        dlagtm, dgttrs, calls, info, nrhs = step
-        nrhs[0] = len(block)
+        dlagtm, dgttrs, calls, info = step
         np.copyto(self._buffers[0], block)
         # the calls alternate between the two directions, buffer 0 to 1 first
         for explicit, implicit in itertools.islice(itertools.cycle(calls), n_steps):
@@ -315,22 +308,6 @@ class _Generator:
         if info[0]:
             raise RuntimeError(f"tridiagonal time-step solve failed (info={info[0]})")
         return self._buffers[n_steps % 2].reshape(np.shape(values))
-
-
-#: The generator of the last solve that finished stepping, with the grid and
-#: drift it was built for: at most one ``(grid, model, generator)``.
-_kept: list[tuple[Grid, GradientDrift, _Generator]] = []
-
-
-def _kept_generator(grid: Grid, model: GradientDrift) -> _Generator:
-    """The kept generator, taken out of the keep, if it was built for an equal
-    grid and drift, else a new one. Both are frozen value types, so equal ones
-    give the same generator; a solve that takes it has its buffers alone."""
-    try:
-        kept_grid, kept_model, gen = _kept.pop()
-    except IndexError:
-        return _Generator(grid, model)
-    return gen if (kept_grid, kept_model) == (grid, model) else _Generator(grid, model)
 
 
 class SolveError(RuntimeError):
@@ -388,7 +365,7 @@ def solve_group(
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    gen = _kept_generator(grid, model)
+    gen = _Generator(grid, model, width=len(starts))
     dt_pos = gen.positivity_dt(cfg.theta)
     values = np.empty((len(starts), len(t_grid), grid.n))
     for rows, p0 in zip(values, starts):
@@ -405,7 +382,6 @@ def solve_group(
                                    n_nominal * n_pos)
         except RuntimeError as err:
             raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
-    _kept[:] = [(grid, model, gen)]
 
     trajectories = []
     for start, rows in enumerate(values):

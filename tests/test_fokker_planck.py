@@ -4,15 +4,18 @@ the reverse-time harmonicity residual."""
 import ctypes
 import math
 import re
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from varentropy_lab import (
     Density,
+    DensityTrajectory,
     OUBenchmark,
     SolverConfig,
     SweepConfig,
@@ -23,6 +26,7 @@ from varentropy_lab import (
     mixture_density,
     monotonicity_sweep,
     relative_entropy,
+    report,
     solve,
 )
 from varentropy_lab import fokker_planck
@@ -277,6 +281,17 @@ class TestFactoredStep:
         again = gen.run(values, sizes[0], 0.5, 1).copy()
         assert np.array_equal(again, _reference_advance(gen, values, sizes[0], 0.5))
 
+    @pytest.mark.parametrize("block_width", [1, 3])
+    def test_run_refuses_a_block_of_another_width(self, dw_model, dw_grid, dw_stationary,
+                                                  block_width):
+        """A generator steps blocks of the width it was built for: one state
+        is not broadcast into every row, and a wider block is not cut."""
+        gen = _Generator(dw_grid, dw_model, width=2)
+        block = np.tile(dw_stationary.values, (block_width, 1))
+        with pytest.raises(ValueError, match=f"width 2 cannot step a block of width {block_width}"):
+            gen.run(block, 1e-4, 0.5, 1)
+        assert not gen._steps  # refused before any factorization
+
     def test_singular_step_raises(self, dw_model, dw_grid):
         gen = _Generator(dw_grid, dw_model)
         gen.lower = np.zeros(dw_grid.n)
@@ -294,18 +309,11 @@ class TestLapackSources:
 
     TIMES = np.linspace(0.0, 0.05, 11)
 
-    @staticmethod
-    def _forget_routines():
-        """Clear the routine cache and the kept generator, whose factored
-        steps are bound to the routines of the source they were built with."""
-        fokker_planck._gt_routines.cache_clear()
-        fokker_planck._kept.clear()
-
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
-        self._forget_routines()
+        fokker_planck._gt_routines.cache_clear()
         yield
-        self._forget_routines()
+        fokker_planck._gt_routines.cache_clear()
 
     def _solve(self, monkeypatch, dw_model, dw_grid, *, openblas=True):
         """Rows of a double-well solve from a start with exact zero nodes,
@@ -349,7 +357,7 @@ class TestLapackSources:
 
     def test_cython_lapack_file_where_numpy_has_none(self, monkeypatch, dw_model, dw_grid):
         expected, _ = self._solve(monkeypatch, dw_model, dw_grid)
-        self._forget_routines()
+        fokker_planck._gt_routines.cache_clear()
         rows, lookups = self._solve(monkeypatch, dw_model, dw_grid, openblas=False)
         assert lookups == {"openblas": 1, "cython": 1}
         assert fokker_planck._gt_routines()[3] is ctypes.c_int32
@@ -357,14 +365,11 @@ class TestLapackSources:
 
 
 class TestKeptGenerator:
-    """``solve`` keeps the generator of its last ``(grid, drift)`` pair, with
-    its factored steps, for the next solve on an equal pair."""
+    """A solve keeps its generator, with its factored steps, for itself
+    alone: solves one after another on equal or different grids and drifts
+    carry nothing from one to the next."""
 
     TIMES = np.linspace(0.0, 0.05, 11)
-
-    @pytest.fixture(autouse=True)
-    def nothing_kept(self):
-        fokker_planck._kept.clear()
 
     def _fresh_chain(self, p0, model, cfg):
         """The rows of ``solve(p0, model, TIMES, cfg)`` stepped by a generator
@@ -380,16 +385,13 @@ class TestKeptGenerator:
         """Two double-well solves, one on another grid, one with another
         drift, the double well again (on an equal grid built anew), then
         grouped solves of 3 and of 2 starts around a solo one: each start
-        gives the rows of a fresh generator bit for bit, the second solve
-        reuses the first one's generator, and the last three reuse the
-        fifth one's whatever the group width."""
+        gives the rows of a fresh generator bit for bit."""
         cfg = SolverConfig(dt=1e-3)
         other_grid = make_uniform_grid(-3.5, 3.5, 601)
         dw_again = (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0))
         runs = [(dw_grid, dw_model, 1), (dw_grid, dw_model, 1), (other_grid, dw_model, 1),
                 (dw_grid, double_well_drift(sigma=0.9), 1), (*dw_again, 1), (*dw_again, 3),
                 (*dw_again, 1), (*dw_again, 2)]
-        kept = []
         for grid, model, width in runs:
             starts = [mixture_density(grid, [(0.5, -mean, 0.09), (0.5, mean, 0.09)])
                       for mean in (1.0, 1.2, 0.8)[:width]]
@@ -399,26 +401,24 @@ class TestKeptGenerator:
                 solved = solve_group(starts, model, self.TIMES, cfg)
             for p0, traj in zip(starts, solved, strict=True):
                 assert traj.values.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
-            kept.append(fokker_planck._kept[0][2])
-        assert kept[1] is kept[0]
-        assert all(gen is kept[4] for gen in kept[5:])
-        assert len({id(gen) for gen in kept}) == 4
 
     def test_shipped_sweep_factors_each_substep_size_once(self, monkeypatch):
-        """The members of the shipped sweep and their fixed-point solves share
-        one grid and drift, so each substep size is factored once for all of
-        them, within the step cache."""
+        """The shipped sweep solves its 8 members as one group and then each
+        member's one-step fixed-point solve: 9 generators, each of which
+        factors each substep size it meets once, within the step cache."""
         real = _Generator._factored_step
-        factored = []
+        factored = {}  # generator -> the (dt, theta) it factored, in order
 
         def counting(gen, dt, theta):
-            factored.append((dt, theta))
+            factored.setdefault(gen, []).append((dt, theta))
             return real(gen, dt, theta)
 
         monkeypatch.setattr(_Generator, "_factored_step", counting)
         configs = Path(__file__).resolve().parent.parent / "configs"
         monotonicity_sweep(SweepConfig.from_json(configs / "sweep_double_well.json"))
-        assert len(factored) == len(set(factored)) <= _STEP_CACHE_SIZE
+        assert len(factored) == 9
+        for sizes in factored.values():
+            assert len(sizes) == len(set(sizes)) <= _STEP_CACHE_SIZE
 
 
 class TestSolveGroup:
@@ -474,6 +474,71 @@ class TestSolveGroup:
         starts = change(self._starts(dw_grid))
         with pytest.raises(ValueError, match=re.escape(message)):
             solve_group(starts, dw_model, self.TIMES, SolverConfig(dt=1e-3))
+
+
+class TestConcurrentSolves:
+    def test_threads_equal_solves_alone(self):
+        """Two threads solve the double well on equal grids and drifts from
+        different starts, five times over, and each result equals its solve
+        alone. ``ctypes`` releases the GIL inside LAPACK, so their substeps
+        interleave, and any state the solves shared would show."""
+        cfg = SolverConfig(dt=1e-3)
+        times = np.linspace(0.0, 0.2, 41)
+
+        def problem(mean):  # a grid and a drift of its own, equal to the other's
+            grid = make_uniform_grid(-3.5, 3.5, 701)
+            start = mixture_density(grid, [(0.5, -mean, 0.09), (0.5, mean, 0.09)])
+            return start, double_well_drift(sigma=1.0)
+
+        problems = [problem(0.8), problem(1.3)]
+        alone = [solve(p0, model, times, cfg).values for p0, model in problems]
+        together = threading.Barrier(len(problems))
+
+        def solve_together(p0_model):
+            together.wait(timeout=60)
+            return solve(*p0_model, times, cfg).values
+
+        with ThreadPoolExecutor(max_workers=len(problems)) as pool:
+            for attempt in range(5):
+                for got, expected in zip(pool.map(solve_together, problems), alone, strict=True):
+                    assert np.array_equal(got, expected), attempt
+
+
+def _exact_rows(p0, model, times):
+    """The states of the semi-discrete system dp/dt = L p at ``times``, exact
+    in time. The Chang-Cooper L is tridiagonal with positive off-diagonals
+    and in detailed balance, so ``S = D^-1 L D`` is symmetric with
+    off-diagonals ``sqrt(lower * upper)`` (Risken, The Fokker-Planck
+    Equation, 1989, sec. 5.4), and ``p(t) = D V exp(t Lambda) V^T D^-1 p0``
+    with ``S = V Lambda V^T``."""
+    gen = _Generator(p0.grid, model)
+    lower, upper = gen.lower[1:], gen.upper[:-1]
+    # d[i + 1] / d[i] = sqrt(L[i + 1, i] / L[i, i + 1]), scaled so that max(d) = 1
+    log_d = np.concatenate([[0.0], np.cumsum(0.5 * np.log(lower / upper))])
+    d = np.exp(log_d - log_d.max())
+    eigenvalues, vectors = eigh_tridiagonal(gen.diag, np.sqrt(lower * upper))
+    modes = vectors.T @ (p0.values / d)
+    return d * ((np.exp(np.outer(times, eigenvalues)) * modes) @ vectors.T)
+
+
+class TestExactInTime:
+    """The theta solve against the eigen-expansion of its own generator:
+    what is left is the time-stepping error alone, for any drift."""
+
+    @pytest.mark.parametrize("name", ["ou_benchmark", "double_well_relax"])
+    def test_varentropy_matches_exact_in_time(self, name):
+        config = ScenarioConfig.from_json(
+            Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+        p0, times, sigma = config.initial_density(), config.time_samples(), config.model.sigma
+        rows = _exact_rows(p0, config.model, times)
+        # the expansion rounds the far tails to within 1e-15 of zero, either side
+        assert rows.min() > -1e-15
+        exact = DensityTrajectory(times, [Density(config.grid, np.maximum(row, 0.0), time=t)
+                                          for t, row in zip(times, rows)])
+        pbar = config.stationary_density()
+        expected = report(exact, pbar, sigma).varentropy
+        got = report(solve(p0, config.model, times, config.solver), pbar, sigma).varentropy
+        assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-6
 
 
 class TestSubstepKernel:
