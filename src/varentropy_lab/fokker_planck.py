@@ -17,11 +17,15 @@ the update would violate the positivity bound
 equal substeps, so no step produces a negative node value.
 
 Each step conserves trapezoid-rule mass to rounding because the update is
-in flux form and the boundary fluxes are identically zero. :func:`solve`
-writes its output times into one preallocated ``(times x nodes)`` array and
-checks every row of it in one pass when stepping is done;
-:func:`solve_group` does the same for several starts on one grid, in one
-``(starts x times x nodes)`` array.
+in flux form and the boundary fluxes are identically zero. One loop steps
+every solve: :func:`state_blocks` yields the block of the states of one or
+more starts on one grid at each output time, as it is stepped.
+:func:`solve` stores its blocks in one preallocated ``(times x nodes)``
+array and checks every row of it in one pass (:func:`check_rows`) when
+stepping is done; :func:`solve_group` does the same for several starts, in
+one ``(starts x times x nodes)`` array. A caller that needs only some
+numbers of each state reduces the blocks as they come and holds no
+trajectory, as every scenario run does (``scenarios._solve_streamed``).
 
 The implicit matrix ``I - theta dt L`` of a step depends only on the
 generator, ``theta`` and the substep size ``dt``, and a run uses only a few
@@ -36,24 +40,23 @@ solves may run in separate threads.
 One output interval is one kernel call: all its substeps have one size.
 The kernel steps a block of m states, one per row of the generator's two
 ``(m, n)`` state buffers: one state for :func:`solve`, one per start for
-:func:`solve_group`. A substep is two LAPACK calls between the buffers,
-with ``NRHS = m`` and both leading dimensions ``LDX = LDB = n``: ``dlagtm``
-writes the explicit stage ``(I + (1-theta) dt L) v`` of one into the other,
-and ``dgttrs`` solves there in place. Both routines treat each right-hand
-side on its own, with the operations a single one gets (LAPACK Users'
-Guide, Anderson et al., 3rd ed., 1999), so each start's rows equal its solve
-alone bit for bit. Both are bare ``ctypes`` function pointers, declaring no
-argument types, so the prebuilt pointer arguments pass unconverted, and
-``info`` is read once per interval. At n = 501 a substep of one state takes
-about 11 us, 8.5 us of it LAPACK arithmetic and 2.2 us call overhead, which
-argument conversion and an ``info`` read per substep made 2.7 us (x86_64,
-median of in-process timings). A block shares the call overhead and the
-loads of the factors among its states: the 8 members of the 1201-sample
-sweep take 0.62 s solved one by one, 0.52 s in groups of 3 and 0.46 s as
-one group of 8 (one pinned CPU, median of 5, in process). A group holds all
-its trajectories at once, so the sweep bounds it at 16 MiB of rows
-(``scenarios._GROUP_BYTES``): 3 members of that sweep, all 8 of the shipped
-61-sample one.
+:func:`solve_group` and :func:`state_blocks`. A substep is two LAPACK calls
+between the buffers, with ``NRHS = m`` and both leading dimensions
+``LDX = LDB = n``: ``dlagtm`` writes the explicit stage
+``(I + (1-theta) dt L) v`` of one into the other, and ``dgttrs`` solves
+there in place. Both routines treat each right-hand side on its own, with
+the operations a single one gets (LAPACK Users' Guide, Anderson et al., 3rd
+ed., 1999), so each start's rows equal its solve alone bit for bit. Both
+are bare ``ctypes`` function pointers, declaring no argument types, so the
+prebuilt pointer arguments pass unconverted, and ``info`` is read once per
+interval. At n = 501 a substep of one state takes about 11 us, 8.5 us of it
+LAPACK arithmetic and 2.2 us call overhead, which argument conversion and
+an ``info`` read per substep made 2.7 us (x86_64, median of in-process
+timings). A block shares the call overhead and the loads of the factors
+among its states: the 8 members of the 1201-sample sweep take 0.62 s
+solved one by one, 0.52 s in groups of 3 and 0.46 s as one group of 8 (one
+pinned CPU, median of 5, in process). A stream of blocks holds no
+trajectory, so the sweep steps all 8 as one group.
 
 ``dlagtm`` rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``,
 the three-point sum evaluated left to right. On x86_64, where this was
@@ -80,7 +83,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,7 +100,8 @@ from .grids import (
 #: Most substep sizes whose factored step one generator keeps, the memory
 #: bound for irregular meshes. ``linspace`` rounding makes equal-looking output
 #: intervals differ in their last bits: a solve of a shipped config needs up
-#: to 11 sizes (``run ou_benchmark``), a group of the 1201-sample sweep 10.
+#: to 11 sizes (``run ou_benchmark``), the one group of the 1201-sample sweep
+#: 10.
 _STEP_CACHE_SIZE = 16
 
 
@@ -343,13 +347,39 @@ def solve_group(
     starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
 ) -> list[DensityTrajectory]:
     """:func:`solve` from every density of ``starts``, all on one grid, in one
-    pass: each kernel call steps the ``(len(starts), n)`` block of their
-    states, and each start's trajectory equals its solve alone bit for bit
-    (see the module docstring).
+    pass: it stores each block of :func:`state_blocks`, and each start's
+    trajectory equals its solve alone bit for bit (see the module docstring).
 
     The trajectories are views of one ``(len(starts), len(t_grid), n)``
     array, which lives as long as any of them. The first start, in order,
     whose rows fail the checks raises :class:`SolveError` with its index.
+    """
+    blocks = state_blocks(starts, model, t_grid, cfg)
+    t_grid = np.asarray(t_grid, dtype=float)
+    grid = starts[0].grid
+    values = np.empty((len(starts), len(t_grid), grid.n))
+    for k, block in enumerate(blocks):
+        values[:, k] = block
+    masses = integrate_rows(values, grid)
+    # row 0 is p0, a Density already checked against its own tolerance
+    check_rows(values[:, 1:], masses[:, 1:], t_grid[1:], cfg)
+    return [DensityTrajectory._from_rows(t_grid, grid, rows, row_masses)
+            for rows, row_masses in zip(values, masses)]
+
+
+def state_blocks(
+    starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
+) -> Iterator[np.ndarray]:
+    """Step every density of ``starts``, all on one grid, through ``t_grid``
+    together, yielding the ``(len(starts), n)`` block of their states at each
+    output time, the starts' own values first.
+
+    Each kernel call steps the whole block, one row per start. After the
+    first, a yielded block is the generator's live state buffer: the next
+    step overwrites it, so a caller that keeps a state copies it. The states
+    are not checked (:func:`check_rows` does that); a failure of the stepping
+    raises :class:`SolveError`. The arguments are checked when this is
+    called, not when the first block is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -364,32 +394,36 @@ def solve_group(
             raise ValueError(f"t_grid must start at p0.time={p0.time}, got {t_grid[0]}")
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-
-    gen = _Generator(grid, model, width=len(starts))
-    dt_pos = gen.positivity_dt(cfg.theta)
-    values = np.empty((len(starts), len(t_grid), grid.n))
-    for rows, p0 in zip(values, starts):
-        rows[0] = p0.values
     # the interval plan in Python floats: the same roundings as numpy's scalars
-    times = t_grid.tolist()
+    return _stepped(np.array([p0.values for p0 in starts]), model, grid, t_grid.tolist(), cfg)
+
+
+def _stepped(block: np.ndarray, model: GradientDrift, grid: Grid, times: list[float],
+             cfg: SolverConfig) -> Iterator[np.ndarray]:
+    """The stepping loop of :func:`state_blocks` from the states ``block``."""
+    gen = _Generator(grid, model, width=len(block))
+    dt_pos = gen.positivity_dt(cfg.theta)
+    yield block
     for k in range(1, len(times)):
         width = times[k] - times[k - 1]
         n_nominal = max(1, math.ceil(width / cfg.dt - 1e-12))
         nominal = width / n_nominal
         n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
         try:
-            values[:, k] = gen.run(values[:, k - 1], nominal / n_pos, cfg.theta,
-                                   n_nominal * n_pos)
+            block = gen.run(block, nominal / n_pos, cfg.theta, n_nominal * n_pos)
         except RuntimeError as err:
             raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
+        yield block
 
-    trajectories = []
-    for start, rows in enumerate(values):
-        masses = integrate_rows(rows, grid)
-        # row 0 is p0, a Density already checked against its own tolerance
-        problem = first_invalid_row(rows[1:], masses[1:], min(cfg.mass_tol, DEFAULT_MASS_TOL))
-        if problem is not None:
-            k, why = problem
-            raise SolveError(f"solve failed advancing to t={t_grid[k + 1]:g}: {why}", start)
-        trajectories.append(DensityTrajectory._from_rows(t_grid, grid, rows, masses))
-    return trajectories
+
+def check_rows(values: np.ndarray, masses: np.ndarray, times: Sequence[float],
+               cfg: SolverConfig):
+    """Check a ``(starts, len(times), n)`` block of solved rows, with their
+    ``masses``: every row finite, non-negative and of mass within both
+    ``cfg.mass_tol`` and the :class:`Density` default of one. The first
+    start, in order, with a bad row raises :class:`SolveError` with its index,
+    naming the time of its first bad row."""
+    problem = first_invalid_row(values, masses, min(cfg.mass_tol, DEFAULT_MASS_TOL))
+    if problem is not None:
+        (start, k), why = problem
+        raise SolveError(f"solve failed advancing to t={times[k]:g}: {why}", start)

@@ -41,10 +41,11 @@ from .grids import (
 
 
 #: Bytes of each scratch array of the kernel in :func:`report`, which sets
-#: how many trajectory rows one pass takes: 65 at 501 nodes, 10 at 3201. A
-#: block's four float arrays and its rows of the trajectory then fit in a
-#: 2 MB L2 cache; a wider block measured no faster at 501 nodes and slower
-#: at 3201, and a narrower one spreads numpy's per-call cost over fewer rows.
+#: how many trajectory rows one pass takes (:func:`block_rows`): 65 at 501
+#: nodes, 10 at 3201. A block's four float arrays and its rows of the
+#: trajectory then fit in a 2 MB L2 cache; a wider block measured no faster
+#: at 501 nodes and slower at 3201, and a narrower one spreads numpy's
+#: per-call cost over fewer rows.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -98,6 +99,17 @@ class FunctionalReport:
 
     def __len__(self) -> int:
         return len(self.time)
+
+    @classmethod
+    def from_columns(cls, time, relative_entropy, relative_fisher, varentropy, entropy_rate,
+                     varentropy_rate) -> "FunctionalReport":
+        """The report of these per-sample columns, with ``varentropy_rate_fd``
+        the central differences of ``varentropy`` at the interior samples.
+        A row's values do not depend on its block, so the columns of a
+        trajectory's segments, joined, give the report of the whole."""
+        return cls(time, relative_entropy, relative_fisher, varentropy, entropy_rate,
+                   varentropy_rate,
+                   (varentropy[2:] - varentropy[:-2]) / (time[2:] - time[:-2]))
 
 
 def _check_sigma(sigma: float):
@@ -209,14 +221,19 @@ def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> FunctionalRe
         raise ValueError("grid mismatch between trajectory and stationary density")
     _check_sigma(sigma)
     floored_pbar = np.maximum(pbar.values, DEFAULT_LOG_FLOOR)
-    block = max(1, _BLOCK_BYTES // traj.values[0].nbytes)
+    block = block_rows(traj.grid.n)
     buffers = _buffers(min(len(traj), block), traj.grid.n)
     terms = np.empty((4, len(traj)))
     for start in range(0, len(traj), block):
         _block_terms(traj.values[start:start + block], floored_pbar, traj.grid, buffers,
                      terms[:, start:start + block])
     entropy, fisher, variance, rate_integral = terms
-    times = traj.times
-    return FunctionalReport(times, entropy, fisher, variance, -0.5 * sigma**2 * fisher,
-                            sigma**2 * rate_integral,
-                            (variance[2:] - variance[:-2]) / (times[2:] - times[:-2]))
+    return FunctionalReport.from_columns(traj.times, entropy, fisher, variance,
+                                         -0.5 * sigma**2 * fisher, sigma**2 * rate_integral)
+
+
+def block_rows(n: int) -> int:
+    """States of ``n`` nodes that one pass of the kernel in :func:`report`
+    takes: as many rows as ``_BLOCK_BYTES`` holds, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+

@@ -70,12 +70,14 @@ def make_uniform_grid(lo: float, hi: float, n: int) -> Grid:
 
 
 def integrate_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoid-rule integral of every row of a ``(rows, grid.n)`` array.
+    """Trapezoid-rule integral of every row of a ``(..., grid.n)`` array, one
+    per index of its leading axes.
 
     The interior sum of each row runs over that row alone, so a row's
     integral does not depend on the other rows.
     """
-    return grid.dx * (0.5 * values[:, 0] + values[:, 1:-1].sum(axis=1) + 0.5 * values[:, -1])
+    return grid.dx * (0.5 * values[..., 0] + values[..., 1:-1].sum(axis=-1)
+                      + 0.5 * values[..., -1])
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:
@@ -127,24 +129,26 @@ def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def first_invalid_row(
     values: np.ndarray, masses: np.ndarray, mass_tol: float
-) -> Optional[tuple[int, str]]:
-    """Index of the first row of ``values`` that is not a density, and why.
+) -> Optional[tuple[tuple[int, ...], str]]:
+    """Index of the first row of a ``(..., n)`` array ``values`` that is not a
+    density, and why; the index has one entry per leading axis, and rows are
+    taken in C order, the last leading axis fastest.
 
     A row must be finite, non-negative and of mass (``masses``, from
     :func:`integrate_rows`) within ``mass_tol`` of one. Returns None when every
     row is. Each condition is one reduction over the whole array.
     """
-    finite = np.isfinite(values).all(axis=1)
-    non_negative = ~(values < 0.0).any(axis=1)
+    finite = np.isfinite(values).all(axis=-1)
+    non_negative = ~(values < 0.0).any(axis=-1)
     bad = ~finite | ~non_negative | ~(np.abs(masses - 1.0) <= mass_tol)
     if not bad.any():
         return None
-    k = int(bad.argmax())
-    if not finite[k]:
-        return k, "density has non-finite values"
-    if not non_negative[k]:
-        return k, f"density has negative values (min {values[k].min():.3e})"
-    return k, f"density mass {float(masses[k])!r} outside 1 +/- {mass_tol}"
+    at = tuple(int(k) for k in np.unravel_index(bad.argmax(), bad.shape))
+    if not finite[at]:
+        return at, "density has non-finite values"
+    if not non_negative[at]:
+        return at, f"density has negative values (min {values[at].min():.3e})"
+    return at, f"density mass {float(masses[at])!r} outside 1 +/- {mass_tol}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,16 @@ Running a scenario (parsed by :mod:`varentropy_lab.config`) produces CSV
 reports and a list of pass/fail tolerance checks. A run solves the PDE once,
 on the sample times merged with the stored times of both Monte Carlo
 ensembles, so the functionals report, the solver checks and the Monte Carlo
-references all read one solution. Each check compares two computations and
-is one function returning a :class:`Check`. Sweeps rerun a base scenario
-across a list of parameter overrides and tabulate the sign behaviour of the
-varentropy rate; consecutive members that share a grid, drift, solver
-config and solve mesh are solved together, one block of states per kernel
-call, and each member's run then reads its own rows. The convergence study
+references all read one solution. The solution is reduced as it is
+stepped: its rows pass through a ring of one functionals kernel block,
+where the report, the masses, the lowest node and the row checks read
+them, and only the rows at the Monte Carlo times are kept. Each check
+compares two computations and is one function returning a :class:`Check`.
+Sweeps rerun a base scenario across a list of parameter overrides and
+tabulate the sign behaviour of the varentropy rate; consecutive members
+that share a grid, drift, solver config and solve mesh are solved together,
+however many, one block of states per kernel call, through one ring per
+member, and each member's run then reads its share. The convergence study
 reruns the exactly solvable benchmark on a ladder of refined meshes and
 reports observed orders.
 
@@ -24,6 +28,7 @@ import bisect
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -31,15 +36,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
-from .fokker_planck import SolveError, solve, solve_group
+from .fokker_planck import SolveError, check_rows, solve, state_blocks
 from .functionals import (
     FunctionalReport,
+    block_rows,
     relative_entropy,
     report,
     varentropy,
     varentropy_rate,
 )
-from .grids import SAME_TIME_TOL, Density, DensityTrajectory, make_uniform_grid
+from .grids import SAME_TIME_TOL, Density, DensityTrajectory, integrate_rows, make_uniform_grid
 from .monte_carlo import (
     DEFAULT_MIN_COUNT,
     MartingaleRow,
@@ -92,14 +98,13 @@ def _worst_relative(name: str, values: np.ndarray, refs: np.ndarray, floor: floa
     return Check(name, worst <= bound, f"max rel err = {worst:.3e} (tol {bound:g})")
 
 
-def _mass_conservation(solution: DensityTrajectory, mass_tol: float) -> Check:
-    worst = float(np.max(np.abs(solution.masses - 1.0)))
+def _mass_conservation(masses: np.ndarray, mass_tol: float) -> Check:
+    worst = float(np.max(np.abs(masses - 1.0)))
     return Check("mass_conservation", worst <= mass_tol,
                  f"max |mass-1| = {worst:.3e} (tol {mass_tol:g})")
 
 
-def _positivity(solution: DensityTrajectory) -> Check:
-    lowest = float(solution.values.min())
+def _positivity(lowest: float) -> Check:
     return Check("positivity", lowest >= 0.0, f"min node value = {lowest:.3e}")
 
 
@@ -217,7 +222,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]):
 def run_scenario(
     cfg: ScenarioConfig,
     out_dir: str | Path | None = None,
-    solution: Optional[DensityTrajectory] = None,
+    solved: Optional[_Solved] = None,
 ) -> ScenarioResult:
     """Solve the scenario, evaluate every configured check, write reports.
 
@@ -225,27 +230,20 @@ def run_scenario(
     per sample time), ``consistency.csv`` (closed-form rates against
     trajectory finite differences at interior times), ``checks.csv``, and
     ``mc_diagnostics.csv`` when a Monte Carlo block is configured; with no
-    ``out_dir`` it writes nothing. ``solution``, when it is given, is the
-    scenario's solve on its mesh (:func:`_solve_times`), made elsewhere;
-    the sweep passes each member the rows of its group's solve. Returns the
-    in-memory result; ``exit_code`` is zero only if every check passed.
+    ``out_dir`` it writes nothing. The solve is :func:`_solve_streamed` of
+    this one scenario, unless ``solved`` gives the scenario's share of a
+    group's; the sweep passes each member its own. Returns the in-memory
+    result; ``exit_code`` is zero only if every check passed.
     """
     tol = cfg.tolerances
-    pbar = cfg.stationary_density()
-    time_sets, mesh = _solve_times(cfg)
-    if solution is None:
-        solution = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
-    elif solution.grid != cfg.grid or solution.times.tolist() != mesh:
-        raise ValueError(f"{cfg.name}: the given solution is not on the scenario's grid and mesh")
-    traj, *mc_trajs = [
-        solution.rows([bisect.bisect(mesh, t) - 1 for t in times.tolist()], times)
-        for times in time_sets
-    ]
-    rep = report(traj, pbar, cfg.model.sigma)
+    if solved is None:
+        time_sets, mesh = _solve_times(cfg)
+        (solved,) = _solve_streamed([cfg], [time_sets], mesh)
+    rep, pbar = solved.report, solved.pbar
     entropy_fd = _entropy_fd(rep)
     checks = [
-        _mass_conservation(solution, cfg.solver.mass_tol),
-        _positivity(solution),
+        _mass_conservation(solved.masses, cfg.solver.mass_tol),
+        _positivity(solved.lowest),
         _stationary_fixed_point(cfg, pbar),
         _varentropy_rate_consistency(rep, tol),
         _entropy_rate_consistency(rep, entropy_fd, tol),
@@ -257,10 +255,7 @@ def run_scenario(
 
     mc_rows = []
     if cfg.mc is not None:
-        # the run's memory peaks in the Monte Carlo part, which needs only
-        # the states at the ensembles' times
-        del solution, traj
-        mc_checks, mc_rows = _run_mc_diagnostics(cfg, *mc_trajs, pbar)
+        mc_checks, mc_rows = _run_mc_diagnostics(cfg, *solved.kept, pbar)
         checks += mc_checks
 
     target = None if out_dir is None else Path(out_dir)
@@ -316,6 +311,92 @@ def _solve_times(cfg: ScenarioConfig) -> tuple[list[np.ndarray], list[float]]:
         if not mesh or t - mesh[-1] > SAME_TIME_TOL:
             mesh.append(t)
     return time_sets, mesh
+
+
+@dataclass(frozen=True, eq=False)
+class _Solved:
+    """What a run reads of its solve: its stationary density ``pbar``, the
+    report of its sample rows, the mass of every mesh row, the lowest node
+    value of them all, and the rows of each Monte Carlo time set."""
+
+    pbar: Density
+    report: FunctionalReport
+    masses: np.ndarray
+    lowest: float
+    kept: list[DensityTrajectory]
+
+
+def _solve_streamed(
+    cfgs: Sequence[ScenarioConfig], time_sets: Sequence[Sequence[np.ndarray]], mesh: list[float]
+) -> list[_Solved]:
+    """Solve the scenarios ``cfgs``, which share the grid, drift and solver
+    config of the first and the solve mesh ``mesh``, as one block of
+    :func:`state_blocks`, and reduce each one's rows as they come.
+
+    ``time_sets`` gives each scenario's sets of :func:`_solve_times`. The
+    rows go into a ring of ``block_rows(n)`` mesh times per scenario. Each
+    time it is full, and at the end, one pass over all of it integrates
+    every row's mass, takes the lowest node and checks the rows
+    (:func:`check_rows`); then :func:`report` takes each scenario's sample
+    rows there, and the rows at its Monte Carlo times are copied out. Each
+    scenario's report joins its segments' columns
+    (:meth:`FunctionalReport.from_columns`), so it and every number here
+    equal :func:`solve` of that scenario alone followed by :func:`report`,
+    bit for bit. The first scenario, in order, whose rows fail raises
+    :class:`SolveError` with its index and its first bad time, after the
+    whole mesh is stepped.
+    """
+    grid, model, solver = cfgs[0].grid, cfgs[0].model, cfgs[0].solver
+    blocks = state_blocks([cfg.initial_density() for cfg in cfgs], model, np.array(mesh), solver)
+    pbars = [cfg.stationary_density() for cfg in cfgs]
+    # each scenario's time sets, with the mesh index of every time, packed:
+    # the Python ints of a list would take four times the memory
+    plans = [[(times, array("q", [bisect.bisect(mesh, t) - 1 for t in times.tolist()]))
+              for times in sets] for sets in time_sets]
+    ring = np.empty((len(cfgs), min(block_rows(grid.n), len(mesh)), grid.n))
+    masses = np.empty((len(cfgs), len(mesh)))
+    lowest = np.full(len(cfgs), np.inf)
+    # each scenario's report columns after time, filled a segment at a time
+    fields = FunctionalReport.CSV_FIELDS[1:-1]
+    columns = [np.empty((len(fields), len(plan[0][0]))) for plan in plans]
+    kept = [[np.empty((len(times), grid.n)) for times, _ in plan[1:]] for plan in plans]
+    failed: Optional[SolveError] = None
+    base = 0  # the mesh index of the ring's first row
+    for k, block in enumerate(blocks):
+        ring[:, k - base] = block
+        if k + 1 - base < ring.shape[1] and k + 1 < len(mesh):
+            continue
+        rows, row_masses = ring[:, :k + 1 - base], masses[:, base:k + 1]
+        row_masses[:] = integrate_rows(rows, grid)
+        np.minimum(lowest, rows.min(axis=(1, 2)), out=lowest)
+        first = 1 if base == 0 else 0  # mesh row 0 holds the starts, checked as densities
+        try:
+            check_rows(rows[:, first:], row_masses[:, first:], mesh[base + first:k + 1], solver)
+        except SolveError as err:
+            if failed is None or err.start < failed.start:
+                failed = err
+        # once a scenario has failed the group raises: nothing more is reported
+        for m, ((samples, index), *mc_plans) in enumerate(plans if failed is None else []):
+            lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, k + 1)
+            if hi > lo:
+                segment = DensityTrajectory._from_rows(mesh[base:k + 1], grid, rows[m],
+                                                       row_masses[m])
+                part = report(segment.rows([i - base for i in index[lo:hi]], samples[lo:hi]),
+                              pbars[m], cfgs[m].model.sigma)
+                columns[m][:, lo:hi] = [getattr(part, field) for field in fields]
+            for (_, index), out in zip(mc_plans, kept[m]):
+                lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, k + 1)
+                out[lo:hi] = rows[m, [i - base for i in index[lo:hi]]]
+        base = k + 1
+    if failed is not None:
+        raise failed
+    return [
+        _Solved(pbar, FunctionalReport.from_columns(plan[0][0], *member_columns), row_masses,
+                float(low), [DensityTrajectory._from_rows(times, grid, out, row_masses[index])
+                             for (times, index), out in zip(plan[1:], kept_rows)])
+        for pbar, member_columns, row_masses, low, plan, kept_rows
+        in zip(pbars, columns, masses, lowest, plans, kept)
+    ]
 
 
 def _run_mc_diagnostics(
@@ -428,28 +509,19 @@ class SweepRow:
     failed_checks: tuple[str, ...]
 
 
-#: Most bytes of trajectory rows that one group of sweep members solved
-#: together holds: at n = 501, 3 members of a 1201-sample sweep, all 8 of
-#: the shipped 61-sample one. A wider group makes each substep cheaper per
-#: member but holds more rows at once: the 1201-sample sweep peaks at 46 MB
-#: with this bound, 36.5 MB one member at a time, and 69 MB as one group.
-_GROUP_BYTES = 16 * 2**20
-
-
 def _solve_groups(members: Sequence[tuple[str, ScenarioConfig]]) -> list[tuple[tuple, list]]:
-    """Consecutive members whose one solve can step them together, each
-    group with its key ``(grid, model, solver, mesh)``: they share all four,
-    and their trajectory rows fit in ``_GROUP_BYTES``. A member whose own
-    rows do not fit is a group alone."""
+    """Runs of consecutive members whose one solve can step them together,
+    each with its key ``(grid, model, solver, mesh)``, which they all share.
+    A member is ``(label, cfg, time_sets)``, with the sets of
+    :func:`_solve_times`."""
     groups: list[tuple[tuple, list]] = []
     for label, cfg in members:
-        key = (cfg.grid, cfg.model, cfg.solver, _solve_times(cfg)[1])
+        time_sets, mesh = _solve_times(cfg)
+        key = (cfg.grid, cfg.model, cfg.solver, mesh)
         if groups and groups[-1][0] == key:
-            row_bytes = len(key[3]) * cfg.grid.n * 8
-            if (len(groups[-1][1]) + 1) * row_bytes <= _GROUP_BYTES:
-                groups[-1][1].append((label, cfg))
-                continue
-        groups.append((key, [(label, cfg)]))
+            groups[-1][1].append((label, cfg, time_sets))
+        else:
+            groups.append((key, [(label, cfg, time_sets)]))
     return groups
 
 
@@ -481,23 +553,22 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     and the sweep exists to record what actually happens. Each row also
     keeps the names of the member's failed tolerance checks. Every member
     is parsed before the first one runs. Each group of
-    :func:`_solve_groups` is solved once, and each of its members then runs
-    on its own rows, checks and report included; a group's rows are freed
-    before the next group is solved. A solver error names the member that
-    met it; one in a group's solve comes before the group's earlier members
-    have run.
+    :func:`_solve_groups` is solved once by :func:`_solve_streamed`, which
+    holds one ring of rows per member, never a trajectory; each member then
+    runs on its share of it, checks and report included. A solver error
+    names the member that met it; one in a group's solve comes before the
+    group's earlier members have run.
     """
     rows: list[SweepRow] = []
-    for (grid, model, solver, mesh), group in _solve_groups(sweep.members()):
+    for (_, _, _, mesh), group in _solve_groups(sweep.members()):
         try:
-            solutions = solve_group([cfg.initial_density() for _, cfg in group], model,
-                                    np.array(mesh), solver)
+            solved = _solve_streamed([cfg for _, cfg, _ in group],
+                                     [time_sets for _, _, time_sets in group], mesh)
         except SolveError as err:
             raise RuntimeError(f"sweep member {group[err.start][0]}: {err}") from err
-        for label, cfg in group:
+        for (label, cfg, _), member in zip(group, solved):
             try:
-                # the member's rows go with its run, and its report with its row
-                rows.append(_sweep_row(label, run_scenario(cfg, solution=solutions.pop(0))))
+                rows.append(_sweep_row(label, run_scenario(cfg, solved=member)))
             except RuntimeError as err:
                 raise RuntimeError(f"sweep member {label}: {err}") from err
     return rows

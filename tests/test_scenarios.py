@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
-from varentropy_lab import FunctionalReport, scenarios
+from varentropy_lab import FunctionalReport, report, scenarios
 from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
 from varentropy_lab.fokker_planck import SolveError, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
@@ -371,33 +370,39 @@ class TestRunScenario:
 
     def test_one_solve_on_every_output_time(self, monkeypatch):
         """The grid rows and both ensembles' references read one solution,
-        solved on a mesh that holds every sample and stored MC time. The
+        streamed on a mesh that holds every sample and stored MC time. The
         only other solve is the fixed-point check's one step of size dt
         from the stationary density."""
         calls = []
-        solve = scenarios.solve
+        real_blocks, real_solve = scenarios.state_blocks, scenarios.solve
+
+        def counting_blocks(starts, model, t_grid, cfg):
+            calls.append(("stream", starts, np.asarray(t_grid)))
+            return real_blocks(starts, model, t_grid, cfg)
 
         def counting_solve(p0, model, t_grid, cfg):
-            calls.append((p0, np.asarray(t_grid)))
-            return solve(p0, model, t_grid, cfg)
+            calls.append(("solve", [p0], np.asarray(t_grid)))
+            return real_solve(p0, model, t_grid, cfg)
 
+        monkeypatch.setattr(scenarios, "state_blocks", counting_blocks)
         monkeypatch.setattr(scenarios, "solve", counting_solve)
         cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
         run_scenario(cfg, out_dir=None)
         pbar = cfg.stationary_density()
-        steps = [t for p0, t in calls if np.array_equal(p0.values, pbar.values)]
-        meshes = [t for p0, t in calls if not np.array_equal(p0.values, pbar.values)]
-        assert len(meshes) == 1
-        assert len(steps) == 1 and steps[0].tolist() == [0.0, cfg.solver.dt]
+        assert [(kind, len(starts)) for kind, starts, _ in calls] == [("stream", 1), ("solve", 1)]
+        (_, (p0,), mesh), (_, (stationary,), step) = calls
+        assert np.array_equal(p0.values, cfg.initial_density().values)
+        assert np.array_equal(stationary.values, pbar.values)
+        assert step.tolist() == [0.0, cfg.solver.dt]
         mc = cfg.mc
         wanted = np.concatenate([
             cfg.time_samples(),
             mc.dt * np.arange(mc.diag_steps + 1),
             mc.dt * mc.store_every * np.arange(round(mc.t_end / mc.dt) // mc.store_every + 1),
         ])
-        gaps = np.abs(wanted[:, None] - meshes[0][None, :]).min(axis=1)
+        gaps = np.abs(wanted[:, None] - mesh[None, :]).min(axis=1)
         assert gaps.max() <= SAME_TIME_TOL
-        assert np.all(np.diff(meshes[0]) > SAME_TIME_TOL)
+        assert np.all(np.diff(mesh) > SAME_TIME_TOL)
 
     def test_mc_references_are_the_report_values(self, tmp_path):
         """At a time that is both a sample time and a stored time of the
@@ -558,107 +563,110 @@ def shipped_sweep(n_samples: int = 61, **fields) -> SweepConfig:
     return SweepConfig(data["base"], data["parameter"], data["values"], base_dir=CONFIGS)
 
 
-#: Bytes of one member's trajectory rows in the shipped sweep at 61 samples.
-SHIPPED_MEMBER_BYTES = 61 * 501 * 8
-
 #: Three double-well drifts of the shipped sweep's grid.
 DRIFT_COEFFS = [[0.0, 0.0, -0.5, 0.0, 0.25], [0.0, 0.0, -0.6, 0.0, 0.25],
                 [0.0, 0.0, -0.4, 0.0, 0.3]]
 
 
+def _inject_nans(monkeypatch, faults):
+    """Make ``scenarios.state_blocks`` write a NaN into the state of start
+    ``member`` at output ``k``, for each ``(member, k)`` of ``faults``; the
+    NaN stays in that start's later states."""
+    real = scenarios.state_blocks
+
+    def faulty(starts, model, t_grid, cfg):
+        for k, block in enumerate(real(starts, model, t_grid, cfg)):
+            for member, at in faults:
+                if k == at:
+                    block[member, 200] = np.nan
+            yield block
+
+    monkeypatch.setattr(scenarios, "state_blocks", faulty)
+
+
 class TestGroupedSweep:
     """Sweep members that share a grid, drift, solver config and solve mesh
-    are solved together in groups of bounded size; each member's rows equal
-    its solve alone bit for bit, and each group's rows are freed before the
-    next group is solved."""
+    are solved together, however many; their rows stream through a ring of
+    one kernel block per member, and each member's report, masses and
+    lowest node equal its solve alone followed by ``report``, bit for
+    bit."""
 
     def _record(self, monkeypatch):
         """Record the width of every group solve, and whether each member's
-        rows equal a solve of the member alone, compared as it runs."""
-        real_group, real_run = scenarios.solve_group, scenarios.run_scenario
+        states equal a solve of the member alone, compared as they stream."""
+        real = scenarios.state_blocks
         widths, equal = [], []
 
-        def group(starts, model, t_grid, cfg):
+        def blocks(starts, model, t_grid, cfg):
             widths.append(len(starts))
-            return real_group(starts, model, t_grid, cfg)
+            alone = [solve(p0, model, t_grid, cfg).values for p0 in starts]
+            same = [True] * len(starts)
+            for k, block in enumerate(real(starts, model, t_grid, cfg)):
+                same = [s and np.array_equal(row, rows[k])
+                        for s, row, rows in zip(same, block, alone)]
+                yield block
+            equal.extend(same)
 
-        def run(cfg, out_dir=None, solution=None):
-            alone = solve(cfg.initial_density(), cfg.model, solution.times, cfg.solver)
-            equal.append(np.array_equal(solution.values, alone.values)
-                         and np.array_equal(solution.masses, alone.masses))
-            return real_run(cfg, out_dir, solution)
-
-        monkeypatch.setattr(scenarios, "solve_group", group)
-        monkeypatch.setattr(scenarios, "run_scenario", run)
+        monkeypatch.setattr(scenarios, "state_blocks", blocks)
         return widths, equal
 
-    @pytest.mark.parametrize("sweep, budget, widths", [
-        (shipped_sweep(61), None, [8]),
-        (shipped_sweep(1201), None, [3, 3, 2]),
-        (shipped_sweep(61), 3 * SHIPPED_MEMBER_BYTES, [3, 3, 2]),
-        (shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS), None, [1, 1, 1]),
-    ], ids=["shipped_61", "shipped_1201", "split_3_3_2", "drift_coeffs"])
-    def test_member_rows_equal_solo_solves(self, monkeypatch, sweep, budget, widths):
-        if budget is not None:
-            monkeypatch.setattr(scenarios, "_GROUP_BYTES", budget)
+    @pytest.mark.parametrize("sweep, widths", [
+        (shipped_sweep(61), [8]),
+        (shipped_sweep(1201), [8]),
+        (shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS), [1, 1, 1]),
+    ], ids=["shipped_61", "shipped_1201", "drift_coeffs"])
+    def test_member_rows_equal_solo_solves(self, monkeypatch, sweep, widths):
         seen_widths, equal = self._record(monkeypatch)
         rows = monotonicity_sweep(sweep)
         assert seen_widths == widths
         assert equal == [True] * len(rows) == [True] * len(sweep.values)
 
-    def test_split_groups_give_the_sweep_rows_of_solo_runs(self, monkeypatch):
-        """Groups of 3, 3 and 2 give the rows, failed checks included, that
-        each member's own run gives."""
+    def test_split_groups_give_the_sweep_rows_of_solo_runs(self):
+        """The sweep's one group of 8 gives the rows, failed checks
+        included, that each member's own run gives."""
         sweep = shipped_sweep(61)
-        monkeypatch.setattr(scenarios, "_GROUP_BYTES", 3 * SHIPPED_MEMBER_BYTES)
         solo = [scenarios._sweep_row(label, run_scenario(cfg)) for label, cfg in sweep.members()]
         assert monotonicity_sweep(sweep) == solo
 
-    def test_groups_fill_the_budget(self):
-        """At 1201 samples the groups are 3, 3 and 2 members, each within
-        the budget, and no full group would fit one more member."""
-        groups = scenarios._solve_groups(shipped_sweep(1201).members())
-        assert [len(members) for _, members in groups] == [3, 3, 2]
-        for k, ((grid, _, _, mesh), members) in enumerate(groups):
-            member_bytes = len(mesh) * grid.n * 8
-            assert len(members) * member_bytes <= scenarios._GROUP_BYTES
-            if k < len(groups) - 1:
-                assert (len(members) + 1) * member_bytes > scenarios._GROUP_BYTES
+    @pytest.mark.parametrize("samples", [7, 61, 1201])
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_streamed_group_equals_solo_solve_and_report(self, width, samples):
+        """Each member's streamed report columns, masses and lowest node
+        equal ``solve`` of the member alone followed by ``report``, byte for
+        byte, whether the mesh fills no ring (7), part of one (61) or ends
+        in a partial one (1201 = 18 * 65 + 31). The last member's narrow
+        start has exact zero nodes."""
+        members = [cfg for _, cfg in shipped_sweep(samples).members()]
+        narrow = replace(members[0], initial={"kind": "gaussian", "mean": 1.0, "variance": 1e-4})
+        assert np.count_nonzero(narrow.initial_density().values == 0.0) > 100
+        cfgs = members[:width - 1] + [narrow]
+        time_sets, mesh = scenarios._solve_times(cfgs[0])
+        assert len(mesh) == samples
+        streamed = scenarios._solve_streamed(cfgs, [time_sets] * width, mesh)
+        for cfg, got in zip(cfgs, streamed, strict=True):
+            traj = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
+            want = report(traj, cfg.stationary_density(), cfg.model.sigma)
+            for field in FunctionalReport.CSV_FIELDS:
+                got_column, want_column = getattr(got.report, field), getattr(want, field)
+                assert got_column.tobytes() == want_column.tobytes(), field
+            assert got.masses.tobytes() == traj.masses.tobytes()
+            assert np.float64(got.lowest).tobytes() == traj.values.min().tobytes()
+            assert got.kept == []
 
-    def test_member_over_budget_runs_alone(self, monkeypatch):
-        """A member whose own rows exceed the budget is a group of one, and
-        the sweep still runs each member on its own rows."""
-        monkeypatch.setattr(scenarios, "_GROUP_BYTES", SHIPPED_MEMBER_BYTES - 1)
-        sweep = shipped_sweep(61)
-        assert [len(m) for _, m in scenarios._solve_groups(sweep.members())] == [1] * 8
-        widths, equal = self._record(monkeypatch)
+    def test_dense_sweep_holds_no_member_trajectory(self):
+        """The 1201-sample sweep's traced peak stays below the rows of one
+        member's trajectory, 1201 x 501 doubles: no trajectory is held."""
+        sweep = shipped_sweep(1201)
+        # a first sweep loads the solver's LAPACK wrapper, whose objects
+        # would otherwise count towards the traced peak
         monotonicity_sweep(sweep)
-        assert widths == [1] * 8 and equal == [True] * 8
-
-    def test_group_rows_freed_before_next_group(self, monkeypatch):
-        """When a group is solved, no earlier group's array is alive."""
-        monkeypatch.setattr(scenarios, "_GROUP_BYTES", 3 * SHIPPED_MEMBER_BYTES)
-        real_group = scenarios.solve_group
-        bases = []
-
-        def group(starts, model, t_grid, cfg):
-            assert [base() for base in bases] == [None] * len(bases)
-            solutions = real_group(starts, model, t_grid, cfg)
-            assert all(traj.values.base is solutions[0].values.base for traj in solutions)
-            bases.append(weakref.ref(solutions[0].values.base))
-            return solutions
-
-        monkeypatch.setattr(scenarios, "solve_group", group)
-        monotonicity_sweep(shipped_sweep(61))
-        assert len(bases) == 3 and bases[-1]() is None
-
-    def test_solution_on_another_mesh_refused(self):
-        """A solution passed in must be on the scenario's own grid and mesh."""
-        cfg = shipped_sweep(61).members()[0][1]
-        coarse = solve(cfg.initial_density(), cfg.model, np.linspace(0.0, cfg.t_end, 31),
-                       cfg.solver)
-        with pytest.raises(ValueError, match="not on the scenario's grid and mesh"):
-            run_scenario(cfg, solution=coarse)
+        tracemalloc.start()
+        try:
+            monotonicity_sweep(sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1201 * 501 * 8, peak
 
     def test_solver_error_names_the_member(self, tmp_path, capsys):
         """A mass tolerance below rounding fails the first member's solve:
@@ -679,30 +687,42 @@ class TestGroupedSweep:
         assert captured.out == ""
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("where", ["group_solve", "member_run"])
+    @pytest.mark.parametrize("where", ["group_stream", "member_run"])
     def test_solver_error_names_a_later_member(self, monkeypatch, where):
-        """A group solve that fails on its third start, or the third
-        member's own fixed-point solve, names the third member."""
+        """A group solve whose third start's state turns non-finite, or the
+        third member's own fixed-point solve, names the third member."""
         sweep = shipped_sweep(61)
         label = sweep.members()[2][0]
-        if where == "group_solve":
-            def failing(starts, model, t_grid, cfg):
-                raise SolveError("solve failed advancing to t=0.5: density has non-finite values",
-                                 2)
-            monkeypatch.setattr(scenarios, "solve_group", failing)
+        if where == "group_stream":
+            _inject_nans(monkeypatch, [(2, 25)])
+            message = "solve failed advancing to t=0.5: density has non-finite values"
         else:
             real = scenarios._stationary_fixed_point
             calls = []
+            message = "solve failed advancing to t=0.001: density has non-finite values"
 
             def failing(cfg, pbar):
                 calls.append(cfg)
                 if len(calls) == 3:
-                    raise SolveError("solve failed advancing to t=0.001: density has "
-                                     "non-finite values")
+                    raise SolveError(message)
                 return real(cfg, pbar)
             monkeypatch.setattr(scenarios, "_stationary_fixed_point", failing)
-        with pytest.raises(RuntimeError, match=rf"^sweep member {re.escape(label)}: solve failed"):
+        with pytest.raises(RuntimeError,
+                           match=f"^sweep member {re.escape(label)}: {re.escape(message)}$"):
             monotonicity_sweep(sweep)
+
+    def test_solver_error_names_the_first_failing_member(self, monkeypatch):
+        """The sixth member fails in the first ring of 65 rows, the first
+        member only in the third: the sweep names the first member, at its
+        own first bad time, as ``solve_group`` names its first bad start."""
+        sweep = shipped_sweep(201)
+        _inject_nans(monkeypatch, [(5, 10), (0, 150)])
+        label = sweep.members()[0][0]
+        with pytest.raises(RuntimeError, match=(
+                f"^sweep member {re.escape(label)}: solve failed advancing to t=0\\.9: "
+                "density has non-finite values$")) as err:
+            monotonicity_sweep(sweep)
+        assert err.value.__cause__.start == 0
 
 
 class TestConvergence:
