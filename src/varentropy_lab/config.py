@@ -94,11 +94,15 @@ def _kind(data, keys_by_kind: dict, path: str) -> str:
     return kind
 
 
-def _optional_string(value, path: str) -> Optional[str]:
-    """A config field that is a string or absent (``null`` counts as absent)."""
-    if value is None or isinstance(value, str):
+def _string(value, path: str) -> str:
+    if isinstance(value, str):
         return value
     raise ConfigError(f"{path}: must be a string, got {value!r}")
+
+
+def _optional_string(value, path: str) -> Optional[str]:
+    """A config field that is a string or absent (``null`` counts as absent)."""
+    return None if value is None else _string(value, path)
 
 
 def _integer(value, path: str) -> int:
@@ -208,7 +212,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict, base_dir: str | Path = ".") -> "ScenarioConfig":
         _fields(data, _CONFIG_KEYS, "config")
-        name = str(_require(data, "name", "config"))
+        name = _string(_require(data, "name", "config"), "config.name")
         model = _parse_drift(_require(data, "drift", "config"))
         grid_spec = _fields(_require(data, "grid", "config"), ("lo", "hi", "n"), "config.grid")
         bounds = _numbers(grid_spec, ("lo", "hi"), "config.grid")
@@ -395,7 +399,8 @@ class SweepConfig:
         outputs = _optional_string(data.get("outputs"), "sweep.outputs")
         if outputs == "":
             raise ConfigError("sweep.outputs: must name a file, got ''")
-        return cls(base, str(data.get("parameter", "override")), values, outputs, path.parent)
+        parameter = _string(data.get("parameter", "override"), "sweep.parameter")
+        return cls(base, parameter, values, outputs, path.parent)
 
     def member(self, value) -> tuple[str, ScenarioConfig]:
         """The label and the parsed scenario of the member for ``value``: a
@@ -406,7 +411,7 @@ class SweepConfig:
         else:
             data, label = copy.deepcopy(self.base), f"{self.parameter}={value}"
             _set_dotted(data, self.parameter, value)
-        data["name"] = f"{data.get('name', 'sweep')}[{label}]"
+        data["name"] = f"{_string(data.get('name', 'sweep'), 'config.name')}[{label}]"
         data.pop("mc", None)
         data.pop("outputs", None)
         return label, ScenarioConfig.from_dict(data, base_dir=self.base_dir)

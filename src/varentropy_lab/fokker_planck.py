@@ -18,14 +18,13 @@ equal substeps, so no step produces a negative node value.
 
 Each step conserves trapezoid-rule mass to rounding because the update is
 in flux form and the boundary fluxes are identically zero. One loop steps
-every solve: :func:`state_blocks` yields the block of the states of one or
-more starts on one grid at each output time, as it is stepped.
-:func:`solve` stores its blocks in one preallocated ``(times x nodes)``
-array and checks every row of it in one pass (:func:`check_rows`) when
-stepping is done; :func:`solve_group` does the same for several starts, in
-one ``(starts x times x nodes)`` array. A caller that needs only some
-numbers of each state reduces the blocks as they come and holds no
-trajectory, as every scenario run does (``scenarios._solve_streamed``).
+and checks every solve: :func:`solved_chunks` steps one or more starts on
+one grid together and fills a buffer of a given number of output times per
+start; each time it is full, one pass takes the mass of every row and
+checks the rows, and the chunk is yielded. :func:`solve` is its one chunk
+of every output time of one start. A caller that needs only some numbers
+of each state reduces the chunks as they come and holds no trajectory, as
+every scenario run does (``scenarios._solve_streamed``).
 
 The implicit matrix ``I - theta dt L`` of a step depends only on the
 generator, ``theta`` and the substep size ``dt``, and a run uses only a few
@@ -40,13 +39,13 @@ solves may run in separate threads.
 One output interval is one kernel call: all its substeps have one size.
 The kernel steps a block of m states, one per row of the generator's two
 ``(m, n)`` state buffers: one state for :func:`solve`, one per start for
-:func:`solve_group` and :func:`state_blocks`. A substep is two LAPACK calls
-between the buffers, with ``NRHS = m`` and both leading dimensions
-``LDX = LDB = n``: ``dlagtm`` writes the explicit stage
-``(I + (1-theta) dt L) v`` of one into the other, and ``dgttrs`` solves
-there in place. Both routines treat each right-hand side on its own, with
-the operations a single one gets (LAPACK Users' Guide, Anderson et al., 3rd
-ed., 1999), so each start's rows equal its solve alone bit for bit. Both
+:func:`solved_chunks`. A substep is two LAPACK calls between the buffers,
+with ``NRHS = m`` and both leading dimensions ``LDX = LDB = n``:
+``dlagtm`` writes the explicit stage ``(I + (1-theta) dt L) v`` of one into
+the other, and ``dgttrs`` solves there in place. Both routines treat each
+right-hand side on its own, with the operations a single one gets (LAPACK
+Users' Guide, Anderson et al., 3rd ed., 1999), so each start's rows equal
+its solve alone bit for bit. Both
 are bare ``ctypes`` function pointers, declaring no argument types, so the
 prebuilt pointer arguments pass unconverted, and ``info`` is read once per
 interval. At n = 501 a substep of one state takes about 11 us, 8.5 us of it
@@ -55,7 +54,7 @@ an ``info`` read per substep made 2.7 us (x86_64, median of in-process
 timings). A block shares the call overhead and the loads of the factors
 among its states: the 8 members of the 1201-sample sweep take 0.62 s
 solved one by one, 0.52 s in groups of 3 and 0.46 s as one group of 8 (one
-pinned CPU, median of 5, in process). A stream of blocks holds no
+pinned CPU, median of 5, in process). A stream of chunks holds no
 trajectory, so the sweep steps all 8 as one group.
 
 ``dlagtm`` rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``,
@@ -333,53 +332,38 @@ def solve(
     ``t_grid`` must be strictly increasing and start at ``p0.time``. Each
     output interval is split into equal nominal steps no longer than
     ``cfg.dt``, each of them into equal substeps within the positivity bound,
-    and all of them run in one kernel call. Each output time fills one row of
-    a preallocated ``(len(t_grid), n)`` array. The produced rows are then
-    checked in one pass over the whole array: finite, non-negative, and of
-    trapezoid mass within both ``cfg.mass_tol`` and the :class:`Density`
-    default of one; a failure raises :class:`SolveError` naming the first
-    bad time. This is :func:`solve_group` of the one start ``p0``.
+    and all of them run in one kernel call. This is the one chunk of
+    :func:`solved_chunks` from the one start ``p0``: each output time fills
+    one row of a preallocated ``(len(t_grid), n)`` array, whose rows are then
+    checked in one pass, and a failure raises :class:`SolveError` naming the
+    first bad time.
     """
-    return solve_group([p0], model, t_grid, cfg)[0]
-
-
-def solve_group(
-    starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
-) -> list[DensityTrajectory]:
-    """:func:`solve` from every density of ``starts``, all on one grid, in one
-    pass: it stores each block of :func:`state_blocks`, and each start's
-    trajectory equals its solve alone bit for bit (see the module docstring).
-
-    The trajectories are views of one ``(len(starts), len(t_grid), n)``
-    array, which lives as long as any of them. The first start, in order,
-    whose rows fail the checks raises :class:`SolveError` with its index.
-    """
-    blocks = state_blocks(starts, model, t_grid, cfg)
     t_grid = np.asarray(t_grid, dtype=float)
-    grid = starts[0].grid
-    values = np.empty((len(starts), len(t_grid), grid.n))
-    for k, block in enumerate(blocks):
-        values[:, k] = block
-    masses = integrate_rows(values, grid)
-    # row 0 is p0, a Density already checked against its own tolerance
-    check_rows(values[:, 1:], masses[:, 1:], t_grid[1:], cfg)
-    return [DensityTrajectory._from_rows(t_grid, grid, rows, row_masses)
-            for rows, row_masses in zip(values, masses)]
+    ((_, values, masses),) = solved_chunks([p0], model, t_grid, cfg, t_grid.size)
+    return DensityTrajectory._from_rows(t_grid, p0.grid, values[0], masses[0])
 
 
-def state_blocks(
-    starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig
-) -> Iterator[np.ndarray]:
+def solved_chunks(
+    starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig,
+    rows: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Step every density of ``starts``, all on one grid, through ``t_grid``
-    together, yielding the ``(len(starts), n)`` block of their states at each
-    output time, the starts' own values first.
+    together, and yield their checked states ``rows`` output times at a time.
 
-    Each kernel call steps the whole block, one row per start. After the
-    first, a yielded block is the generator's live state buffer: the next
-    step overwrites it, so a caller that keeps a state copies it. The states
-    are not checked (:func:`check_rows` does that); a failure of the stepping
-    raises :class:`SolveError`. The arguments are checked when this is
-    called, not when the first block is drawn.
+    Each kernel call steps the whole block of starts, one row per start
+    (see the module docstring), so each start's rows equal its solve alone
+    bit for bit. Its states fill a ``(len(starts), rows, n)`` buffer. Each
+    time the buffer is full, and once at the end, one pass integrates the
+    mass of every row and checks every row: finite, non-negative, and of
+    trapezoid mass within both ``cfg.mass_tol`` and the :class:`Density`
+    default of one. Row 0 holds the starts, already checked as densities.
+    Then the chunk is yielded as ``(first output index, values, masses)``,
+    where ``values`` is a view of the buffer that the next chunk
+    overwrites. Once a start has failed nothing more is yielded, but every
+    interval is still stepped; at the end the first start, in order, whose
+    rows failed raises :class:`SolveError` with its index, naming its first
+    bad time. A failure of the stepping itself raises at once. The arguments
+    are checked when this is called, not when the first chunk is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -395,35 +379,43 @@ def state_blocks(
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
     # the interval plan in Python floats: the same roundings as numpy's scalars
-    return _stepped(np.array([p0.values for p0 in starts]), model, grid, t_grid.tolist(), cfg)
+    return _chunks(np.array([p0.values for p0 in starts]), model, grid, t_grid.tolist(), cfg,
+                   rows)
 
 
-def _stepped(block: np.ndarray, model: GradientDrift, grid: Grid, times: list[float],
-             cfg: SolverConfig) -> Iterator[np.ndarray]:
-    """The stepping loop of :func:`state_blocks` from the states ``block``."""
+def _chunks(block: np.ndarray, model: GradientDrift, grid: Grid, times: list[float],
+            cfg: SolverConfig, rows: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The stepping and checking loop of :func:`solved_chunks` from the
+    states ``block``."""
     gen = _Generator(grid, model, width=len(block))
     dt_pos = gen.positivity_dt(cfg.theta)
-    yield block
-    for k in range(1, len(times)):
-        width = times[k] - times[k - 1]
-        n_nominal = max(1, math.ceil(width / cfg.dt - 1e-12))
-        nominal = width / n_nominal
-        n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
-        try:
-            block = gen.run(block, nominal / n_pos, cfg.theta, n_nominal * n_pos)
-        except RuntimeError as err:
-            raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
-        yield block
-
-
-def check_rows(values: np.ndarray, masses: np.ndarray, times: Sequence[float],
-               cfg: SolverConfig):
-    """Check a ``(starts, len(times), n)`` block of solved rows, with their
-    ``masses``: every row finite, non-negative and of mass within both
-    ``cfg.mass_tol`` and the :class:`Density` default of one. The first
-    start, in order, with a bad row raises :class:`SolveError` with its index,
-    naming the time of its first bad row."""
-    problem = first_invalid_row(values, masses, min(cfg.mass_tol, DEFAULT_MASS_TOL))
-    if problem is not None:
-        (start, k), why = problem
-        raise SolveError(f"solve failed advancing to t={times[k]:g}: {why}", start)
+    mass_tol = min(cfg.mass_tol, DEFAULT_MASS_TOL)
+    buffer = np.empty((len(block), min(rows, len(times)), grid.n))
+    failed = None  # the SolveError of the first failing start so far
+    base = 0  # the output index of the buffer's first row
+    for k in range(len(times)):
+        if k:
+            width = times[k] - times[k - 1]
+            n_nominal = max(1, math.ceil(width / cfg.dt - 1e-12))
+            nominal = width / n_nominal
+            n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
+            try:
+                block = gen.run(block, nominal / n_pos, cfg.theta, n_nominal * n_pos)
+            except RuntimeError as err:
+                raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
+        buffer[:, k - base] = block
+        if k + 1 - base < buffer.shape[1] and k + 1 < len(times):
+            continue
+        values = buffer[:, :k + 1 - base]
+        masses = integrate_rows(values, grid)
+        first = 1 if base == 0 else 0
+        problem = first_invalid_row(values[:, first:], masses[:, first:], mass_tol)
+        if problem is not None and (failed is None or problem[0][0] < failed.start):
+            (start, j), why = problem
+            failed = SolveError(f"solve failed advancing to t={times[base + first + j]:g}: {why}",
+                                start)
+        if failed is None:
+            yield base, values, masses
+        base = k + 1
+    if failed is not None:
+        raise failed

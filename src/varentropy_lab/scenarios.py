@@ -5,17 +5,17 @@ reports and a list of pass/fail tolerance checks. A run solves the PDE once,
 on the sample times merged with the stored times of both Monte Carlo
 ensembles, so the functionals report, the solver checks and the Monte Carlo
 references all read one solution. The solution is reduced as it is
-stepped: its rows pass through a ring of one functionals kernel block,
-where the report, the masses, the lowest node and the row checks read
-them, and only the rows at the Monte Carlo times are kept. Each check
+stepped: the solver yields it in checked chunks of one functionals kernel
+block, with the mass of every row, where the report and the lowest node
+read them, and only the rows at the Monte Carlo times are kept. Each check
 compares two computations and is one function returning a :class:`Check`.
 Sweeps rerun a base scenario across a list of parameter overrides and
 tabulate the sign behaviour of the varentropy rate; consecutive members
 that share a grid, drift, solver config and solve mesh are solved together,
-however many, one block of states per kernel call, through one ring per
-member, and each member's run then reads its share. The convergence study
-reruns the exactly solvable benchmark on a ladder of refined meshes and
-reports observed orders.
+however many, one block of states per kernel call, in chunks of one
+kernel block per member, and each member's run then reads its share. The
+convergence study reruns the exactly solvable benchmark on a ladder of
+refined meshes and reports observed orders.
 
 Runs are deterministic end to end (Monte Carlo included, via seeds): a
 scenario run twice produces byte-identical CSV files, and a sweep member's
@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
-from .fokker_planck import SolveError, check_rows, solve, state_blocks
+from .fokker_planck import SolveError, solve, solved_chunks
 from .functionals import (
     FunctionalReport,
     block_rows,
@@ -45,7 +45,7 @@ from .functionals import (
     varentropy,
     varentropy_rate,
 )
-from .grids import SAME_TIME_TOL, Density, DensityTrajectory, integrate_rows, make_uniform_grid
+from .grids import SAME_TIME_TOL, Density, DensityTrajectory, make_uniform_grid
 from .monte_carlo import (
     DEFAULT_MIN_COUNT,
     MartingaleRow,
@@ -331,65 +331,47 @@ def _solve_streamed(
 ) -> list[_Solved]:
     """Solve the scenarios ``cfgs``, which share the grid, drift and solver
     config of the first and the solve mesh ``mesh``, as one block of
-    :func:`state_blocks`, and reduce each one's rows as they come.
+    :func:`solved_chunks`, and reduce each one's rows as they come.
 
     ``time_sets`` gives each scenario's sets of :func:`_solve_times`. The
-    rows go into a ring of ``block_rows(n)`` mesh times per scenario. Each
-    time it is full, and at the end, one pass over all of it integrates
-    every row's mass, takes the lowest node and checks the rows
-    (:func:`check_rows`); then :func:`report` takes each scenario's sample
-    rows there, and the rows at its Monte Carlo times are copied out. Each
-    scenario's report joins its segments' columns
+    chunks are of ``block_rows(n)`` mesh times, checked, with the mass of
+    every row. Of each, the lowest node is taken, :func:`report` takes each
+    scenario's sample rows, and the rows at its Monte Carlo times are copied
+    out. Each scenario's report joins its segments' columns
     (:meth:`FunctionalReport.from_columns`), so it and every number here
     equal :func:`solve` of that scenario alone followed by :func:`report`,
-    bit for bit. The first scenario, in order, whose rows fail raises
-    :class:`SolveError` with its index and its first bad time, after the
-    whole mesh is stepped.
+    bit for bit. A failing scenario raises :class:`SolveError` as
+    :func:`solved_chunks` names it.
     """
     grid, model, solver = cfgs[0].grid, cfgs[0].model, cfgs[0].solver
-    blocks = state_blocks([cfg.initial_density() for cfg in cfgs], model, np.array(mesh), solver)
+    chunks = solved_chunks([cfg.initial_density() for cfg in cfgs], model, np.array(mesh),
+                           solver, block_rows(grid.n))
     pbars = [cfg.stationary_density() for cfg in cfgs]
     # each scenario's time sets, with the mesh index of every time, packed:
     # the Python ints of a list would take four times the memory
     plans = [[(times, array("q", [bisect.bisect(mesh, t) - 1 for t in times.tolist()]))
               for times in sets] for sets in time_sets]
-    ring = np.empty((len(cfgs), min(block_rows(grid.n), len(mesh)), grid.n))
     masses = np.empty((len(cfgs), len(mesh)))
     lowest = np.full(len(cfgs), np.inf)
     # each scenario's report columns after time, filled a segment at a time
     fields = FunctionalReport.CSV_FIELDS[1:-1]
     columns = [np.empty((len(fields), len(plan[0][0]))) for plan in plans]
     kept = [[np.empty((len(times), grid.n)) for times, _ in plan[1:]] for plan in plans]
-    failed: Optional[SolveError] = None
-    base = 0  # the mesh index of the ring's first row
-    for k, block in enumerate(blocks):
-        ring[:, k - base] = block
-        if k + 1 - base < ring.shape[1] and k + 1 < len(mesh):
-            continue
-        rows, row_masses = ring[:, :k + 1 - base], masses[:, base:k + 1]
-        row_masses[:] = integrate_rows(rows, grid)
+    for base, rows, row_masses in chunks:
+        end = base + rows.shape[1]
+        masses[:, base:end] = row_masses
         np.minimum(lowest, rows.min(axis=(1, 2)), out=lowest)
-        first = 1 if base == 0 else 0  # mesh row 0 holds the starts, checked as densities
-        try:
-            check_rows(rows[:, first:], row_masses[:, first:], mesh[base + first:k + 1], solver)
-        except SolveError as err:
-            if failed is None or err.start < failed.start:
-                failed = err
-        # once a scenario has failed the group raises: nothing more is reported
-        for m, ((samples, index), *mc_plans) in enumerate(plans if failed is None else []):
-            lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, k + 1)
+        for m, ((samples, index), *mc_plans) in enumerate(plans):
+            lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
             if hi > lo:
-                segment = DensityTrajectory._from_rows(mesh[base:k + 1], grid, rows[m],
+                segment = DensityTrajectory._from_rows(mesh[base:end], grid, rows[m],
                                                        row_masses[m])
                 part = report(segment.rows([i - base for i in index[lo:hi]], samples[lo:hi]),
                               pbars[m], cfgs[m].model.sigma)
                 columns[m][:, lo:hi] = [getattr(part, field) for field in fields]
             for (_, index), out in zip(mc_plans, kept[m]):
-                lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, k + 1)
+                lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
                 out[lo:hi] = rows[m, [i - base for i in index[lo:hi]]]
-        base = k + 1
-    if failed is not None:
-        raise failed
     return [
         _Solved(pbar, FunctionalReport.from_columns(plan[0][0], *member_columns), row_masses,
                 float(low), [DensityTrajectory._from_rows(times, grid, out, row_masses[index])
@@ -554,7 +536,7 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     keeps the names of the member's failed tolerance checks. Every member
     is parsed before the first one runs. Each group of
     :func:`_solve_groups` is solved once by :func:`_solve_streamed`, which
-    holds one ring of rows per member, never a trajectory; each member then
+    holds one chunk of rows per member, never a trajectory; each member then
     runs on its share of it, checks and report included. A solver error
     names the member that met it; one in a group's solve comes before the
     group's earlier members have run.

@@ -35,7 +35,7 @@ from varentropy_lab.fokker_planck import (
     SolveError,
     _Generator,
     _bernoulli,
-    solve_group,
+    solved_chunks,
 )
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
@@ -364,6 +364,16 @@ class TestLapackSources:
         assert rows.tobytes() == expected.tobytes()
 
 
+def _chunked(starts, model, times, cfg, rows):
+    """The ``(starts, times, n)`` rows and masses of :func:`solved_chunks`
+    with chunks of ``rows`` output times, joined, with the first index of
+    every chunk."""
+    joined = [(base, values.copy(), masses) for base, values, masses
+              in solved_chunks(starts, model, times, cfg, rows)]
+    bases, values, masses = zip(*joined)
+    return np.concatenate(values, axis=1), np.concatenate(masses, axis=1), list(bases)
+
+
 class TestKeptGenerator:
     """A solve keeps its generator, with its factored steps, for itself
     alone: solves one after another on equal or different grids and drifts
@@ -396,11 +406,11 @@ class TestKeptGenerator:
             starts = [mixture_density(grid, [(0.5, -mean, 0.09), (0.5, mean, 0.09)])
                       for mean in (1.0, 1.2, 0.8)[:width]]
             if width == 1:
-                solved = [solve(starts[0], model, self.TIMES, cfg)]
+                solved = [solve(starts[0], model, self.TIMES, cfg).values]
             else:
-                solved = solve_group(starts, model, self.TIMES, cfg)
-            for p0, traj in zip(starts, solved, strict=True):
-                assert traj.values.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
+                solved = _chunked(starts, model, self.TIMES, cfg, 4)[0]
+            for p0, rows in zip(starts, solved, strict=True):
+                assert rows.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
 
     def test_shipped_sweep_factors_each_substep_size_once(self, monkeypatch):
         """The shipped sweep solves its 8 members as one group and then each
@@ -422,8 +432,9 @@ class TestKeptGenerator:
 
 
 class TestSolveGroup:
-    """``solve_group`` steps several starts on one grid as one block; each
-    start's trajectory is its solve alone, and a failure names its start."""
+    """``solved_chunks`` steps several starts on one grid as one block and
+    yields their checked rows a chunk of output times at a time; each
+    start's rows are its solve alone, and a failure names its start."""
 
     TIMES = np.linspace(0.0, 0.05, 11)
 
@@ -433,35 +444,65 @@ class TestSolveGroup:
                 gaussian_density(grid, 1.0, 1e-4),
                 mixture_density(grid, [(0.3, -0.8, 0.05), (0.7, 1.3, 0.2)])]
 
-    def test_rows_equal_solo_solves(self, dw_model, dw_grid):
-        cfg = SolverConfig(dt=1e-3)
-        starts = self._starts(dw_grid)
-        group = solve_group(starts, dw_model, self.TIMES, cfg)
-        for p0, traj in zip(starts, group, strict=True):
-            alone = solve(p0, dw_model, self.TIMES, cfg)
-            assert np.array_equal(traj.values, alone.values)
-            assert np.array_equal(traj.masses, alone.masses)
-            assert np.array_equal(traj.times, alone.times)
-
-    def test_failing_start_is_named(self, dw_model, dw_grid, monkeypatch):
-        """A non-finite node in the second start's state at the third output
-        time fails that start, with the time in the message; the first start
-        stays clean."""
+    @staticmethod
+    def _inject_nans(monkeypatch, faults):
+        """Make ``_Generator.run`` write a NaN into the state of start
+        ``member`` at output ``k``, for each ``(member, k)`` of ``faults``;
+        returns the list of its calls."""
         real = _Generator.run
         calls = []
 
         def faulty(gen, values, dt, theta, n_steps):
             out = real(gen, values, dt, theta, n_steps)
             calls.append(dt)
-            if len(calls) == 3:
-                out = out.copy()
-                out[1, 200] = np.nan
+            for member, at in faults:
+                if len(calls) == at:
+                    out = out.copy()
+                    out[member, 200] = np.nan
             return out
 
         monkeypatch.setattr(_Generator, "run", faulty)
+        return calls
+
+    def test_rows_equal_solo_solves(self, dw_model, dw_grid):
+        """In chunks of 1, 7 (7 + 4) and all 11 output times, the narrow
+        start with exact zero nodes included."""
+        cfg = SolverConfig(dt=1e-3)
+        starts = self._starts(dw_grid)
+        assert np.count_nonzero(starts[1].values == 0.0) > 100
+        alone = [solve(p0, dw_model, self.TIMES, cfg) for p0 in starts]
+        for rows, bases in ((1, list(range(11))), (7, [0, 7]), (11, [0])):
+            values, masses, seen = _chunked(starts, dw_model, self.TIMES, cfg, rows)
+            assert seen == bases
+            for got, got_masses, traj in zip(values, masses, alone, strict=True):
+                assert got.tobytes() == traj.values.tobytes()
+                assert got_masses.tobytes() == traj.masses.tobytes()
+
+    def test_failing_start_is_named(self, dw_model, dw_grid, monkeypatch):
+        """A non-finite node in the second start's state at the third output
+        time fails that start, with the time in the message; the first start
+        stays clean."""
+        self._inject_nans(monkeypatch, [(1, 3)])
+        chunks = solved_chunks(self._starts(dw_grid), dw_model, self.TIMES,
+                               SolverConfig(dt=1e-3), len(self.TIMES))
         with pytest.raises(SolveError, match=r"t=0\.015: density has non-finite values") as err:
-            solve_group(self._starts(dw_grid), dw_model, self.TIMES, SolverConfig(dt=1e-3))
+            list(chunks)
         assert err.value.start == 1
+
+    def test_first_failing_start_is_named_across_chunks(self, dw_model, dw_grid, monkeypatch):
+        """The third start fails in the second chunk of 3 output times, the
+        second start only in the third: nothing is yielded after the first
+        chunk, every interval is still stepped, and the second start is
+        named at its own first bad time."""
+        calls = self._inject_nans(monkeypatch, [(2, 4), (1, 8)])
+        yielded = []
+        with pytest.raises(SolveError, match=r"t=0\.04: density has non-finite values") as err:
+            for base, _, _ in solved_chunks(self._starts(dw_grid), dw_model, self.TIMES,
+                                            SolverConfig(dt=1e-3), 3):
+                yielded.append(base)
+        assert err.value.start == 1
+        assert yielded == [0]
+        assert len(calls) == len(self.TIMES) - 1
 
     @pytest.mark.parametrize("change, message", [
         (lambda starts: [], "at least one start"),
@@ -471,9 +512,10 @@ class TestSolveGroup:
          "start at p0.time=0.01"),
     ], ids=["empty", "other_grid", "other_time"])
     def test_refuses_starts_it_cannot_step_together(self, dw_model, dw_grid, change, message):
+        """Refused when called, before any chunk is drawn."""
         starts = change(self._starts(dw_grid))
         with pytest.raises(ValueError, match=re.escape(message)):
-            solve_group(starts, dw_model, self.TIMES, SolverConfig(dt=1e-3))
+            solved_chunks(starts, dw_model, self.TIMES, SolverConfig(dt=1e-3), 4)
 
 
 class TestConcurrentSolves:

@@ -15,7 +15,7 @@ import pytest
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
 from varentropy_lab import FunctionalReport, report, scenarios
 from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
-from varentropy_lab.fokker_planck import SolveError, solve
+from varentropy_lab.fokker_planck import SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
 from varentropy_lab.config import ConfigError, Tolerances, _deep_merge
 from varentropy_lab.monte_carlo import MartingaleRow
@@ -181,6 +181,13 @@ class TestConfigParsing:
         parse time, not when the reports are written after the run."""
         with pytest.raises(ConfigError, match=r"^config.outputs: must be a string"):
             ScenarioConfig.from_dict(ou_config(outputs=outputs))
+
+    @pytest.mark.parametrize("name", [None, 5, ["ou"], True], ids=["null", "int", "list", "bool"])
+    def test_non_string_name_rejected(self, name):
+        """``name`` names the run and its output directory: anything but a
+        string is refused at parse time, not run under ``str(name)``."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'config.name: must be a string, got {name!r}')}$"):
+            ScenarioConfig.from_dict(ou_config(name=name))
 
     @pytest.mark.parametrize("typo, section", [("mcc", "mc"), ("grdi", "grid")])
     def test_misspelled_block_rejected(self, typo, section):
@@ -374,17 +381,17 @@ class TestRunScenario:
         only other solve is the fixed-point check's one step of size dt
         from the stationary density."""
         calls = []
-        real_blocks, real_solve = scenarios.state_blocks, scenarios.solve
+        real_chunks, real_solve = scenarios.solved_chunks, scenarios.solve
 
-        def counting_blocks(starts, model, t_grid, cfg):
+        def counting_chunks(starts, model, t_grid, cfg, rows):
             calls.append(("stream", starts, np.asarray(t_grid)))
-            return real_blocks(starts, model, t_grid, cfg)
+            return real_chunks(starts, model, t_grid, cfg, rows)
 
         def counting_solve(p0, model, t_grid, cfg):
             calls.append(("solve", [p0], np.asarray(t_grid)))
             return real_solve(p0, model, t_grid, cfg)
 
-        monkeypatch.setattr(scenarios, "state_blocks", counting_blocks)
+        monkeypatch.setattr(scenarios, "solved_chunks", counting_chunks)
         monkeypatch.setattr(scenarios, "solve", counting_solve)
         cfg = ScenarioConfig.from_dict(ou_config(mc=MEDIUM_MC))
         run_scenario(cfg, out_dir=None)
@@ -569,24 +576,27 @@ DRIFT_COEFFS = [[0.0, 0.0, -0.5, 0.0, 0.25], [0.0, 0.0, -0.6, 0.0, 0.25],
 
 
 def _inject_nans(monkeypatch, faults):
-    """Make ``scenarios.state_blocks`` write a NaN into the state of start
-    ``member`` at output ``k``, for each ``(member, k)`` of ``faults``; the
-    NaN stays in that start's later states."""
-    real = scenarios.state_blocks
+    """Make ``_Generator.run`` write a NaN into the state of start ``member``
+    at output ``k`` of the first solve, for each ``(member, k)`` of
+    ``faults``; the NaN stays in that start's later states."""
+    real = _Generator.run
+    calls = {}  # generator -> the number of its run calls
 
-    def faulty(starts, model, t_grid, cfg):
-        for k, block in enumerate(real(starts, model, t_grid, cfg)):
+    def faulty(gen, values, dt, theta, n_steps):
+        out = real(gen, values, dt, theta, n_steps)
+        k = calls[gen] = calls.get(gen, 0) + 1
+        if gen is next(iter(calls)):
             for member, at in faults:
                 if k == at:
-                    block[member, 200] = np.nan
-            yield block
+                    out[member, 200] = np.nan
+        return out
 
-    monkeypatch.setattr(scenarios, "state_blocks", faulty)
+    monkeypatch.setattr(_Generator, "run", faulty)
 
 
 class TestGroupedSweep:
     """Sweep members that share a grid, drift, solver config and solve mesh
-    are solved together, however many; their rows stream through a ring of
+    are solved together, however many; their rows stream in chunks of
     one kernel block per member, and each member's report, masses and
     lowest node equal its solve alone followed by ``report``, bit for
     bit."""
@@ -594,20 +604,20 @@ class TestGroupedSweep:
     def _record(self, monkeypatch):
         """Record the width of every group solve, and whether each member's
         states equal a solve of the member alone, compared as they stream."""
-        real = scenarios.state_blocks
+        real = scenarios.solved_chunks
         widths, equal = [], []
 
-        def blocks(starts, model, t_grid, cfg):
+        def chunks(starts, model, t_grid, cfg, rows):
             widths.append(len(starts))
             alone = [solve(p0, model, t_grid, cfg).values for p0 in starts]
             same = [True] * len(starts)
-            for k, block in enumerate(real(starts, model, t_grid, cfg)):
-                same = [s and np.array_equal(row, rows[k])
-                        for s, row, rows in zip(same, block, alone)]
-                yield block
+            for base, values, masses in real(starts, model, t_grid, cfg, rows):
+                same = [s and np.array_equal(chunk, solo[base:base + len(chunk)])
+                        for s, chunk, solo in zip(same, values, alone)]
+                yield base, values, masses
             equal.extend(same)
 
-        monkeypatch.setattr(scenarios, "state_blocks", blocks)
+        monkeypatch.setattr(scenarios, "solved_chunks", chunks)
         return widths, equal
 
     @pytest.mark.parametrize("sweep, widths", [
@@ -633,7 +643,7 @@ class TestGroupedSweep:
     def test_streamed_group_equals_solo_solve_and_report(self, width, samples):
         """Each member's streamed report columns, masses and lowest node
         equal ``solve`` of the member alone followed by ``report``, byte for
-        byte, whether the mesh fills no ring (7), part of one (61) or ends
+        byte, whether the mesh fills no chunk (7), part of one (61) or ends
         in a partial one (1201 = 18 * 65 + 31). The last member's narrow
         start has exact zero nodes."""
         members = [cfg for _, cfg in shipped_sweep(samples).members()]
@@ -712,9 +722,9 @@ class TestGroupedSweep:
             monotonicity_sweep(sweep)
 
     def test_solver_error_names_the_first_failing_member(self, monkeypatch):
-        """The sixth member fails in the first ring of 65 rows, the first
+        """The sixth member fails in the first chunk of 65 rows, the first
         member only in the third: the sweep names the first member, at its
-        own first bad time, as ``solve_group`` names its first bad start."""
+        own first bad time, as ``solved_chunks`` names its first bad start."""
         sweep = shipped_sweep(201)
         _inject_nans(monkeypatch, [(5, 10), (0, 150)])
         label = sweep.members()[0][0]
@@ -855,6 +865,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "config error: sweep.outputs: must be a string, got 7\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, fields, message", [
+        ("run", {"name": None}, "config.name: must be a string, got None"),
+        ("sweep", {"parameter": None}, "sweep.parameter: must be a string, got None"),
+        ("sweep", {"parameter": 3}, "sweep.parameter: must be a string, got 3"),
+        ("sweep", {"base": ou_config(name=None)},
+         "config.name: must be a string, got None (sweep.values[0] = 0.25)"),
+    ], ids=["run_name", "sweep_parameter_null", "sweep_parameter_int", "sweep_base_name"])
+    def test_non_string_name_or_parameter_exit_2(self, tmp_path, capsys, command, fields,
+                                                 message):
+        """A name or sweep parameter that is not a string is refused at parse
+        time with its field path, before anything runs or is written."""
+        if command == "run":
+            data = ou_config(**fields)
+        else:
+            data = {"base": ou_config(name="sweep_name"), "parameter": "initial.variance",
+                    "values": [0.25], **fields}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, name, text, message", [
         ("run", "nope.json", None, "config: cannot read {d}/nope.json: No such file or directory"),
