@@ -27,10 +27,11 @@ bench = OUBenchmark(0.25)
 grid = make_uniform_grid(-8.0, 8.0, 801)
 pbar = invariant_density(bench.model(), grid)
 
-ens = simulate_ensemble(bench.model(), pbar, dt=1e-3, t_end=0.05,
-                        n_paths=100_000, seed=20240801)
+dt = 1e-3
+paths = simulate_ensemble(bench.model(), pbar, dt=dt, t_end=0.05,
+                          n_paths=100_000, seed=20240801)
 bins = make_uniform_grid(-3.0, 3.0, 25)
-est = estimate_backward_drift(ens.paths[:, -2], ens.paths[:, -1], ens.dt, bins)
+est = estimate_backward_drift(paths[:, -2], paths[:, -1], dt, bins)
 curve = backward_drift_on_grid(bench.model(), pbar)
 
 print("stationary ensemble: binned backward-increment means vs x/2")

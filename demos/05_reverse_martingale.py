@@ -10,6 +10,7 @@ conditional means of the one-step-backward ratio against the current one.
 from varentropy_lab import (
     OUBenchmark,
     SolverConfig,
+    ensemble_times,
     gaussian_density,
     invariant_density,
     make_uniform_grid,
@@ -23,10 +24,10 @@ grid = make_uniform_grid(-8.0, 8.0, 801)
 p0 = gaussian_density(grid, 0.0, 0.25)
 pbar = invariant_density(bench.model(), grid)
 
-ens = simulate_ensemble(bench.model(), p0, dt=2.5e-3, t_end=0.25,
-                        n_paths=40_000, seed=99)
-traj = solve(p0, bench.model(), ens.times, SolverConfig(dt=1e-3))
-rows = martingale_diagnostic(ens.paths.T, traj, pbar, bins=make_uniform_grid(-3, 3, 25))
+paths = simulate_ensemble(bench.model(), p0, dt=2.5e-3, t_end=0.25,
+                          n_paths=40_000, seed=99)
+traj = solve(p0, bench.model(), ensemble_times(2.5e-3, 0.25), SolverConfig(dt=1e-3))
+rows = martingale_diagnostic(paths.T, traj, pbar, bins=make_uniform_grid(-3, 3, 25))
 
 print("reverse-time martingale diagnostic, start N(0, 1/4)")
 print(f"{'t':>7} {'mean ratio':>11} {'std err':>9} {'cond resid':>11} {'pooled se':>10}")

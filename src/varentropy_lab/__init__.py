@@ -41,11 +41,10 @@ from .functionals import (
 )
 from .ou_exact import OUBenchmark
 from .monte_carlo import (
-    PathEnsemble,
-    BinnedEstimate,
     MartingaleRow,
     MCFunctionals,
     ensemble_columns,
+    ensemble_times,
     simulate_ensemble,
     estimate_backward_drift,
     backward_drift_target,
@@ -55,7 +54,6 @@ from .monte_carlo import (
 )
 from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
 from .scenarios import (
-    ScenarioResult,
     run_scenario,
     monotonicity_sweep,
     convergence_study,

@@ -74,7 +74,7 @@ def _cmd_sweep(args) -> int:
     sweep = SweepConfig.from_json(args.config)
     where, path = "--out", args.out
     if path is None and sweep.outputs is not None:
-        where, path = "sweep.outputs", sweep.base_dir / sweep.outputs
+        where, path = "sweep.outputs", Path(args.config).parent / sweep.outputs
     _refuse_output(where, path, directory=False)
     rows = monotonicity_sweep(sweep)
     print(f"{'label':<42} {'min_rate':>12} {'max_rate':>12} {'sign':>5} {'t_max':>8}")

@@ -376,7 +376,12 @@ def _check_stationary_mass(model: GradientDrift, grid: Grid):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A base scenario document and the values its members override."""
+    """A base scenario document and the values its members override.
+
+    ``base_dir`` is the directory the members' relative paths resolve
+    against: the directory of the base's own file when the base is read
+    from one, else the sweep file's.
+    """
 
     base: dict
     parameter: str
@@ -389,9 +394,10 @@ class SweepConfig:
         path = Path(path)
         data = _fields(_load_json(path, "sweep"), ("base", "parameter", "values", "outputs"),
                        "sweep")
-        base = _require(data, "base", "sweep")
+        base, base_dir = _require(data, "base", "sweep"), path.parent
         if isinstance(base, str):
-            base = _load_json(path.parent / base, "sweep.base")
+            base_path = path.parent / base
+            base, base_dir = _load_json(base_path, "sweep.base"), base_path.parent
         _fields(base, _CONFIG_KEYS, "sweep.base")
         values = _require(data, "values", "sweep")
         if not isinstance(values, list) or not values:
@@ -400,7 +406,7 @@ class SweepConfig:
         if outputs == "":
             raise ConfigError("sweep.outputs: must name a file, got ''")
         parameter = _string(data.get("parameter", "override"), "sweep.parameter")
-        return cls(base, parameter, values, outputs, path.parent)
+        return cls(base, parameter, values, outputs, base_dir)
 
     def member(self, value) -> tuple[str, ScenarioConfig]:
         """The label and the parsed scenario of the member for ``value``: a

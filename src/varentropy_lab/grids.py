@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -210,7 +210,7 @@ class DensityTrajectory:
     ``traj[k]`` is a :class:`Density` over row ``k`` of that array: a
     read-only view, neither copied nor checked again. ``states`` derives the
     tuple of all of them. Built from ``(times, states)``, the states are
-    stacked once; the solver and row selections build a trajectory from an
+    stacked once; the solver and its stream build a trajectory from an
     array they have checked themselves.
     """
 
@@ -252,16 +252,6 @@ class DensityTrajectory:
         for name, value in (("times", times), ("grid", grid),
                             ("values", values), ("masses", masses)):
             object.__setattr__(self, name, value)
-
-    def rows(self, index: Sequence[int], times: np.ndarray) -> "DensityTrajectory":
-        """The rows ``index`` relabelled with ``times``. A run of consecutive
-        rows is a view of this trajectory's array; any other set is copied."""
-        index = list(index)
-        if index == list(range(index[0], index[0] + len(index))):
-            pick = slice(index[0], index[0] + len(index))
-        else:
-            pick = index
-        return DensityTrajectory._from_rows(times, self.grid, self.values[pick], self.masses[pick])
 
     @property
     def states(self) -> tuple[Density, ...]:
@@ -317,11 +307,9 @@ def _check_gaussian_parameters(mean: float, variance: float):
 
 
 def gaussian_density(grid: Grid, mean: float, variance: float, time: float = 0.0) -> Density:
-    """Gaussian density sampled on the grid and renormalized by quadrature."""
-    _check_gaussian_parameters(mean, variance)
-    z = (grid.x - mean) ** 2 / (2.0 * variance)
-    values = np.exp(-z) / np.sqrt(2.0 * np.pi * variance)
-    return normalized_density(grid, values, time=time)
+    """Gaussian density sampled on the grid and renormalized by quadrature:
+    the one-component :func:`mixture_density` of weight 1."""
+    return mixture_density(grid, [(1.0, mean, variance)], time=time)
 
 
 def mixture_density(

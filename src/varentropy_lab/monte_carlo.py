@@ -21,9 +21,10 @@ when some path has left the domain. :func:`ensemble_columns` is that one
 loop: it yields the live position buffer at every stored step, so a
 diagnostic that reads one column at a time (:func:`martingale_diagnostic`)
 runs as the paths advance and no path array is held.
-:func:`simulate_ensemble` stores the same columns in a Fortran-ordered
-``(n_paths, n_times)`` array, so every stored column is contiguous, for the
-callers that want whole paths.
+:func:`simulate_ensemble` returns the same columns as a read-only,
+Fortran-ordered ``(n_paths, n_times)`` array, so every stored column is
+contiguous, for the callers that want whole paths; the times of its columns
+are :func:`ensemble_times` of the same step, horizon and stride.
 
 Grids are uniform, so every lookup of a path position in a grid or a bin
 array is index arithmetic, ``floor((x - lo) / dx)``, corrected by one
@@ -56,52 +57,6 @@ from .grids import (
 
 #: Bins with fewer samples than this report no estimate.
 DEFAULT_MIN_COUNT = 50
-
-
-@dataclass(frozen=True, eq=False)
-class PathEnsemble:
-    """Seeded ensemble of sample paths stored at uniformly spaced times.
-
-    ``paths`` is stored read-only in Fortran order, so that the positions of
-    all paths at one stored time, ``paths[:, k]``, are contiguous. It is a
-    copy unless it already is such an array that owns its data, as
-    :func:`simulate_ensemble` passes it.
-    """
-
-    times: np.ndarray
-    paths: np.ndarray  # shape (n_paths, n_times)
-    seed: int
-    model: GradientDrift
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=float, copy=True)
-        paths = self.paths
-        if not (
-            isinstance(paths, np.ndarray)
-            and paths.dtype == np.float64
-            and paths.flags.f_contiguous
-            and paths.flags.owndata
-            and not paths.flags.writeable
-        ):
-            paths = np.array(paths, dtype=float, order="F", copy=True)
-        if paths.ndim != 2 or paths.shape[1] != len(times):
-            raise ValueError("paths must be (n_paths, n_times) matching times")
-        steps = np.diff(times)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("stored times must be uniformly spaced")
-        times.flags.writeable = False
-        paths.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "paths", paths)
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def dt(self) -> float:
-        """Spacing of the stored times."""
-        return float(self.times[1] - self.times[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +119,11 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> None:
     raise RuntimeError("reflection failed to terminate; dt is far too large")
 
 
-def ensemble_times(
-    dt: float, t_end: float, store_every: int = 1, t0: float = 0.0
-) -> np.ndarray:
+def ensemble_times(dt: float, t_end: float, store_every: int = 1) -> np.ndarray:
     """Times at which :func:`simulate_ensemble` stores the paths of a run
-    from ``t0`` to ``t0 + t_end`` in steps of ``dt``, every
-    ``store_every``-th step. ``t_end`` must be an integer multiple of ``dt``
-    and the step count a multiple of ``store_every``.
+    from 0 to ``t_end`` in steps of ``dt``, every ``store_every``-th step.
+    ``t_end`` must be an integer multiple of ``dt`` and the step count a
+    multiple of ``store_every``.
     """
     if not dt > 0.0:
         raise ValueError(f"invalid step: dt must be positive, got {dt}")
@@ -181,7 +134,7 @@ def ensemble_times(
         raise ValueError(
             f"must divide the {n_steps} steps of t_end / dt, got store_every={store_every}"
         )
-    return t0 + dt * store_every * np.arange(n_steps // store_every + 1)
+    return dt * store_every * np.arange(n_steps // store_every + 1)
 
 
 def ensemble_columns(
@@ -248,18 +201,19 @@ def simulate_ensemble(
     n_paths: int,
     seed: int,
     store_every: int = 1,
-) -> PathEnsemble:
-    """Simulate ``n_paths`` Euler-Maruyama paths from ``init`` and store
+) -> np.ndarray:
+    """Simulate ``n_paths`` Euler-Maruyama paths from ``init`` and return
     every column that :func:`ensemble_columns` yields with the same
-    arguments.
+    arguments, as a read-only, Fortran-ordered ``(n_paths, n_times)`` array.
+    Column ``k`` holds the positions at ``ensemble_times(dt, t_end,
+    store_every)[k]``.
     """
     columns = ensemble_columns(model, init, dt, t_end, n_paths, seed, store_every)
-    times = ensemble_times(dt, t_end, store_every, t0=init.time)
-    paths = np.empty((n_paths, len(times)), order="F")
+    paths = np.empty((n_paths, len(ensemble_times(dt, t_end, store_every))), order="F")
     for k, x in columns:
         paths[:, k] = x
     paths.flags.writeable = False
-    return PathEnsemble(times=times, paths=paths, seed=seed, model=model)
+    return paths
 
 
 def _nodes_at_or_below(
@@ -375,7 +329,8 @@ def estimate_backward_drift(
 
     ``before`` and ``here`` hold the positions of the same paths at
     ``t - dt`` and ``t``: two consecutive stored columns, such as
-    ``ens.paths[:, k - 1]`` and ``ens.paths[:, k]`` with ``dt = ens.dt``.
+    ``paths[:, k - 1]`` and ``paths[:, k]`` of :func:`simulate_ensemble`
+    with ``store_every`` 1.
     As the step shrinks the conditional means converge to the backward drift
     at the bin centers. Bin edges are the nodes of ``bins``.
     """
@@ -428,7 +383,7 @@ def martingale_diagnostic(
     martingale.
 
     ``columns`` yields the positions of the same paths at each time of
-    ``traj``, in order: ``ens.paths.T`` for a stored ensemble, or the
+    ``traj``, in order: ``paths.T`` for a stored ensemble, or the
     columns of :func:`ensemble_columns` as the paths advance. Each column is
     read once, before the next is drawn, and the stream must hold exactly
     ``len(traj)`` columns; a mismatch raises ``ValueError``.
@@ -503,33 +458,21 @@ class MCFunctionals:
     varentropy_rate_se: float
 
 
-def mc_functionals(
-    ens: PathEnsemble,
-    traj: DensityTrajectory,
-    pbar: Density,
-    t_index: int,
-) -> MCFunctionals:
+def mc_functionals(x: np.ndarray, p_t: Density, pbar: Density, sigma: float) -> MCFunctionals:
     """Monte Carlo estimates of relative entropy, varentropy and the
-    varentropy rate at one stored time.
+    varentropy rate at the time of ``p_t``, from the positions ``x`` of the
+    paths at that time.
 
     The log ratio and its slope are evaluated on the grid and linearly
     interpolated at the path positions. The rate standard error treats the
     plugged-in mean as exact; its sampling error is second order in 1/n.
     """
-    if not 0 <= t_index < len(ens.times):
-        raise IndexError(f"t_index must lie in [0, {len(ens.times) - 1}], got {t_index}")
-    if len(ens.times) != len(traj.times) or not np.allclose(
-        ens.times, traj.times, rtol=1e-9, atol=1e-12
-    ):
-        raise ValueError("time mesh mismatch between ensemble and trajectory")
-
-    p_t = traj[t_index]
     logratio = safe_log_ratio(p_t, pbar)
     slope = gradient(logratio, p_t.grid)
-    cells = _locate(ens.paths[:, t_index], p_t.grid)
+    cells = _locate(x, p_t.grid)
     lr = _interp(cells, logratio, p_t.grid)
     sl = _interp(cells, slope, p_t.grid)
-    n = ens.n_paths
+    n = len(x)
 
     entropy = float(lr.mean())
     entropy_se = float(lr.std(ddof=1) / math.sqrt(n))
@@ -538,11 +481,11 @@ def mc_functionals(
     varent_se = float(
         math.sqrt(max((centered**4).mean() - varent**2, 0.0) / n)
     )
-    integrand = ens.model.sigma**2 * (-lr - 1.0 + entropy) * sl**2
+    integrand = sigma**2 * (-lr - 1.0 + entropy) * sl**2
     rate = float(integrand.mean())
     rate_se = float(integrand.std(ddof=1) / math.sqrt(n))
     return MCFunctionals(
-        time=float(ens.times[t_index]),
+        time=p_t.time,
         relative_entropy=entropy,
         relative_entropy_se=entropy_se,
         varentropy=varent,

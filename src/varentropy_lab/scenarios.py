@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-import tempfile
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -196,8 +195,12 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: Path, text: str):
+    """Write ``text`` to a new file beside ``path`` and rename it over
+    ``path``. The file gets mode 0o666 less the umask, as ``open`` gives it;
+    its random name keeps concurrent writers of one path apart."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -364,10 +367,14 @@ def _solve_streamed(
         for m, ((samples, index), *mc_plans) in enumerate(plans):
             lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
             if hi > lo:
-                segment = DensityTrajectory._from_rows(mesh[base:end], grid, rows[m],
-                                                       row_masses[m])
-                part = report(segment.rows([i - base for i in index[lo:hi]], samples[lo:hi]),
-                              pbars[m], cfgs[m].model.sigma)
+                # a run of consecutive rows is a view of the chunk, any
+                # other pick a copy
+                pick = [i - base for i in index[lo:hi]]
+                if pick == list(range(pick[0], pick[-1] + 1)):
+                    pick = slice(pick[0], pick[-1] + 1)
+                segment = DensityTrajectory._from_rows(samples[lo:hi], grid, rows[m, pick],
+                                                       row_masses[m, pick])
+                part = report(segment, pbars[m], cfgs[m].model.sigma)
                 columns[m][:, lo:hi] = [getattr(part, field) for field in fields]
             for (_, index), out in zip(mc_plans, kept[m]):
                 lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
@@ -450,20 +457,20 @@ def _run_mc_diagnostics(
 
     # coarse-stride ensemble: sample-mean functionals against quadrature at
     # every stored time
-    ens = simulate_ensemble(
+    paths = simulate_ensemble(
         cfg.model, p0, mc.dt, mc.t_end, mc.n_paths, mc.seed, store_every=mc.store_every
     )
     functional_rows = []
-    for k in range(len(ens.times)):
-        est_f = mc_functionals(ens, traj, pbar, k)
+    for x, p_t in zip(paths.T, traj.states, strict=True):
+        est_f = mc_functionals(x, p_t, pbar, cfg.model.sigma)
         for name, value, se, ref in (
             ("entropy_mc", est_f.relative_entropy, est_f.relative_entropy_se,
-             relative_entropy(traj[k], pbar)),
-            ("varentropy_mc", est_f.varentropy, est_f.varentropy_se, varentropy(traj[k], pbar)),
+             relative_entropy(p_t, pbar)),
+            ("varentropy_mc", est_f.varentropy, est_f.varentropy_se, varentropy(p_t, pbar)),
             ("varentropy_rate_mc", est_f.varentropy_rate, est_f.varentropy_rate_se,
-             varentropy_rate(traj[k], pbar, cfg.model.sigma)),
+             varentropy_rate(p_t, pbar, cfg.model.sigma)),
         ):
-            functional_rows.append((name, est_f.time, None, ens.n_paths, value, se, ref))
+            functional_rows.append((name, est_f.time, None, mc.n_paths, value, se, ref))
     checks.append(_mc_functionals_agreement(functional_rows, tol))
     return checks, rows + functional_rows
 

@@ -17,6 +17,7 @@ from varentropy_lab import (
     SolverConfig,
     SweepConfig,
     duality_residual,
+    ensemble_times,
     estimate_backward_drift,
     invariant_density,
     make_uniform_grid,
@@ -145,11 +146,11 @@ class TestCriterion5Duality:
         bench = OUBenchmark(0.25)
         grid = make_uniform_grid(-8.0, 8.0, 801)
         pbar = invariant_density(bench.model(), grid)
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             bench.model(), pbar, dt=1e-3, t_end=0.05, n_paths=100_000, seed=20240801
         )
         bins = make_uniform_grid(-3.0, 3.0, 25)
-        est = estimate_backward_drift(ens.paths[:, -2], ens.paths[:, -1], ens.dt, bins)
+        est = estimate_backward_drift(paths[:, -2], paths[:, -1], 1e-3, bins)
         residual = duality_residual(est, bench.model(), pbar)
         pooled = est.pooled_standard_error()
         _announce(
@@ -165,12 +166,12 @@ def martingale_rows():
     grid = make_uniform_grid(-8.0, 8.0, 801)
     p0 = gaussian_density(grid, 0.0, 0.25)
     pbar = invariant_density(bench.model(), grid)
-    ens = simulate_ensemble(
+    paths = simulate_ensemble(
         bench.model(), p0, dt=2.5e-3, t_end=0.25, n_paths=40_000, seed=99
     )
-    traj = solve(p0, bench.model(), ens.times, SolverConfig(dt=1e-3))
+    traj = solve(p0, bench.model(), ensemble_times(2.5e-3, 0.25), SolverConfig(dt=1e-3))
     bins = make_uniform_grid(-3.0, 3.0, 25)
-    return martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
+    return martingale_diagnostic(paths.T, traj, pbar, bins=bins)
 
 
 class TestCriterion6ReverseMartingale:
@@ -255,15 +256,14 @@ class TestCriterion9MCQuadratureAgreement:
         """Sample-mean entropy, varentropy and rate agree with quadrature at
         t = 0, 1/2 and 1 within 3 standard errors."""
         cfg, p0, pbar, _, _ = request.getfixturevalue(case_name)
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             cfg.model, p0, dt=1e-3, t_end=1.0, n_paths=100_000, seed=seed,
             store_every=500,
         )
-        traj = solve(p0, cfg.model, ens.times, cfg.solver)
+        traj = solve(p0, cfg.model, ensemble_times(1e-3, 1.0, 500), cfg.solver)
         worst = 0.0
-        for k in range(len(ens.times)):
-            est = mc_functionals(ens, traj, pbar, k)
-            p_t = traj[k]
+        for x, p_t in zip(paths.T, traj.states, strict=True):
+            est = mc_functionals(x, p_t, pbar, cfg.model.sigma)
             for value, se, ref in (
                 (est.relative_entropy, est.relative_entropy_se, relative_entropy(p_t, pbar)),
                 (est.varentropy, est.varentropy_se, varentropy(p_t, pbar)),

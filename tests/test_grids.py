@@ -267,18 +267,6 @@ class TestTrajectoryArray:
             integrate(row, wide_grid) for row in values
         ]
 
-    def test_consecutive_rows_are_a_view(self, traj):
-        sub = traj.rows([2, 3, 4], traj.times[2:5] + 1e-12)
-        assert np.shares_memory(sub.values, traj.values)
-        assert np.array_equal(sub.values, traj.values[2:5])
-        assert sub.times.tolist() == (traj.times[2:5] + 1e-12).tolist()
-
-    def test_scattered_rows_are_copied(self, traj):
-        sub = traj.rows([0, 2, 5], traj.times[[0, 2, 5]])
-        assert not np.shares_memory(sub.values, traj.values)
-        assert np.array_equal(sub.values, traj.values[[0, 2, 5]])
-        assert sub.masses.tolist() == traj.masses[[0, 2, 5]].tolist()
-
 
 class TestSafeLogRatio:
     def test_equal_densities_zero(self, wide_grid):

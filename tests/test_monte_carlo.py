@@ -15,11 +15,11 @@ from numpy.testing import assert_allclose
 from varentropy_lab import (
     MartingaleRow,
     MCFunctionals,
-    PathEnsemble,
     SolverConfig,
     backward_drift_on_grid,
     duality_residual,
     ensemble_columns,
+    ensemble_times,
     estimate_backward_drift,
     gaussian_density,
     invariant_density,
@@ -37,21 +37,25 @@ from varentropy_lab.grids import DEFAULT_LOG_FLOOR, gradient, safe_log_ratio
 from varentropy_lab.monte_carlo import _bin_statistics, _interp, _locate, _nodes_at_or_below
 
 
-def _first_two(ens):
+def _first_two(paths, dt):
     """The first two stored columns and their spacing, for
     ``estimate_backward_drift``."""
-    return ens.paths[:, 0], ens.paths[:, 1], ens.dt
+    return paths[:, 0], paths[:, 1], dt
 
 
-def _last_two(ens):
+def _last_two(paths, dt):
     """The last two stored columns and their spacing."""
-    return ens.paths[:, -2], ens.paths[:, -1], ens.dt
+    return paths[:, -2], paths[:, -1], dt
+
+
+#: Step of the stationary ensemble, which stores every step.
+STATIONARY_DT = 1e-3
 
 
 @pytest.fixture(scope="module")
 def stationary_ensemble(ou_model, ou_stationary):
     return simulate_ensemble(
-        ou_model, ou_stationary, dt=1e-3, t_end=0.05, n_paths=100_000, seed=20240801
+        ou_model, ou_stationary, dt=STATIONARY_DT, t_end=0.05, n_paths=100_000, seed=20240801
     )
 
 
@@ -60,51 +64,50 @@ class TestSimulateEnsemble:
         kw = dict(dt=1e-2, t_end=0.1, n_paths=64, seed=42)
         a = simulate_ensemble(ou_model, narrow_gaussian, **kw)
         b = simulate_ensemble(ou_model, narrow_gaussian, **kw)
-        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a, b)
 
     def test_single_path_repeatable(self, ou_model, narrow_gaussian):
         kw = dict(dt=1e-2, t_end=0.2, n_paths=1, seed=7)
         a = simulate_ensemble(ou_model, narrow_gaussian, **kw)
         b = simulate_ensemble(ou_model, narrow_gaussian, **kw)
-        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, ou_model, narrow_gaussian):
         a = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 64, seed=1)
         b = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 64, seed=2)
-        assert not np.array_equal(a.paths, b.paths)
+        assert not np.array_equal(a, b)
 
     def test_stationary_variance(self, stationary_ensemble):
         """Sample variance stays at 1 within 3 standard errors at every time."""
-        n = stationary_ensemble.n_paths
-        for k in range(0, len(stationary_ensemble.times), 10):
-            sample = stationary_ensemble.paths[:, k]
+        n = stationary_ensemble.shape[0]
+        for k in range(0, stationary_ensemble.shape[1], 10):
+            sample = stationary_ensemble[:, k]
             se = sample.var(ddof=1) * np.sqrt(2.0 / n)
             assert abs(sample.var(ddof=1) - 1.0) < 3 * se + 1e-3
 
     def test_transient_variance(self, ou_model, narrow_gaussian, bench):
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             ou_model, narrow_gaussian, dt=1e-3, t_end=1.0, n_paths=100_000,
             seed=1234, store_every=1000,
         )
-        sample = ens.paths[:, -1]
+        sample = paths[:, -1]
         expected = bench.variance(1.0)
-        se = sample.var(ddof=1) * np.sqrt(2.0 / ens.n_paths)
+        se = sample.var(ddof=1) * np.sqrt(2.0 / len(sample))
         # 3 SE plus the O(dt) weak bias allowance
         assert abs(sample.var(ddof=1) - expected) < 3 * se + 1e-3
 
     def test_initial_law_matches_density(self, ou_model, narrow_gaussian):
-        ens = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.01, 200_000, seed=5)
-        x0 = ens.paths[:, 0]
+        x0 = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.01, 200_000, seed=5)[:, 0]
         assert x0.mean() == pytest.approx(0.0, abs=4 * 0.5 / np.sqrt(len(x0)))
         assert x0.var(ddof=1) == pytest.approx(0.25, rel=2e-2)
 
     def test_store_every(self, ou_model, narrow_gaussian):
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             ou_model, narrow_gaussian, dt=1e-2, t_end=0.1, n_paths=8, seed=3,
             store_every=5,
         )
-        assert_allclose(ens.times, [0.0, 0.05, 0.1])
-        assert ens.dt == pytest.approx(0.05)
+        assert_allclose(ensemble_times(1e-2, 0.1, 5), [0.0, 0.05, 0.1])
+        assert paths.shape == (8, 3)
 
     def test_invalid_step_rejected(self, ou_model, narrow_gaussian):
         with pytest.raises(ValueError, match="invalid step"):
@@ -118,11 +121,11 @@ class TestSimulateEnsemble:
         halves when dt does."""
         biases = []
         for dt, seed in ((0.2, 11), (0.1, 12)):
-            ens = simulate_ensemble(
+            paths = simulate_ensemble(
                 ou_model, ou_stationary, dt=dt, t_end=2.0, n_paths=400_000,
                 seed=seed, store_every=int(round(2.0 / dt)),
             )
-            biases.append(ens.paths[:, -1].var(ddof=1) - 1.0)
+            biases.append(paths[:, -1].var(ddof=1) - 1.0)
         assert 1.4 < biases[0] / biases[1] < 2.9
 
 
@@ -131,7 +134,7 @@ class TestBackwardDrift:
         """At stationarity the backward drift is +x/2: the forward drift
         -x/2 plus the stationary score correction +x."""
         bins = make_uniform_grid(-3.0, 3.0, 13)
-        est = estimate_backward_drift(*_last_two(stationary_ensemble), bins)
+        est = estimate_backward_drift(*_last_two(stationary_ensemble, STATIONARY_DT), bins)
         k = int(np.argmin(np.abs(est.bin_centers - 2.0)))
         assert est.defined[k]
         expected = est.bin_centers[k] / 2.0
@@ -139,7 +142,7 @@ class TestBackwardDrift:
 
     def test_sparse_bins_undefined(self, stationary_ensemble):
         bins = make_uniform_grid(-8.0, 8.0, 65)
-        est = estimate_backward_drift(*_first_two(stationary_ensemble), bins)
+        est = estimate_backward_drift(*_first_two(stationary_ensemble, STATIONARY_DT), bins)
         far = np.abs(est.bin_centers) > 5.0
         assert not est.defined[far].any()
         assert np.isnan(est.values[far]).all()
@@ -157,17 +160,17 @@ class TestBackwardDrift:
 
     def test_column_shapes_validated(self, stationary_ensemble):
         bins = make_uniform_grid(-3, 3, 13)
-        before, here, dt = _last_two(stationary_ensemble)
+        before, here, dt = _last_two(stationary_ensemble, STATIONARY_DT)
         with pytest.raises(ValueError, match="same paths"):
             estimate_backward_drift(before[:-1], here, dt, bins)
         with pytest.raises(ValueError, match="same paths"):
-            estimate_backward_drift(stationary_ensemble.paths, stationary_ensemble.paths, dt, bins)
+            estimate_backward_drift(stationary_ensemble, stationary_ensemble, dt, bins)
 
 
 class TestDuality:
     def test_stationary_residual_within_noise(self, stationary_ensemble, ou_model, ou_stationary):
         bins = make_uniform_grid(-3.0, 3.0, 25)
-        est = estimate_backward_drift(*_last_two(stationary_ensemble), bins)
+        est = estimate_backward_drift(*_last_two(stationary_ensemble, STATIONARY_DT), bins)
         residual = duality_residual(est, ou_model, ou_stationary)
         assert residual <= 3.0 * est.pooled_standard_error()
 
@@ -182,14 +185,13 @@ class TestDuality:
     def test_wrong_target_detected(self, ou_model, narrow_gaussian):
         """Off stationarity, scoring the increments against the forward
         drift must fail by a wide statistical margin."""
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             ou_model, narrow_gaussian, dt=1e-3, t_end=0.1, n_paths=200_000, seed=77
         )
-        cfg = SolverConfig(dt=1e-3)
-        traj = solve(narrow_gaussian, ou_model, ens.times, cfg)
+        traj = solve(narrow_gaussian, ou_model, ensemble_times(1e-3, 0.1), SolverConfig(dt=1e-3))
         bins = make_uniform_grid(-2.5, 2.5, 21)
-        last = len(ens.times) - 1
-        est = estimate_backward_drift(*_last_two(ens), bins)
+        last = len(traj) - 1
+        est = estimate_backward_drift(*_last_two(paths, 1e-3), bins)
         pooled = est.pooled_standard_error()
 
         good = duality_residual(est, ou_model, traj[last])
@@ -205,20 +207,20 @@ class TestDuality:
 
     def test_no_defined_bins_raises(self, stationary_ensemble, ou_model, ou_stationary):
         bins = make_uniform_grid(6.0, 8.0, 5)
-        est = estimate_backward_drift(*_first_two(stationary_ensemble), bins)
+        est = estimate_backward_drift(*_first_two(stationary_ensemble, STATIONARY_DT), bins)
         with pytest.raises(ValueError, match="minimum count"):
             duality_residual(est, ou_model, ou_stationary)
 
 
 @pytest.fixture(scope="module")
 def diag(ou_model, narrow_gaussian, wide_grid):
-    ens = simulate_ensemble(
+    paths = simulate_ensemble(
         ou_model, narrow_gaussian, dt=2.5e-3, t_end=0.25, n_paths=40_000, seed=99
     )
-    traj = solve(narrow_gaussian, ou_model, ens.times, SolverConfig(dt=1e-3))
+    traj = solve(narrow_gaussian, ou_model, ensemble_times(2.5e-3, 0.25), SolverConfig(dt=1e-3))
     pbar = invariant_density(ou_model, wide_grid)
     bins = make_uniform_grid(-3.0, 3.0, 25)
-    return martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
+    return martingale_diagnostic(paths.T, traj, pbar, bins=bins)
 
 
 class TestMartingale:
@@ -233,55 +235,54 @@ class TestMartingale:
             assert row.cond_residual <= 3.0 * row.cond_pooled_se
 
     def test_stationary_ratio_identically_one(self, ou_model, ou_stationary):
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             ou_model, ou_stationary, dt=1e-2, t_end=0.05, n_paths=2_000, seed=13
         )
-        traj = solve(ou_stationary, ou_model, ens.times, SolverConfig(dt=1e-2))
-        rows = martingale_diagnostic(ens.paths.T, traj, ou_stationary)
+        traj = solve(ou_stationary, ou_model, ensemble_times(1e-2, 0.05), SolverConfig(dt=1e-2))
+        rows = martingale_diagnostic(paths.T, traj, ou_stationary)
         for row in rows:
             assert row.mean_ratio == pytest.approx(1.0, abs=1e-7)
             if row.cond_residual is not None:
                 assert row.cond_residual < 1e-7
 
     def test_time_mesh_mismatch_rejected(self, ou_model, narrow_gaussian, ou_stationary):
-        ens = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 100, seed=1)
+        paths = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 100, seed=1)
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 0.2, 21), SolverConfig(dt=1e-2))
         with pytest.raises(ValueError, match="time mesh"):
-            martingale_diagnostic(ens.paths.T, traj, ou_stationary)
+            martingale_diagnostic(paths.T, traj, ou_stationary)
 
 
 @pytest.fixture(scope="module")
 def transient(ou_model, narrow_gaussian):
-    ens = simulate_ensemble(
+    paths = simulate_ensemble(
         ou_model, narrow_gaussian, dt=1e-3, t_end=1.0, n_paths=100_000,
         seed=12345, store_every=500,
     )
-    traj = solve(narrow_gaussian, ou_model, ens.times, SolverConfig(dt=1e-3))
-    return ens, traj
+    traj = solve(narrow_gaussian, ou_model, ensemble_times(1e-3, 1.0, 500), SolverConfig(dt=1e-3))
+    return paths, traj
 
 
 class TestMCFunctionals:
     def test_stationary_estimates_vanish(self, ou_model, ou_stationary):
-        ens = simulate_ensemble(
+        paths = simulate_ensemble(
             ou_model, ou_stationary, dt=1e-3, t_end=0.01, n_paths=50_000, seed=3
         )
-        traj = solve(ou_stationary, ou_model, ens.times, SolverConfig(dt=1e-3))
-        est = mc_functionals(ens, traj, ou_stationary, 0)
+        est = mc_functionals(paths[:, 0], ou_stationary, ou_stationary, ou_model.sigma)
         assert abs(est.relative_entropy) <= 3 * est.relative_entropy_se + 1e-9
         assert est.varentropy <= 3 * est.varentropy_se + 1e-9
         assert abs(est.varentropy_rate) <= 3 * est.varentropy_rate_se + 1e-9
 
-    def test_initial_time_closed_forms(self, transient, ou_stationary, bench):
-        ens, traj = transient
-        est = mc_functionals(ens, traj, ou_stationary, 0)
+    def test_initial_time_closed_forms(self, transient, ou_stationary, ou_model, bench):
+        paths, traj = transient
+        est = mc_functionals(paths[:, 0], traj[0], ou_stationary, ou_model.sigma)
         assert abs(est.relative_entropy - bench.relative_entropy(0.0)) <= 3 * est.relative_entropy_se
         assert abs(est.varentropy - bench.varentropy(0.0)) <= 3 * est.varentropy_se
 
     def test_agreement_with_quadrature(self, transient, ou_stationary, ou_model):
-        ens, traj = transient
-        for k in range(len(ens.times)):
-            est = mc_functionals(ens, traj, ou_stationary, k)
-            p = traj[k]
+        paths, traj = transient
+        for x, p in zip(paths.T, traj.states, strict=True):
+            est = mc_functionals(x, p, ou_stationary, ou_model.sigma)
+            assert est.time == p.time
             assert abs(est.relative_entropy - relative_entropy(p, ou_stationary)) <= (
                 3 * est.relative_entropy_se
             )
@@ -294,17 +295,14 @@ class TestMCFunctionals:
         """Mean absolute entropy error over seed replicates drops by about
         sqrt(2) when the ensemble size doubles."""
         exact = bench.relative_entropy(0.0)
-        traj_stub = solve(
-            narrow_gaussian, ou_model, np.array([0.0, 0.01]), SolverConfig(dt=1e-2)
-        )
 
         def mean_abs_error(n_paths):
             errs = []
             for seed in range(8):
-                ens = simulate_ensemble(
+                paths = simulate_ensemble(
                     ou_model, narrow_gaussian, 1e-2, 0.01, n_paths, seed=seed
                 )
-                est = mc_functionals(ens, traj_stub, ou_stationary, 0)
+                est = mc_functionals(paths[:, 0], narrow_gaussian, ou_stationary, ou_model.sigma)
                 errs.append(abs(est.relative_entropy - exact))
             return np.mean(errs)
 
@@ -424,26 +422,18 @@ class TestInPlaceEnsemble:
         grid = make_uniform_grid(-1.6, 1.6, 161)
         init = gaussian_density(grid, start, 0.09)
         kw = dict(dt=1e-2, t_end=0.6, n_paths=3_000, seed=8, store_every=3)
-        ens = simulate_ensemble(model, init, **kw)
+        paths = simulate_ensemble(model, init, **kw)
         expected, reflected = _reference_ensemble(model, init, **kw)
         assert reflected > 100
-        assert ens.paths.shape == expected.shape == (3_000, 21)
-        assert np.array_equal(ens.paths, expected)
+        assert paths.shape == expected.shape == (3_000, 21)
+        assert np.array_equal(paths, expected)
 
     def test_stored_columns_contiguous_and_read_only(self, ou_model, narrow_gaussian):
-        ens = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 500, seed=4)
-        assert ens.paths.flags.f_contiguous and not ens.paths.flags.writeable
-        for k in range(len(ens.times)):
-            assert ens.paths[:, k].flags.c_contiguous
-
-    def test_caller_array_is_copied(self, ou_model):
-        """An ensemble built from a caller's writable array holds its own
-        read-only Fortran-ordered copy."""
-        paths = np.arange(12.0).reshape(4, 3)
-        ens = PathEnsemble(times=[0.0, 0.5, 1.0], paths=paths, seed=0, model=ou_model)
-        paths[0, 0] = -1.0
-        assert ens.paths[0, 0] == 0.0
-        assert ens.paths.flags.f_contiguous and not ens.paths.flags.writeable
+        paths = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 500, seed=4)
+        assert paths.shape == (500, len(ensemble_times(1e-2, 0.1)))
+        assert paths.flags.f_contiguous and not paths.flags.writeable
+        for k in range(paths.shape[1]):
+            assert paths[:, k].flags.c_contiguous
 
 
 class TestEnsembleColumns:
@@ -456,11 +446,11 @@ class TestEnsembleColumns:
         grid = make_uniform_grid(-1.6, 1.6, 161)
         init = gaussian_density(grid, start, 0.09)
         kw = dict(dt=1e-2, t_end=0.6, n_paths=2_000, seed=8, store_every=store_every)
-        ens = simulate_ensemble(dw_model, init, **kw)
+        paths = simulate_ensemble(dw_model, init, **kw)
         # each yielded column is the live buffer: copy on arrival
         stream = [(k, x.copy()) for k, x in ensemble_columns(dw_model, init, **kw)]
-        assert [k for k, _ in stream] == list(range(len(ens.times)))
-        assert np.array_equal(ens.paths, np.column_stack([x for _, x in stream]))
+        assert [k for k, _ in stream] == list(range(paths.shape[1]))
+        assert np.array_equal(paths, np.column_stack([x for _, x in stream]))
         if start == 1.0:
             _, reflected = _reference_ensemble(dw_model, init, **kw)
             assert reflected > 100
@@ -480,43 +470,44 @@ class TestStreamedMartingale:
     @pytest.fixture(scope="class")
     def case(self, dw_model, dw_grid, dw_stationary):
         p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
-        ens = simulate_ensemble(dw_model, p0, **self.KW)
-        traj = solve(p0, dw_model, ens.times, SolverConfig(dt=1e-3))
-        return dw_model, p0, ens, traj, dw_stationary
+        paths = simulate_ensemble(dw_model, p0, **self.KW)
+        times = ensemble_times(self.KW["dt"], self.KW["t_end"])
+        traj = solve(p0, dw_model, times, SolverConfig(dt=1e-3))
+        return dw_model, p0, paths, traj, dw_stationary
 
     def _stream(self, model, p0):
         return (x for _, x in ensemble_columns(model, p0, **self.KW))
 
     def test_rows_equal_stored_ensemble(self, case):
-        model, p0, ens, traj, pbar = case
+        model, p0, paths, traj, pbar = case
         bins = make_uniform_grid(-2.9, 2.9, 29)
         streamed = martingale_diagnostic(self._stream(model, p0), traj, pbar, bins=bins)
-        assert streamed == martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
+        assert streamed == martingale_diagnostic(paths.T, traj, pbar, bins=bins)
         assert len(streamed) == len(traj)
 
     def test_short_stream_rejected(self, case):
-        model, p0, ens, traj, pbar = case
+        model, p0, paths, traj, pbar = case
         short = itertools.islice(self._stream(model, p0), len(traj) - 1)
         with pytest.raises(ValueError, match="time mesh mismatch"):
             martingale_diagnostic(short, traj, pbar)
         with pytest.raises(ValueError, match="time mesh mismatch"):
-            martingale_diagnostic(ens.paths.T[:-1], traj, pbar)
+            martingale_diagnostic(paths.T[:-1], traj, pbar)
 
     def test_long_stream_rejected(self, case):
-        model, p0, ens, traj, pbar = case
-        long = itertools.chain(self._stream(model, p0), [ens.paths[:, -1]])
+        model, p0, paths, traj, pbar = case
+        long = itertools.chain(self._stream(model, p0), [paths[:, -1]])
         with pytest.raises(ValueError, match="time mesh mismatch"):
             martingale_diagnostic(long, traj, pbar)
         with pytest.raises(ValueError, match="time mesh mismatch"):
-            martingale_diagnostic(np.vstack([ens.paths.T, ens.paths.T[-1:]]), traj, pbar)
+            martingale_diagnostic(np.vstack([paths.T, paths.T[-1:]]), traj, pbar)
 
 
-def _reference_martingale(ens, traj, pbar, bins, min_count=50):
+def _reference_martingale(paths, traj, pbar, bins, min_count=50):
     """martingale_diagnostic written with ``np.interp``, ``searchsorted`` and
     a list of every stored ratio."""
     ratios = []
     for k in range(len(traj)):
-        x = ens.paths[:, k]
+        x = paths[:, k]
         num = np.interp(x, traj.grid.x, pbar.values)
         den = np.maximum(np.interp(x, traj.grid.x, traj[k].values), DEFAULT_LOG_FLOOR)
         ratios.append(num / den)
@@ -526,7 +517,7 @@ def _reference_martingale(ens, traj, pbar, bins, min_count=50):
         cond_res = cond_pooled = None
         if k >= 1:
             diff = ratios[k - 1] - ratio
-            idx = np.searchsorted(bins.x, ens.paths[:, k], side="right") - 1
+            idx = np.searchsorted(bins.x, paths[:, k], side="right") - 1
             ok = (idx >= 0) & (idx < n_bins)
             counts = np.bincount(idx[ok], minlength=n_bins)
             sums = np.bincount(idx[ok], weights=diff[ok], minlength=n_bins)
@@ -539,25 +530,24 @@ def _reference_martingale(ens, traj, pbar, bins, min_count=50):
                 c = counts[d]
                 cond_res = float(np.sqrt(np.sum(c * means[d] ** 2) / c.sum()))
                 cond_pooled = float(np.sqrt(np.sum(c * ses[d] ** 2) / c.sum()))
-        rows.append(MartingaleRow(float(ens.times[k]), float(ratio.mean()),
-                                  float(ratio.std(ddof=1) / math.sqrt(ens.n_paths)),
+        rows.append(MartingaleRow(float(traj.times[k]), float(ratio.mean()),
+                                  float(ratio.std(ddof=1) / math.sqrt(len(ratio))),
                                   cond_res, cond_pooled))
     return rows
 
 
-def _reference_mc_functionals(ens, traj, pbar, k):
+def _reference_mc_functionals(x, p_t, pbar, sigma):
     """mc_functionals written with two ``np.interp`` calls."""
-    p_t = traj[k]
     logratio = safe_log_ratio(p_t, pbar)
-    lr = np.interp(ens.paths[:, k], p_t.grid.x, logratio)
-    sl = np.interp(ens.paths[:, k], p_t.grid.x, gradient(logratio, p_t.grid))
-    n = ens.n_paths
+    lr = np.interp(x, p_t.grid.x, logratio)
+    sl = np.interp(x, p_t.grid.x, gradient(logratio, p_t.grid))
+    n = len(x)
     entropy = float(lr.mean())
     varent = float(lr.var(ddof=1))
     centered = lr - lr.mean()
-    integrand = ens.model.sigma**2 * (-lr - 1.0 + entropy) * sl**2
+    integrand = sigma**2 * (-lr - 1.0 + entropy) * sl**2
     return MCFunctionals(
-        float(ens.times[k]), entropy, float(lr.std(ddof=1) / math.sqrt(n)), varent,
+        p_t.time, entropy, float(lr.std(ddof=1) / math.sqrt(n)), varent,
         float(math.sqrt(max((centered**4).mean() - varent**2, 0.0) / n)),
         float(integrand.mean()), float(integrand.std(ddof=1) / math.sqrt(n)),
     )
@@ -567,18 +557,19 @@ class TestDiagnosticsEqualInterpReference:
     @pytest.fixture(scope="class")
     def dw_case(self, dw_model, dw_grid, dw_stationary):
         p0 = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
-        ens = simulate_ensemble(dw_model, p0, dt=2e-3, t_end=0.04, n_paths=20_000, seed=17)
-        traj = solve(p0, dw_model, ens.times, SolverConfig(dt=1e-3))
-        return ens, traj, dw_stationary
+        paths = simulate_ensemble(dw_model, p0, dt=2e-3, t_end=0.04, n_paths=20_000, seed=17)
+        traj = solve(p0, dw_model, ensemble_times(2e-3, 0.04), SolverConfig(dt=1e-3))
+        return paths, traj, dw_stationary, dw_model.sigma
 
     def test_martingale_rows(self, dw_case):
-        ens, traj, pbar = dw_case
+        paths, traj, pbar, _ = dw_case
         bins = make_uniform_grid(-2.9, 2.9, 29)
-        rows = martingale_diagnostic(ens.paths.T, traj, pbar, bins=bins)
-        assert rows == _reference_martingale(ens, traj, pbar, bins)
+        rows = martingale_diagnostic(paths.T, traj, pbar, bins=bins)
+        assert rows == _reference_martingale(paths, traj, pbar, bins)
         assert sum(r.cond_residual is not None for r in rows) == len(rows) - 1
 
     def test_mc_functionals_rows(self, dw_case):
-        ens, traj, pbar = dw_case
-        for k in range(len(ens.times)):
-            assert mc_functionals(ens, traj, pbar, k) == _reference_mc_functionals(ens, traj, pbar, k)
+        paths, traj, pbar, sigma = dw_case
+        for x, p_t in zip(paths.T, traj.states, strict=True):
+            assert mc_functionals(x, p_t, pbar, sigma) == _reference_mc_functionals(x, p_t, pbar,
+                                                                                      sigma)

@@ -1,7 +1,9 @@
 """Scenario configs, the runner, sweeps, the convergence study and the CLI."""
 
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -282,6 +284,23 @@ class TestConfigParsing:
                                     "values": [0.5]}))
         assert SweepConfig.from_json(path).base == ou_config(name="from_file")
 
+    def test_sweep_base_file_paths_resolve_beside_the_base(self, tmp_path):
+        """A base read from a file reads its table start beside itself, as
+        ``run`` of that file does, not beside the sweep file."""
+        x = np.linspace(-8, 8, 401)
+        (tmp_path / "sub").mkdir()
+        np.savetxt(tmp_path / "sub" / "p0.txt", np.exp(-(x**2) / 0.5))
+        # a different table beside the sweep file, which must not be read
+        np.savetxt(tmp_path / "p0.txt", np.exp(-((x - 1.0) ** 2) / 0.5))
+        base = ou_config(initial={"kind": "table", "path": "p0.txt"})
+        (tmp_path / "sub" / "base.json").write_text(json.dumps(base))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": "sub/base.json", "parameter": "initial.path",
+                                    "values": ["p0.txt"]}))
+        (_, member), = SweepConfig.from_json(path).members()
+        expected = ScenarioConfig.from_json(tmp_path / "sub" / "base.json").initial_density()
+        assert np.array_equal(member.initial_density().values, expected.values)
+
 
 class TestRunScenario:
     def test_ou_checks_pass(self, tmp_path):
@@ -357,6 +376,21 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.out_dir is None
         assert not (tmp_path / "root").exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask_022", "umask_077"])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        """Reports are created with mode 0o666 less the umask, as ``open``
+        creates a file, whether the path is new or overwritten."""
+        path = tmp_path / "sweep.csv"
+        old = os.umask(umask)
+        try:
+            for _ in range(2):
+                scenarios.write_sweep_csv([], path)
+                assert stat.S_IMODE(path.stat().st_mode) == mode
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
     def test_too_small_ensemble_fails_duality_check(self, tmp_path):
         """No backward-drift or martingale bin reaches min_count: mc_duality
@@ -1075,6 +1109,21 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("label,min_rate,max_rate,sign_change")
         assert len(lines) == 3
+
+    def test_sweep_of_a_base_file_with_a_table_start(self, tmp_path, capsys):
+        """The base's table resolves beside the base file, which ``run``
+        reads the same way; ``outputs`` resolves beside the sweep file."""
+        (tmp_path / "sub").mkdir()
+        np.savetxt(tmp_path / "sub" / "p0.txt", np.exp(-np.linspace(-8, 8, 401) ** 2 / 0.5))
+        base = ou_config(name="table_base", initial={"kind": "table", "path": "p0.txt"})
+        (tmp_path / "sub" / "base.json").write_text(json.dumps(base))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": "sub/base.json", "parameter": "solver.dt",
+                                    "values": [2e-3], "outputs": "sweep.csv"}))
+        assert main(["run", str(tmp_path / "sub" / "base.json")]) == 0
+        assert main(["sweep", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
     def test_sweep_reports_failed_member_checks(self, tmp_path, capsys):
         """Failed member checks go to stderr, one line per member; the exit
