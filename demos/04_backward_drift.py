@@ -16,7 +16,7 @@ import numpy as np
 from varentropy_lab import (
     OUBenchmark,
     backward_drift_on_grid,
-    duality_residual,
+    backward_drift_target,
     estimate_backward_drift,
     invariant_density,
     make_uniform_grid,
@@ -42,7 +42,7 @@ for c, n, v, se, d in zip(est.bin_centers, est.counts, est.values,
         target = float(np.interp(c, grid.x, curve))
         print(f"{c:>8.2f} {n:>7d} {v:>10.4f} {target:>8.4f} {se:>8.4f}")
 
-residual = duality_residual(est, bench.model(), pbar)
+residual = est.residual(backward_drift_target(est, bench.model(), pbar))
 pooled = est.pooled_standard_error()
 print(f"\ncount-weighted RMS misfit: {residual:.4f}")
 print(f"pooled standard error:     {pooled:.4f}")

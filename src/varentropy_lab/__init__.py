@@ -24,7 +24,6 @@ from .grids import (
 )
 from .drifts import (
     GradientDrift,
-    QuarticPotential,
     linear_drift,
     double_well_drift,
     invariant_density,
@@ -48,7 +47,6 @@ from .monte_carlo import (
     simulate_ensemble,
     estimate_backward_drift,
     backward_drift_target,
-    duality_residual,
     martingale_diagnostic,
     mc_functionals,
 )

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .drifts import GradientDrift, QuarticPotential, invariant_density, linear_drift
+from .drifts import GradientDrift, invariant_density, linear_drift
 from .fokker_planck import SolverConfig
 from .grids import (
     Density,
@@ -259,13 +259,13 @@ class ScenarioConfig:
     def stationary_density(self) -> Density:
         return invariant_density(self.model, self.grid)
 
-    def is_ou_benchmark(self) -> bool:
-        """True when the exact benchmark closed forms apply to this scenario."""
-        return (
-            self.model == linear_drift(OUBenchmark.DRIFT_RATE, OUBenchmark.SIGMA)
-            and self.initial.get("kind") == "gaussian"
-            and float(self.initial.get("mean", 0.0)) == 0.0
-        )
+    def exact(self) -> Optional[OUBenchmark]:
+        """The closed forms of this scenario when it is the exactly solvable
+        benchmark (linear drift rate -1/2, sigma 1, Gaussian start of mean 0)."""
+        if self.initial["kind"] != "gaussian" or self.initial["mean"] != 0.0:
+            return None
+        bench = OUBenchmark(self.initial["variance"])
+        return bench if self.model == bench.model() else None
 
 
 #: Keys of a scenario config document.
@@ -300,7 +300,7 @@ def _parse_drift(data) -> GradientDrift:
     try:
         if kind == "linear":
             return linear_drift(rate, sigma)
-        return GradientDrift(QuarticPotential(coeffs), sigma=sigma)
+        return GradientDrift(coeffs, sigma=sigma)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -359,13 +359,18 @@ def _initial(data, grid: Grid, base_dir: Path) -> tuple[dict, Density]:
 
 
 def _check_stationary_mass(model: GradientDrift, grid: Grid):
-    """Refuse a drift that does not confine, or a grid that cuts more than
-    ``GRID_MASS_TOL`` of the stationary density's mass."""
+    """Refuse a drift that does not confine, whose stationary density
+    overflows, or a grid that cuts more than ``GRID_MASS_TOL`` of that
+    density's mass. Its far tails may underflow to zero."""
     if not model.confining:
         raise ConfigError("config.drift: potential must be confining")
     lo, hi = grid.lo, grid.hi
     wide = make_uniform_grid(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 2 * grid.n)
-    values = invariant_density(model, wide).values
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = invariant_density(model, wide).values
+    except ArithmeticError as err:
+        raise ConfigError(f"config.drift: stationary density out of float range: {err}") from err
     outside = 1.0 - integrate(np.where((wide.x >= lo) & (wide.x <= hi), values, 0.0), wide)
     if outside > GRID_MASS_TOL:
         raise ConfigError(
@@ -411,7 +416,13 @@ class SweepConfig:
     def member(self, value) -> tuple[str, ScenarioConfig]:
         """The label and the parsed scenario of the member for ``value``: a
         dict is merged into the base, any other value is set at
-        ``parameter``. Members are grid-only and write no reports."""
+        ``parameter``. Members are grid-only and write no reports: the base's
+        ``mc`` and ``outputs`` are dropped, and a value that sets either is
+        refused."""
+        for key in value if isinstance(value, dict) else [self.parameter.split(".")[0]]:
+            if key in ("mc", "outputs"):
+                raise ConfigError(f"sweep.values: a member may not set {key!r}; members "
+                                  "run grid-only and write no reports")
         if isinstance(value, dict):
             data, label = _deep_merge(self.base, value), json.dumps(value, sort_keys=True)
         else:

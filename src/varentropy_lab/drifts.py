@@ -6,8 +6,8 @@ stationary density ``exp(-2 * potential / sigma^2)``, normalized on a grid.
 The linear (Ornstein-Uhlenbeck) drift ``rate * x`` is the quadratic member
 ``-rate * x^2 / 2`` of the family; :func:`linear_drift` builds it. The
 backward drift ``b - sigma^2 d/dx ln p`` of a gridded density, the drift of
-the time-reversed process, is defined here once for the solver, the Monte
-Carlo diagnostics and the runner.
+the time-reversed process, is defined here for the Monte Carlo
+diagnostics, which estimate it from path increments.
 """
 
 from __future__ import annotations
@@ -22,14 +22,16 @@ from .grids import DEFAULT_LOG_FLOOR, Density, Grid, gradient, normalized_densit
 
 
 @dataclass(frozen=True)
-class QuarticPotential:
-    """Polynomial potential ``c0 + c1 x + c2 x^2 + c3 x^3 + c4 x^4``.
+class GradientDrift:
+    """Drift ``-potential'(x)`` with diffusion coefficient ``sigma``, for the
+    potential ``c0 + c1 x + c2 x^2 + c3 x^3 + c4 x^4`` of ``coeffs``.
 
-    Confinement (value growing to +inf in both tails) is decidable from the
-    coefficients: either ``c4 > 0``, or ``c4 == c3 == 0`` with ``c2 > 0``.
+    Confinement (potential growing to +inf in both tails) is decidable from
+    the coefficients: either ``c4 > 0``, or ``c4 == c3 == 0`` with ``c2 > 0``.
     """
 
     coeffs: tuple[float, float, float, float, float]
+    sigma: float = 1.0
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.coeffs)
@@ -38,25 +40,6 @@ class QuarticPotential:
         if not all(math.isfinite(v) for v in c):
             raise ValueError(f"coefficients must be finite, got {c}")
         object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, x):
-        c0, c1, c2, c3, c4 = self.coeffs
-        return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-
-    @property
-    def confining(self) -> bool:
-        _, _, c2, c3, c4 = self.coeffs
-        return c4 > 0.0 or (c4 == 0.0 and c3 == 0.0 and c2 > 0.0)
-
-
-@dataclass(frozen=True)
-class GradientDrift:
-    """Drift ``-potential'(x)`` with diffusion coefficient ``sigma``."""
-
-    potential_spec: QuarticPotential
-    sigma: float = 1.0
-
-    def __post_init__(self):
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
@@ -70,7 +53,7 @@ class GradientDrift:
         each step rounds as in the negated ``c1 + x (2 c2 + x (3 c3 + x 4 c4))``;
         a zero result may differ from it only in its sign.
         """
-        _, c1, c2, c3, c4 = self.potential_spec.coeffs
+        _, c1, c2, c3, c4 = self.coeffs
         terms = [-(4.0 * c4), -(3.0 * c3), -(2.0 * c2)]
         while len(terms) > 1 and terms[0] == 0.0:
             terms.pop(0)
@@ -94,22 +77,25 @@ class GradientDrift:
         return out
 
     def potential(self, x):
-        return self.potential_spec(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        c0, c1, c2, c3, c4 = self.coeffs
+        return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
 
     @property
     def confining(self) -> bool:
-        return self.potential_spec.confining
+        _, _, c2, c3, c4 = self.coeffs
+        return c4 > 0.0 or (c4 == 0.0 and c3 == 0.0 and c2 > 0.0)
 
 
 def linear_drift(rate: float, sigma: float = 1.0) -> GradientDrift:
     """The linear drift ``rate * x``: potential ``-rate * x^2 / 2``, confining
     (mean-reverting) iff ``rate < 0``."""
-    return GradientDrift(QuarticPotential((0.0, 0.0, -rate / 2.0, 0.0, 0.0)), sigma=sigma)
+    return GradientDrift((0.0, 0.0, -rate / 2.0, 0.0, 0.0), sigma=sigma)
 
 
 def double_well_drift(sigma: float = 1.0) -> GradientDrift:
     """The symmetric double well ``x^4/4 - x^2/2`` (minima at x = +/-1)."""
-    return GradientDrift(QuarticPotential((0.0, 0.0, -0.5, 0.0, 0.25)), sigma=sigma)
+    return GradientDrift((0.0, 0.0, -0.5, 0.0, 0.25), sigma=sigma)
 
 
 def invariant_density(model: GradientDrift, grid: Grid) -> Density:

@@ -80,6 +80,7 @@ import importlib.util
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Iterator, Sequence
@@ -288,8 +289,11 @@ class _Generator:
 
         Returns the generator's state buffer that holds the last states, in
         the shape of ``values``; the next call overwrites it. A block of
-        another width than the generator's raises ``ValueError``.
+        another width than the generator's raises ``ValueError``, and more
+        steps than ``sys.maxsize`` raise ``RuntimeError``.
         """
+        if n_steps > sys.maxsize:
+            raise RuntimeError(f"cannot take more than {sys.maxsize} substeps")
         block = np.reshape(values, (-1, self.diag.size))
         if len(block) != self.width:
             raise ValueError(f"a generator of width {self.width} cannot step "

@@ -108,8 +108,12 @@ class FunctionalReport:
         A row's values do not depend on its block, so the columns of a
         trajectory's segments, joined, give the report of the whole."""
         return cls(time, relative_entropy, relative_fisher, varentropy, entropy_rate,
-                   varentropy_rate,
-                   (varentropy[2:] - varentropy[:-2]) / (time[2:] - time[:-2]))
+                   varentropy_rate, central_difference(varentropy, time))
+
+
+def central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Central differences of ``values`` over ``times`` at the interior samples."""
+    return (values[2:] - values[:-2]) / (times[2:] - times[:-2])
 
 
 def _check_sigma(sigma: float):

@@ -284,7 +284,7 @@ def support_mask(p: Density) -> np.ndarray:
     return p.values >= DEFAULT_TAIL_CUT * p.values.max()
 
 
-def normalized_density(grid: Grid, values: np.ndarray, time: float = 0.0) -> Density:
+def normalized_density(grid: Grid, values: np.ndarray) -> Density:
     """Normalize a non-negative, not identically zero vector into a Density."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
@@ -294,7 +294,7 @@ def normalized_density(grid: Grid, values: np.ndarray, time: float = 0.0) -> Den
     mass = integrate(values, grid)
     if mass <= 0.0:
         raise ValueError("cannot normalize a vector with zero mass")
-    return Density(grid, values / mass, time=time)
+    return Density(grid, values / mass)
 
 
 def _check_gaussian_parameters(mean: float, variance: float):
@@ -306,17 +306,13 @@ def _check_gaussian_parameters(mean: float, variance: float):
         raise ValueError(f"variance must be positive, got {variance}")
 
 
-def gaussian_density(grid: Grid, mean: float, variance: float, time: float = 0.0) -> Density:
+def gaussian_density(grid: Grid, mean: float, variance: float) -> Density:
     """Gaussian density sampled on the grid and renormalized by quadrature:
     the one-component :func:`mixture_density` of weight 1."""
-    return mixture_density(grid, [(1.0, mean, variance)], time=time)
+    return mixture_density(grid, [(1.0, mean, variance)])
 
 
-def mixture_density(
-    grid: Grid,
-    components: Iterable[tuple[float, float, float]],
-    time: float = 0.0,
-) -> Density:
+def mixture_density(grid: Grid, components: Iterable[tuple[float, float, float]]) -> Density:
     """Gaussian mixture from ``(weight, mean, variance)`` triples.
 
     Weights must be positive and sum to one.
@@ -333,7 +329,7 @@ def mixture_density(
     for w, mu, var in components:
         _check_gaussian_parameters(mu, var)
         values += w * np.exp(-((grid.x - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    return normalized_density(grid, values, time=time)
+    return normalized_density(grid, values)
 
 
 def gaussian_mass_outside(lo: float, hi: float, mean: float, variance: float) -> float:

@@ -33,7 +33,11 @@ The cell and offset of a stored column are found once (:func:`_locate`) and
 reused for every gridded function interpolated there (:func:`_interp`);
 both give exactly the values of ``np.interp`` and ``np.searchsorted``. The
 kernels take optional output buffers, so the loop over stored columns in
-:func:`martingale_diagnostic` reuses one set of path-sized arrays.
+:func:`martingale_diagnostic` reuses one set of path-sized arrays. Both
+binned statistics, the backward-increment means and the martingale's
+conditional differences, are one :class:`BinnedEstimate` of
+:func:`_bin_statistics`, whose residual and pooled standard error the
+checks read.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .grids import (
     DensityTrajectory,
     Grid,
     gradient,
-    make_uniform_grid,
     safe_log_ratio,
 )
 
@@ -82,9 +85,9 @@ class BinnedEstimate:
         c = self.counts[d]
         return float(np.sqrt(np.sum(c * self.std_errors[d] ** 2) / c.sum()))
 
-    def residual(self, target: np.ndarray) -> float:
+    def residual(self, target: np.ndarray | float) -> float:
         """Count-weighted RMS misfit between the defined bins' values and
-        ``target``, one value per defined bin."""
+        ``target``: one value per defined bin, or one for them all."""
         d = self._defined_or_raise()
         c = self.counts[d]
         return float(np.sqrt(np.sum(c * (self.values[d] - target) ** 2) / c.sum()))
@@ -294,9 +297,9 @@ def _bin_statistics(
     samples: np.ndarray,
     bins: Grid,
     work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, means and standard errors of ``samples`` binned by ``positions``
-    into the cells between consecutive nodes of ``bins``.
+) -> BinnedEstimate:
+    """Means, counts and standard errors of ``samples`` binned by
+    ``positions`` into the cells between consecutive nodes of ``bins``.
 
     ``work`` is an optional pair of buffers shaped like ``positions``: one
     intp and one float, both overwritten.
@@ -318,7 +321,7 @@ def _bin_statistics(
     undefined = counts < DEFAULT_MIN_COUNT
     means[undefined] = np.nan
     std_errors[undefined] = np.nan
-    return counts, means, std_errors
+    return BinnedEstimate(0.5 * (bins.x[1:] + bins.x[:-1]), means, counts, std_errors)
 
 
 def estimate_backward_drift(
@@ -339,10 +342,7 @@ def estimate_backward_drift(
             "need two columns of the same paths, got shapes "
             f"{np.shape(before)} and {np.shape(here)}"
         )
-    increments = (here - before) / dt
-    counts, means, ses = _bin_statistics(here, increments, bins)
-    centers = 0.5 * (bins.x[1:] + bins.x[:-1])
-    return BinnedEstimate(centers, means, counts, ses)
+    return _bin_statistics(here, (here - before) / dt, bins)
 
 
 def backward_drift_target(est: BinnedEstimate, model: GradientDrift, p_t: Density) -> np.ndarray:
@@ -350,16 +350,6 @@ def backward_drift_target(est: BinnedEstimate, model: GradientDrift, p_t: Densit
     centers of the defined bins of ``est``: the values their means estimate."""
     centers = est.bin_centers[est.defined]
     return np.interp(centers, p_t.grid.x, backward_drift_on_grid(model, p_t))
-
-
-def duality_residual(est: BinnedEstimate, model: GradientDrift, p_t: Density) -> float:
-    """Count-weighted RMS misfit between the binned backward-increment means
-    and the backward drift computed from the density.
-
-    Under the duality between the two time directions this is statistical
-    noise: at most a few pooled standard errors.
-    """
-    return est.residual(backward_drift_target(est, model, p_t))
 
 
 @dataclass(frozen=True)
@@ -377,7 +367,7 @@ def martingale_diagnostic(
     columns: Iterable[np.ndarray],
     traj: DensityTrajectory,
     pbar: Density,
-    bins: Grid | None = None,
+    bins: Grid,
 ) -> list[MartingaleRow]:
     """Empirical check that ``pbar(X_t) / p_t(X_t)`` is a reverse-time
     martingale.
@@ -390,7 +380,8 @@ def martingale_diagnostic(
 
     At every stored time the sample mean of the ratio is reported with its
     standard error (population value 1). At every time with a stored
-    predecessor the conditional check bins paths by the current state and
+    predecessor the conditional check bins paths by the current state into
+the cells between the nodes of ``bins`` and
     compares the bin means of the ratio at the earlier time against the bin
     means at the current time over the same paths; their difference is
     conditionally centered, and the count-weighted RMS over bins is reported
@@ -402,8 +393,6 @@ def martingale_diagnostic(
     """
     if pbar.grid != traj.grid:
         raise ValueError("grid mismatch between trajectory and stationary density")
-    if bins is None:
-        bins = make_uniform_grid(traj.grid.lo, traj.grid.hi, 41)
 
     grid = traj.grid
     n_times = len(traj)
@@ -430,12 +419,9 @@ def martingale_diagnostic(
         cond_res = cond_pooled = None
         if k >= 1:
             previous -= ratio
-            counts, means, ses = _bin_statistics(x, previous, bins, work)
-            d = counts >= DEFAULT_MIN_COUNT
-            if np.any(d):
-                c = counts[d]
-                cond_res = float(np.sqrt(np.sum(c * means[d] ** 2) / c.sum()))
-                cond_pooled = float(np.sqrt(np.sum(c * ses[d] ** 2) / c.sum()))
+            est = _bin_statistics(x, previous, bins, work)
+            if np.any(est.defined):
+                cond_res, cond_pooled = est.residual(0.0), est.pooled_standard_error()
         rows.append(MartingaleRow(float(traj.times[k]), mean, se, cond_res, cond_pooled))
         ratio, previous = previous, ratio
     if len(rows) != n_times:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drifts import GradientDrift, linear_drift
-from .grids import Density, Grid, gaussian_density
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,6 @@ class OUBenchmark:
         """v(t) = 1 + (v0 - 1) e^{-t}; solves v' = 1 - v."""
         t = self._check_time(t)
         return 1.0 + (self.initial_variance - 1.0) * math.exp(-t)
-
-    def density(self, grid: Grid, t: float) -> Density:
-        return gaussian_density(grid, 0.0, self.variance(t), time=t)
 
     def log_density_ratio(self, t: float, x):
         """ln(p_t / pbar)(x) = -ln s_t - (x^2 / 2)(1 - s_t^2) / s_t^2."""

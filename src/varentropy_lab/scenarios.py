@@ -39,6 +39,7 @@ from .fokker_planck import SolveError, solve, solved_chunks
 from .functionals import (
     FunctionalReport,
     block_rows,
+    central_difference,
     relative_entropy,
     report,
     varentropy,
@@ -120,12 +121,6 @@ def _varentropy_rate_consistency(rep: FunctionalReport, tol: Tolerances) -> Chec
     """The rate formula against the trajectory's central differences."""
     return _worst_relative("varentropy_rate_consistency", rep.varentropy_rate[1:-1],
                            rep.varentropy_rate_fd, tol.rate_floor, tol.varentropy_rate_rel)
-
-
-def _entropy_fd(rep: FunctionalReport) -> np.ndarray:
-    """Central differences of the relative entropy at the interior samples."""
-    entropy, times = rep.relative_entropy, rep.time
-    return (entropy[2:] - entropy[:-2]) / (times[2:] - times[:-2])
 
 
 def _entropy_rate_consistency(rep: FunctionalReport, entropy_fd: np.ndarray,
@@ -243,7 +238,7 @@ def run_scenario(
         time_sets, mesh = _solve_times(cfg)
         (solved,) = _solve_streamed([cfg], [time_sets], mesh)
     rep, pbar = solved.report, solved.pbar
-    entropy_fd = _entropy_fd(rep)
+    entropy_fd = central_difference(rep.relative_entropy, rep.time)
     checks = [
         _mass_conservation(solved.masses, cfg.solver.mass_tol),
         _positivity(solved.lowest),
@@ -252,8 +247,8 @@ def run_scenario(
         _entropy_rate_consistency(rep, entropy_fd, tol),
         _entropy_rate_nonpositive(rep),
     ]
-    if cfg.is_ou_benchmark():
-        bench = OUBenchmark(float(cfg.initial["variance"]))
+    bench = cfg.exact()
+    if bench is not None:
         checks += [_vs_exact(rep, bench, q, tol) for q in ("varentropy", "varentropy_rate")]
 
     mc_rows = []
@@ -602,10 +597,10 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
     """
     if levels < 2:
         raise ConfigError(f"--levels: need at least 2 levels, got {levels}")
-    if not cfg.is_ou_benchmark():
+    bench = cfg.exact()
+    if bench is None:
         raise ConfigError("config: the convergence study requires the exactly solvable "
                           "benchmark: linear drift rate -0.5, sigma 1, Gaussian start of mean 0")
-    bench = OUBenchmark(float(cfg.initial["variance"]))
     t_samples = cfg.time_samples()
     exact = np.array([bench.varentropy(t) for t in t_samples.tolist()])
     rows: list[ConvergenceRow] = []

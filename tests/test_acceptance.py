@@ -16,7 +16,7 @@ from varentropy_lab import (
     ScenarioConfig,
     SolverConfig,
     SweepConfig,
-    duality_residual,
+    backward_drift_target,
     ensemble_times,
     estimate_backward_drift,
     invariant_density,
@@ -68,7 +68,7 @@ class TestCriterion1GaussianVarentropyDecay:
         """Computed varentropy matches (1/2)(3/4)^2 e^{-2t} to 1e-3 relative
         at every sampled time of the benchmark run."""
         cfg, _, _, _, rep = ou_case
-        bench = OUBenchmark(float(cfg.initial["variance"]))
+        bench = cfg.exact()
         exact = np.array([bench.varentropy(t) for t in rep.time.tolist()])
         worst = np.max(np.abs(rep.varentropy - exact) / exact)
         _announce(
@@ -81,7 +81,7 @@ class TestCriterion1GaussianVarentropyDecay:
 class TestCriterion2GaussianVarentropyRate:
     def test_rate_formula_matches_closed_form(self, ou_case):
         cfg, _, _, _, rep = ou_case
-        bench = OUBenchmark(float(cfg.initial["variance"]))
+        bench = cfg.exact()
         exact = np.array([bench.varentropy_rate(t) for t in rep.time.tolist()])
         worst = np.max(np.abs(rep.varentropy_rate - exact) / np.abs(exact))
         _announce(
@@ -151,7 +151,7 @@ class TestCriterion5Duality:
         )
         bins = make_uniform_grid(-3.0, 3.0, 25)
         est = estimate_backward_drift(paths[:, -2], paths[:, -1], 1e-3, bins)
-        residual = duality_residual(est, bench.model(), pbar)
+        residual = est.residual(backward_drift_target(est, bench.model(), pbar))
         pooled = est.pooled_standard_error()
         _announce(
             "criterion 5 (backward-drift duality)",

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from varentropy_lab import (
     GradientDrift,
-    QuarticPotential,
     double_well_drift,
     gradient,
     invariant_density,
@@ -35,7 +34,7 @@ class TestDriftEvaluation:
         """The linear drift with rate -1/2 is exactly -x/2, with potential
         exactly x^2/4, and equals the gradient drift of x^2/4."""
         lin_model = linear_drift(-0.5)
-        assert lin_model == GradientDrift(QuarticPotential((0, 0, 0.25, 0, 0)))
+        assert lin_model == GradientDrift((0, 0, 0.25, 0, 0))
         x = np.random.default_rng(7).normal(scale=3.0, size=10_001)
         assert np.array_equal(lin_model.drift(x), -0.5 * x)
         assert np.array_equal(lin_model.potential(x), 0.25 * x**2)
@@ -45,7 +44,7 @@ class TestDriftEvaluation:
         """``drift(x, out=buf)`` fills ``buf`` with the Horner form
         ``-(c1 + x (2 c2 + x (3 c3 + x 4 c4)))`` rounded as written."""
         c0, c1, c2, c3, c4 = coeffs
-        model = GradientDrift(QuarticPotential(coeffs))
+        model = GradientDrift(coeffs)
         x = np.random.default_rng(3).normal(scale=2.0, size=10_001)
         expected = -(c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4)))
         buf = np.empty_like(x)
@@ -75,7 +74,7 @@ class TestDriftEvaluation:
             out += c1
             return np.negative(out)
 
-        model = GradientDrift(QuarticPotential(coeffs))
+        model = GradientDrift(coeffs)
         rng = np.random.default_rng(5)
         x = np.concatenate([
             rng.normal(scale=2.0, size=50_001),
@@ -100,10 +99,22 @@ class TestDriftEvaluation:
             with pytest.raises(ValueError, match="sigma must be positive and finite"):
                 linear_drift(-1.0, sigma=sigma)
 
+    def test_coefficient_count(self):
+        with pytest.raises(ValueError, match="expected 5 coefficients"):
+            GradientDrift((0.0, 0.0, 1.0, 0.0))
+
+    def test_equal_and_hashed_by_coefficients_and_sigma(self):
+        """Integer and float coefficients of one potential make one drift."""
+        floats = GradientDrift((0.0, 0.0, -0.5, 0.0, 0.25), sigma=1.0)
+        assert GradientDrift([0, 0, -0.5, 0, 0.25], sigma=1) == floats == double_well_drift()
+        assert hash(GradientDrift((0, 0, -0.5, 0, 0.25))) == hash(floats)
+        assert floats.coeffs == (0.0, 0.0, -0.5, 0.0, 0.25)
+        assert floats != double_well_drift(sigma=0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_coefficients_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            QuarticPotential((0.0, 0.0, 1.0, 0.0, bad))
+            GradientDrift((0.0, 0.0, 1.0, 0.0, bad))
 
 
 class TestConfinement:
@@ -112,10 +123,10 @@ class TestConfinement:
         assert not linear_drift(0.1).confining
 
     def test_quartic_confinement_rules(self):
-        assert QuarticPotential((0, 0, 0, 0, 1.0)).confining
-        assert QuarticPotential((0, 0, 1.0, 0, 0)).confining
-        assert not QuarticPotential((0, 0, -1.0, 0, 0)).confining
-        assert not QuarticPotential((0, 0, 1.0, 1.0, 0)).confining
+        assert GradientDrift((0, 0, 0, 0, 1.0)).confining
+        assert GradientDrift((0, 0, 1.0, 0, 0)).confining
+        assert not GradientDrift((0, 0, -1.0, 0, 0)).confining
+        assert not GradientDrift((0, 0, 1.0, 1.0, 0)).confining
 
     def test_invariant_density_rejects_nonconfining(self):
         g = make_uniform_grid(-5, 5, 101)

@@ -226,7 +226,7 @@ class TestTrajectory:
 
     def test_states_are_stacked_into_one_array(self, wide_grid):
         p = gaussian_density(wide_grid, 0.0, 1.0)
-        q = gaussian_density(wide_grid, 0.5, 0.5, time=1.0)
+        q = Density(wide_grid, gaussian_density(wide_grid, 0.5, 0.5).values, time=1.0)
         traj = DensityTrajectory([0.0, 1.0], (p, q))
         assert traj.values.shape == (2, wide_grid.n)
         assert traj.masses.tolist() == [p.mass(), q.mass()]

@@ -17,7 +17,7 @@ from varentropy_lab import (
     MCFunctionals,
     SolverConfig,
     backward_drift_on_grid,
-    duality_residual,
+    backward_drift_target,
     ensemble_columns,
     ensemble_times,
     estimate_backward_drift,
@@ -150,7 +150,7 @@ class TestBackwardDrift:
     def test_flat_density_region_backward_equals_forward(self, dw_model, dw_grid):
         """Where the density is locally flat the score term vanishes and the
         backward drift coincides with the forward drift."""
-        flat = gaussian_density(dw_grid, 0.0, 25.0, time=0.0)
+        flat = gaussian_density(dw_grid, 0.0, 25.0)
         # grid truncation makes this "flat" density wide, not literally flat;
         # check at the origin where its score is zero by symmetry
         x = dw_grid.x
@@ -171,7 +171,7 @@ class TestDuality:
     def test_stationary_residual_within_noise(self, stationary_ensemble, ou_model, ou_stationary):
         bins = make_uniform_grid(-3.0, 3.0, 25)
         est = estimate_backward_drift(*_last_two(stationary_ensemble, STATIONARY_DT), bins)
-        residual = duality_residual(est, ou_model, ou_stationary)
+        residual = est.residual(backward_drift_target(est, ou_model, ou_stationary))
         assert residual <= 3.0 * est.pooled_standard_error()
 
     def test_stationary_target_is_minus_forward_drift(self, ou_model, ou_stationary):
@@ -194,7 +194,7 @@ class TestDuality:
         est = estimate_backward_drift(*_last_two(paths, 1e-3), bins)
         pooled = est.pooled_standard_error()
 
-        good = duality_residual(est, ou_model, traj[last])
+        good = est.residual(backward_drift_target(est, ou_model, traj[last]))
         assert good <= 3.0 * pooled
 
         defined = est.defined
@@ -209,7 +209,7 @@ class TestDuality:
         bins = make_uniform_grid(6.0, 8.0, 5)
         est = estimate_backward_drift(*_first_two(stationary_ensemble, STATIONARY_DT), bins)
         with pytest.raises(ValueError, match="minimum count"):
-            duality_residual(est, ou_model, ou_stationary)
+            est.residual(backward_drift_target(est, ou_model, ou_stationary))
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +239,8 @@ class TestMartingale:
             ou_model, ou_stationary, dt=1e-2, t_end=0.05, n_paths=2_000, seed=13
         )
         traj = solve(ou_stationary, ou_model, ensemble_times(1e-2, 0.05), SolverConfig(dt=1e-2))
-        rows = martingale_diagnostic(paths.T, traj, ou_stationary)
+        bins = make_uniform_grid(traj.grid.lo, traj.grid.hi, 41)
+        rows = martingale_diagnostic(paths.T, traj, ou_stationary, bins=bins)
         for row in rows:
             assert row.mean_ratio == pytest.approx(1.0, abs=1e-7)
             if row.cond_residual is not None:
@@ -249,7 +250,7 @@ class TestMartingale:
         paths = simulate_ensemble(ou_model, narrow_gaussian, 1e-2, 0.1, 100, seed=1)
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 0.2, 21), SolverConfig(dt=1e-2))
         with pytest.raises(ValueError, match="time mesh"):
-            martingale_diagnostic(paths.T, traj, ou_stationary)
+            martingale_diagnostic(paths.T, traj, ou_stationary, bins=make_uniform_grid(-3, 3, 13))
 
 
 @pytest.fixture(scope="module")
@@ -377,11 +378,13 @@ class TestUniformGridKernel:
         means = sums / safe
         ses = np.sqrt(np.maximum(squares / safe - means**2, 0.0) / np.maximum(counts - 1, 1))
         defined = counts >= 50
-        got_counts, got_means, got_ses = _bin_statistics(positions, samples, bins)
-        assert np.array_equal(got_counts, counts)
-        assert np.array_equal(got_means[defined], means[defined])
-        assert np.array_equal(got_ses[defined], ses[defined])
-        assert np.isnan(got_means[~defined]).all() and np.isnan(got_ses[~defined]).all()
+        est = _bin_statistics(positions, samples, bins)
+        assert np.array_equal(est.bin_centers, 0.5 * (bins.x[1:] + bins.x[:-1]))
+        assert np.array_equal(est.counts, counts)
+        assert np.array_equal(est.defined, defined)
+        assert np.array_equal(est.values[defined], means[defined])
+        assert np.array_equal(est.std_errors[defined], ses[defined])
+        assert np.isnan(est.values[~defined]).all() and np.isnan(est.std_errors[~defined]).all()
 
 
 def _reference_ensemble(model, init, dt, t_end, n_paths, seed, store_every):
@@ -466,6 +469,7 @@ class TestEnsembleColumns:
 
 class TestStreamedMartingale:
     KW = dict(dt=2e-3, t_end=0.04, n_paths=5_000, seed=17)
+    BINS = make_uniform_grid(-2.9, 2.9, 29)
 
     @pytest.fixture(scope="class")
     def case(self, dw_model, dw_grid, dw_stationary):
@@ -480,26 +484,25 @@ class TestStreamedMartingale:
 
     def test_rows_equal_stored_ensemble(self, case):
         model, p0, paths, traj, pbar = case
-        bins = make_uniform_grid(-2.9, 2.9, 29)
-        streamed = martingale_diagnostic(self._stream(model, p0), traj, pbar, bins=bins)
-        assert streamed == martingale_diagnostic(paths.T, traj, pbar, bins=bins)
+        streamed = martingale_diagnostic(self._stream(model, p0), traj, pbar, bins=self.BINS)
+        assert streamed == martingale_diagnostic(paths.T, traj, pbar, bins=self.BINS)
         assert len(streamed) == len(traj)
 
     def test_short_stream_rejected(self, case):
         model, p0, paths, traj, pbar = case
         short = itertools.islice(self._stream(model, p0), len(traj) - 1)
         with pytest.raises(ValueError, match="time mesh mismatch"):
-            martingale_diagnostic(short, traj, pbar)
+            martingale_diagnostic(short, traj, pbar, bins=self.BINS)
         with pytest.raises(ValueError, match="time mesh mismatch"):
-            martingale_diagnostic(paths.T[:-1], traj, pbar)
+            martingale_diagnostic(paths.T[:-1], traj, pbar, bins=self.BINS)
 
     def test_long_stream_rejected(self, case):
         model, p0, paths, traj, pbar = case
         long = itertools.chain(self._stream(model, p0), [paths[:, -1]])
         with pytest.raises(ValueError, match="time mesh mismatch"):
-            martingale_diagnostic(long, traj, pbar)
+            martingale_diagnostic(long, traj, pbar, bins=self.BINS)
         with pytest.raises(ValueError, match="time mesh mismatch"):
-            martingale_diagnostic(np.vstack([paths.T, paths.T[-1:]]), traj, pbar)
+            martingale_diagnostic(np.vstack([paths.T, paths.T[-1:]]), traj, pbar, bins=self.BINS)
 
 
 def _reference_martingale(paths, traj, pbar, bins, min_count=50):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
-from varentropy_lab import FunctionalReport, report, scenarios
+from varentropy_lab import FunctionalReport, OUBenchmark, report, scenarios
 from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
 from varentropy_lab.fokker_planck import SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
@@ -61,7 +61,7 @@ class TestConfigParsing:
         assert cfg.name == "ou_small"
         assert cfg.grid.n == 401
         assert cfg.mc is None
-        assert cfg.is_ou_benchmark()
+        assert cfg.exact() == OUBenchmark(0.25)
 
     def test_missing_field_names_path(self):
         data = ou_config()
@@ -118,7 +118,19 @@ class TestConfigParsing:
             ou_config(drift={"kind": "gradient", "coeffs": [0, 0, 0.25, 0, 0]})
         )
         assert linear.model == gradient.model
-        assert linear.is_ou_benchmark() and gradient.is_ou_benchmark()
+        assert linear.exact() == gradient.exact() == OUBenchmark(0.25)
+
+    @pytest.mark.parametrize("overrides", [
+        {"initial": {"kind": "gaussian", "mean": 0.5, "variance": 0.25}},
+        {"drift": {"kind": "linear", "rate": -0.5, "sigma": 2.0},
+         "grid": {"lo": -16.0, "hi": 16.0, "n": 401}},
+        {"drift": {"kind": "linear", "rate": -1.0}},
+        {"initial": {"kind": "mixture", "components": [
+            {"weight": 0.5, "mean": -1.0, "variance": 0.25},
+            {"weight": 0.5, "mean": 1.0, "variance": 0.25}]}},
+    ], ids=["mean_0.5", "sigma_2", "rate_-1", "mixture"])
+    def test_no_exact_solution_off_the_benchmark(self, overrides):
+        assert ScenarioConfig.from_dict(ou_config(**overrides)).exact() is None
 
     @pytest.mark.parametrize("section, key, value, field", [
         ("grid", "n", 401.5, "config.grid.n"),
@@ -658,7 +670,10 @@ class TestGroupedSweep:
         (shipped_sweep(61), [8]),
         (shipped_sweep(1201), [8]),
         (shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS), [1, 1, 1]),
-    ], ids=["shipped_61", "shipped_1201", "drift_coeffs"])
+        # one drift spelled in ints and in floats: equal (coeffs, sigma), one group
+        (shipped_sweep(61, parameter="drift.coeffs",
+                       values=[[0, 0, -0.5, 0, 0.25], [0.0, 0.0, -0.5, 0.0, 0.25]]), [2]),
+    ], ids=["shipped_61", "shipped_1201", "drift_coeffs", "drift_coeffs_int_and_float"])
     def test_member_rows_equal_solo_solves(self, monkeypatch, sweep, widths):
         seen_widths, equal = self._record(monkeypatch)
         rows = monotonicity_sweep(sweep)
@@ -1079,6 +1094,32 @@ class TestCli:
         assert "[PASS]" not in captured.out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value, code, message", [
+        ("sigma", 1e-160, 2, "config error: config.drift: stationary density out of float "
+                             "range: overflow encountered in divide"),
+        ("sigma", 1e200, 2, "config error: config.drift: stationary density out of float range"),
+        ("rate", -1e308, 2, "config error: config.drift: stationary density out of float "
+                            "range: overflow encountered in multiply"),
+        ("rate", -1e300, 1, "solver error: solve failed advancing to t=0.025: cannot take "
+                            f"more than {sys.maxsize} substeps"),
+    ], ids=["sigma_1e-160", "sigma_1e200", "rate_-1e308", "rate_-1e300"])
+    def test_drift_out_of_float_range_is_one_line(self, tmp_path, capsys, field, value, code,
+                                                  message):
+        """A drift whose stationary density over- or underflows is refused at
+        parse time, and one whose substeps cannot be counted fails its solve,
+        each with one line on stderr, no traceback and no warning."""
+        with open(CONFIGS / "ou_benchmark.json") as fh:
+            data = json.load(fh)
+        del data["mc"], data["outputs"]
+        data["drift"][field] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert "[PASS]" not in captured.out
+        assert not (tmp_path / "out").exists()
+
     def test_nan_initial_variance_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         bad = ou_config(initial={"kind": "gaussian", "mean": 0.0, "variance": float("nan")})
@@ -1124,6 +1165,27 @@ class TestCli:
         assert main(["sweep", str(path)]) == 0
         assert capsys.readouterr().err == ""
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("edit, key, index", [
+        (lambda s: s.update(values=[{"drift": {"sigma": 1.0}}, {"mc": SMALL_MC}]), "mc", 1),
+        (lambda s: s.update(values=[{"outputs": "x"}]), "outputs", 0),
+        (lambda s: s.update(base=str(CONFIGS / "double_well_relax.json"), parameter="mc.seed",
+                            values=[1, 2]), "mc", 0),
+    ], ids=["mc_block", "outputs", "mc_seed_parameter"])
+    def test_sweep_value_setting_mc_or_outputs_exit_2(self, tmp_path, capsys, edit, key, index):
+        """Members run grid-only, so a value that would set their Monte
+        Carlo block or their outputs is refused before any member runs,
+        naming the value."""
+        with open(CONFIGS / "sweep_double_well.json") as fh:
+            sweep = json.load(fh)
+        edit(sweep)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: sweep.values: a member may not set {key!r}")
+        assert f"(sweep.values[{index}] = " in captured.err and captured.err.count("\n") == 1
+        assert captured.out == "" and not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_reports_failed_member_checks(self, tmp_path, capsys):
         """Failed member checks go to stderr, one line per member; the exit
