@@ -16,6 +16,7 @@ import numpy as np
 from varentropy_lab import (
     OUBenchmark,
     SolverConfig,
+    central_difference,
     double_well_drift,
     gaussian_density,
     invariant_density,
@@ -47,7 +48,7 @@ pbar_dw = invariant_density(model, grid_dw)
 p0_dw = mixture_density(grid_dw, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)])
 traj_dw = solve(p0_dw, model, np.linspace(0, 1.2, 121), SolverConfig(dt=1e-3))
 rep_dw = report(traj_dw, pbar_dw, model.sigma)
-rate, fd = rep_dw.varentropy_rate[1:-1], rep_dw.varentropy_rate_fd
+rate, fd = rep_dw.varentropy_rate[1:-1], central_difference(rep_dw.varentropy, rep_dw.time)
 rel = np.abs(rate - fd) / np.maximum(np.abs(fd), 1e-6)
 
 print("\ndouble well: varentropy rate vs finite difference of the varentropy")

@@ -32,6 +32,7 @@ from .drifts import (
 from .fokker_planck import SolverConfig, solve
 from .functionals import (
     FunctionalReport,
+    central_difference,
     relative_entropy,
     relative_fisher,
     varentropy,

@@ -3,9 +3,9 @@ print the exact-benchmark table.
 
 Exit status of ``run`` is zero only when every configured tolerance check
 passes, so acceptance suites can shell out to scenario runs directly. A
-config error (an unreadable file included) exits 2 and a failed solve exits
-1, each with one line on stderr and no traceback; argparse refuses a bad
-argument with exit 2.
+config error (an unreadable file included) exits 2, and a failed solve or
+an allocation too large for memory exits 1, each with one line on stderr and
+no traceback; argparse refuses a bad argument with exit 2.
 """
 
 from __future__ import annotations
@@ -171,6 +171,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as err:
         print(f"solver error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"memory error: {err}", file=sys.stderr)
         return 1
 
 

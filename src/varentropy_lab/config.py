@@ -6,7 +6,7 @@ members override. Every field is checked when the document is parsed, and a
 bad one raises ``ConfigError`` naming its path (``config.mc.seed: must be
 >= 0, got -1``), so a run refuses a bad config before anything is solved.
 Parsing also refuses a grid that truncates the initial or the stationary
-density.
+density, and a solve of the sample times too long to take.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .drifts import GradientDrift, invariant_density, linear_drift
-from .fokker_planck import SolverConfig
+from .fokker_planck import SolveError, SolverConfig, substep_plan
 from .grids import (
     Density,
     Grid,
@@ -247,6 +247,10 @@ class ScenarioConfig:
         tolerances = Tolerances.from_dict(data.get("tolerances", {}), "config.tolerances")
         outputs = _optional_string(data.get("outputs"), "config.outputs")
         _check_stationary_mass(model, grid)
+        try:
+            substep_plan(grid, model, np.linspace(0.0, t_end, n_samples), solver)
+        except SolveError as err:
+            raise ConfigError(f"config.solver: {err}") from err
         return cls(name, model, initial, grid, solver, t_end, n_samples, mc, tolerances,
                    outputs, base_dir)
 

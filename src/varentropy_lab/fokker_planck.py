@@ -80,7 +80,6 @@ import importlib.util
 import itertools
 import math
 import os
-import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Iterator, Sequence
@@ -103,6 +102,10 @@ from .grids import (
 #: to 11 sizes (``run ou_benchmark``), the one group of the 1201-sample sweep
 #: 10.
 _STEP_CACHE_SIZE = 16
+
+#: Most node-substeps (substeps times nodes, per start) of one solve, about
+#: 4 hours at 15 ns each; the shipped solves take 4.8e6 to 2.3e8.
+MAX_NODE_SUBSTEPS = 1e12
 
 
 @dataclass(frozen=True)
@@ -289,11 +292,8 @@ class _Generator:
 
         Returns the generator's state buffer that holds the last states, in
         the shape of ``values``; the next call overwrites it. A block of
-        another width than the generator's raises ``ValueError``, and more
-        steps than ``sys.maxsize`` raise ``RuntimeError``.
+        another width than the generator's raises ``ValueError``.
         """
-        if n_steps > sys.maxsize:
-            raise RuntimeError(f"cannot take more than {sys.maxsize} substeps")
         block = np.reshape(values, (-1, self.diag.size))
         if len(block) != self.width:
             raise ValueError(f"a generator of width {self.width} cannot step "
@@ -318,14 +318,37 @@ class _Generator:
 
 
 class SolveError(RuntimeError):
-    """A solve failed. ``start`` indexes, among the starts solved together,
-    the one whose trajectory failed; a failure of the stepping itself, which
-    no start causes, is the first start's, whose solve alone would meet it
-    first."""
+    """A solve failed, or was refused before stepping. ``start`` indexes,
+    among the starts solved together, the one whose trajectory failed; a
+    failure or refusal of the stepping itself, which no start causes, is the
+    first start's, whose solve alone would meet it first."""
 
     def __init__(self, message: str, start: int = 0):
         super().__init__(message)
         self.start = start
+
+
+def substep_plan(grid: Grid, model: GradientDrift, times: np.ndarray, cfg: SolverConfig,
+                 gen: _Generator | None = None) -> list[tuple[float, int]]:
+    """The substep size and count that a solve steps each interval of
+    ``times`` by: equal nominal steps no longer than ``cfg.dt``, each split
+    into equal substeps within the positivity bound of ``gen``, the solve's
+    generator, built here if not given (no LAPACK is loaded). Raises
+    :class:`SolveError` if substeps times nodes exceed ``MAX_NODE_SUBSTEPS``.
+    """
+    dt_pos = (gen or _Generator(grid, model)).positivity_dt(cfg.theta)
+    widths = np.diff(times)
+    # an infinite dt_pos gives one substep; a count past float range is inf
+    with np.errstate(over="ignore"):
+        n_nominal = np.maximum(1.0, np.ceil(widths / cfg.dt - 1e-12))
+        n_pos = np.maximum(1.0, np.ceil(widths / n_nominal / dt_pos - 1e-12))
+        counts, sizes = n_nominal * n_pos, widths / n_nominal / n_pos
+        substeps = float(counts.sum())
+    if substeps * grid.n > MAX_NODE_SUBSTEPS:
+        raise SolveError(f"{substeps:.3g} substeps of {grid.n} nodes, as short as "
+                         f"{sizes.min():.3g}, make {substeps * grid.n:.3g} node-substeps, "
+                         f"more than the {MAX_NODE_SUBSTEPS:g} a solve may take")
+    return list(zip(sizes.tolist(), counts.astype(int).tolist()))
 
 
 def solve(
@@ -356,14 +379,14 @@ def solved_chunks(
 
     Each kernel call steps the whole block of starts, one row per start
     (see the module docstring), so each start's rows equal its solve alone
-    bit for bit. Its states fill a ``(len(starts), rows, n)`` buffer. Each
-    time the buffer is full, and once at the end, one pass integrates the
-    mass of every row and checks every row: finite, non-negative, and of
-    trapezoid mass within both ``cfg.mass_tol`` and the :class:`Density`
-    default of one. Row 0 holds the starts, already checked as densities.
-    Then the chunk is yielded as ``(first output index, values, masses)``,
-    where ``values`` is a view of the buffer that the next chunk
-    overwrites. Once a start has failed nothing more is yielded, but every
+    bit for bit, by :func:`substep_plan`, which may refuse the solve. Its
+    states fill a ``(len(starts), rows, n)`` buffer. Each time the buffer
+    is full, and once at the end, one pass integrates the mass of every row
+    and checks every row: finite, non-negative, and of trapezoid mass within
+    both ``cfg.mass_tol`` and the :class:`Density` default of one. Row 0
+    holds the starts, already checked as densities. Then the chunk is
+    yielded as ``(first output index, values, masses)``, where ``values``
+    is a view of the buffer that the next chunk overwrites. Once a start has failed nothing more is yielded, but every
     interval is still stepped; at the end the first start, in order, whose
     rows failed raises :class:`SolveError` with its index, naming its first
     bad time. A failure of the stepping itself raises at once. The arguments
@@ -382,29 +405,25 @@ def solved_chunks(
             raise ValueError(f"t_grid must start at p0.time={p0.time}, got {t_grid[0]}")
     if len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    # the interval plan in Python floats: the same roundings as numpy's scalars
-    return _chunks(np.array([p0.values for p0 in starts]), model, grid, t_grid.tolist(), cfg,
-                   rows)
+    gen = _Generator(grid, model, width=len(starts))
+    return _chunks(np.array([p0.values for p0 in starts]), gen, grid, t_grid.tolist(),
+                   substep_plan(grid, model, t_grid, cfg, gen), cfg, rows)
 
 
-def _chunks(block: np.ndarray, model: GradientDrift, grid: Grid, times: list[float],
-            cfg: SolverConfig, rows: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
+            plan: list[tuple[float, int]], cfg: SolverConfig,
+            rows: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The stepping and checking loop of :func:`solved_chunks` from the
-    states ``block``."""
-    gen = _Generator(grid, model, width=len(block))
-    dt_pos = gen.positivity_dt(cfg.theta)
+    states ``block``, by ``gen`` through the intervals of ``plan``."""
     mass_tol = min(cfg.mass_tol, DEFAULT_MASS_TOL)
     buffer = np.empty((len(block), min(rows, len(times)), grid.n))
     failed = None  # the SolveError of the first failing start so far
     base = 0  # the output index of the buffer's first row
     for k in range(len(times)):
         if k:
-            width = times[k] - times[k - 1]
-            n_nominal = max(1, math.ceil(width / cfg.dt - 1e-12))
-            nominal = width / n_nominal
-            n_pos = max(1, math.ceil(nominal / dt_pos - 1e-12)) if math.isfinite(dt_pos) else 1
+            size, count = plan[k - 1]
             try:
-                block = gen.run(block, nominal / n_pos, cfg.theta, n_nominal * n_pos)
+                block = gen.run(block, size, cfg.theta, count)
             except RuntimeError as err:
                 raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
         buffer[:, k - base] = block

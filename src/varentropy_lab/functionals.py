@@ -9,7 +9,7 @@ Everything is built from the local free energy, the nodewise log ratio
 * varentropy: its variance under ``p``;
 * the varentropy rate formula
   ``sigma^2 * E[(-logratio - 1 + entropy) * slope^2]``, cross-checkable
-  against a finite difference of the varentropy along a solved trajectory.
+  against :func:`central_difference` of the varentropy along a trajectory.
 
 One kernel computes all of them for a block of states, one state per row of
 an array: :func:`report` walks a trajectory's array in blocks of rows, and
@@ -53,11 +53,11 @@ _BLOCK_BYTES = 256 * 1024
 class FunctionalReport:
     """All functionals of one trajectory, one column per field.
 
-    Each column is a read-only float64 array with one entry per sample,
-    except ``varentropy_rate_fd``: the central finite difference of the
-    varentropy along the trajectory exists only at the ``len - 2`` interior
-    samples and holds those alone. ``varentropy_rate`` is the closed-form
-    rate. Every number must be finite.
+    Each column is a read-only float64 array with one entry per sample.
+    ``varentropy_rate`` is the closed-form rate; the finite difference it is
+    checked against is a property of the sampled trajectory, not of one
+    state, and is :func:`central_difference` of the columns. Every number
+    must be finite.
     """
 
     time: np.ndarray
@@ -66,24 +66,15 @@ class FunctionalReport:
     varentropy: np.ndarray
     entropy_rate: np.ndarray
     varentropy_rate: np.ndarray
-    varentropy_rate_fd: np.ndarray
 
-    #: CSV column order used by the scenario runner.
-    CSV_FIELDS = (
-        "time",
-        "relative_entropy",
-        "relative_fisher",
-        "varentropy",
-        "entropy_rate",
-        "varentropy_rate",
-        "varentropy_rate_fd",
-    )
+    #: The columns, in field order.
+    FIELDS = ("time", "relative_entropy", "relative_fisher", "varentropy", "entropy_rate",
+              "varentropy_rate")
 
     def __post_init__(self):
-        samples = np.size(self.time)
-        for field in self.CSV_FIELDS:
+        shape = (np.size(self.time),)
+        for field in self.FIELDS:
             column = np.array(getattr(self, field), dtype=np.float64)
-            shape = (max(samples - 2, 0),) if field == "varentropy_rate_fd" else (samples,)
             if column.shape != shape:
                 raise ValueError(f"{field}: expected shape {shape}, got {column.shape}")
             bad = np.flatnonzero(~np.isfinite(column))
@@ -99,16 +90,6 @@ class FunctionalReport:
 
     def __len__(self) -> int:
         return len(self.time)
-
-    @classmethod
-    def from_columns(cls, time, relative_entropy, relative_fisher, varentropy, entropy_rate,
-                     varentropy_rate) -> "FunctionalReport":
-        """The report of these per-sample columns, with ``varentropy_rate_fd``
-        the central differences of ``varentropy`` at the interior samples.
-        A row's values do not depend on its block, so the columns of a
-        trajectory's segments, joined, give the report of the whole."""
-        return cls(time, relative_entropy, relative_fisher, varentropy, entropy_rate,
-                   varentropy_rate, central_difference(varentropy, time))
 
 
 def central_difference(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -217,9 +198,8 @@ def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> FunctionalRe
     many rows as ``_BLOCK_BYTES`` holds, into scratch arrays allocated once
     per call, so each state's log ratio, tail mask and slope are computed once
     and numpy is called once per block, not once per state; every value
-    equals what the public scalar functions return for that state. The
-    finite-difference varentropy rate uses the trajectory's native sampling
-    (central differences over neighbouring samples) at the interior samples.
+    equals what the public scalar functions return for that state, so the
+    reports of a trajectory's segments, joined, are the report of the whole.
     """
     if pbar.grid != traj.grid:
         raise ValueError("grid mismatch between trajectory and stationary density")
@@ -232,8 +212,8 @@ def report(traj: DensityTrajectory, pbar: Density, sigma: float) -> FunctionalRe
         _block_terms(traj.values[start:start + block], floored_pbar, traj.grid, buffers,
                      terms[:, start:start + block])
     entropy, fisher, variance, rate_integral = terms
-    return FunctionalReport.from_columns(traj.times, entropy, fisher, variance,
-                                         -0.5 * sigma**2 * fisher, sigma**2 * rate_integral)
+    return FunctionalReport(traj.times, entropy, fisher, variance, -0.5 * sigma**2 * fisher,
+                            sigma**2 * rate_integral)
 
 
 def block_rows(n: int) -> int:

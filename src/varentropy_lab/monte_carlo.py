@@ -30,8 +30,8 @@ Grids are uniform, so every lookup of a path position in a grid or a bin
 array is index arithmetic, ``floor((x - lo) / dx)``, corrected by one
 comparison on each side against the nodes (:func:`_nodes_at_or_below`).
 The cell and offset of a stored column are found once (:func:`_locate`) and
-reused for every gridded function interpolated there (:func:`_interp`);
-both give exactly the values of ``np.interp`` and ``np.searchsorted``. The
+reused for every gridded function interpolated there (:func:`_interp`),
+bin centers too; both give exactly ``np.interp`` and ``np.searchsorted``. The
 kernels take optional output buffers, so the loop over stored columns in
 :func:`martingale_diagnostic` reuses one set of path-sized arrays. Both
 binned statistics, the backward-increment means and the martingale's
@@ -349,7 +349,7 @@ def backward_drift_target(est: BinnedEstimate, model: GradientDrift, p_t: Densit
     """The backward drift computed from the density, interpolated at the
     centers of the defined bins of ``est``: the values their means estimate."""
     centers = est.bin_centers[est.defined]
-    return np.interp(centers, p_t.grid.x, backward_drift_on_grid(model, p_t))
+    return _interp(_locate(centers, p_t.grid), backward_drift_on_grid(model, p_t), p_t.grid)
 
 
 @dataclass(frozen=True)

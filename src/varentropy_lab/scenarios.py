@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
-from .fokker_planck import SolveError, solve, solved_chunks
+from .fokker_planck import SolveError, solve, solved_chunks, substep_plan
 from .functionals import (
     FunctionalReport,
     block_rows,
@@ -115,18 +115,6 @@ def _stationary_fixed_point(cfg: ScenarioConfig, pbar: Density) -> Check:
     bound = cfg.tolerances.fixed_point_sup
     return Check("stationary_fixed_point", err <= bound,
                  f"sup |step(pbar) - pbar| = {err:.3e} (tol {bound:g})")
-
-
-def _varentropy_rate_consistency(rep: FunctionalReport, tol: Tolerances) -> Check:
-    """The rate formula against the trajectory's central differences."""
-    return _worst_relative("varentropy_rate_consistency", rep.varentropy_rate[1:-1],
-                           rep.varentropy_rate_fd, tol.rate_floor, tol.varentropy_rate_rel)
-
-
-def _entropy_rate_consistency(rep: FunctionalReport, entropy_fd: np.ndarray,
-                              tol: Tolerances) -> Check:
-    return _worst_relative("entropy_rate_consistency", rep.entropy_rate[1:-1], entropy_fd,
-                           tol.rate_floor, tol.entropy_rate_rel)
 
 
 def _entropy_rate_nonpositive(rep: FunctionalReport) -> Check:
@@ -239,12 +227,15 @@ def run_scenario(
         (solved,) = _solve_streamed([cfg], [time_sets], mesh)
     rep, pbar = solved.report, solved.pbar
     entropy_fd = central_difference(rep.relative_entropy, rep.time)
+    varentropy_fd = central_difference(rep.varentropy, rep.time)
     checks = [
         _mass_conservation(solved.masses, cfg.solver.mass_tol),
         _positivity(solved.lowest),
         _stationary_fixed_point(cfg, pbar),
-        _varentropy_rate_consistency(rep, tol),
-        _entropy_rate_consistency(rep, entropy_fd, tol),
+        _worst_relative("varentropy_rate_consistency", rep.varentropy_rate[1:-1], varentropy_fd,
+                        tol.rate_floor, tol.varentropy_rate_rel),
+        _worst_relative("entropy_rate_consistency", rep.entropy_rate[1:-1], entropy_fd,
+                        tol.rate_floor, tol.entropy_rate_rel),
         _entropy_rate_nonpositive(rep),
     ]
     bench = cfg.exact()
@@ -258,18 +249,19 @@ def run_scenario(
 
     target = None if out_dir is None else Path(out_dir)
     if target is not None:
-        columns = [getattr(rep, f).tolist() for f in FunctionalReport.CSV_FIELDS]
+        columns = [getattr(rep, f).tolist() for f in FunctionalReport.FIELDS]
         # the finite difference leaves the two end samples' cells empty
-        columns[-1] = ([None] + columns[-1] + [None])[:len(rep)]
-        _write_csv(target / "functionals.csv", FunctionalReport.CSV_FIELDS, zip(*columns))
+        columns.append(([None] + varentropy_fd.tolist() + [None])[:len(rep)])
+        _write_csv(target / "functionals.csv", (*FunctionalReport.FIELDS, "varentropy_rate_fd"),
+                   zip(*columns))
         varentropy_rate, entropy_rate = rep.varentropy_rate[1:-1], rep.entropy_rate[1:-1]
         _write_csv(
             target / "consistency.csv",
             ("time", "varentropy_rate", "varentropy_rate_fd", "abs_diff_varentropy_rate",
              "entropy_rate", "entropy_rate_fd", "abs_diff_entropy_rate"),
             zip(*(column.tolist() for column in (
-                rep.time[1:-1], varentropy_rate, rep.varentropy_rate_fd,
-                np.abs(varentropy_rate - rep.varentropy_rate_fd),
+                rep.time[1:-1], varentropy_rate, varentropy_fd,
+                np.abs(varentropy_rate - varentropy_fd),
                 entropy_rate, entropy_fd, np.abs(entropy_rate - entropy_fd),
             ))),
         )
@@ -334,16 +326,17 @@ def _solve_streamed(
     ``time_sets`` gives each scenario's sets of :func:`_solve_times`. The
     chunks are of ``block_rows(n)`` mesh times, checked, with the mass of
     every row. Of each, the lowest node is taken, :func:`report` takes each
-    scenario's sample rows, and the rows at its Monte Carlo times are copied
-    out. Each scenario's report joins its segments' columns
-    (:meth:`FunctionalReport.from_columns`), so it and every number here
-    equal :func:`solve` of that scenario alone followed by :func:`report`,
-    bit for bit. A failing scenario raises :class:`SolveError` as
-    :func:`solved_chunks` names it.
+    scenario's rows whole, into columns over the whole mesh, and the rows
+    at its Monte Carlo times are copied out. A row's report does not depend
+    on its chunk, so each scenario's report, its columns at the mesh index
+    of its sample times, and every number here equal :func:`solve` of that
+    scenario alone followed by :func:`report`, bit for bit. A failing
+    scenario raises :class:`SolveError` as :func:`solved_chunks` names it.
     """
     grid, model, solver = cfgs[0].grid, cfgs[0].model, cfgs[0].solver
-    chunks = solved_chunks([cfg.initial_density() for cfg in cfgs], model, np.array(mesh),
-                           solver, block_rows(grid.n))
+    mesh_times = np.array(mesh)
+    chunks = solved_chunks([cfg.initial_density() for cfg in cfgs], model, mesh_times, solver,
+                           block_rows(grid.n))
     pbars = [cfg.stationary_density() for cfg in cfgs]
     # each scenario's time sets, with the mesh index of every time, packed:
     # the Python ints of a list would take four times the memory
@@ -351,34 +344,27 @@ def _solve_streamed(
               for times in sets] for sets in time_sets]
     masses = np.empty((len(cfgs), len(mesh)))
     lowest = np.full(len(cfgs), np.inf)
-    # each scenario's report columns after time, filled a segment at a time
-    fields = FunctionalReport.CSV_FIELDS[1:-1]
-    columns = [np.empty((len(fields), len(plan[0][0]))) for plan in plans]
+    # each scenario's report columns after time, one entry per mesh time
+    fields = FunctionalReport.FIELDS[1:]
+    columns = np.empty((len(cfgs), len(fields), len(mesh)))
     kept = [[np.empty((len(times), grid.n)) for times, _ in plan[1:]] for plan in plans]
     for base, rows, row_masses in chunks:
         end = base + rows.shape[1]
         masses[:, base:end] = row_masses
         np.minimum(lowest, rows.min(axis=(1, 2)), out=lowest)
-        for m, ((samples, index), *mc_plans) in enumerate(plans):
-            lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
-            if hi > lo:
-                # a run of consecutive rows is a view of the chunk, any
-                # other pick a copy
-                pick = [i - base for i in index[lo:hi]]
-                if pick == list(range(pick[0], pick[-1] + 1)):
-                    pick = slice(pick[0], pick[-1] + 1)
-                segment = DensityTrajectory._from_rows(samples[lo:hi], grid, rows[m, pick],
-                                                       row_masses[m, pick])
-                part = report(segment, pbars[m], cfgs[m].model.sigma)
-                columns[m][:, lo:hi] = [getattr(part, field) for field in fields]
+        for m, (_, *mc_plans) in enumerate(plans):
+            part = report(DensityTrajectory._from_rows(mesh_times[base:end], grid, rows[m],
+                                                       row_masses[m]),
+                          pbars[m], cfgs[m].model.sigma)
+            columns[m, :, base:end] = [getattr(part, field) for field in fields]
             for (_, index), out in zip(mc_plans, kept[m]):
                 lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
                 out[lo:hi] = rows[m, [i - base for i in index[lo:hi]]]
     return [
-        _Solved(pbar, FunctionalReport.from_columns(plan[0][0], *member_columns), row_masses,
+        _Solved(pbar, FunctionalReport(samples, *member_columns[:, index]), row_masses,
                 float(low), [DensityTrajectory._from_rows(times, grid, out, row_masses[index])
-                             for (times, index), out in zip(plan[1:], kept_rows)])
-        for pbar, member_columns, row_masses, low, plan, kept_rows
+                             for (times, index), out in zip(mc_plans, kept_rows)])
+        for pbar, member_columns, row_masses, low, ((samples, index), *mc_plans), kept_rows
         in zip(pbars, columns, masses, lowest, plans, kept)
     ]
 
@@ -592,8 +578,9 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
     Only defined for benchmark scenarios (standard OU drift, centered
     Gaussian start), where the exact values are available. The observed
     order for level k compares errors at levels k-1 and k; with two levels a
-    single ratio is reported. Either refusal is a ``ConfigError``, raised
-    before any solve.
+    single ratio is reported. Each refusal is a ``ConfigError``, raised
+    before any solve: too few levels, a config without the exact
+    benchmark, or a level whose solve :func:`substep_plan` refuses.
     """
     if levels < 2:
         raise ConfigError(f"--levels: need at least 2 levels, got {levels}")
@@ -603,20 +590,25 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
                           "benchmark: linear drift rate -0.5, sigma 1, Gaussian start of mean 0")
     t_samples = cfg.time_samples()
     exact = np.array([bench.varentropy(t) for t in t_samples.tolist()])
+    ladder = []
+    for level in range(levels):
+        grid = make_uniform_grid(cfg.grid.lo, cfg.grid.hi, (cfg.grid.n - 1) * 2**level + 1)
+        solver = replace(cfg.solver, dt=cfg.solver.dt / 2**level)
+        try:
+            substep_plan(grid, cfg.model, t_samples, solver)
+        except SolveError as err:
+            raise ConfigError(f"--levels: level {level} of {levels}: {err}") from err
+        ladder.append(replace(cfg, grid=grid, solver=solver))
     rows: list[ConvergenceRow] = []
     prev_err = None
-    for level in range(levels):
-        factor = 2**level
-        grid = make_uniform_grid(cfg.grid.lo, cfg.grid.hi, (cfg.grid.n - 1) * factor + 1)
-        solver = replace(cfg.solver, dt=cfg.solver.dt / factor)
-        refined = replace(cfg, grid=grid, solver=solver)
+    for level, refined in enumerate(ladder):
         pbar = refined.stationary_density()
-        traj = solve(refined.initial_density(), cfg.model, t_samples, solver)
+        traj = solve(refined.initial_density(), cfg.model, t_samples, refined.solver)
         err = _worst(np.abs(report(traj, pbar, cfg.model.sigma).varentropy - exact))
         order = None
         if prev_err is not None:
             order = math.log2(prev_err / err) if err > 0 else math.inf
-        rows.append(ConvergenceRow(level, grid.n, solver.dt, err, order))
+        rows.append(ConvergenceRow(level, refined.grid.n, refined.solver.dt, err, order))
         prev_err = err
     return rows
 

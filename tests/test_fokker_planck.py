@@ -36,6 +36,7 @@ from varentropy_lab.fokker_planck import (
     _Generator,
     _bernoulli,
     solved_chunks,
+    substep_plan,
 )
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
@@ -634,6 +635,39 @@ class TestSubstepKernel:
         assert calls == [(cfg.dt, 1)]
         gen = _Generator(dw_grid, dw_model)
         assert np.array_equal(out, _reference_advance(gen, p0.values, cfg.dt, 1.0))
+
+    def test_plan_is_what_the_solve_steps(self, dw_model, dw_grid, monkeypatch):
+        """Each output interval of an irregular mesh is one ``run`` call of
+        the size and count that ``substep_plan`` gives it: nominal steps no
+        longer than ``dt``, split into positivity substeps, computed here in
+        Python floats."""
+        cfg = SolverConfig(dt=1e-3)
+        times = np.array([0.0, 1e-4, 2.5e-3, 3e-3, 0.0301, 0.05])
+        dt_pos = _Generator(dw_grid, dw_model).positivity_dt(cfg.theta)
+        expected = []
+        for width in np.diff(times).tolist():
+            n_nominal = math.ceil(width / cfg.dt - 1e-12)
+            n_pos = math.ceil(width / n_nominal / dt_pos - 1e-12)
+            expected.append((width / n_nominal / n_pos, n_nominal * n_pos))
+        calls = self._count_runs(monkeypatch)
+        solve(self._start(dw_grid), dw_model, times, cfg)
+        assert calls == substep_plan(dw_grid, dw_model, times, cfg) == expected
+
+    def test_too_long_solve_refused_before_stepping(self, dw_model, dw_grid, monkeypatch):
+        """A solve of more node-substeps than ``MAX_NODE_SUBSTEPS`` raises
+        ``SolveError`` when ``solved_chunks`` is called, before any factor
+        is built; one of exactly that many is stepped."""
+        cfg = SolverConfig(dt=1e-3)
+        times = np.linspace(0.0, 0.05, 6)
+        work = dw_grid.n * sum(count for _, count in substep_plan(dw_grid, dw_model, times, cfg))
+        monkeypatch.setattr(fokker_planck, "MAX_NODE_SUBSTEPS", work - 1)
+        monkeypatch.setattr(_Generator, "_factored_step", None)
+        message = f"make {work:.3g} node-substeps, more than the {work - 1:g} a solve may take"
+        with pytest.raises(SolveError, match=re.escape(message) + "$"):
+            solved_chunks([self._start(dw_grid)], dw_model, times, cfg, 2)
+        monkeypatch.undo()
+        monkeypatch.setattr(fokker_planck, "MAX_NODE_SUBSTEPS", work)
+        assert len(solve(self._start(dw_grid), dw_model, times, cfg)) == len(times)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_run_equals_chain_of_reference_steps(self, dw_model, dw_grid, theta):

@@ -13,6 +13,7 @@ from varentropy_lab import (
     FunctionalReport,
     OUBenchmark,
     SolverConfig,
+    central_difference,
     gaussian_density,
     gradient,
     integrate,
@@ -273,10 +274,14 @@ class TestReport:
         assert np.all(report(traj, dw_stationary, 1.0).entropy_rate <= 0.0)
 
     def test_fd_column_present_only_interior(self, ou_model, narrow_gaussian, ou_stationary):
+        """Every report column has one entry per sample; the finite
+        difference of the varentropy, a property of the sampled trajectory,
+        exists only at the interior samples."""
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 0.5, 6), SolverConfig(dt=1e-3))
         rep = report(traj, ou_stationary, 1.0)
         assert len(rep) == 6
-        assert rep.varentropy_rate_fd.shape == (4,)
+        assert [getattr(rep, field).shape for field in FunctionalReport.FIELDS] == [(6,)] * 6
+        assert central_difference(rep.varentropy, rep.time).shape == (4,)
 
     def test_rows_equal_public_functionals_ou(self, ou_model, narrow_gaussian, ou_stationary):
         traj = solve(narrow_gaussian, ou_model, np.linspace(0, 1, 11), SolverConfig(dt=1e-3))
@@ -289,35 +294,33 @@ class TestReport:
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError, match=">= 0"):
-            FunctionalReport([0.0], [-0.1], [0.0], [0.0], [0.0], [0.0], [])
+            FunctionalReport([0.0], [-0.1], [0.0], [0.0], [0.0], [0.0])
         with pytest.raises(ValueError, match="<= 0"):
-            FunctionalReport([0.0], [0.1], [0.1], [0.1], [0.5], [0.0], [])
+            FunctionalReport([0.0], [0.1], [0.1], [0.1], [0.5], [0.0])
 
-    @pytest.mark.parametrize("field", FunctionalReport.CSV_FIELDS)
+    @pytest.mark.parametrize("field", FunctionalReport.FIELDS)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
                              ids=["nan", "inf", "-inf"])
     def test_report_rejects_non_finite(self, field, bad):
-        """Every number must be finite, the finite difference's one
-        interior entry included; the error names the column and the entry.
-        Two samples have no finite difference at all."""
+        """Every number must be finite; the error names the column and the
+        entry."""
         values = _three_samples()
         FunctionalReport(**values)
-        FunctionalReport(**{name: column[:2] for name, column in values.items()
-                            if name != "varentropy_rate_fd"}, varentropy_rate_fd=[])
         last = len(values[field]) - 1
         with pytest.raises(ValueError, match=rf"^{field}\[{last}\] = {bad}: must be finite"):
             FunctionalReport(**{**values, field: values[field][:last] + [bad]})
 
-    @pytest.mark.parametrize("field", FunctionalReport.CSV_FIELDS)
+    @pytest.mark.parametrize("field", FunctionalReport.FIELDS)
     def test_report_rejects_wrong_shape(self, field):
         """A column of the wrong shape is refused by name: here a row
-        vector of the right length, and the finite difference as long as
-        the others."""
+        vector of the right length, and a column one entry short, as long
+        as a finite difference of three samples."""
         values = _three_samples()
         with pytest.raises(ValueError, match=rf"^{field}: expected shape"):
             FunctionalReport(**{**values, field: [values[field]]})
-        with pytest.raises(ValueError, match=r"^varentropy_rate_fd: expected shape \(1,\)"):
-            FunctionalReport(**{**values, "varentropy_rate_fd": values["time"]})
+        if field != "time":
+            with pytest.raises(ValueError, match=rf"^{field}: expected shape \(3,\), got \(1,\)"):
+                FunctionalReport(**{**values, field: values[field][1:2]})
 
     def test_columns_are_read_only_copies(self):
         """Each column is a read-only float64 copy of what was passed."""
@@ -391,6 +394,28 @@ class TestBlockKernel:
                        rep.varentropy_rate.tolist()))
         assert got == expected
 
+    @pytest.mark.parametrize("cuts", [[], list(range(1, 300)), [46], [45, 46, 47], [1, 299],
+                                      "random"],
+                             ids=["whole", "rows", "block", "one_row_at_block_edge", "ends",
+                                  "random"])
+    def test_joined_segment_reports_equal_the_whole(self, cuts, masked_run, dw_model,
+                                                    dw_stationary):
+        """The reports of any split of a trajectory into segments, joined,
+        equal its report byte for byte: one-row segments, a cut at the
+        default block edge (46 rows at 701 nodes), a one-row segment on it,
+        one-row ends, and 20 seeded random cuts."""
+        traj, _ = masked_run
+        if cuts == "random":
+            cuts = sorted(np.random.default_rng(7).choice(np.arange(1, 300), 20, replace=False))
+        states, sigma = traj.states, dw_model.sigma
+        whole = report(traj, dw_stationary, sigma)
+        edges = [0, *cuts, len(traj)]
+        parts = [report(DensityTrajectory(traj.times[a:b], states[a:b]), dw_stationary, sigma)
+                 for a, b in zip(edges, edges[1:])]
+        for field in FunctionalReport.FIELDS:
+            joined = np.concatenate([getattr(part, field) for part in parts])
+            assert joined.tobytes() == getattr(whole, field).tobytes(), field
+
     def test_squared_mean_is_a_python_power(self):
         """The varentropy is ``second - first**2`` with Python's float power.
         For this state ``first * first`` (what numpy's array square computes)
@@ -428,9 +453,9 @@ def _separate_assembly(p, pbar, sigma):
 
 
 def _three_samples():
-    """Valid columns of a three-sample report, one interior finite difference."""
-    return dict(zip(FunctionalReport.CSV_FIELDS, ([0.0, 0.5, 1.0], [0.1] * 3, [0.1] * 3,
-                                                  [0.1] * 3, [-0.1] * 3, [0.2] * 3, [0.3])))
+    """Valid columns of a three-sample report."""
+    return dict(zip(FunctionalReport.FIELDS, ([0.0, 0.5, 1.0], [0.1] * 3, [0.1] * 3, [0.1] * 3,
+                                              [-0.1] * 3, [0.2] * 3)))
 
 
 def _assert_rows_equal_public(traj, pbar, sigma):

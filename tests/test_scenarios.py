@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
-from varentropy_lab import FunctionalReport, OUBenchmark, report, scenarios
+from varentropy_lab import FunctionalReport, OUBenchmark, central_difference, report, scenarios
 from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
 from varentropy_lab.fokker_planck import SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
@@ -349,17 +349,20 @@ class TestRunScenario:
     @pytest.mark.parametrize("samples", [1, 2, 3])
     def test_short_trajectory_csv_end_cells(self, samples, tmp_path):
         """1, 2 and 3 samples give 0, 0 and 1 finite differences, and
-        ``functionals.csv`` leaves the end samples' last cell empty. The
-        parse-time floor of 3 samples is skipped with ``replace``."""
+        ``functionals.csv``, the report's columns and then the finite
+        difference of the varentropy, leaves the end samples' last cell
+        empty. The parse-time floor of 3 samples is skipped with
+        ``replace``."""
         cfg = replace(ScenarioConfig.from_dict(ou_config()), n_samples=samples)
         rep = run_scenario(cfg, out_dir=tmp_path).report
         assert len(rep) == samples
-        assert rep.varentropy_rate_fd.shape == ({1: 0, 2: 0, 3: 1}[samples],)
-        lines = [",".join(FunctionalReport.CSV_FIELDS)]
+        varentropy_fd = central_difference(rep.varentropy, rep.time)
+        assert varentropy_fd.shape == ({1: 0, 2: 0, 3: 1}[samples],)
+        lines = [",".join((*FunctionalReport.FIELDS, "varentropy_rate_fd"))]
         for k in range(samples):
-            cells = [f"{getattr(rep, f)[k].item():.17g}" for f in FunctionalReport.CSV_FIELDS[:-1]]
+            cells = [f"{getattr(rep, f)[k].item():.17g}" for f in FunctionalReport.FIELDS]
             interior = 0 < k < samples - 1
-            cells.append(f"{rep.varentropy_rate_fd[k - 1].item():.17g}" if interior else "")
+            cells.append(f"{varentropy_fd[k - 1].item():.17g}" if interior else "")
             lines.append(",".join(cells))
         assert (tmp_path / "functionals.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -705,7 +708,7 @@ class TestGroupedSweep:
         for cfg, got in zip(cfgs, streamed, strict=True):
             traj = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
             want = report(traj, cfg.stationary_density(), cfg.model.sigma)
-            for field in FunctionalReport.CSV_FIELDS:
+            for field in FunctionalReport.FIELDS:
                 got_column, want_column = getattr(got.report, field), getattr(want, field)
                 assert got_column.tobytes() == want_column.tobytes(), field
             assert got.masses.tobytes() == traj.masses.tobytes()
@@ -960,9 +963,14 @@ class TestCli:
         (ou_config(), "1", "--levels: need at least 2 levels, got 1"),
         (ou_config(drift={"kind": "linear", "rate": -1.0}), "2",
          "config: the convergence study requires the exactly solvable benchmark"),
-    ], ids=["one_level", "not_the_benchmark"])
+        (json.loads((CONFIGS / "ou_benchmark.json").read_text()), "8",
+         "--levels: level 7 of 8: 6.18e+07 substeps of 102401 nodes, as short as 4.85e-08, "
+         "make 6.33e+12 node-substeps, more than the 1e+12 a solve may take\n"),
+    ], ids=["one_level", "not_the_benchmark", "ou_benchmark_8_levels"])
     def test_converge_refusal_exit_2(self, tmp_path, capsys, monkeypatch, data, levels, message):
-        """Refused with one stderr line before any solve."""
+        """Refused with one stderr line before any solve: ``converge
+        ou_benchmark --levels 8`` would need 6.3e12 node-substeps at its
+        last level, about a day."""
         monkeypatch.setattr(scenarios, "solve", None)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
@@ -1100,14 +1108,16 @@ class TestCli:
         ("sigma", 1e200, 2, "config error: config.drift: stationary density out of float range"),
         ("rate", -1e308, 2, "config error: config.drift: stationary density out of float "
                             "range: overflow encountered in multiply"),
-        ("rate", -1e300, 1, "solver error: solve failed advancing to t=0.025: cannot take "
-                            f"more than {sys.maxsize} substeps"),
+        ("rate", -1e300, 2, "config error: config.solver: 1.2e+303 substeps of 801 nodes, as "
+                            "short as 2.5e-303, make 9.6e+305 node-substeps, more than the "
+                            "1e+12 a solve may take\n"),
     ], ids=["sigma_1e-160", "sigma_1e200", "rate_-1e308", "rate_-1e300"])
     def test_drift_out_of_float_range_is_one_line(self, tmp_path, capsys, field, value, code,
                                                   message):
         """A drift whose stationary density over- or underflows is refused at
-        parse time, and one whose substeps cannot be counted fails its solve,
-        each with one line on stderr, no traceback and no warning."""
+        parse time, and so is one whose solve would take more node-substeps
+        than a solve may, each with one line on stderr, no traceback and no
+        warning."""
         with open(CONFIGS / "ou_benchmark.json") as fh:
             data = json.load(fh)
         del data["mc"], data["outputs"]
@@ -1222,6 +1232,83 @@ class TestCli:
         code = main(["converge", str(path), "--levels", "2", "--out", str(tmp_path / "conv.csv")])
         assert code == 0
         assert (tmp_path / "conv.csv").exists()
+
+    def test_steep_drift_refused_at_parse(self, tmp_path):
+        """``ou_benchmark`` with drift rate -1e10 and no Monte Carlo block
+        would take 1.2e13 substeps of 2.5e-13, 9.6e15 node-substeps, which
+        would step for days: it is refused when parsed, with exit 2 and one
+        stderr line, well within the subprocess timeout."""
+        data = json.loads((CONFIGS / "ou_benchmark.json").read_text())
+        del data["mc"], data["outputs"]
+        data["drift"]["rate"] = -1e10
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "varentropy_lab", "run", str(path), "--out",
+             str(tmp_path / "out")], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "config error: config.solver: 1.2e+13 substeps of 801 nodes, as short as 2.5e-13, "
+            "make 9.6e+15 node-substeps, more than the 1e+12 a solve may take\n")
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_steep_sweep_member_named(self, tmp_path, capsys, monkeypatch):
+        """A sweep member whose solve would be too long is refused before
+        any member runs, by its index and value."""
+        monkeypatch.setattr(scenarios, "solved_chunks", None)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": ou_config(), "parameter": "drift.rate",
+                                    "values": [-0.5, -1e10]}))
+        assert main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"config error: config\.solver: \S+ substeps of 401 nodes, .* more "
+                            r"than the 1e\+12 a solve may take \(sweep\.values\[1\] = "
+                            r"-10000000000\.0\)\n", captured.err)
+        assert captured.out == ""
+
+    def test_unallocatable_ensemble_is_one_line(self, tmp_path):
+        """A Monte Carlo block of 1e13 paths, whose first path array would
+        take 72.8 TiB, ends after the grid solve with one stderr line and
+        exit 1, not a traceback. The child's address space is capped at
+        32 GiB, so the allocation fails whatever the system's overcommit
+        policy, and nothing of that size is ever touched."""
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (32 << 30, 32 << 30))
+
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(ou_config(mc={**MEDIUM_MC, "n_paths": 1e13})))
+        proc = subprocess.run(
+            [sys.executable, "-m", "varentropy_lab", "run", str(path), "--out",
+             str(tmp_path / "out")], capture_output=True, text=True, timeout=120,
+            preexec_fn=cap)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("memory error: Unable to allocate 72.8 TiB")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_parsing_loads_no_lapack(self):
+        """Parsing checks the length of every solve, a shipped one or one
+        refused as too long, without loading the solver's LAPACK."""
+        data = json.loads((CONFIGS / "ou_benchmark.json").read_text())
+        data["drift"]["rate"] = -1e10
+        code = (
+            "from varentropy_lab import ConfigError, ScenarioConfig\n"
+            "from varentropy_lab.fokker_planck import _gt_routines\n"
+            "for name in ('ou_benchmark', 'double_well_relax'):\n"
+            f"    ScenarioConfig.from_json({str(CONFIGS)!r} + '/' + name + '.json')\n"
+            "try:\n"
+            f"    ScenarioConfig.from_dict({data!r})\n"
+            "except ConfigError as err:\n"
+            "    print(str(err).split(':')[0])\n"
+            "print(_gt_routines.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["config.solver", "0"]
 
     def test_parsing_does_not_import_scipy_linalg(self):
         """LAPACK is loaded on the first factored time step, so the CLI,
