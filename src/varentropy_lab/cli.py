@@ -95,11 +95,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
     _refuse_output("--out", args.out, directory=False)
-    rows = convergence_study(cfg, args.levels)
-    print(f"{'level':>5} {'nodes':>7} {'dt':>10} {'max_abs_err':>13} {'order':>7}")
-    for r in rows:
+    study = convergence_study(cfg, args.levels)
+    print(f"{'level':>5} {'nodes':>7} {'dt':>10} {'max_abs_err':>13} {'order':>7}", flush=True)
+    rows = []
+    # each level's line as it finishes: the finest level takes the longest
+    for r in study:
         order = f"{r.observed_order:.3f}" if r.observed_order is not None else "-"
-        print(f"{r.level:>5} {r.n_nodes:>7} {r.dt:>10.2e} {r.max_abs_error:>13.4e} {order:>7}")
+        print(f"{r.level:>5} {r.n_nodes:>7} {r.dt:>10.2e} {r.max_abs_error:>13.4e} {order:>7}",
+              flush=True)
+        rows.append(r)
     if args.out:
         write_convergence_csv(rows, args.out)
         print(f"convergence table written to {args.out}")

@@ -8,14 +8,16 @@ references all read one solution. The solution is reduced as it is
 stepped: the solver yields it in checked chunks of one functionals kernel
 block, with the mass of every row, where the report and the lowest node
 read them, and only the rows at the Monte Carlo times are kept. Each check
-compares two computations and is one function returning a :class:`Check`.
+compares two computations and is one function returning a :class:`Check`;
+one function reads every Monte Carlo check from the ``mc_diagnostics.csv``
+rows.
 Sweeps rerun a base scenario across a list of parameter overrides and
 tabulate the sign behaviour of the varentropy rate; consecutive members
 that share a grid, drift, solver config and solve mesh are solved together,
 however many, one block of states per kernel call, in chunks of one
 kernel block per member, and each member's run then reads its share. The
 convergence study reruns the exactly solvable benchmark on a ladder of
-refined meshes and reports observed orders.
+refined meshes and yields each level's error and observed order as it ends.
 
 Runs are deterministic end to end (Monte Carlo included, via seeds): a
 scenario run twice produces byte-identical CSV files, and a sweep member's
@@ -30,7 +32,7 @@ import os
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from .functionals import (
 from .grids import SAME_TIME_TOL, Density, DensityTrajectory, make_uniform_grid
 from .monte_carlo import (
     DEFAULT_MIN_COUNT,
-    MartingaleRow,
     backward_drift_target,
     ensemble_columns,
     ensemble_times,
@@ -132,41 +133,41 @@ def _vs_exact(rep: FunctionalReport, bench: OUBenchmark, quantity: str,
                            tol.oracle_rel)
 
 
-def _mc_duality(residual: Optional[float], pooled: float, tol: Tolerances,
-                undefined: str) -> Check:
-    """The binned backward-drift residual within ``mc_sigmas`` pooled
-    standard errors; fails with ``undefined`` when no bin was usable."""
-    if residual is None:
-        return Check("mc_duality", False, undefined)
-    return Check("mc_duality", residual <= tol.mc_sigmas * pooled,
-                 f"residual = {residual:.4f}, pooled SE = {pooled:.4f}")
+#: Each Monte Carlo check: the ``mc_diagnostics.csv`` kinds of its rows,
+#: and its detail, given the worst deviation in standard errors and the
+#: value and standard error of its row.
+_MC_CHECKS = {
+    "mc_duality": (("duality_residual",), "residual = {value:.4f}, pooled SE = {se:.4f}"),
+    "mc_martingale_mean": (("martingale_mean",), "worst |mean-1|/se = {worst:.2f}"),
+    "mc_martingale_conditional": (("martingale_conditional",),
+                                  "worst residual/pooled SE = {worst:.2f}"),
+    "mc_functionals_agreement": (("entropy_mc", "varentropy_mc", "varentropy_rate_mc"),
+                                 "worst |mc - quadrature|/se = {worst:.2f}"),
+}
 
 
-def _mc_martingale_mean(marti: Sequence[MartingaleRow], tol: Tolerances) -> Check:
-    worst = _worst([abs(r.mean_ratio - 1.0) / r.se_ratio for r in marti])
-    return Check("mc_martingale_mean", worst <= tol.mc_sigmas,
-                 f"worst |mean-1|/se = {worst:.2f}")
+def _mc_checks(rows: Sequence[tuple], tol: Tolerances, undefined: str) -> list[Check]:
+    """The Monte Carlo checks, read from the ``mc_diagnostics.csv`` rows.
 
-
-def _mc_martingale_conditional(marti: Sequence[MartingaleRow], tol: Tolerances,
-                               undefined: str) -> Check:
-    """The worst binned martingale residual within ``mc_sigmas`` pooled
-    standard errors; fails with ``undefined`` when no bin was usable at any
-    time."""
-    ratios = [r.cond_residual / r.cond_pooled_se for r in marti if r.cond_residual is not None]
-    if not ratios:
-        return Check("mc_martingale_conditional", False, undefined)
-    worst = _worst(ratios)
-    return Check("mc_martingale_conditional", worst <= tol.mc_sigmas,
-                 f"worst residual/pooled SE = {worst:.2f}")
-
-
-def _mc_functionals_agreement(rows: Sequence[tuple], tol: Tolerances) -> Check:
-    """Sample means against quadrature, over the ``mc_diagnostics.csv`` rows
-    of the functionals; a row with no spread (``se`` 0) is skipped."""
-    worst = _worst([0.0] + [abs(value - ref) / se for *_, value, se, ref in rows if se != 0.0])
-    return Check("mc_functionals_agreement", worst <= tol.mc_sigmas,
-                 f"worst |mc - quadrature|/se = {worst:.2f}")
+    Each passes when the worst ``|value - reference| / std_error`` over the
+    rows of its kinds is within ``mc_sigmas``, and fails with ``undefined``
+    when it has no row. The standard error is floored at the float
+    resolution of the reference, ``1e-12 * max(1, |reference|)``, so an
+    estimate equal to its reference to rounding passes; a NaN fails.
+    """
+    checks = []
+    for name, (kinds, detail) in _MC_CHECKS.items():
+        mine = [row[4:] for row in rows if row[0] in kinds]
+        if not mine:
+            checks.append(Check(name, False, undefined))
+            continue
+        value, se, ref = np.array(mine, dtype=float).T
+        z = np.abs(value - ref) / np.maximum(se, 1e-12 * np.maximum(1.0, np.abs(ref)))
+        k = int(np.argmax(z))  # the first NaN, if there is one
+        worst = float(z[k])
+        checks.append(Check(name, worst <= tol.mc_sigmas,
+                            detail.format(worst=worst, value=value[k], se=se[k])))
+    return checks
 
 
 def _fmt(value) -> str:
@@ -244,8 +245,9 @@ def run_scenario(
 
     mc_rows = []
     if cfg.mc is not None:
-        mc_checks, mc_rows = _run_mc_diagnostics(cfg, *solved.kept, pbar)
-        checks += mc_checks
+        mc_rows = _run_mc_diagnostics(cfg, *solved.kept, pbar)
+        checks += _mc_checks(mc_rows, tol, f"no bin reached min_count = {DEFAULT_MIN_COUNT} "
+                                           f"samples ({cfg.mc.n_paths} paths)")
 
     target = None if out_dir is None else Path(out_dir)
     if target is not None:
@@ -337,7 +339,8 @@ def _solve_streamed(
     mesh_times = np.array(mesh)
     chunks = solved_chunks([cfg.initial_density() for cfg in cfgs], model, mesh_times, solver,
                            block_rows(grid.n))
-    pbars = [cfg.stationary_density() for cfg in cfgs]
+    # the group shares its grid and drift, so its stationary density too
+    pbar = cfgs[0].stationary_density()
     # each scenario's time sets, with the mesh index of every time, packed:
     # the Python ints of a list would take four times the memory
     plans = [[(times, array("q", [bisect.bisect(mesh, t) - 1 for t in times.tolist()]))
@@ -355,7 +358,7 @@ def _solve_streamed(
         for m, (_, *mc_plans) in enumerate(plans):
             part = report(DensityTrajectory._from_rows(mesh_times[base:end], grid, rows[m],
                                                        row_masses[m]),
-                          pbars[m], cfgs[m].model.sigma)
+                          pbar, model.sigma)
             columns[m, :, base:end] = [getattr(part, field) for field in fields]
             for (_, index), out in zip(mc_plans, kept[m]):
                 lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
@@ -364,8 +367,8 @@ def _solve_streamed(
         _Solved(pbar, FunctionalReport(samples, *member_columns[:, index]), row_masses,
                 float(low), [DensityTrajectory._from_rows(times, grid, out, row_masses[index])
                              for (times, index), out in zip(mc_plans, kept_rows)])
-        for pbar, member_columns, row_masses, low, ((samples, index), *mc_plans), kept_rows
-        in zip(pbars, columns, masses, lowest, plans, kept)
+        for member_columns, row_masses, low, ((samples, index), *mc_plans), kept_rows
+        in zip(columns, masses, lowest, plans, kept)
     ]
 
 
@@ -374,15 +377,14 @@ def _run_mc_diagnostics(
     dense_traj: DensityTrajectory,
     traj: DensityTrajectory,
     pbar: Density,
-) -> tuple[list[Check], list[tuple]]:
-    """Run the configured ensembles; return the Monte Carlo checks and the
-    ``mc_diagnostics.csv`` rows.
+) -> list[tuple]:
+    """Run the configured ensembles; return the ``mc_diagnostics.csv`` rows,
+    which :func:`_mc_checks` reads.
 
     ``dense_traj`` and ``traj`` are the run's solution at the stored times of
     the dense and of the coarse ensemble; both start from the initial density.
     """
     mc = cfg.mc
-    tol = cfg.tolerances
     p0 = traj[0]
     bins = make_uniform_grid(-mc.bin_span, mc.bin_span, mc.bins)
     rows: list[tuple] = []
@@ -408,12 +410,9 @@ def _run_mc_diagnostics(
     est = estimate_backward_drift(*kept, mc.dt, bins)
     # free the copies: the coarse ensemble below sets the run's memory peak
     kept.clear()
-    residual = pooled = None
     defined = est.defined
     if np.any(defined):
         target = backward_drift_target(est, cfg.model, dense_traj[last])
-        residual = est.residual(target)
-        pooled = est.pooled_standard_error()
         rows += [
             ("backward_drift", t_last, float(center), int(count), float(value), float(se),
              float(ref))
@@ -422,13 +421,7 @@ def _run_mc_diagnostics(
                 est.std_errors[defined], target)
         ]
         rows.append(("duality_residual", t_last, None, int(est.counts[defined].sum()),
-                     residual, pooled, 0.0))
-    undefined = f"no bin reached min_count = {DEFAULT_MIN_COUNT} samples ({mc.n_paths} paths)"
-    checks = [
-        _mc_duality(residual, pooled, tol, undefined),
-        _mc_martingale_mean(marti, tol),
-        _mc_martingale_conditional(marti, tol, undefined),
-    ]
+                     est.residual(target), est.pooled_standard_error(), 0.0))
     for r in marti:
         rows.append(("martingale_mean", r.time, None, mc.n_paths,
                      r.mean_ratio, r.se_ratio, 1.0))
@@ -441,7 +434,6 @@ def _run_mc_diagnostics(
     paths = simulate_ensemble(
         cfg.model, p0, mc.dt, mc.t_end, mc.n_paths, mc.seed, store_every=mc.store_every
     )
-    functional_rows = []
     for x, p_t in zip(paths.T, traj.states, strict=True):
         est_f = mc_functionals(x, p_t, pbar, cfg.model.sigma)
         for name, value, se, ref in (
@@ -451,9 +443,8 @@ def _run_mc_diagnostics(
             ("varentropy_rate_mc", est_f.varentropy_rate, est_f.varentropy_rate_se,
              varentropy_rate(p_t, pbar, cfg.model.sigma)),
         ):
-            functional_rows.append((name, est_f.time, None, mc.n_paths, value, se, ref))
-    checks.append(_mc_functionals_agreement(functional_rows, tol))
-    return checks, rows + functional_rows
+            rows.append((name, est_f.time, None, mc.n_paths, value, se, ref))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +562,17 @@ class ConvergenceRow:
     observed_order: Optional[float]
 
 
-def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
+def convergence_study(cfg: ScenarioConfig, levels: int) -> Iterator[ConvergenceRow]:
     """Errors of the computed varentropy against the exact benchmark under
-    simultaneous halving of the grid spacing and the time step.
+    simultaneous halving of the grid spacing and the time step, one row per
+    level, yielded as that level's solve finishes.
 
     Only defined for benchmark scenarios (standard OU drift, centered
     Gaussian start), where the exact values are available. The observed
     order for level k compares errors at levels k-1 and k; with two levels a
     single ratio is reported. Each refusal is a ``ConfigError``, raised
-    before any solve: too few levels, a config without the exact
-    benchmark, or a level whose solve :func:`substep_plan` refuses.
+    when this is called, before any solve: too few levels, a config without
+    the exact benchmark, or a level whose solve :func:`substep_plan` refuses.
     """
     if levels < 2:
         raise ConfigError(f"--levels: need at least 2 levels, got {levels}")
@@ -599,18 +591,21 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> list[ConvergenceRow]:
         except SolveError as err:
             raise ConfigError(f"--levels: level {level} of {levels}: {err}") from err
         ladder.append(replace(cfg, grid=grid, solver=solver))
-    rows: list[ConvergenceRow] = []
+    return _convergence_rows(ladder, t_samples, exact)
+
+
+def _convergence_rows(ladder: Sequence[ScenarioConfig], t_samples: np.ndarray,
+                      exact: np.ndarray) -> Iterator[ConvergenceRow]:
     prev_err = None
     for level, refined in enumerate(ladder):
         pbar = refined.stationary_density()
-        traj = solve(refined.initial_density(), cfg.model, t_samples, refined.solver)
-        err = _worst(np.abs(report(traj, pbar, cfg.model.sigma).varentropy - exact))
+        traj = solve(refined.initial_density(), refined.model, t_samples, refined.solver)
+        err = _worst(np.abs(report(traj, pbar, refined.model.sigma).varentropy - exact))
         order = None
         if prev_err is not None:
             order = math.log2(prev_err / err) if err > 0 else math.inf
-        rows.append(ConvergenceRow(level, refined.grid.n, refined.solver.dt, err, order))
+        yield ConvergenceRow(level, refined.grid.n, refined.solver.dt, err, order)
         prev_err = err
-    return rows
 
 
 def write_convergence_csv(rows: list[ConvergenceRow], path: str | Path):

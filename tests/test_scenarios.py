@@ -20,7 +20,6 @@ from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
 from varentropy_lab.fokker_planck import SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
 from varentropy_lab.config import ConfigError, Tolerances, _deep_merge
-from varentropy_lab.monte_carlo import MartingaleRow
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -346,6 +345,17 @@ class TestRunScenario:
         assert np.all(result.report.varentropy < 1e-10)
         assert np.all(result.report.relative_fisher < 1e-10)
 
+    def test_stationary_scenario_passes_every_mc_check(self):
+        """Started at its stationary law, the run's Monte Carlo estimates
+        equal their references to rounding, with standard errors of the
+        same size: every check passes, the Monte Carlo ones included."""
+        cfg = ScenarioConfig.from_dict(ou_config(
+            initial={"kind": "gaussian", "mean": 0.0, "variance": 1.0}, mc=MEDIUM_MC))
+        result = run_scenario(cfg)
+        assert {c.name for c in result.checks} >= set(scenarios._MC_CHECKS)
+        failing = [c for c in result.checks if not c.passed]
+        assert not failing, failing
+
     @pytest.mark.parametrize("samples", [1, 2, 3])
     def test_short_trajectory_csv_end_cells(self, samples, tmp_path):
         """1, 2 and 3 samples give 0, 0 and 1 finite differences, and
@@ -500,6 +510,11 @@ class TestRunScenario:
         assert peak < 0.5 * dense_bytes, (peak, dense_bytes)
 
 
+def mc_check(name, rows):
+    """The check ``name`` of :func:`scenarios._mc_checks` over ``rows``."""
+    return next(c for c in scenarios._mc_checks(rows, Tolerances(), "none") if c.name == name)
+
+
 class TestChecksFailOnNaN:
     """A NaN anywhere in what a check reduces fails the check, and its detail
     shows ``nan``; Python's ``max`` would drop a NaN that is not first."""
@@ -521,21 +536,54 @@ class TestChecksFailOnNaN:
         self._failed_with_nan(scenarios._entropy_rate_nonpositive(rep))
 
     def test_mc_martingale_mean(self):
-        marti = [MartingaleRow(0.0, 1.0, 0.1, None, None),
-                 MartingaleRow(0.5, self.NAN, 0.1, None, None)]
-        self._failed_with_nan(scenarios._mc_martingale_mean(marti, Tolerances()))
+        rows = [("martingale_mean", 0.0, None, 100, 1.0, 0.1, 1.0),
+                ("martingale_mean", 0.5, None, 100, self.NAN, 0.1, 1.0)]
+        self._failed_with_nan(mc_check("mc_martingale_mean", rows))
 
     def test_mc_martingale_conditional(self):
-        marti = [MartingaleRow(0.0, 1.0, 0.1, 0.0, 0.1),
-                 MartingaleRow(0.5, 1.0, 0.1, self.NAN, 0.1)]
-        self._failed_with_nan(scenarios._mc_martingale_conditional(marti, Tolerances(), "none"))
+        rows = [("martingale_conditional", 0.0, None, 100, 0.0, 0.1, 0.0),
+                ("martingale_conditional", 0.5, None, 100, self.NAN, 0.1, 0.0)]
+        self._failed_with_nan(mc_check("mc_martingale_conditional", rows))
 
     @pytest.mark.parametrize("field", ["value", "se", "ref"])
     def test_mc_functionals_agreement(self, field):
         bad = {"value": 0.5, "se": 0.1, "ref": 0.5, field: self.NAN}
         rows = [("entropy_mc", 0.0, None, 100, 0.5, 0.1, 0.5),
                 ("entropy_mc", 0.5, None, 100, bad["value"], bad["se"], bad["ref"])]
-        self._failed_with_nan(scenarios._mc_functionals_agreement(rows, Tolerances()))
+        self._failed_with_nan(mc_check("mc_functionals_agreement", rows))
+
+
+class TestMcChecks:
+    """The Monte Carlo checks read the ``mc_diagnostics.csv`` rows, each in
+    standard errors floored at its reference's float resolution."""
+
+    @staticmethod
+    def _check(value, se, ref):
+        return mc_check("mc_functionals_agreement", [("entropy_mc", 0.0, None, 100, value, se, ref)])
+
+    def test_deviation_beyond_rounding_fails(self):
+        check = self._check(0.5 + 1e-6, 1e-18, 0.5)
+        assert not check.passed
+        assert check.detail == "worst |mc - quadrature|/se = 1000000.00"
+
+    def test_rounding_passes(self):
+        assert self._check(0.5 + 2**-53, 0.0, 0.5).passed
+        assert self._check(1e6 * (1 + 2**-52), 1e-18, 1e6).passed
+
+    def test_check_without_rows_fails_with_the_undefined_text(self):
+        rows = [("martingale_mean", 0.0, None, 100, 1.0, 0.1, 1.0)]
+        checks = scenarios._mc_checks(rows, Tolerances(), "no bin")
+        assert [(c.name, c.passed, c.detail) for c in checks] == [
+            ("mc_duality", False, "no bin"),
+            ("mc_martingale_mean", True, "worst |mean-1|/se = 0.00"),
+            ("mc_martingale_conditional", False, "no bin"),
+            ("mc_functionals_agreement", False, "no bin"),
+        ]
+
+    def test_duality_detail_names_its_row(self):
+        rows = [("duality_residual", 0.5, None, 900, 0.25, 0.125, 0.0)]
+        assert mc_check("mc_duality", rows) == scenarios.Check(
+            "mc_duality", True, "residual = 0.2500, pooled SE = 0.1250")
 
 
 class TestSweep:
@@ -796,7 +844,7 @@ class TestConvergence:
                 time={"t_end": 1.0, "n_samples": 11},
             )
         )
-        rows = convergence_study(cfg, levels=3)
+        rows = list(convergence_study(cfg, levels=3))
         assert len(rows) == 3
         assert rows[0].observed_order is None
         for row in rows[1:]:
@@ -807,7 +855,7 @@ class TestConvergence:
             ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 101},
                       solver={"dt": 4e-3}, time={"t_end": 0.5, "n_samples": 6})
         )
-        rows = convergence_study(cfg, levels=2)
+        rows = list(convergence_study(cfg, levels=2))
         assert len(rows) == 2
         assert rows[1].observed_order is not None
 
@@ -820,9 +868,31 @@ class TestConvergence:
                 time={"t_end": 0.5, "n_samples": 6},
             )
         )
-        rows = convergence_study(cfg, levels=2)
+        rows = list(convergence_study(cfg, levels=2))
+        assert len(rows) == 2
         for row in rows:
             assert row.max_abs_error < 1e-10
+
+    def test_rows_stream_one_level_at_a_time(self, monkeypatch):
+        """Level 0's row comes after its one solve, before level 1's."""
+        calls = []
+        real_solve = scenarios.solve
+
+        def counting_solve(*args):
+            calls.append(args)
+            return real_solve(*args)
+
+        monkeypatch.setattr(scenarios, "solve", counting_solve)
+        cfg = ScenarioConfig.from_dict(
+            ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 101},
+                      solver={"dt": 4e-3}, time={"t_end": 0.5, "n_samples": 6})
+        )
+        rows = convergence_study(cfg, levels=2)
+        assert calls == []
+        assert next(rows).level == 0
+        assert len(calls) == 1
+        assert next(rows).level == 1
+        assert len(calls) == 2
 
     def test_requires_benchmark_scenario(self, dw_model):
         data = ou_config(
