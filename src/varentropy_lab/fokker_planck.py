@@ -16,8 +16,48 @@ the update would violate the positivity bound
 ``(1 - theta) * dt * max|diag| <= 1`` the step is transparently split into
 equal substeps, so no step produces a negative node value.
 
-Each step conserves trapezoid-rule mass to rounding because the update is
-in flux form and the boundary fluxes are identically zero. One loop steps
+The generator L is in detailed balance with the sampled stationary density
+pbar: the flux across each cell vanishes at pbar. So ``S = D^-1 L D`` is
+symmetric for ``d_i = sqrt(pbar_i / width_i) = exp(-Phi(x_i) / sigma^2) /
+sqrt(width_i)``, with the off-diagonal ``sqrt(upper_i lower_{i+1})`` and L's
+diagonal (Chang & Cooper; Mohammadi & Borzi, J. Numer. Math. 23, 2015), and
+a theta step of L is ``D`` times the theta step of S times ``D^-1``. The
+generator computes d from the potential, centred in log space (its largest
+and smallest logarithms equally far from 0), and steps in that basis, the
+symmetric path, unless the form cannot be represented. Then it keeps the
+pivoted LU of L, the LU path, with d = 1. It decides from its own arrays,
+with no option:
+
+* a cell whose coupling is one-way (the fitting weight ``B(z)`` is 0 where
+  ``e^z`` overflows, so ``sqrt(upper_i lower_{i+1})`` is 0) takes the LU
+  path;
+* so does a log scale ``ln d`` that spreads wider than
+  ``_MAX_LOG_SCALE_SPREAD`` (256), whose d or 1/d would reach beyond 1e56.
+
+Both shipped ``run`` configs and the shipped sweep take the symmetric path
+(spreads 16 and 31); a quartic ``x^4`` at sigma 0.5 on [-7, 7] takes the LU
+path (spread 9600, and 22 one-way cells).
+
+On the symmetric path the implicit matrix ``I - theta dt S`` is a symmetric
+M-matrix, so positive definite, and it is factored as ``L D L^T`` without
+pivoting (LAPACK ``dpttrf``) and solved with ``dpttrs``; the explicit stage
+multiplies by ``I + (1 - theta) dt S``. Both stages keep non-negative data
+non-negative exactly, in floating point, not just up to rounding: within the
+positivity bound the explicit stage sums non-negative products, and the
+``L D L^T`` solve's multipliers are non-positive, so its forward and back
+substitutions add non-negative terms and divide by positive pivots. The
+scaling by 1/d and by d multiplies by positive numbers.
+
+Mass is conserved to rounding. On the LU path the update is in flux form
+and the boundary fluxes are identically zero, so each step conserves
+trapezoid-rule mass to rounding. The symmetric path's step is that flux-form
+step only up to the rounding of ``D S D^-1``: d comes from the potential,
+and the Bernoulli weights from its differences, so the two agree only to
+rounding, which grows with the spread of ``ln d``. The measured drift stays
+at the level of rounding: ``run double_well_relax`` has a largest ``|mass - 1|`` of 2.0e-13,
+where the LU path gave 2.4e-13.
+
+One loop steps
 and checks every solve: :func:`solved_chunks` steps one or more starts on
 one grid together and fills a buffer of a given number of output times per
 start; each time it is full, one pass takes the mass of every row and
@@ -26,45 +66,46 @@ of every output time of one start. A caller that needs only some numbers
 of each state reduces the chunks as they come and holds no trajectory, as
 every scenario run does (``scenarios._solve_streamed``).
 
-The implicit matrix ``I - theta dt L`` of a step depends only on the
-generator, ``theta`` and the substep size ``dt``, and a run uses only a few
-distinct substep sizes. Each generator therefore factors that tridiagonal
-matrix once per ``(dt, theta)`` with LAPACK ``dgttrf`` and keeps the factors
-(the LU / Thomas reuse for a constant tridiagonal operator) with the
-prebuilt arguments of each call a substep makes, for a bounded number of
-sizes, so irregular output meshes cannot grow memory. A solve builds its
-own generator and shares it, and its buffers, with no other solve, so
-solves may run in separate threads.
+The implicit matrix ``I - theta dt A`` of a step, with A = S or L, depends
+only on the generator, ``theta`` and the substep size ``dt``, and a run uses
+only a few distinct substep sizes. Each generator therefore factors that
+tridiagonal matrix once per ``(dt, theta)``, with ``dpttrf`` or ``dgttrf``,
+and keeps the factors with the prebuilt arguments of each call a substep
+makes, for a bounded number of sizes, so irregular output meshes cannot grow
+memory. A solve builds its own generator and shares it, and its buffers,
+with no other solve, so solves may run in separate threads.
 
 One output interval is one kernel call: all its substeps have one size.
 The kernel steps a block of m states, one per row of the generator's two
 ``(m, n)`` state buffers: one state for :func:`solve`, one per start for
-:func:`solved_chunks`. A substep is two LAPACK calls between the buffers,
-with ``NRHS = m`` and both leading dimensions ``LDX = LDB = n``:
-``dlagtm`` writes the explicit stage ``(I + (1-theta) dt L) v`` of one into
-the other, and ``dgttrs`` solves there in place. Both routines treat each
-right-hand side on its own, with the operations a single one gets (LAPACK
-Users' Guide, Anderson et al., 3rd ed., 1999), so each start's rows equal
-its solve alone bit for bit. Both
-are bare ``ctypes`` function pointers, declaring no argument types, so the
-prebuilt pointer arguments pass unconverted, and ``info`` is read once per
-interval. At n = 501 a substep of one state takes about 11 us, 8.5 us of it
-LAPACK arithmetic and 2.2 us call overhead, which argument conversion and
-an ``info`` read per substep made 2.7 us (x86_64, median of in-process
-timings). A block shares the call overhead and the loads of the factors
-among its states: the 8 members of the 1201-sample sweep take 0.62 s
-solved one by one, 0.52 s in groups of 3 and 0.46 s as one group of 8 (one
-pinned CPU, median of 5, in process). A stream of chunks holds no
-trajectory, so the sweep steps all 8 as one group.
+:func:`solved_chunks`. It divides the block by d once, takes every
+substep as two LAPACK calls between the buffers, with ``NRHS = m`` and both
+leading dimensions ``LDX = LDB = n``, and multiplies the last states by d
+once. ``dlagtm`` writes the explicit stage ``(I + (1-theta) dt A) v`` of
+one buffer into the other, and ``dpttrs`` (or ``dgttrs``) solves there in
+place. These routines treat each right-hand side on its own, with the
+operations a single one gets (LAPACK Users' Guide, Anderson et al., 3rd ed.,
+1999), so each start's rows equal its solve alone bit for bit. They are bare
+``ctypes`` function pointers, declaring no argument types, so the prebuilt
+pointer arguments pass unconverted, and ``info`` is read once per interval.
+At n = 501 a substep of the 8-state block of the sweep takes about 40 us on
+the symmetric path and 68 us on the LU path, where ``dgttrs`` alone took
+62 us (x86_64, one pinned CPU, median of 7 in-process runs of 2000
+substeps). The ``L D L^T`` substitutions are two passes with one multiply
+and subtract each on the recurrence; ``dgttrs`` tests a pivot per node and
+carries a second superdiagonal. A block shares the call overhead and the
+loads of the factors among its states, and a stream of chunks holds no
+trajectory, so the sweep steps all 8 members as one group.
 
 ``dlagtm`` rounds node i as ``((0 + l_i v_{i-1}) + c_i v_i) + u_i v_{i+1}``,
 the three-point sum evaluated left to right. On x86_64, where this was
-checked, the states therefore equal separately assembled steps bit for bit;
-a LAPACK compiled with fused multiply-add contraction (GCC's default on
-aarch64) may fuse a product into the running sum and round differently.
+checked, the states therefore equal separately assembled steps bit for bit
+(scipy's ``dptsv`` on the symmetric path, its banded solver on the LU
+path); a LAPACK compiled with fused multiply-add contraction (GCC's default
+on aarch64) may fuse a product into the running sum and round differently.
 
 The routines are loaded once per process, on the first factored step, from
-the OpenBLAS bundled in numpy's wheel (symbols ``scipy_dgttrf_64_`` and so
+the OpenBLAS bundled in numpy's wheel (symbols ``scipy_dpttrs_64_`` and so
 on: 64-bit integers, gfortran's hidden string lengths), found through
 numpy's own extension module with no scipy import. Where numpy has no such
 library they come from the capsules of scipy's ``cython_lapack`` (32-bit
@@ -107,6 +148,13 @@ _STEP_CACHE_SIZE = 16
 #: 4 hours at 15 ns each; the shipped solves take 4.8e6 to 2.3e8.
 MAX_NODE_SUBSTEPS = 1e12
 
+#: Widest spread ``max - min`` of ``ln d`` that the symmetric path takes.
+#: Centred, d and 1/d then lie within e^128 (about 1e56) of 1, so the scaled
+#: states keep all but 56 of the 308 decades below 1 that a float holds, and
+#: the rounding of ``exp`` stays within about 128 units in the last place of
+#: d. The shipped configs spread 16 (``ou_benchmark``) to 31 (the double well).
+_MAX_LOG_SCALE_SPREAD = 256.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -131,15 +179,20 @@ class SolverConfig:
             raise ValueError(f"mass_tol must be positive and finite, got {self.mass_tol}")
 
 
+#: The LAPACK routines of a factored step, in the order :func:`_lapack_routines`
+#: returns them.
+_ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dlagtm")
+
+
 def _openblas_addresses():
-    """The addresses of ``dgttrf``, ``dgttrs`` and ``dlagtm`` in the OpenBLAS
-    that numpy's wheel bundles, or None where numpy links no such library."""
+    """The addresses of the :data:`_ROUTINES` in the OpenBLAS that numpy's
+    wheel bundles, or None where numpy links no such library."""
     try:
         from numpy._core import _multiarray_umath
         # dlsym on this handle also searches the libraries the module links
         library = ctypes.CDLL(_multiarray_umath.__file__)
         return [ctypes.cast(getattr(library, f"scipy_{name}_64_"), ctypes.c_void_p).value
-                for name in ("dgttrf", "dgttrs", "dlagtm")]
+                for name in _ROUTINES]
     except (ImportError, OSError, AttributeError):
         return None
 
@@ -159,10 +212,10 @@ def _cython_lapack():
 
 
 @functools.cache
-def _gt_routines():
-    """``dgttrf``, ``dgttrs`` and ``dlagtm`` as bare ctypes function pointers,
-    their integer type, and the arguments that the calling convention appends
-    to each call of the last two (see the module docstring).
+def _lapack_routines():
+    """The :data:`_ROUTINES` as bare ctypes function pointers, their integer
+    type, and the arguments that the calling convention appends to each call
+    of a routine with a character argument (see the module docstring).
 
     The pointers declare no argument types, so a call passes its prebuilt
     ``c_void_p`` and ``c_size_t`` arguments as they are, converting none."""
@@ -175,11 +228,10 @@ def _gt_routines():
         name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
         pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", api))
-        capsules = [cython_lapack.__pyx_capi__[r] for r in ("dgttrf", "dgttrs", "dlagtm")]
+        capsules = [cython_lapack.__pyx_capi__[r] for r in _ROUTINES]
         addresses = [pointer(capsule, name(capsule)) for capsule in capsules]
         integer, lengths = ctypes.c_int32, ()
-    dgttrf, dgttrs, dlagtm = map(ctypes.CFUNCTYPE(None), addresses)
-    return dgttrf, dgttrs, dlagtm, integer, lengths
+    return (*map(ctypes.CFUNCTYPE(None), addresses), integer, lengths)
 
 
 def _pointers(*arrays: np.ndarray) -> tuple:
@@ -204,7 +256,9 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 class _Generator:
     """Tridiagonal spatial generator L with dp/dt = L p, assembled once per
-    solve and reused across its steps.
+    solve and reused across its steps, with its symmetric form
+    ``S = D^-1 L D`` where that form can be represented (see the module
+    docstring): ``symmetric`` says which path the steps take.
 
     ``run`` keeps the factored step of each ``(dt, theta)``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
@@ -216,10 +270,11 @@ class _Generator:
         x = grid.x
         dx = grid.dx
         diff = model.sigma**2 / 2.0
+        phi = model.potential(x)
         # cell weight from the exact potential drop across the cell:
         # the discrete stationary state then reproduces exp(-2 Phi / sigma^2)
         # nodewise exactly.
-        w = -2.0 * (model.potential(x[1:]) - model.potential(x[:-1])) / model.sigma**2
+        w = -2.0 * (phi[1:] - phi[:-1]) / model.sigma**2
         a_edge = (diff / dx) * _bernoulli(-w)  # coefficient of p_i   in flux_{i+1/2}
         c_edge = (diff / dx) * _bernoulli(w)   # coefficient of p_{i+1} in flux_{i+1/2}
 
@@ -239,6 +294,15 @@ class _Generator:
         self.lower = lower
         self.diag = diag
         self.upper = upper
+        # the detailed-balance basis: S = D^-1 L D is symmetric for
+        # d_i = sqrt(pbar_i / width_i), with the off-diagonal sqrt(upper_i lower_i+1)
+        log_scale = -phi / model.sigma**2 - 0.5 * np.log(widths)
+        high, low = log_scale.max(), log_scale.min()
+        self.coupling = np.sqrt(upper[:-1] * lower[1:])
+        self.symmetric = bool(high - low <= _MAX_LOG_SCALE_SPREAD
+                              and np.all((self.coupling > 0.0) & (self.coupling < math.inf)))
+        # d centred in log space; on the LU path 1, which scales exactly
+        self.scale = np.exp(log_scale - 0.5 * (high + low)) if self.symmetric else np.ones(grid.n)
         self.max_rate = float(np.max(-diag))
         self.width = width
         self._steps: dict[tuple[float, float], tuple] = {}
@@ -255,40 +319,52 @@ class _Generator:
         return 1.0 / ((1.0 - theta) * self.max_rate)
 
     def _factored_step(self, dt: float, theta: float) -> tuple:
-        """One theta step of size ``dt``, ready to call: ``dlagtm`` and
-        ``dgttrs``; the prebuilt arguments of ``dlagtm`` (alpha 1, beta 0) from
-        state buffer 0 into buffer 1, then of ``dgttrs`` in buffer 1 with the
-        ``dgttrf`` factors of ``I - theta dt L``, and the same two from buffer 1
-        into buffer 0; and the ``info`` that ``dgttrs`` sets. A buffer holds
+        """One theta step of size ``dt``, ready to call: ``dlagtm`` and the
+        solve routine, ``dpttrs`` on the symmetric path and ``dgttrs`` on the
+        LU path; the prebuilt arguments of ``dlagtm`` (alpha 1, beta 0) with
+        ``I + (1 - theta) dt A`` from state buffer 0 into buffer 1, then of the
+        solve in buffer 1 with the factors of ``I - theta dt A`` (``dpttrf``,
+        or ``dgttrf``), and the same two from buffer 1 into buffer 0; and the
+        ``info`` that the solve sets. ``A`` is ``S`` or ``L``. A buffer holds
         one state per row, so the right-hand-side count is the generator's
         width and both leading dimensions are n."""
         # loaded here, not with the package, so parsing a config loads no LAPACK
-        dgttrf, dgttrs, dlagtm, integer, lengths = _gt_routines()
+        dgttrf, dgttrs, dpttrf, dpttrs, dlagtm, integer, lengths = _lapack_routines()
         n, nrhs, info = (np.array([k], dtype=integer) for k in (self.diag.size, self.width, 0))
         trans, alpha, beta = np.array(b"N"), np.array([1.0]), np.array([0.0])
+        sub, sup = ((self.coupling, self.coupling) if self.symmetric
+                    else (self.lower[1:], self.upper[:-1]))
 
-        def shifted(scale):  # the three diagonals of I + scale L
-            return scale * self.lower[1:], 1.0 + scale * self.diag, scale * self.upper[:-1]
+        def shifted(scale):  # the three diagonals of I + scale A
+            return scale * sub, 1.0 + scale * self.diag, scale * sup
 
         explicit = shifted((1.0 - theta) * dt)
-        factors = (*shifted(-theta * dt), np.empty(n[0] - 2), np.empty(n[0], dtype=integer))
+        lower, centre, upper = shifted(-theta * dt)
         # one pointer per array, shared by every call that passes the array
         trans_ptr, n_ptr, nrhs_ptr, alpha_ptr, beta_ptr, info_ptr = _pointers(
             trans, n, nrhs, alpha, beta, info)
+        if self.symmetric:
+            # LDL^T: the diagonal of D and the subdiagonal of L, in place
+            factor, solve_step, factors, head, tail = dpttrf, dpttrs, (centre, lower), (), ()
+        else:
+            factor, solve_step, head, tail = dgttrf, dgttrs, (trans_ptr,), lengths
+            factors = (lower, centre, upper, np.empty(n[0] - 2), np.empty(n[0], dtype=integer))
         explicit_ptr, factors_ptr = _pointers(*explicit), _pointers(*factors)
-        dgttrf(n_ptr, *factors_ptr, info_ptr)
+        factor(n_ptr, *factors_ptr, info_ptr)
         if info[0] != 0:
             raise RuntimeError(f"tridiagonal time-step factorization failed (info={info[0]})")
         calls = [((trans_ptr, n_ptr, nrhs_ptr, alpha_ptr, *explicit_ptr, v, n_ptr, beta_ptr, w,
                    n_ptr, *lengths),
-                  (trans_ptr, n_ptr, nrhs_ptr, *factors_ptr, w, n_ptr, info_ptr, *lengths))
+                  (*head, n_ptr, nrhs_ptr, *factors_ptr, w, n_ptr, info_ptr, *tail))
                  for v, w in (self._states, self._states[::-1])]
-        return dlagtm, dgttrs, calls, info
+        return dlagtm, solve_step, calls, info
 
     def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
         """``n_steps`` theta-weighted steps of size ``dt`` from each state of
         ``values``, an ``(m, n)`` block or one state of n nodes, each solving
-        (I - theta dt L) v+ = (I + (1-theta) dt L) v.
+        (I - theta dt L) v+ = (I + (1-theta) dt L) v. On the symmetric path
+        the block is divided by the scale d before the first step and
+        multiplied by it after the last.
 
         Returns the generator's state buffer that holds the last states, in
         the shape of ``values``; the next call overwrites it. A block of
@@ -304,17 +380,19 @@ class _Generator:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
             step = self._steps[key] = self._factored_step(dt, theta)
-        dlagtm, dgttrs, calls, info = step
-        np.copyto(self._buffers[0], block)
+        dlagtm, solve_step, calls, info = step
+        np.divide(block, self.scale, out=self._buffers[0])
         # the calls alternate between the two directions, buffer 0 to 1 first
         for explicit, implicit in itertools.islice(itertools.cycle(calls), n_steps):
             dlagtm(*explicit)
-            dgttrs(*implicit)
-        # dgttrs sets info only for an illegal argument, and every substep
+            solve_step(*implicit)
+        # the solve sets info only for an illegal argument, and every substep
         # passes the same ones but the states, so the last call speaks for all
         if info[0]:
             raise RuntimeError(f"tridiagonal time-step solve failed (info={info[0]})")
-        return self._buffers[n_steps % 2].reshape(np.shape(values))
+        out = self._buffers[n_steps % 2]
+        out *= self.scale
+        return out.reshape(np.shape(values))
 
 
 class SolveError(RuntimeError):

@@ -141,8 +141,9 @@ def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
     gradient_rows(logratio, grid, out=slope_sq)
     np.multiply(slope_sq, slope_sq, out=slope_sq)
     fisher[:] = integrate_rows(np.multiply(slope_sq, weight, out=product), grid)
-    # clamped as ``max(x, 0.0)`` clamps: a -0.0 or a NaN stays
-    for column in (entropy, fisher, variance):
+    # clamped as ``max(x, 0.0)`` clamps: a -0.0 or a NaN stays. The Fisher
+    # integrand is non-negative term by term and needs none
+    for column in (entropy, variance):
         np.copyto(column, 0.0, where=column < 0.0)
     # -1 - logratio and -logratio - 1 are one rounding of the same number
     np.subtract(-1.0, logratio, out=product)

@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dptsv
 
 from varentropy_lab import (
     Density,
     DensityTrajectory,
+    GradientDrift,
     OUBenchmark,
     SolverConfig,
     SweepConfig,
@@ -41,6 +43,29 @@ from varentropy_lab.fokker_planck import (
 from varentropy_lab.scenarios import ScenarioConfig, run_scenario
 
 from harmonicity import laplacian, reverse_harmonic_residual, weighted_residual_norm
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: A steep quartic at sigma 0.5 on a wide coarse grid: the potential drops by
+#: far more than sigma^2 across the outer cells, so their coupling is one-way
+#: and the generator steps on the LU path.
+STEEP_QUARTIC = {
+    "name": "steep_quartic",
+    "drift": {"kind": "gradient", "coeffs": [0, 0, 0, 0, 1], "sigma": 0.5},
+    "initial": {"kind": "gaussian", "mean": 0.0, "variance": 0.25},
+    "grid": {"lo": -7.0, "hi": 7.0, "n": 101},
+    "solver": {"dt": 1e-2},
+    "time": {"t_end": 0.1, "n_samples": 11},
+}
+_STEEP = ScenarioConfig.from_dict(STEEP_QUARTIC)
+
+#: The grid and drift of each solver path: the double well of the shipped
+#: configs takes the symmetric path, the steep quartic the LU path.
+PATHS = {
+    "double_well": (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0)),
+    "steep_quartic": (_STEEP.grid, _STEEP.model),
+}
 
 
 @pytest.fixture(scope="module")
@@ -227,14 +252,7 @@ class TestBernoulliWeight:
     def test_steep_quartic_runs_without_warnings(self):
         """A steep quartic at sigma 0.5 on a wide coarse grid drops the
         potential by far more than sigma^2 across the outer cells."""
-        cfg = ScenarioConfig.from_dict({
-            "name": "steep_quartic",
-            "drift": {"kind": "gradient", "coeffs": [0, 0, 0, 0, 1], "sigma": 0.5},
-            "initial": {"kind": "gaussian", "mean": 0.0, "variance": 0.25},
-            "grid": {"lo": -7.0, "hi": 7.0, "n": 101},
-            "solver": {"dt": 1e-2},
-            "time": {"t_end": 0.1, "n_samples": 11},
-        })
+        cfg = ScenarioConfig.from_dict(STEEP_QUARTIC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_scenario(cfg)
@@ -245,7 +263,8 @@ class TestBernoulliWeight:
 
 def _reference_advance(gen, values, dt, theta):
     """The theta step assembled from the generator's diagonals and solved by
-    scipy's banded solver, with no factorization reused."""
+    scipy's banded solver, with no factorization reused: the reference of
+    the LU path."""
     rhs = values * (1.0 + (1.0 - theta) * dt * gen.diag)
     rhs[1:] += (1.0 - theta) * dt * gen.lower[1:] * values[:-1]
     rhs[:-1] += (1.0 - theta) * dt * gen.upper[:-1] * values[1:]
@@ -256,18 +275,64 @@ def _reference_advance(gen, values, dt, theta):
     return solve_banded((1, 1), ab, rhs)
 
 
+def _reference_advance_symmetric(grid, model, values, dt, theta, n_steps=1):
+    """``n_steps`` theta steps in the detailed-balance basis, the reference of
+    the symmetric path, with no factorization reused. ``S = D^-1 L D`` is
+    assembled from the generator's diagonals, with off-diagonal
+    ``sqrt(upper_i lower_i+1)``, and ``d = exp(-Phi / sigma^2) / sqrt(width)``
+    centred in log space from the potential. The state is divided by ``d``;
+    each step sums its explicit stage on ``S`` left to right and solves its
+    implicit one with scipy's ``dptsv``; the result is multiplied by ``d``."""
+    gen = _Generator(grid, model)
+    coupling = np.sqrt(gen.upper[:-1] * gen.lower[1:])
+    widths = np.full(grid.n, grid.dx)
+    widths[0] = widths[-1] = 0.5 * grid.dx
+    log_d = -model.potential(grid.x) / model.sigma**2 - 0.5 * np.log(widths)
+    d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
+    side, centre = (1.0 - theta) * dt * coupling, 1.0 + (1.0 - theta) * dt * gen.diag
+    u = values / d
+    for _ in range(n_steps):
+        rhs = np.empty_like(u)
+        rhs[0] = centre[0] * u[0] + side[0] * u[1]
+        rhs[1:-1] = (side[:-1] * u[:-2] + centre[1:-1] * u[1:-1]) + side[1:] * u[2:]
+        rhs[-1] = side[-1] * u[-2] + centre[-1] * u[-1]
+        *_, u, info = dptsv(1.0 - theta * dt * gen.diag, -theta * dt * coupling, rhs)
+        assert info == 0
+    return u * d
+
+
+def _reference_chain(grid, model, values, dt, theta, n_steps=1):
+    """``n_steps`` reference steps on the path that the generator of ``grid``
+    and ``model`` takes, as one ``run`` call steps them."""
+    gen = _Generator(grid, model)
+    if gen.symmetric:
+        return _reference_advance_symmetric(grid, model, values, dt, theta, n_steps)
+    for _ in range(n_steps):
+        values = _reference_advance(gen, values, dt, theta)
+    return values
+
+
+def _each_path(*values):
+    """Parameters ``(path, value)``: the double well's keep the ids of
+    ``values`` alone, the steep quartic's are prefixed with its name."""
+    return [pytest.param(path, value, id=str(value) if path == "double_well"
+                         else f"{path}-{value}")
+            for path in PATHS for value in values]
+
+
 class TestFactoredStep:
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_bit_identical_to_unfactored_solve(self, dw_model, dw_grid, theta):
+    @pytest.mark.parametrize("path, theta", _each_path(0.5, 1.0))
+    def test_bit_identical_to_unfactored_solve(self, path, theta):
         """Reusing the cached factors changes no bit of any state over
-        1200 steps cycling through three substep sizes."""
-        gen = _Generator(dw_grid, dw_model)
-        values = mixture_density(dw_grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
+        1200 steps cycling through three substep sizes, on either path."""
+        grid, model = PATHS[path]
+        gen = _Generator(grid, model)
+        values = mixture_density(grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
         sizes = (1e-3 / 8, 1e-4, 1e-3 / 9)
         for k in range(1200):
             dt = sizes[k % len(sizes)]
             new = gen.run(values, dt, theta, 1).copy()
-            assert np.array_equal(new, _reference_advance(gen, values, dt, theta)), k
+            assert np.array_equal(new, _reference_chain(grid, model, values, dt, theta)), k
             values = new
 
     def test_cache_stays_bounded(self, dw_model, dw_grid, dw_stationary):
@@ -280,7 +345,7 @@ class TestFactoredStep:
         # an evicted size is factored again and still matches the reference
         assert (sizes[0], 0.5) not in gen._steps
         again = gen.run(values, sizes[0], 0.5, 1).copy()
-        assert np.array_equal(again, _reference_advance(gen, values, sizes[0], 0.5))
+        assert np.array_equal(again, _reference_chain(dw_grid, dw_model, values, sizes[0], 0.5))
 
     @pytest.mark.parametrize("block_width", [1, 3])
     def test_run_refuses_a_block_of_another_width(self, dw_model, dw_grid, dw_stationary,
@@ -297,29 +362,87 @@ class TestFactoredStep:
         gen = _Generator(dw_grid, dw_model)
         gen.lower = np.zeros(dw_grid.n)
         gen.upper = np.zeros(dw_grid.n)
+        gen.coupling = np.zeros(dw_grid.n - 1)
         gen.diag = np.ones(dw_grid.n)  # I - 1 * 1 * L is the zero matrix
         with pytest.raises(RuntimeError, match="factorization failed"):
             gen.run(np.ones(dw_grid.n), 1.0, 1.0, 1).copy()
 
 
+class TestSolverPath:
+    """The generator steps in the detailed-balance basis with ``dpttrf`` and
+    ``dpttrs`` wherever that form can be represented, and with the pivoted
+    LU otherwise."""
+
+    def test_shipped_configs_take_the_symmetric_path(self):
+        configs = [ScenarioConfig.from_json(CONFIGS / f"{name}.json")
+                   for name in ("ou_benchmark", "double_well_relax")]
+        configs += [member for _, member in
+                    SweepConfig.from_json(CONFIGS / "sweep_double_well.json").members()]
+        assert len(configs) == 10
+        for config in configs:
+            assert _Generator(config.grid, config.model).symmetric, config.name
+
+    def test_steep_quartic_takes_the_lu_path(self, monkeypatch):
+        """Its centred log scale is far wider than the symmetric path takes,
+        and even without that bound its one-way outer cells keep it on the LU."""
+        grid, model = PATHS["steep_quartic"]
+        gen = _Generator(grid, model)
+        assert not gen.symmetric and np.all(gen.scale == 1.0)
+        assert np.any(gen.coupling == 0.0)
+        monkeypatch.setattr(fokker_planck, "_MAX_LOG_SCALE_SPREAD", math.inf)
+        assert not _Generator(grid, model).symmetric
+
+    def test_wide_log_scale_takes_the_lu_path(self, monkeypatch):
+        """``x^4`` at sigma 0.5 on [-3, 3]: every cell couples both ways, but
+        ``ln d`` spreads over 324, wider than the symmetric path takes."""
+        grid, model = make_uniform_grid(-3.0, 3.0, 301), GradientDrift((0, 0, 0, 0, 1), 0.5)
+        gen = _Generator(grid, model)
+        assert not gen.symmetric and np.all(gen.coupling > 0.0)
+        monkeypatch.setattr(fokker_planck, "_MAX_LOG_SCALE_SPREAD", 325.0)
+        assert _Generator(grid, model).symmetric
+
+    def test_symmetric_form_is_similar_to_the_generator(self, dw_model, dw_grid):
+        """``d_i S_ij / d_j`` is ``L_ij`` to rounding on both off-diagonals."""
+        gen = _Generator(dw_grid, dw_model)
+        d = gen.scale
+        np.testing.assert_allclose(d[:-1] * gen.coupling / d[1:], gen.upper[:-1], rtol=1e-12)
+        np.testing.assert_allclose(d[1:] * gen.coupling / d[:-1], gen.lower[1:], rtol=1e-12)
+
+    def test_paths_agree_to_rounding(self, monkeypatch):
+        """A full solve of the shipped double well on each path: every node
+        above 1e-200 agrees to rounding, and the LU solve's rows are not
+        the symmetric one's."""
+        config = ScenarioConfig.from_json(CONFIGS / "double_well_relax.json")
+        p0, times = config.initial_density(), config.time_samples()
+        symmetric = solve(p0, config.model, times, config.solver).values
+        monkeypatch.setattr(fokker_planck, "_MAX_LOG_SCALE_SPREAD", -1.0)
+        assert not _Generator(config.grid, config.model).symmetric
+        lu = solve(p0, config.model, times, config.solver).values
+        assert not np.array_equal(symmetric, lu)
+        above = lu > 1e-200
+        assert np.array_equal(above, symmetric > 1e-200)
+        assert np.max(np.abs(symmetric - lu)[above] / lu[above]) < 1e-12
+
+
 class TestLapackSources:
-    """The solver takes ``dgttrf``, ``dgttrs`` and ``dlagtm`` from numpy's
-    bundled OpenBLAS, else from scipy's Cython LAPACK module loaded as a file.
-    Each source gives every trajectory row bit for bit, the sign of a zero
-    included, and each lookup runs once per cache."""
+    """The solver takes ``dgttrf``, ``dgttrs``, ``dpttrf``, ``dpttrs`` and
+    ``dlagtm`` from numpy's bundled OpenBLAS, else from scipy's Cython LAPACK
+    module loaded as a file. Each source gives every trajectory row bit for
+    bit on either path, the sign of a zero included, and each lookup runs
+    once per cache."""
 
     TIMES = np.linspace(0.0, 0.05, 11)
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
-        fokker_planck._gt_routines.cache_clear()
+        fokker_planck._lapack_routines.cache_clear()
         yield
-        fokker_planck._gt_routines.cache_clear()
+        fokker_planck._lapack_routines.cache_clear()
 
-    def _solve(self, monkeypatch, dw_model, dw_grid, *, openblas=True):
-        """Rows of a double-well solve from a start with exact zero nodes,
-        with numpy's OpenBLAS found only if ``openblas``, and the number of
-        calls of each lookup."""
+    def _solve(self, monkeypatch, grid, model, *, openblas=True):
+        """Rows of a solve from a start with exact zero nodes, with numpy's
+        OpenBLAS found only if ``openblas``, and the number of calls of each
+        lookup."""
         lookups = {"openblas": 0, "cython": 0}
 
         def counted(name, lookup, found=True):
@@ -332,36 +455,46 @@ class TestLapackSources:
                             counted("openblas", fokker_planck._openblas_addresses, openblas))
         monkeypatch.setattr(fokker_planck, "_cython_lapack",
                             counted("cython", fokker_planck._cython_lapack))
-        p0 = gaussian_density(dw_grid, 1.0, 1e-4)
+        p0 = gaussian_density(grid, 1.0, 1e-4)
         assert np.any(p0.values == 0.0)
-        rows = [solve(p0, dw_model, self.TIMES, SolverConfig(dt=1e-3)).values for _ in range(2)]
+        rows = [solve(p0, model, self.TIMES, SolverConfig(dt=1e-3)).values for _ in range(2)]
         assert rows[0].tobytes() == rows[1].tobytes()
         return rows[0], lookups
 
     def test_numpy_openblas_where_numpy_bundles_it(self, monkeypatch, dw_model, dw_grid):
         """Where numpy bundles OpenBLAS (as CI's wheel does) the solver takes
         it, so a silent fallback fails. The rows equal a chain of
-        independently assembled steps."""
+        independently assembled steps of the symmetric path."""
         if fokker_planck._openblas_addresses() is None:
             pytest.skip("this numpy bundles no OpenBLAS with the scipy_*_64_ LAPACK symbols")
-        rows, lookups = self._solve(monkeypatch, dw_model, dw_grid)
+        rows, lookups = self._solve(monkeypatch, dw_grid, dw_model)
         assert lookups == {"openblas": 1, "cython": 0}
-        assert fokker_planck._gt_routines()[3] is ctypes.c_int64
+        assert fokker_planck._lapack_routines()[-2] is ctypes.c_int64
         gen = _Generator(dw_grid, dw_model)
+        assert gen.symmetric
         reference = rows[0]
         n_pos = math.ceil(1e-3 / gen.positivity_dt(0.5) - 1e-12)
         for k in range(1, len(self.TIMES)):
             substep = (self.TIMES[k] - self.TIMES[k - 1]) / 5 / n_pos
-            for _ in range(5 * n_pos):
-                reference = _reference_advance(gen, reference, substep, 0.5)
+            reference = _reference_chain(dw_grid, dw_model, reference, substep, 0.5, 5 * n_pos)
             assert np.array_equal(rows[k], reference), k
 
     def test_cython_lapack_file_where_numpy_has_none(self, monkeypatch, dw_model, dw_grid):
-        expected, _ = self._solve(monkeypatch, dw_model, dw_grid)
-        fokker_planck._gt_routines.cache_clear()
-        rows, lookups = self._solve(monkeypatch, dw_model, dw_grid, openblas=False)
+        expected, _ = self._solve(monkeypatch, dw_grid, dw_model)
+        fokker_planck._lapack_routines.cache_clear()
+        rows, lookups = self._solve(monkeypatch, dw_grid, dw_model, openblas=False)
         assert lookups == {"openblas": 1, "cython": 1}
-        assert fokker_planck._gt_routines()[3] is ctypes.c_int32
+        assert fokker_planck._lapack_routines()[-2] is ctypes.c_int32
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_sources_agree_on_the_lu_path(self, monkeypatch):
+        """The steep quartic steps with ``dgttrf`` and ``dgttrs``: both
+        sources give its rows with the same bytes."""
+        grid, model = PATHS["steep_quartic"]
+        expected, _ = self._solve(monkeypatch, grid, model)
+        fokker_planck._lapack_routines.cache_clear()
+        rows, lookups = self._solve(monkeypatch, grid, model, openblas=False)
+        assert lookups == {"openblas": 1, "cython": 1}
         assert rows.tobytes() == expected.tobytes()
 
 
@@ -607,7 +740,8 @@ class TestSubstepKernel:
     def test_interval_equals_chain_of_reference_steps(self, dw_model, dw_grid, monkeypatch):
         """theta = 1/2, dt = 1 ms and 10 ms output intervals: each interval is
         one ``run`` call of 10 nominal steps times several positivity
-        substeps, and every row keeps every bit of the chained reference."""
+        substeps, and every row keeps every bit of the chained reference of
+        the symmetric path."""
         cfg = SolverConfig(dt=1e-3, theta=0.5)
         gen = _Generator(dw_grid, dw_model)
         n_nominal = 10
@@ -621,8 +755,8 @@ class TestSubstepKernel:
         reference = p0.values
         for k in range(1, len(times)):
             substep = (times[k] - times[k - 1]) / n_nominal / n_pos
-            for _ in range(n_nominal * n_pos):
-                reference = _reference_advance(gen, reference, substep, cfg.theta)
+            reference = _reference_chain(dw_grid, dw_model, reference, substep, cfg.theta,
+                                         n_nominal * n_pos)
             assert np.array_equal(traj.values[k], reference), k
 
     def test_fully_implicit_interval_is_one_substep(self, dw_model, dw_grid, monkeypatch):
@@ -633,8 +767,7 @@ class TestSubstepKernel:
         calls = self._count_runs(monkeypatch)
         out = solve(p0, dw_model, np.array([0.0, cfg.dt]), cfg).values[1]
         assert calls == [(cfg.dt, 1)]
-        gen = _Generator(dw_grid, dw_model)
-        assert np.array_equal(out, _reference_advance(gen, p0.values, cfg.dt, 1.0))
+        assert np.array_equal(out, _reference_chain(dw_grid, dw_model, p0.values, cfg.dt, 1.0))
 
     def test_plan_is_what_the_solve_steps(self, dw_model, dw_grid, monkeypatch):
         """Each output interval of an irregular mesh is one ``run`` call of
@@ -669,38 +802,47 @@ class TestSubstepKernel:
         monkeypatch.setattr(fokker_planck, "MAX_NODE_SUBSTEPS", work)
         assert len(solve(self._start(dw_grid), dw_model, times, cfg)) == len(times)
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_run_equals_chain_of_reference_steps(self, dw_model, dw_grid, theta):
+    @pytest.mark.parametrize("path, theta", _each_path(0.5, 1.0))
+    def test_run_equals_chain_of_reference_steps(self, path, theta):
         """Several substeps per kernel call at theta = 1/2 and theta = 1, which
-        needs no positivity substeps of its own. Odd and even counts end a
-        call in either state buffer."""
-        gen = _Generator(dw_grid, dw_model)
-        values = reference = self._start(dw_grid).values
+        needs no positivity substeps of its own, on either path. Odd and even
+        counts end a call in either state buffer."""
+        grid, model = PATHS[path]
+        gen = _Generator(grid, model)
+        values = reference = self._start(grid).values
         calls = [(1e-4, 5), (1e-3 / 9, 9), (1e-4, 2), (1e-3 / 8, 8), (1e-4, 3)]
         for k, (dt, n_steps) in enumerate(calls * 4):
             values = gen.run(values, dt, theta, n_steps)
-            for _ in range(n_steps):
-                reference = _reference_advance(gen, reference, dt, theta)
+            reference = _reference_chain(grid, model, reference, dt, theta, n_steps)
             assert np.array_equal(values, reference), k
 
     @pytest.mark.parametrize("grid, model, components", [
-        (make_uniform_grid(-3.5, 3.5, 701), double_well_drift(sigma=1.0),
-         [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]),
+        (*PATHS["double_well"], [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]),
         (make_uniform_grid(-8.0, 8.0, 801), OUBenchmark(0.25).model(), [(1.0, 0.0, 0.25)]),
-    ], ids=["double_well", "ou"])
+        (*PATHS["steep_quartic"], [(1.0, 0.0, 0.25)]),
+    ], ids=["double_well", "ou", "steep_quartic"])
     def test_explicit_step_rounds_as_three_point_sum(self, grid, model, components):
         """At theta = 0 the implicit matrix is the identity, so one step is the
-        explicit stage alone, and every node rounds as
-        ``(l v[i-1] + c v[i]) + u v[i+1]`` evaluated left to right."""
+        explicit stage alone, and every node of the scaled state ``v / d``
+        rounds as ``(l v[i-1] + c v[i]) + u v[i+1]`` evaluated left to right
+        before it is scaled back by ``d``: with the symmetric form's
+        off-diagonals on the symmetric path, and with L's and ``d = 1`` on
+        the LU path."""
         gen = _Generator(grid, model)
         v = mixture_density(grid, components).values
         dt = 0.5 * gen.positivity_dt(0.0)
-        lower, centre, upper = dt * gen.lower[1:], 1.0 + dt * gen.diag, dt * gen.upper[:-1]
+        if gen.symmetric:
+            lower = upper = dt * gen.coupling
+        else:
+            lower, upper = dt * gen.lower[1:], dt * gen.upper[:-1]
+            assert np.all(gen.scale == 1.0)
+        centre, d = 1.0 + dt * gen.diag, gen.scale
+        u = v / d
         expected = np.empty(grid.n)
-        expected[0] = centre[0] * v[0] + upper[0] * v[1]
-        expected[1:-1] = (lower[:-1] * v[:-2] + centre[1:-1] * v[1:-1]) + upper[1:] * v[2:]
-        expected[-1] = lower[-1] * v[-2] + centre[-1] * v[-1]
-        assert gen.run(v, dt, 0.0, 1).tobytes() == expected.tobytes()
+        expected[0] = centre[0] * u[0] + upper[0] * u[1]
+        expected[1:-1] = (lower[:-1] * u[:-2] + centre[1:-1] * u[1:-1]) + upper[1:] * u[2:]
+        expected[-1] = lower[-1] * u[-2] + centre[-1] * u[-1]
+        assert gen.run(v, dt, 0.0, 1).tobytes() == (expected * d).tobytes()
 
 
 class TestReverseHarmonicResidual:

@@ -23,8 +23,12 @@ from varentropy_lab.config import ConfigError, Tolerances, _deep_merge
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-#: The benchmark's reference CSV of the shipped sweep at one sample per
-#: solver step; read here, never written.
+#: The CSV of the shipped sweep at one sample per solver step, as the
+#: symmetric-path solver writes it; read here, never written.
+DENSE_SWEEP_GOLDEN = Path(__file__).resolve().parent / "data" / "sweep_dense.csv"
+
+#: The benchmark's reference CSV of the same sweep, from the pivoted-LU
+#: solver; read here, never written.
 DENSE_SWEEP_REFERENCE = (
     Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "sweep_dense" / "sweep.csv"
 )
@@ -646,15 +650,34 @@ class TestSweep:
 
     def test_dense_sweep_writes_the_reference_bytes(self, tmp_path, capsys):
         """The shipped sweep with ``base.time.n_samples`` 1201 (one sample
-        per solver step) and no ``outputs`` writes the benchmark's
-        reference CSV byte for byte."""
+        per solver step) and no ``outputs`` writes the golden CSV byte for
+        byte."""
         data = json.loads((CONFIGS / "sweep_double_well.json").read_text())
         data.pop("outputs", None)
         data["base"]["time"]["n_samples"] = 1201
         path = tmp_path / "sweep_dense.json"
         path.write_text(json.dumps(data, indent=1))
         assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert (tmp_path / "sweep.csv").read_bytes() == DENSE_SWEEP_REFERENCE.read_bytes()
+        assert (tmp_path / "sweep.csv").read_bytes() == DENSE_SWEEP_GOLDEN.read_bytes()
+
+    def test_dense_golden_matches_the_benchmark_reference(self):
+        """The golden CSV and the benchmark's reference agree exactly on the
+        fields the benchmark checks (``label``, ``sign_change``,
+        ``time_of_max``) and on every numeric cell within 1e-10 relative.
+        Each row is split from the right, as the labels hold commas."""
+        def table(path):
+            header, *lines = path.read_text().splitlines()
+            names = header.split(",")
+            return names, [dict(zip(names, line.rsplit(",", len(names) - 1))) for line in lines]
+
+        names, golden = table(DENSE_SWEEP_GOLDEN)
+        ref_names, reference = table(DENSE_SWEEP_REFERENCE)
+        assert names == ref_names and len(golden) == len(reference) == 8
+        for got, ref in zip(golden, reference):
+            for name in ("label", "sign_change", "time_of_max"):
+                assert got[name] == ref[name], (ref["label"], name)
+            for name in ("min_rate", "max_rate", "varentropy_initial", "varentropy_final"):
+                assert float(got[name]) == pytest.approx(float(ref[name]), rel=1e-10, abs=0.0)
 
 
 def shipped_sweep(n_samples: int = 61, **fields) -> SweepConfig:
@@ -1367,14 +1390,14 @@ class TestCli:
         data["drift"]["rate"] = -1e10
         code = (
             "from varentropy_lab import ConfigError, ScenarioConfig\n"
-            "from varentropy_lab.fokker_planck import _gt_routines\n"
+            "from varentropy_lab.fokker_planck import _lapack_routines\n"
             "for name in ('ou_benchmark', 'double_well_relax'):\n"
             f"    ScenarioConfig.from_json({str(CONFIGS)!r} + '/' + name + '.json')\n"
             "try:\n"
             f"    ScenarioConfig.from_dict({data!r})\n"
             "except ConfigError as err:\n"
             "    print(str(err).split(':')[0])\n"
-            "print(_gt_routines.cache_info().currsize)\n"
+            "print(_lapack_routines.cache_info().currsize)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
