@@ -1,14 +1,14 @@
 """Scalar functionals of a density relative to a stationary density.
 
 Everything is built from the local free energy, the nodewise log ratio
-``ln(p / pbar)``:
+``logratio = ln r`` with ``r = p / pbar``:
 
-* relative entropy: its mean under ``p``;
+* relative entropy: its mean under ``p``, summed as an f-divergence;
 * relative Fisher information: the mean of its squared slope, which sets the
   entropy decay rate ``-(sigma^2 / 2) * fisher``;
 * varentropy: its variance under ``p``;
 * the varentropy rate formula
-  ``sigma^2 * E[(-logratio - 1 + entropy) * slope^2]``, cross-checkable
+  ``sigma^2 * E[(-(logratio - mean) - 1) * slope^2]``, cross-checkable
   against :func:`central_difference` of the varentropy along a trajectory.
 
 One kernel computes all of them for a block of states, one state per row of
@@ -16,11 +16,11 @@ an array: :func:`report` walks a trajectory's array in blocks of rows, and
 each scalar function passes it a block of one row. A row's values do not
 depend on the block it is in.
 
-Log-ratio weighted integrals exclude nodes below a relative tail cut of the
-weighting density; the integrands there are products of huge logarithms and
-vanishing weights and carry no reliable information. Relative entropy,
-Fisher information and varentropy are clamped at zero from below against
-rounding-level cancellation.
+No integrand of the entropy, Fisher information or centred varentropy is
+negative at any node, in floating point too, so nothing is clamped; near
+equilibrium the entropy's O((r - 1)^2) terms track half the varentropy, not
+the solve's rounding drift of the mass. All but the entropy exclude nodes
+below a relative tail cut of ``p``, where huge logarithms meet vanishing weights.
 """
 
 from __future__ import annotations
@@ -126,31 +126,29 @@ def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
     """
     entropy, fisher, variance, rate = out
     logratio, weight, slope_sq, product, mask = (buffer[:len(values)] for buffer in buffers)
-    np.maximum(values, DEFAULT_LOG_FLOOR, out=logratio)
-    logratio /= floored_pbar
-    np.log(logratio, out=logratio)
+    np.maximum(values, DEFAULT_LOG_FLOOR, out=product)
+    product /= floored_pbar
+    np.log(product, out=logratio)
+    # pbar * (r ln r - (r - 1)) with r = p / pbar, non-negative node by node
+    np.multiply(product, logratio, out=slope_sq)
+    product -= 1.0
+    slope_sq -= product
+    slope_sq *= floored_pbar
+    entropy[:] = integrate_rows(slope_sq, grid)
     np.greater_equal(values, DEFAULT_TAIL_CUT * values.max(axis=1, keepdims=True), out=mask)
     weight.fill(0.0)
     np.copyto(weight, values, where=mask)
-    entropy[:] = integrate_rows(np.multiply(logratio, weight, out=product), grid)
-    np.multiply(logratio, logratio, out=product)
-    seconds = integrate_rows(np.multiply(product, weight, out=product), grid)
-    # ``first**2`` stays a Python float power: numpy's array square is
-    # x * x, which can differ from it in the last bit
-    variance[:] = [second - first**2 for first, second in zip(entropy.tolist(), seconds.tolist())]
+    mean = integrate_rows(np.multiply(logratio, weight, out=product), grid)
     gradient_rows(logratio, grid, out=slope_sq)
     np.multiply(slope_sq, slope_sq, out=slope_sq)
     fisher[:] = integrate_rows(np.multiply(slope_sq, weight, out=product), grid)
-    # clamped as ``max(x, 0.0)`` clamps: a -0.0 or a NaN stays. The Fisher
-    # integrand is non-negative term by term and needs none
-    for column in (entropy, variance):
-        np.copyto(column, 0.0, where=column < 0.0)
-    # -1 - logratio and -logratio - 1 are one rounding of the same number
-    np.subtract(-1.0, logratio, out=product)
-    product += entropy[:, None]
-    product *= slope_sq
-    product *= weight
-    rate[:] = integrate_rows(product, grid)
+    np.subtract(logratio, mean[:, None], out=slope_sq)
+    np.multiply(slope_sq, slope_sq, out=logratio)
+    variance[:] = integrate_rows(np.multiply(logratio, weight, out=logratio), grid)
+    # -1 - centred and -centred - 1 are one rounding of the same number; the
+    # bracket multiplies the Fisher integrand slope^2 * weight still in product
+    np.subtract(-1.0, slope_sq, out=slope_sq)
+    rate[:] = integrate_rows(np.multiply(slope_sq, product, out=slope_sq), grid)
 
 
 def _state_terms(p: Density, pbar: Density) -> tuple[float, float, float, float]:
@@ -164,7 +162,8 @@ def _state_terms(p: Density, pbar: Density) -> tuple[float, float, float, float]
 
 
 def relative_entropy(p: Density, pbar: Density) -> float:
-    """Kullback-Leibler divergence of ``p`` from ``pbar`` in nats."""
+    """The f-divergence ``integral of pbar * (r ln r - (r - 1))``, ``r = p / pbar``, in
+    nats: at equal masses the Kullback-Leibler divergence of ``p`` from ``pbar``."""
     return _state_terms(p, pbar)[0]
 
 
@@ -174,7 +173,7 @@ def relative_fisher(p: Density, pbar: Density) -> float:
 
 
 def varentropy(p: Density, pbar: Density) -> float:
-    """Variance of the log ratio under ``p`` (second moment minus squared mean)."""
+    """Variance of the log ratio under ``p``, centred: the mean of ``(logratio - mean)^2``."""
     return _state_terms(p, pbar)[2]
 
 
@@ -183,10 +182,10 @@ def varentropy_rate(p: Density, pbar: Density, sigma: float) -> float:
 
     Computed as
 
-        sigma^2 * integral of (-logratio - 1 + entropy) * slope^2 * p dx
+        sigma^2 * integral of (-(logratio - mean) - 1) * slope^2 * p dx
 
-    with ``entropy`` the relative entropy of ``p`` from ``pbar``. The bracket
-    has no definite sign, so unlike the entropy rate this can be positive.
+    with ``mean`` the mean log ratio under ``p``. The bracket has no definite
+    sign, so unlike the entropy rate this can be positive.
     """
     _check_sigma(sigma)
     return sigma**2 * _state_terms(p, pbar)[3]

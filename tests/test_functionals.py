@@ -3,15 +3,22 @@ fine-quadrature oracle on a mixture, equivalence of the varentropy
 assemblies, and consistency of the two rate formulas with trajectory finite
 differences."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
 from varentropy_lab import (
     Density,
     DensityTrajectory,
     FunctionalReport,
     OUBenchmark,
+    ScenarioConfig,
     SolverConfig,
     central_difference,
     gaussian_density,
@@ -24,6 +31,7 @@ from varentropy_lab import (
     relative_entropy,
     relative_fisher,
     report,
+    run_scenario,
     safe_log_ratio,
     solve,
     support_mask,
@@ -31,6 +39,9 @@ from varentropy_lab import (
     varentropy_rate,
 )
 from varentropy_lab import functionals
+from varentropy_lab.fokker_planck import _Generator
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # KL divergences between centered Gaussians, from the closed form
 # ln(s2/s1) + s1^2/(2 s2^2) - 1/2
@@ -416,39 +427,152 @@ class TestBlockKernel:
             joined = np.concatenate([getattr(part, field) for part in parts])
             assert joined.tobytes() == getattr(whole, field).tobytes(), field
 
-    def test_squared_mean_is_a_python_power(self):
-        """The varentropy is ``second - first**2`` with Python's float power.
-        For this state ``first * first`` (what numpy's array square computes)
-        rounds differently, and the difference survives the subtraction; the
-        value is the same at every position of a block."""
-        grid = make_uniform_grid(-8.0, 8.0, 201)
-        pbar = invariant_density(linear_drift(-0.5), grid)
-        p = gaussian_density(grid, 0.0, 0.24277)
-        weight = np.where(support_mask(p), p.values, 0.0)
-        logratio = safe_log_ratio(p, pbar)
-        first = integrate(logratio * weight, grid)
-        second = integrate(logratio**2 * weight, grid)
-        assert second - first * first != second - first**2  # the pinned case
-        assert varentropy(p, pbar) == second - first**2
-        length = functionals._BLOCK_BYTES // (8 * grid.n) + 3
-        states = [Density(grid, p.values, time=t) for t in range(length)]
-        traj = DensityTrajectory(np.arange(float(length)), states)
-        assert report(traj, pbar, 1.0).varentropy.tolist() == [second - first**2] * length
+    @pytest.mark.parametrize("drift", [0.0, 2.0**-40, -(2.0**-40)],
+                             ids=["exact", "heavy", "light"])
+    def test_state_at_equilibrium_is_non_negative_unclamped(self, drift, dw_grid,
+                                                           dw_stationary):
+        """A state equal to ``pbar``, or to ``pbar`` with its mass off by a
+        rounding-sized ``drift``, gets a relative entropy and a varentropy
+        >= 0 from the kernel's own terms, the same in every row of a block;
+        there is no clamp. The entropy is ``drift**2 / 2`` to leading order,
+        not the ``drift`` that ``integral of p ln(p / pbar)`` gives."""
+        length = functionals._BLOCK_BYTES // (8 * dw_grid.n) + 3
+        values = np.tile(dw_stationary.values * (1.0 + drift), (length, 1))
+        floored_pbar = np.maximum(dw_stationary.values, functionals.DEFAULT_LOG_FLOOR)
+        out = np.full((4, length), np.nan)
+        functionals._block_terms(values, floored_pbar, dw_grid,
+                                 functionals._buffers(length, dw_grid.n), out)
+        entropy, _, variance, _ = out
+        assert entropy.tolist() == [entropy[0]] * length
+        assert variance.tolist() == [variance[0]] * length
+        assert entropy[0] == pytest.approx(0.5 * drift**2 * dw_stationary.mass(), rel=1e-2,
+                                           abs=0.0)
+        assert 0.0 <= variance[0] < 1e-28
+
+
+class TestNearEquilibrium:
+    """Near ``pbar`` the relative entropy is a sum of O((r - 1)^2) terms, so
+    it tracks half the varentropy and takes up none of the solver's rounding
+    drift of the mass; nothing is clamped to reach a sign."""
+
+    def test_long_double_well_run_tracks_half_the_varentropy(self):
+        """``double_well_relax`` without Monte Carlo, run to t = 8: no
+        relative entropy is 0, and where the varentropy is below 1e-10 the
+        entropy equals half of it to 1e-6."""
+        data = json.loads((CONFIGS / "double_well_relax.json").read_text())
+        data.pop("mc")
+        data["time"].update(t_end=8.0, n_samples=81)
+        rep = run_scenario(ScenarioConfig.from_dict(data)).report
+        assert (rep.relative_entropy > 0.0).all()
+        late = rep.varentropy < 1e-10
+        assert late.sum() >= 30
+        ratio = rep.relative_entropy[late] / (0.5 * rep.varentropy[late])
+        assert np.abs(ratio - 1.0).max() <= 1e-6
+
+    def test_stationary_ou_run_has_rounding_sized_entropy(self):
+        """``ou_benchmark`` started at its stationary law, without Monte
+        Carlo: every relative entropy is positive and below 1e-28, the size
+        of squared rounding, not the 1e-16 of the mass drift."""
+        data = json.loads((CONFIGS / "ou_benchmark.json").read_text())
+        data.pop("mc")
+        data["initial"]["variance"] = 1.0
+        rep = run_scenario(ScenarioConfig.from_dict(data)).report
+        assert ((rep.relative_entropy > 0.0) & (rep.relative_entropy < 1e-28)).all()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(1e-300, 1e300),
+                              st.floats(1e-16, 1e-1).map(lambda eps: 1.0 + eps),
+                              st.floats(1e-16, 1e-1).map(lambda eps: 1.0 - eps)),
+                    min_size=1, max_size=64))
+    def test_entropy_terms_are_non_negative_in_floating_point(self, ratios):
+        """``r ln r - (r - 1)``, evaluated as the kernel does, is >= 0 for
+        ratios across the float range and within 1e-16..1e-1 of 1."""
+        ratio = np.array(ratios)
+        assert (ratio * np.log(ratio) - (ratio - 1.0) >= 0.0).all()
+
+
+#: Drifts for the late-time limit, each with its start, the index of the
+#: slowest eigenmode of ``-L`` that the start excites (the symmetric double
+#: well's start is even, so it skips the odd mode 1) and a late window of
+#: sample times where the limit holds.
+LATE_TIME_CASES = {
+    "double_well": (ScenarioConfig.from_json(CONFIGS / "double_well_relax.json"), 2, (3.0, 7.0)),
+    "tilted_quartic": (ScenarioConfig.from_dict({
+        "name": "tilted_quartic",
+        "drift": {"kind": "gradient", "coeffs": [0.0, 0.5, 0.0, 0.0, 0.25], "sigma": 1.0},
+        "initial": {"kind": "mixture", "components": [
+            {"weight": 0.5, "mean": -1.0, "variance": 0.09},
+            {"weight": 0.5, "mean": 1.0, "variance": 0.09}]},
+        "grid": {"lo": -3.5, "hi": 3.5, "n": 701},
+        "solver": {"dt": 0.001}, "time": {"t_end": 11.0, "n_samples": 111}}), 1, (7.0, 11.0)),
+    "shifted_ou": (ScenarioConfig.from_dict({
+        "name": "shifted_ou",
+        "drift": {"kind": "gradient", "coeffs": [0.5, -1.0, 0.5, 0.0, 0.0], "sigma": 1.0},
+        "initial": {"kind": "gaussian", "mean": 0.0, "variance": 0.25},
+        "grid": {"lo": -7.0, "hi": 9.0, "n": 801},
+        "solver": {"dt": 0.001}, "time": {"t_end": 9.0, "n_samples": 91}}), 1, (5.0, 9.0)),
+}
+
+
+class TestLateTimeSpectralOracle:
+    """As t grows, ``p / pbar - 1`` tends to a multiple of ``exp(-lambda t)``
+    times the slowest eigenmode of ``-L`` that the start excites, so that
+    ``d ln V / dt`` and ``varentropy_rate / V`` tend to ``-2 lambda`` and
+    ``V / (2 H)`` to 1 (Bakry, Gentil & Ledoux 2014, ch. 4-5). ``lambda``
+    is the eigenvalue of the solver's own generator, in its symmetric
+    form."""
+
+    @pytest.fixture(scope="class", params=sorted(LATE_TIME_CASES))
+    def late(self, request):
+        cfg, mode, (start, end) = LATE_TIME_CASES[request.param]
+        gen = _Generator(cfg.grid, cfg.model)
+        assert gen.symmetric
+        decay = 2.0 * eigh_tridiagonal(-gen.diag, -gen.coupling, eigvals_only=True)[mode]
+        times = np.round(np.arange(0.0, end + 0.05, 0.1), 10)
+        traj = solve(cfg.initial_density(), cfg.model, times, cfg.solver)
+        rep = report(traj, cfg.stationary_density(), cfg.model.sigma)
+        window = (times >= start) & (times <= end)
+        return rep, window, decay
+
+    def test_log_varentropy_slope(self, late):
+        """``d ln V / dt``, as central differences of the samples, is
+        ``-2 lambda`` to 1e-4 relative over the window."""
+        rep, window, decay = late
+        slope = central_difference(np.log(rep.varentropy), rep.time)
+        assert_allclose(slope[window[1:-1]], -decay, rtol=1e-4)
+
+    def test_rate_over_varentropy(self, late):
+        """The closed-form rate over the varentropy is ``-2 lambda`` to
+        3e-4 relative: within the formula's spatial error (1.3e-4 at most,
+        on the OU), and a rate off by 1e-3 fails."""
+        rep, window, decay = late
+        assert_allclose(rep.varentropy_rate[window] / rep.varentropy[window], -decay, rtol=3e-4)
+
+    def test_varentropy_over_twice_the_entropy(self, late):
+        """``|V / (2 H) - 1|`` falls at every sample of the window and ends
+        below 1e-5."""
+        rep, window, _ = late
+        gap = np.abs(rep.varentropy[window] / (2.0 * rep.relative_entropy[window]) - 1.0)
+        assert (np.diff(gap) < 0.0).all()
+        assert gap[-1] < 1e-5
 
 
 def _separate_assembly(p, pbar, sigma):
     """(entropy, fisher, varentropy, entropy rate, varentropy rate), each
-    assembled on its own from the log ratio as independent functions."""
-    weight = np.where(support_mask(p), p.values, 0.0)
+    assembled on its own from the log ratio as independent functions: the
+    entropy as ``pbar * (r ln r - (r - 1))`` over every node, the rest under
+    the tail mask, the varentropy and the rate centred at the mean log
+    ratio."""
+    floored_pbar = np.maximum(pbar.values, functionals.DEFAULT_LOG_FLOOR)
+    ratio = np.maximum(p.values, functionals.DEFAULT_LOG_FLOOR) / floored_pbar
     logratio = safe_log_ratio(p, pbar)
-    entropy = max(integrate(logratio * weight, p.grid), 0.0)
+    entropy = integrate((ratio * logratio - (ratio - 1.0)) * floored_pbar, p.grid)
+    weight = np.where(support_mask(p), p.values, 0.0)
     slope = gradient(logratio, p.grid)
-    fisher = max(integrate(slope**2 * weight, p.grid), 0.0)
-    first = integrate(logratio * weight, p.grid)
-    second = integrate(logratio**2 * weight, p.grid)
-    variance = max(second - first**2, 0.0)
-    integrand = (-logratio - 1.0 + entropy) * slope**2
-    rate = sigma**2 * integrate(integrand * weight, p.grid)
+    fisher = integrate(slope**2 * weight, p.grid)
+    centred = logratio - integrate(logratio * weight, p.grid)
+    variance = integrate(centred**2 * weight, p.grid)
+    rate = sigma**2 * integrate((-centred - 1.0) * (slope**2 * weight), p.grid)
     return entropy, fisher, variance, -0.5 * sigma**2 * fisher, rate
 
 
