@@ -598,9 +598,8 @@ def _convergence_rows(ladder: Sequence[ScenarioConfig], t_samples: np.ndarray,
                       exact: np.ndarray) -> Iterator[ConvergenceRow]:
     prev_err = None
     for level, refined in enumerate(ladder):
-        pbar = refined.stationary_density()
-        traj = solve(refined.initial_density(), refined.model, t_samples, refined.solver)
-        err = _worst(np.abs(report(traj, pbar, refined.model.sigma).varentropy - exact))
+        (solved,) = _solve_streamed([refined], [[t_samples]], t_samples.tolist())
+        err = _worst(np.abs(solved.report.varentropy - exact))
         order = None
         if prev_err is not None:
             order = math.log2(prev_err / err) if err > 0 else math.inf

@@ -897,15 +897,15 @@ class TestConvergence:
             assert row.max_abs_error < 1e-10
 
     def test_rows_stream_one_level_at_a_time(self, monkeypatch):
-        """Level 0's row comes after its one solve, before level 1's."""
+        """Level 0's row comes after its one solve stream, before level 1's."""
         calls = []
-        real_solve = scenarios.solve
+        real_stream = scenarios._solve_streamed
 
-        def counting_solve(*args):
+        def counting_stream(*args):
             calls.append(args)
-            return real_solve(*args)
+            return real_stream(*args)
 
-        monkeypatch.setattr(scenarios, "solve", counting_solve)
+        monkeypatch.setattr(scenarios, "_solve_streamed", counting_stream)
         cfg = ScenarioConfig.from_dict(
             ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 101},
                       solver={"dt": 4e-3}, time={"t_end": 0.5, "n_samples": 6})
@@ -916,6 +916,7 @@ class TestConvergence:
         assert len(calls) == 1
         assert next(rows).level == 1
         assert len(calls) == 2
+        assert [cfgs[0].grid.n for cfgs, *_ in calls] == [101, 201]
 
     def test_requires_benchmark_scenario(self, dw_model):
         data = ou_config(
