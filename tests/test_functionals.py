@@ -1,7 +1,8 @@
 """Scalar functionals: closed-form values on Gaussian inputs, an independent
 fine-quadrature oracle on a mixture, equivalence of the varentropy
-assemblies, and consistency of the two rate formulas with trajectory finite
-differences."""
+assemblies, consistency of the two rate formulas with trajectory finite
+differences, the relative entropy near equilibrium, and the late-time
+spectral limits of the varentropy for several drifts."""
 
 import json
 from pathlib import Path
