@@ -51,7 +51,7 @@ from .monte_carlo import (
     martingale_diagnostic,
     mc_functionals,
 )
-from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
+from .config import ConfigError, ScenarioConfig, SweepConfig
 from .scenarios import (
     run_scenario,
     monotonicity_sweep,

@@ -1,7 +1,7 @@
 """Scenario and sweep configs: reading, parsing and validation.
 
 A scenario is one JSON document naming a drift model, an initial density,
-grids and tolerances; a sweep names a base scenario and the values its
+a grid, a time step and the sample times; a sweep names a base scenario and the values its
 members override. Every field is checked when the document is parsed, and a
 bad one raises ``ConfigError`` naming its path (``config.mc.seed: must be
 >= 0, got -1``), so a run refuses a bad config before anything is solved.
@@ -115,40 +115,17 @@ def _integer(value, path: str) -> int:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Tolerance knobs checked by the runner; defaults match the test suite.
-    The mass check reads ``solver.mass_tol``, which ``solve`` enforces."""
-
-    fixed_point_sup: float = 1e-8
-    oracle_rel: float = 1e-3
-    varentropy_rate_rel: float = 0.01
-    entropy_rate_rel: float = 0.01
-    rate_floor: float = 1e-6
-    mc_sigmas: float = 3.0
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str) -> "Tolerances":
-        _fields(data, cls.__dataclass_fields__, path)
-        values = {k: _number(v, f"{path}.{k}") for k, v in data.items()}
-        for key, value in values.items():
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{path}.{key}: must be positive and finite, got {value!r}")
-        return cls(**values)
-
-
-@dataclass(frozen=True)
 class McConfig:
     """Monte Carlo block: one ensemble stored at a coarse stride feeds the
-    functional estimates, a second short densely stored ensemble feeds the
-    backward-drift and martingale diagnostics (whose statistics need
-    consecutive fine steps)."""
+    functional estimates, a second densely stored ensemble of
+    ``scenarios.DENSE_STEPS`` steps feeds the backward-drift and martingale
+    diagnostics (whose statistics need consecutive fine steps)."""
 
     n_paths: int
     dt: float
     seed: int
     t_end: float
     store_every: int = 1
-    diag_steps: int = 50
     bins: int = 31
     bin_span: float = 4.0  # bins cover [-span, span] around the state-space origin
 
@@ -160,7 +137,6 @@ class McConfig:
         seed = _integer(_require(data, "seed", path), f"{path}.seed")
         t_end = _number(data.get("t_end", min(1.0, horizon)), f"{path}.t_end")
         store_every = _integer(data.get("store_every", cls.store_every), f"{path}.store_every")
-        diag_steps = _integer(data.get("diag_steps", cls.diag_steps), f"{path}.diag_steps")
         bins = _integer(data.get("bins", cls.bins), f"{path}.bins")
         bin_span = _number(data.get("bin_span", cls.bin_span), f"{path}.bin_span")
         if n_paths < 2:
@@ -179,13 +155,11 @@ class McConfig:
             ensemble_times(dt, t_end, store_every)
         except ValueError as err:
             raise ConfigError(f"{path}.store_every: {err}") from err
-        if diag_steps < 2:
-            raise ConfigError(f"{path}.diag_steps: need at least 2 steps")
         if bins < 3:
             raise ConfigError(f"{path}.bins: need at least 3 bin edges")
         if not 0 < bin_span < math.inf:
             raise ConfigError(f"{path}.bin_span: must be positive and finite")
-        return cls(n_paths, dt, seed, t_end, store_every, diag_steps, bins, bin_span)
+        return cls(n_paths, dt, seed, t_end, store_every, bins, bin_span)
 
 
 @dataclass(frozen=True)
@@ -200,7 +174,6 @@ class ScenarioConfig:
     t_end: float
     n_samples: int
     mc: Optional[McConfig]
-    tolerances: Tolerances
     outputs: Optional[str]
     base_dir: Path = field(default_factory=Path)
 
@@ -221,13 +194,10 @@ class ScenarioConfig:
             grid = make_uniform_grid(bounds["lo"], bounds["hi"], n)
         except ValueError as err:
             raise ConfigError(f"config.grid: {err}") from err
-        solver_spec = _fields(
-            _require(data, "solver", "config"), SolverConfig.__dataclass_fields__, "config.solver"
-        )
-        _require(solver_spec, "dt", "config.solver")
-        solver_values = {k: _number(v, f"config.solver.{k}") for k, v in solver_spec.items()}
+        solver_spec = _fields(_require(data, "solver", "config"), ("dt",), "config.solver")
+        dt = _number(_require(solver_spec, "dt", "config.solver"), "config.solver.dt")
         try:
-            solver = SolverConfig(**solver_values)
+            solver = SolverConfig(dt)
         except ValueError as err:
             raise ConfigError(f"config.solver: {err}") from err
         time_spec = _fields(_require(data, "time", "config"), ("t_end", "n_samples"), "config.time")
@@ -244,15 +214,13 @@ class ScenarioConfig:
         mc = None
         if data.get("mc") is not None:
             mc = McConfig.from_dict(data["mc"], "config.mc", horizon=t_end)
-        tolerances = Tolerances.from_dict(data.get("tolerances", {}), "config.tolerances")
         outputs = _optional_string(data.get("outputs"), "config.outputs")
         _check_stationary_mass(model, grid)
         try:
             substep_plan(grid, model, np.linspace(0.0, t_end, n_samples), solver)
         except SolveError as err:
             raise ConfigError(f"config.solver: {err}") from err
-        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, tolerances,
-                   outputs, base_dir)
+        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, outputs, base_dir)
 
     def time_samples(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n_samples)
@@ -274,7 +242,7 @@ class ScenarioConfig:
 
 #: Keys of a scenario config document.
 _CONFIG_KEYS = (
-    "name", "drift", "initial", "grid", "solver", "time", "mc", "tolerances", "outputs",
+    "name", "drift", "initial", "grid", "solver", "time", "mc", "outputs",
 )
 
 #: Keys of the ``drift`` block, by kind.
@@ -408,6 +376,9 @@ class SweepConfig:
             base_path = path.parent / base
             base, base_dir = _load_json(base_path, "sweep.base"), base_path.parent
         _fields(base, _CONFIG_KEYS, "sweep.base")
+        if base.get("mc") is not None:
+            # members drop the Monte Carlo block, but not its unknown fields
+            _fields(base["mc"], McConfig.__dataclass_fields__, "sweep.base.mc")
         values = _require(data, "values", "sweep")
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: must be a non-empty list")

@@ -11,17 +11,17 @@ the Scharfetter-Gummel weighting. The fitting weight on each cell is computed
 from the exact potential difference across the cell, which makes the
 grid-sampled stationary density an exact fixed point of the discrete
 operator for every drift in :mod:`varentropy_lab.drifts`, not just
-asymptotically. Time stepping is theta-weighted; when the explicit part of
-the update would violate the positivity bound
-``(1 - theta) * dt * max|diag| <= 1`` the step is transparently split into
-equal substeps, so no step produces a negative node value.
+asymptotically. Time stepping is Crank-Nicolson, the trapezoidal rule,
+second order in time; when the explicit half of the update would violate
+the positivity bound ``dt * max|diag| / 2 <= 1`` the step is transparently
+split into equal substeps, so no step produces a negative node value.
 
 The generator L is in detailed balance with the sampled stationary density
 pbar: the flux across each cell vanishes at pbar. So ``S = D^-1 L D`` is
 symmetric for ``d_i = sqrt(pbar_i / width_i) = exp(-Phi(x_i) / sigma^2) /
 sqrt(width_i)``, with the off-diagonal ``sqrt(upper_i lower_{i+1})`` and L's
 diagonal (Chang & Cooper; Mohammadi & Borzi, J. Numer. Math. 23, 2015), and
-a theta step of L is ``D`` times the theta step of S times ``D^-1``. The
+a Crank-Nicolson step of L is ``D`` times that step of S times ``D^-1``. The
 generator computes d from the potential, centred in log space (its largest
 and smallest logarithms equally far from 0), and steps in that basis, the
 symmetric path, unless the form cannot be represented. Then it keeps the
@@ -38,10 +38,10 @@ Both shipped ``run`` configs and the shipped sweep take the symmetric path
 (spreads 16 and 31); a quartic ``x^4`` at sigma 0.5 on [-7, 7] takes the LU
 path (spread 9600, and 22 one-way cells).
 
-On the symmetric path the implicit matrix ``I - theta dt S`` is a symmetric
+On the symmetric path the implicit matrix ``I - dt S / 2`` is a symmetric
 M-matrix, so positive definite, and it is factored as ``L D L^T`` without
 pivoting (LAPACK ``dpttrf``) and solved with ``dpttrs``; the explicit stage
-multiplies by ``I + (1 - theta) dt S``. Both stages keep non-negative data
+multiplies by ``I + dt S / 2``. Both stages keep non-negative data
 non-negative exactly, in floating point, not just up to rounding: within the
 positivity bound the explicit stage sums non-negative products, and the
 ``L D L^T`` solve's multipliers are non-positive, so its forward and back
@@ -66,10 +66,10 @@ of every output time of one start. A caller that needs only some numbers
 of each state reduces the chunks as they come and holds no trajectory, as
 every scenario run does (``scenarios._solve_streamed``).
 
-The implicit matrix ``I - theta dt A`` of a step, with A = S or L, depends
-only on the generator, ``theta`` and the substep size ``dt``, and a run uses
-only a few distinct substep sizes. Each generator therefore factors that
-tridiagonal matrix once per ``(dt, theta)``, with ``dpttrf`` or ``dgttrf``,
+The implicit matrix ``I - dt A / 2`` of a step, with A = S or L, depends
+only on the generator and the substep size ``dt``, and a run uses only a
+few distinct substep sizes. Each generator therefore factors that
+tridiagonal matrix once per ``dt``, with ``dpttrf`` or ``dgttrf``,
 and keeps the factors with the prebuilt arguments of each call a substep
 makes, for a bounded number of sizes, so irregular output meshes cannot grow
 memory. A solve builds its own generator and shares it, and its buffers,
@@ -81,7 +81,7 @@ The kernel steps a block of m states, one per row of the generator's two
 :func:`solved_chunks`. It divides the block by d once, takes every
 substep as two LAPACK calls between the buffers, with ``NRHS = m`` and both
 leading dimensions ``LDX = LDB = n``, and multiplies the last states by d
-once. ``dlagtm`` writes the explicit stage ``(I + (1-theta) dt A) v`` of
+once. ``dlagtm`` writes the explicit stage ``(I + dt A / 2) v`` of
 one buffer into the other, and ``dpttrs`` (or ``dgttrs``) solves there in
 place. These routines treat each right-hand side on its own, with the
 operations a single one gets (LAPACK Users' Guide, Anderson et al., 3rd ed.,
@@ -128,14 +128,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .drifts import GradientDrift
-from .grids import (
-    DEFAULT_MASS_TOL,
-    Density,
-    DensityTrajectory,
-    Grid,
-    first_invalid_row,
-    integrate_rows,
-)
+from .grids import Density, DensityTrajectory, Grid, first_invalid_row, integrate_rows
 
 #: Most substep sizes whose factored step one generator keeps, the memory
 #: bound for irregular meshes. ``linspace`` rounding makes equal-looking output
@@ -143,6 +136,10 @@ from .grids import (
 #: to 11 sizes (``run ou_benchmark``), the one group of the 1201-sample sweep
 #: 10.
 _STEP_CACHE_SIZE = 16
+
+#: Largest ``|mass - 1|`` that a solved state may have; the run's
+#: ``mass_conservation`` check holds the states to the same bound.
+MASS_TOL = 1e-10
 
 #: Most node-substeps (substeps times nodes, per start) of one solve, about
 #: 4 hours at 15 ns each; the shipped solves take 4.8e6 to 2.3e8.
@@ -162,21 +159,13 @@ class SolverConfig:
     the only one the solver has (see module docstring).
 
     dt:        nominal time step used for sub-stepping between output times.
-    theta:     implicitness weight in [0, 1]; 1/2 is second order in time.
-    mass_tol:  maximum |mass - 1| tolerated on any produced state.
     """
 
     dt: float
-    theta: float = 0.5
-    mass_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not 0.0 < self.mass_tol < math.inf:
-            raise ValueError(f"mass_tol must be positive and finite, got {self.mass_tol}")
 
 
 #: The LAPACK routines of a factored step, in the order :func:`_lapack_routines`
@@ -260,7 +249,7 @@ class _Generator:
     ``S = D^-1 L D`` where that form can be represented (see the module
     docstring): ``symmetric`` says which path the steps take.
 
-    ``run`` keeps the factored step of each ``(dt, theta)``, at most
+    ``run`` keeps the factored step of each substep size ``dt``, at most
     ``_STEP_CACHE_SIZE`` of them, dropping the oldest when full, and steps
     a block of ``width`` states back and forth between the generator's two
     ``(width, n)`` state buffers.
@@ -305,25 +294,27 @@ class _Generator:
         self.scale = np.exp(log_scale - 0.5 * (high + low)) if self.symmetric else np.ones(grid.n)
         self.max_rate = float(np.max(-diag))
         self.width = width
-        self._steps: dict[tuple[float, float], tuple] = {}
+        self._steps: dict[float, tuple] = {}
         # the block of states between substeps, which read one buffer and
         # write the other, and the two pointers that every prebuilt call passes
         self._buffers = np.empty((2, width, grid.n))
         self._states = _pointers(*self._buffers)
 
-    def positivity_dt(self, theta: float) -> float:
-        """Largest dt for which the explicit stage keeps non-negative data
-        non-negative (infinite for the fully implicit step)."""
-        if theta >= 1.0 or self.max_rate == 0.0:
+    def positivity_dt(self) -> float:
+        """Largest dt for which the explicit stage ``I + dt L / 2`` keeps
+        non-negative data non-negative (infinite where L's diagonal
+        underflows to zero)."""
+        if self.max_rate == 0.0:
             return math.inf
-        return 1.0 / ((1.0 - theta) * self.max_rate)
+        return 1.0 / (0.5 * self.max_rate)
 
-    def _factored_step(self, dt: float, theta: float) -> tuple:
-        """One theta step of size ``dt``, ready to call: ``dlagtm`` and the
-        solve routine, ``dpttrs`` on the symmetric path and ``dgttrs`` on the
-        LU path; the prebuilt arguments of ``dlagtm`` (alpha 1, beta 0) with
-        ``I + (1 - theta) dt A`` from state buffer 0 into buffer 1, then of the
-        solve in buffer 1 with the factors of ``I - theta dt A`` (``dpttrf``,
+    def _factored_step(self, dt: float) -> tuple:
+        """One Crank-Nicolson step of size ``dt``, ready to call: ``dlagtm``
+        and the solve routine, ``dpttrs`` on the symmetric path and
+        ``dgttrs`` on the LU path; the prebuilt arguments of ``dlagtm``
+        (alpha 1, beta 0) with ``I + dt A / 2`` from state buffer 0 into
+        buffer 1, then of the solve in buffer 1 with the factors of
+        ``I - dt A / 2`` (``dpttrf``,
         or ``dgttrf``), and the same two from buffer 1 into buffer 0; and the
         ``info`` that the solve sets. ``A`` is ``S`` or ``L``. A buffer holds
         one state per row, so the right-hand-side count is the generator's
@@ -338,8 +329,8 @@ class _Generator:
         def shifted(scale):  # the three diagonals of I + scale A
             return scale * sub, 1.0 + scale * self.diag, scale * sup
 
-        explicit = shifted((1.0 - theta) * dt)
-        lower, centre, upper = shifted(-theta * dt)
+        explicit = shifted(0.5 * dt)
+        lower, centre, upper = shifted(-0.5 * dt)
         # one pointer per array, shared by every call that passes the array
         trans_ptr, n_ptr, nrhs_ptr, alpha_ptr, beta_ptr, info_ptr = _pointers(
             trans, n, nrhs, alpha, beta, info)
@@ -359,10 +350,10 @@ class _Generator:
                  for v, w in (self._states, self._states[::-1])]
         return dlagtm, solve_step, calls, info
 
-    def run(self, values: np.ndarray, dt: float, theta: float, n_steps: int) -> np.ndarray:
-        """``n_steps`` theta-weighted steps of size ``dt`` from each state of
+    def run(self, values: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+        """``n_steps`` Crank-Nicolson steps of size ``dt`` from each state of
         ``values``, an ``(m, n)`` block or one state of n nodes, each solving
-        (I - theta dt L) v+ = (I + (1-theta) dt L) v. On the symmetric path
+        (I - dt L / 2) v+ = (I + dt L / 2) v. On the symmetric path
         the block is divided by the scale d before the first step and
         multiplied by it after the last.
 
@@ -374,12 +365,11 @@ class _Generator:
         if len(block) != self.width:
             raise ValueError(f"a generator of width {self.width} cannot step "
                              f"a block of width {len(block)}")
-        key = (dt, theta)
-        step = self._steps.get(key)
+        step = self._steps.get(dt)
         if step is None:
             if len(self._steps) >= _STEP_CACHE_SIZE:
                 del self._steps[next(iter(self._steps))]  # oldest entry first
-            step = self._steps[key] = self._factored_step(dt, theta)
+            step = self._steps[dt] = self._factored_step(dt)
         dlagtm, solve_step, calls, info = step
         np.divide(block, self.scale, out=self._buffers[0])
         # the calls alternate between the two directions, buffer 0 to 1 first
@@ -414,7 +404,7 @@ def substep_plan(grid: Grid, model: GradientDrift, times: np.ndarray, cfg: Solve
     generator, built here if not given (no LAPACK is loaded). Raises
     :class:`SolveError` if substeps times nodes exceed ``MAX_NODE_SUBSTEPS``.
     """
-    dt_pos = (gen or _Generator(grid, model)).positivity_dt(cfg.theta)
+    dt_pos = (gen or _Generator(grid, model)).positivity_dt()
     widths = np.diff(times)
     # an infinite dt_pos gives one substep; a count past float range is inf
     with np.errstate(over="ignore"):
@@ -461,10 +451,10 @@ def solved_chunks(
     states fill a ``(len(starts), rows, n)`` buffer. Each time the buffer
     is full, and once at the end, one pass integrates the mass of every row
     and checks every row: finite, non-negative, and of trapezoid mass within
-    both ``cfg.mass_tol`` and the :class:`Density` default of one. Row 0
-    holds the starts, already checked as densities. Then the chunk is
-    yielded as ``(first output index, values, masses)``, where ``values``
-    is a view of the buffer that the next chunk overwrites. Once a start has failed nothing more is yielded, but every
+    ``MASS_TOL`` of one. Row 0 holds the starts, already checked as
+    densities. Then the chunk is yielded as ``(first output index, values,
+    masses)``, where ``values`` is a view of the buffer that the next chunk
+    overwrites. Once a start has failed nothing more is yielded, but every
     interval is still stepped; at the end the first start, in order, whose
     rows failed raises :class:`SolveError` with its index, naming its first
     bad time. A failure of the stepping itself raises at once. The arguments
@@ -485,15 +475,14 @@ def solved_chunks(
         raise ValueError("t_grid must be strictly increasing")
     gen = _Generator(grid, model, width=len(starts))
     return _chunks(np.array([p0.values for p0 in starts]), gen, grid, t_grid.tolist(),
-                   substep_plan(grid, model, t_grid, cfg, gen), cfg, rows)
+                   substep_plan(grid, model, t_grid, cfg, gen), rows)
 
 
 def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
-            plan: list[tuple[float, int]], cfg: SolverConfig,
+            plan: list[tuple[float, int]],
             rows: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The stepping and checking loop of :func:`solved_chunks` from the
     states ``block``, by ``gen`` through the intervals of ``plan``."""
-    mass_tol = min(cfg.mass_tol, DEFAULT_MASS_TOL)
     buffer = np.empty((len(block), min(rows, len(times)), grid.n))
     failed = None  # the SolveError of the first failing start so far
     base = 0  # the output index of the buffer's first row
@@ -501,7 +490,7 @@ def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
         if k:
             size, count = plan[k - 1]
             try:
-                block = gen.run(block, size, cfg.theta, count)
+                block = gen.run(block, size, count)
             except RuntimeError as err:
                 raise SolveError(f"solve failed advancing to t={times[k]:g}: {err}") from err
         buffer[:, k - base] = block
@@ -510,7 +499,7 @@ def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
         values = buffer[:, :k + 1 - base]
         masses = integrate_rows(values, grid)
         first = 1 if base == 0 else 0
-        problem = first_invalid_row(values[:, first:], masses[:, first:], mass_tol)
+        problem = first_invalid_row(values[:, first:], masses[:, first:], MASS_TOL)
         if problem is not None and (failed is None or problem[0][0] < failed.start):
             (start, j), why = problem
             failed = SolveError(f"solve failed advancing to t={times[base + first + j]:g}: {why}",

@@ -102,11 +102,12 @@ def _check_sigma(sigma: float):
         raise ValueError(f"sigma must be positive, got {sigma}")
 
 
-def _buffers(rows: int, n: int) -> tuple[np.ndarray, ...]:
+def _buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Scratch arrays of :func:`_block_terms` for up to ``rows`` states of
-    ``n`` nodes: the log ratio, the weight, the squared slope, one for
-    products, and the tail mask."""
-    return (*np.empty((4, rows, n)), np.empty((rows, n), dtype=bool))
+    ``n`` nodes: a ``(4, rows, n)`` float array, whose planes hold the
+    weight, then products, the log ratio and the squared slope, and the
+    tail mask."""
+    return np.empty((4, rows, n)), np.empty((rows, n), dtype=bool)
 
 
 def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
@@ -122,10 +123,12 @@ def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
     rate_integral``; the public functions and :func:`report` all read their
     values from here. Each nodewise term is the one a single row would get
     and each integral sums one contiguous row, so a row's values do not
-    depend on its block.
+    depend on its block. The Fisher, varentropy and rate integrands end in
+    the last three planes of the float buffer, in the order of ``out``, and
+    one call integrates them all.
     """
-    entropy, fisher, variance, rate = out
-    logratio, weight, slope_sq, product, mask = (buffer[:len(values)] for buffer in buffers)
+    planes, mask = buffers[0][:, :len(values)], buffers[1][:len(values)]
+    weight, product, logratio, slope_sq = planes
     np.maximum(values, DEFAULT_LOG_FLOOR, out=product)
     product /= floored_pbar
     np.log(product, out=logratio)
@@ -134,21 +137,22 @@ def _block_terms(values: np.ndarray, floored_pbar: np.ndarray, grid: Grid,
     product -= 1.0
     slope_sq -= product
     slope_sq *= floored_pbar
-    entropy[:] = integrate_rows(slope_sq, grid)
+    out[0] = integrate_rows(slope_sq, grid)
     np.greater_equal(values, DEFAULT_TAIL_CUT * values.max(axis=1, keepdims=True), out=mask)
-    weight.fill(0.0)
-    np.copyto(weight, values, where=mask)
+    # p where the mask holds, else 0: a non-negative p times 1 or 0
+    np.multiply(values, mask, out=weight)
     mean = integrate_rows(np.multiply(logratio, weight, out=product), grid)
     gradient_rows(logratio, grid, out=slope_sq)
     np.multiply(slope_sq, slope_sq, out=slope_sq)
-    fisher[:] = integrate_rows(np.multiply(slope_sq, weight, out=product), grid)
+    np.multiply(slope_sq, weight, out=product)  # the Fisher integrand
     np.subtract(logratio, mean[:, None], out=slope_sq)
     np.multiply(slope_sq, slope_sq, out=logratio)
-    variance[:] = integrate_rows(np.multiply(logratio, weight, out=logratio), grid)
+    logratio *= weight  # the varentropy integrand
     # -1 - centred and -centred - 1 are one rounding of the same number; the
-    # bracket multiplies the Fisher integrand slope^2 * weight still in product
+    # bracket multiplies the Fisher integrand slope^2 * weight
     np.subtract(-1.0, slope_sq, out=slope_sq)
-    rate[:] = integrate_rows(np.multiply(slope_sq, product, out=slope_sq), grid)
+    slope_sq *= product  # the rate integrand
+    out[1:] = integrate_rows(planes[1:], grid)
 
 
 def _state_terms(p: Density, pbar: Density) -> tuple[float, float, float, float]:

@@ -36,8 +36,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, SweepConfig, Tolerances
-from .fokker_planck import SolveError, solve, solved_chunks, substep_plan
+from .config import ConfigError, ScenarioConfig, SweepConfig
+from .drifts import GradientDrift
+from .fokker_planck import MASS_TOL, SolveError, SolverConfig, solve, solved_chunks, substep_plan
 from .functionals import (
     FunctionalReport,
     block_rows,
@@ -59,6 +60,26 @@ from .monte_carlo import (
     simulate_ensemble,
 )
 from .ou_exact import OUBenchmark
+
+# The bounds of the run's checks are fixed here, not read from the config,
+# so that no config can loosen the checks its run is judged by.
+
+#: Largest ``sup |step(pbar) - pbar|`` of one solver step from the stationary density.
+FIXED_POINT_SUP = 1e-8
+#: Largest relative error of a reported quantity against the exact benchmark.
+ORACLE_REL = 1e-3
+#: Largest relative error of the closed-form varentropy and entropy rates
+#: against the central differences of the varentropy and the entropy.
+VARENTROPY_RATE_REL = 0.01
+ENTROPY_RATE_REL = 0.01
+#: Floor of the reference's magnitude in those two relative errors.
+RATE_FLOOR = 1e-6
+#: Most standard errors that a Monte Carlo estimate may lie from its reference.
+MC_SIGMAS = 3.0
+
+#: Euler-Maruyama steps of the densely stored Monte Carlo ensemble that the
+#: backward-drift and martingale diagnostics read.
+DENSE_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +120,23 @@ def _worst_relative(name: str, values: np.ndarray, refs: np.ndarray, floor: floa
     return Check(name, worst <= bound, f"max rel err = {worst:.3e} (tol {bound:g})")
 
 
-def _mass_conservation(masses: np.ndarray, mass_tol: float) -> Check:
+def _mass_conservation(masses: np.ndarray) -> Check:
+    """The solve's own bound on ``|mass - 1|``, read back from the masses."""
     worst = float(np.max(np.abs(masses - 1.0)))
-    return Check("mass_conservation", worst <= mass_tol,
-                 f"max |mass-1| = {worst:.3e} (tol {mass_tol:g})")
+    return Check("mass_conservation", worst <= MASS_TOL,
+                 f"max |mass-1| = {worst:.3e} (tol {MASS_TOL:g})")
 
 
 def _positivity(lowest: float) -> Check:
     return Check("positivity", lowest >= 0.0, f"min node value = {lowest:.3e}")
 
 
-def _stationary_fixed_point(cfg: ScenarioConfig, pbar: Density) -> Check:
+def _stationary_fixed_point(model: GradientDrift, solver: SolverConfig, pbar: Density) -> Check:
     """One solver step of size dt from the stationary density leaves it."""
-    stepped = solve(pbar, cfg.model, np.array([0.0, cfg.solver.dt]), cfg.solver)[1]
+    stepped = solve(pbar, model, np.array([0.0, solver.dt]), solver)[1]
     err = float(np.max(np.abs(stepped.values - pbar.values)))
-    bound = cfg.tolerances.fixed_point_sup
-    return Check("stationary_fixed_point", err <= bound,
-                 f"sup |step(pbar) - pbar| = {err:.3e} (tol {bound:g})")
+    return Check("stationary_fixed_point", err <= FIXED_POINT_SUP,
+                 f"sup |step(pbar) - pbar| = {err:.3e} (tol {FIXED_POINT_SUP:g})")
 
 
 def _entropy_rate_nonpositive(rep: FunctionalReport) -> Check:
@@ -124,13 +145,12 @@ def _entropy_rate_nonpositive(rep: FunctionalReport) -> Check:
                  f"max entropy rate = {highest:.3e}")
 
 
-def _vs_exact(rep: FunctionalReport, bench: OUBenchmark, quantity: str,
-              tol: Tolerances) -> Check:
+def _vs_exact(rep: FunctionalReport, bench: OUBenchmark, quantity: str) -> Check:
     """One reported quantity against the benchmark's closed form of it,
     evaluated per time with ``math``: ``np.exp`` can round differently."""
     exact = np.array([getattr(bench, quantity)(t) for t in rep.time.tolist()])
     return _worst_relative(f"{quantity}_vs_exact", getattr(rep, quantity), exact, 1e-12,
-                           tol.oracle_rel)
+                           ORACLE_REL)
 
 
 #: Each Monte Carlo check: the ``mc_diagnostics.csv`` kinds of its rows,
@@ -146,11 +166,11 @@ _MC_CHECKS = {
 }
 
 
-def _mc_checks(rows: Sequence[tuple], tol: Tolerances, undefined: str) -> list[Check]:
+def _mc_checks(rows: Sequence[tuple], undefined: str) -> list[Check]:
     """The Monte Carlo checks, read from the ``mc_diagnostics.csv`` rows.
 
     Each passes when the worst ``|value - reference| / std_error`` over the
-    rows of its kinds is within ``mc_sigmas``, and fails with ``undefined``
+    rows of its kinds is within ``MC_SIGMAS``, and fails with ``undefined``
     when it has no row. The standard error is floored at the float
     resolution of the reference, ``1e-12 * max(1, |reference|)``, so an
     estimate equal to its reference to rounding passes; a NaN fails.
@@ -165,7 +185,7 @@ def _mc_checks(rows: Sequence[tuple], tol: Tolerances, undefined: str) -> list[C
         z = np.abs(value - ref) / np.maximum(se, 1e-12 * np.maximum(1.0, np.abs(ref)))
         k = int(np.argmax(z))  # the first NaN, if there is one
         worst = float(z[k])
-        checks.append(Check(name, worst <= tol.mc_sigmas,
+        checks.append(Check(name, worst <= MC_SIGMAS,
                             detail.format(worst=worst, value=value[k], se=se[k])))
     return checks
 
@@ -222,7 +242,6 @@ def run_scenario(
     group's; the sweep passes each member its own. Returns the in-memory
     result; ``exit_code`` is zero only if every check passed.
     """
-    tol = cfg.tolerances
     if solved is None:
         time_sets, mesh = _solve_times(cfg)
         (solved,) = _solve_streamed([cfg], [time_sets], mesh)
@@ -230,24 +249,24 @@ def run_scenario(
     entropy_fd = central_difference(rep.relative_entropy, rep.time)
     varentropy_fd = central_difference(rep.varentropy, rep.time)
     checks = [
-        _mass_conservation(solved.masses, cfg.solver.mass_tol),
+        _mass_conservation(solved.masses),
         _positivity(solved.lowest),
-        _stationary_fixed_point(cfg, pbar),
+        solved.fixed_point,
         _worst_relative("varentropy_rate_consistency", rep.varentropy_rate[1:-1], varentropy_fd,
-                        tol.rate_floor, tol.varentropy_rate_rel),
+                        RATE_FLOOR, VARENTROPY_RATE_REL),
         _worst_relative("entropy_rate_consistency", rep.entropy_rate[1:-1], entropy_fd,
-                        tol.rate_floor, tol.entropy_rate_rel),
+                        RATE_FLOOR, ENTROPY_RATE_REL),
         _entropy_rate_nonpositive(rep),
     ]
     bench = cfg.exact()
     if bench is not None:
-        checks += [_vs_exact(rep, bench, q, tol) for q in ("varentropy", "varentropy_rate")]
+        checks += [_vs_exact(rep, bench, q) for q in ("varentropy", "varentropy_rate")]
 
     mc_rows = []
     if cfg.mc is not None:
         mc_rows = _run_mc_diagnostics(cfg, *solved.kept, pbar)
-        checks += _mc_checks(mc_rows, tol, f"no bin reached min_count = {DEFAULT_MIN_COUNT} "
-                                           f"samples ({cfg.mc.n_paths} paths)")
+        checks += _mc_checks(mc_rows, f"no bin reached min_count = {DEFAULT_MIN_COUNT} "
+                                      f"samples ({cfg.mc.n_paths} paths)")
 
     target = None if out_dir is None else Path(out_dir)
     if target is not None:
@@ -296,7 +315,7 @@ def _solve_times(cfg: ScenarioConfig) -> tuple[list[np.ndarray], list[float]]:
     time_sets = [cfg.time_samples()]
     if cfg.mc is not None:
         mc = cfg.mc
-        time_sets.append(ensemble_times(mc.dt, mc.diag_steps * mc.dt))
+        time_sets.append(ensemble_times(mc.dt, DENSE_STEPS * mc.dt))
         time_sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
     mesh: list[float] = []
     for t in sorted(set().union(*(times.tolist() for times in time_sets))):
@@ -309,13 +328,16 @@ def _solve_times(cfg: ScenarioConfig) -> tuple[list[np.ndarray], list[float]]:
 class _Solved:
     """What a run reads of its solve: its stationary density ``pbar``, the
     report of its sample rows, the mass of every mesh row, the lowest node
-    value of them all, and the rows of each Monte Carlo time set."""
+    value of them all, the rows of each Monte Carlo time set, and the
+    stationary fixed-point check of its solver, which depends on the grid,
+    drift and solver alone."""
 
     pbar: Density
     report: FunctionalReport
     masses: np.ndarray
     lowest: float
     kept: list[DensityTrajectory]
+    fixed_point: Check
 
 
 def _solve_streamed(
@@ -334,6 +356,8 @@ def _solve_streamed(
     of its sample times, and every number here equal :func:`solve` of that
     scenario alone followed by :func:`report`, bit for bit. A failing
     scenario raises :class:`SolveError` as :func:`solved_chunks` names it.
+    The scenarios share one stationary fixed-point check, taken once, after
+    the last chunk.
     """
     grid, model, solver = cfgs[0].grid, cfgs[0].model, cfgs[0].solver
     mesh_times = np.array(mesh)
@@ -363,10 +387,12 @@ def _solve_streamed(
             for (_, index), out in zip(mc_plans, kept[m]):
                 lo, hi = bisect.bisect_left(index, base), bisect.bisect_left(index, end)
                 out[lo:hi] = rows[m, [i - base for i in index[lo:hi]]]
+    fixed_point = _stationary_fixed_point(model, solver, pbar)
     return [
         _Solved(pbar, FunctionalReport(samples, *member_columns[:, index]), row_masses,
                 float(low), [DensityTrajectory._from_rows(times, grid, out, row_masses[index])
-                             for (times, index), out in zip(mc_plans, kept_rows)])
+                             for (times, index), out in zip(mc_plans, kept_rows)],
+                fixed_point)
         for member_columns, row_masses, low, ((samples, index), *mc_plans), kept_rows
         in zip(columns, masses, lowest, plans, kept)
     ]
@@ -393,12 +419,12 @@ def _run_mc_diagnostics(
     # need consecutive fine steps, not the coarse functional stride. Its
     # columns stream through the martingale diagnostic as the paths advance;
     # only the last two, which the backward-drift estimate reads, are kept.
-    last = mc.diag_steps
+    last = DENSE_STEPS
     kept: list[np.ndarray] = []
 
     def dense_columns():
         for k, x in ensemble_columns(
-            cfg.model, p0, mc.dt, mc.diag_steps * mc.dt, mc.n_paths, mc.seed + 1
+            cfg.model, p0, mc.dt, DENSE_STEPS * mc.dt, mc.n_paths, mc.seed + 1
         ):
             if k >= last - 1:
                 kept.append(x.copy())
@@ -491,13 +517,16 @@ def _sweep_row(label: str, result: ScenarioResult) -> SweepRow:
     rates, varentropies = result.report.varentropy_rate, result.report.varentropy
     scale = float(np.max(np.abs(rates)))
     sign_tol = 1e-6 * scale if scale > 0 else 0.0
+    sign_change = bool(rates.min() < -sign_tol and rates.max() > sign_tol)
     k_max = int(np.argmax(varentropies))
-    interior_max = 0 < k_max < len(varentropies) - 1
+    # a varentropy whose rate keeps one sign has no interior maximum: an
+    # interior argmax then picks out rounding, not a turn of the varentropy
+    interior_max = sign_change and 0 < k_max < len(varentropies) - 1
     return SweepRow(
         label=label,
         min_rate=float(rates.min()),
         max_rate=float(rates.max()),
-        sign_change=bool(rates.min() < -sign_tol and rates.max() > sign_tol),
+        sign_change=sign_change,
         time_of_max=float(result.report.time[k_max]) if interior_max else None,
         varentropy_initial=float(varentropies[0]),
         varentropy_final=float(varentropies[-1]),
@@ -508,17 +537,20 @@ def _sweep_row(label: str, result: ScenarioResult) -> SweepRow:
 def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     """Rerun the base scenario across parameter values and record, for each,
     the extremes of the varentropy rate over time, whether the rate changes
-    sign, and the time of the varentropy maximum when it is interior.
+    sign, and, when it does, the time of the varentropy maximum if that is
+    interior.
 
     No expected sign is asserted: the rate formula's bracket is indefinite
     and the sweep exists to record what actually happens. Each row also
     keeps the names of the member's failed tolerance checks. Every member
     is parsed before the first one runs. Each group of
     :func:`_solve_groups` is solved once by :func:`_solve_streamed`, which
-    holds one chunk of rows per member, never a trajectory; each member then
-    runs on its share of it, checks and report included. A solver error
-    names the member that met it; one in a group's solve comes before the
-    group's earlier members have run.
+    holds one chunk of rows per member, never a trajectory, and takes the
+    group's one stationary fixed-point solve; each member then runs on its
+    share of it, checks and report included, and solves nothing more. A
+    solver error names the member that met it, the group's first for the
+    fixed-point solve; one in a group's solve comes before the group's
+    earlier members have run.
     """
     rows: list[SweepRow] = []
     for (_, _, _, mesh), group in _solve_groups(sweep.members()):
@@ -527,11 +559,8 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
                                      [time_sets for _, _, time_sets in group], mesh)
         except SolveError as err:
             raise RuntimeError(f"sweep member {group[err.start][0]}: {err}") from err
-        for (label, cfg, _), member in zip(group, solved):
-            try:
-                rows.append(_sweep_row(label, run_scenario(cfg, solved=member)))
-            except RuntimeError as err:
-                raise RuntimeError(f"sweep member {label}: {err}") from err
+        rows += [_sweep_row(label, run_scenario(cfg, solved=member))
+                 for (label, cfg, _), member in zip(group, solved)]
     return rows
 
 

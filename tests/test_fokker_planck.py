@@ -188,8 +188,8 @@ class TestSolveValidation:
         real = _Generator.run
         calls = []
 
-        def faulty(gen, values, dt, theta, n_steps):
-            out = real(gen, values, dt, theta, n_steps)
+        def faulty(gen, values, dt, n_steps):
+            out = real(gen, values, dt, n_steps)
             calls.append(dt)
             fault = faults.get(len(calls))
             return out if fault is None else fault(out)
@@ -206,13 +206,6 @@ class TestSolveValidation:
         with pytest.raises(RuntimeError, match=r"t=0\.3: density mass .* outside 1 \+/- 1e-10"):
             self._solve_with_faults(monkeypatch, {3: lambda v: v * (1.0 + 1e-9)},
                                     narrow_gaussian, ou_model, SolverConfig(dt=0.1))
-
-    def test_default_mass_tolerance_also_applies(self, monkeypatch, ou_model, narrow_gaussian):
-        """A loose ``cfg.mass_tol`` does not admit a row that no Density
-        would accept."""
-        with pytest.raises(RuntimeError, match=r"t=0\.5: density mass .* outside 1 \+/- 1e-06"):
-            self._solve_with_faults(monkeypatch, {5: lambda v: v * (1.0 + 1e-5)},
-                                    narrow_gaussian, ou_model, SolverConfig(dt=0.1, mass_tol=1e-3))
 
     def test_negative_value_names_the_first_bad_time(self, monkeypatch, ou_model, narrow_gaussian):
         """The negative node at t = 0.2 is reported, not the mass drift
@@ -231,12 +224,8 @@ class TestSolveValidation:
 class TestGeneratorInternals:
     def test_positivity_substep_bound(self, wide_grid, ou_model):
         gen = _Generator(wide_grid, ou_model)
-        dt_pos = gen.positivity_dt(0.5)
+        dt_pos = gen.positivity_dt()
         assert 0.0 < dt_pos < 1e-3  # the nominal millisecond step gets split
-
-    def test_fully_implicit_needs_no_substeps(self, wide_grid, ou_model):
-        gen = _Generator(wide_grid, ou_model)
-        assert gen.positivity_dt(1.0) == np.inf
 
 
 class TestBernoulliWeight:
@@ -262,8 +251,8 @@ class TestBernoulliWeight:
 
 
 def _reference_advance(gen, values, dt, theta):
-    """The theta step assembled from the generator's diagonals and solved by
-    scipy's banded solver, with no factorization reused: the reference of
+    """The theta step (Crank-Nicolson at theta = 1/2) assembled from the
+    generator's diagonals and solved by scipy's banded solver, with no factorization reused: the reference of
     the LU path."""
     rhs = values * (1.0 + (1.0 - theta) * dt * gen.diag)
     rhs[1:] += (1.0 - theta) * dt * gen.lower[1:] * values[:-1]
@@ -321,17 +310,18 @@ def _each_path(*values):
 
 
 class TestFactoredStep:
-    @pytest.mark.parametrize("path, theta", _each_path(0.5, 1.0))
+    @pytest.mark.parametrize("path, theta", _each_path(0.5))
     def test_bit_identical_to_unfactored_solve(self, path, theta):
         """Reusing the cached factors changes no bit of any state over
-        1200 steps cycling through three substep sizes, on either path."""
+        1200 steps cycling through three substep sizes, on either path: each
+        step equals the reference step at theta = 1/2, Crank-Nicolson."""
         grid, model = PATHS[path]
         gen = _Generator(grid, model)
         values = mixture_density(grid, [(0.5, -1.0, 0.09), (0.5, 1.0, 0.09)]).values
         sizes = (1e-3 / 8, 1e-4, 1e-3 / 9)
         for k in range(1200):
             dt = sizes[k % len(sizes)]
-            new = gen.run(values, dt, theta, 1).copy()
+            new = gen.run(values, dt, 1).copy()
             assert np.array_equal(new, _reference_chain(grid, model, values, dt, theta)), k
             values = new
 
@@ -340,11 +330,11 @@ class TestFactoredStep:
         sizes = [1e-4 * (1.0 + k / 64) for k in range(2 * _STEP_CACHE_SIZE + 3)]
         values = dw_stationary.values
         for dt in sizes:
-            values = gen.run(values, dt, 0.5, 1).copy()
+            values = gen.run(values, dt, 1).copy()
             assert len(gen._steps) <= _STEP_CACHE_SIZE
         # an evicted size is factored again and still matches the reference
-        assert (sizes[0], 0.5) not in gen._steps
-        again = gen.run(values, sizes[0], 0.5, 1).copy()
+        assert sizes[0] not in gen._steps
+        again = gen.run(values, sizes[0], 1).copy()
         assert np.array_equal(again, _reference_chain(dw_grid, dw_model, values, sizes[0], 0.5))
 
     @pytest.mark.parametrize("block_width", [1, 3])
@@ -355,7 +345,7 @@ class TestFactoredStep:
         gen = _Generator(dw_grid, dw_model, width=2)
         block = np.tile(dw_stationary.values, (block_width, 1))
         with pytest.raises(ValueError, match=f"width 2 cannot step a block of width {block_width}"):
-            gen.run(block, 1e-4, 0.5, 1)
+            gen.run(block, 1e-4, 1)
         assert not gen._steps  # refused before any factorization
 
     def test_singular_step_raises(self, dw_model, dw_grid):
@@ -363,9 +353,9 @@ class TestFactoredStep:
         gen.lower = np.zeros(dw_grid.n)
         gen.upper = np.zeros(dw_grid.n)
         gen.coupling = np.zeros(dw_grid.n - 1)
-        gen.diag = np.ones(dw_grid.n)  # I - 1 * 1 * L is the zero matrix
+        gen.diag = np.full(dw_grid.n, 2.0)  # I - 1 * L / 2 is the zero matrix
         with pytest.raises(RuntimeError, match="factorization failed"):
-            gen.run(np.ones(dw_grid.n), 1.0, 1.0, 1).copy()
+            gen.run(np.ones(dw_grid.n), 1.0, 1).copy()
 
 
 class TestSolverPath:
@@ -473,7 +463,7 @@ class TestLapackSources:
         gen = _Generator(dw_grid, dw_model)
         assert gen.symmetric
         reference = rows[0]
-        n_pos = math.ceil(1e-3 / gen.positivity_dt(0.5) - 1e-12)
+        n_pos = math.ceil(1e-3 / gen.positivity_dt() - 1e-12)
         for k in range(1, len(self.TIMES)):
             substep = (self.TIMES[k] - self.TIMES[k - 1]) / 5 / n_pos
             reference = _reference_chain(dw_grid, dw_model, reference, substep, 0.5, 5 * n_pos)
@@ -519,10 +509,10 @@ class TestKeptGenerator:
         """The rows of ``solve(p0, model, TIMES, cfg)`` stepped by a generator
         of their own, one ``run`` per interval as ``solve`` plans it."""
         gen = _Generator(p0.grid, model)
-        n_pos = math.ceil(cfg.dt / gen.positivity_dt(cfg.theta) - 1e-12)
+        n_pos = math.ceil(cfg.dt / gen.positivity_dt() - 1e-12)
         rows = [p0.values]
         for a, b in zip(self.TIMES[:-1], self.TIMES[1:]):
-            rows.append(gen.run(rows[-1], (b - a) / 5 / n_pos, cfg.theta, 5 * n_pos).copy())
+            rows.append(gen.run(rows[-1], (b - a) / 5 / n_pos, 5 * n_pos).copy())
         return np.array(rows)
 
     def test_interleaved_solves_equal_fresh_chains(self, dw_model, dw_grid):
@@ -547,20 +537,20 @@ class TestKeptGenerator:
                 assert rows.tobytes() == self._fresh_chain(p0, model, cfg).tobytes()
 
     def test_shipped_sweep_factors_each_substep_size_once(self, monkeypatch):
-        """The shipped sweep solves its 8 members as one group and then each
-        member's one-step fixed-point solve: 9 generators, each of which
+        """The shipped sweep solves its 8 members as one group and then the
+        group's one-step fixed-point solve: 2 generators, each of which
         factors each substep size it meets once, within the step cache."""
         real = _Generator._factored_step
-        factored = {}  # generator -> the (dt, theta) it factored, in order
+        factored = {}  # generator -> the substep sizes it factored, in order
 
-        def counting(gen, dt, theta):
-            factored.setdefault(gen, []).append((dt, theta))
-            return real(gen, dt, theta)
+        def counting(gen, dt):
+            factored.setdefault(gen, []).append(dt)
+            return real(gen, dt)
 
         monkeypatch.setattr(_Generator, "_factored_step", counting)
         configs = Path(__file__).resolve().parent.parent / "configs"
         monotonicity_sweep(SweepConfig.from_json(configs / "sweep_double_well.json"))
-        assert len(factored) == 9
+        assert len(factored) == 2
         for sizes in factored.values():
             assert len(sizes) == len(set(sizes)) <= _STEP_CACHE_SIZE
 
@@ -586,8 +576,8 @@ class TestSolveGroup:
         real = _Generator.run
         calls = []
 
-        def faulty(gen, values, dt, theta, n_steps):
-            out = real(gen, values, dt, theta, n_steps)
+        def faulty(gen, values, dt, n_steps):
+            out = real(gen, values, dt, n_steps)
             calls.append(dt)
             for member, at in faults:
                 if len(calls) == at:
@@ -698,7 +688,7 @@ def _exact_rows(p0, model, times):
 
 
 class TestExactInTime:
-    """The theta solve against the eigen-expansion of its own generator:
+    """The Crank-Nicolson solve against the eigen-expansion of its own generator:
     what is left is the time-stepping error alone, for any drift."""
 
     @pytest.mark.parametrize("name", ["ou_benchmark", "double_well_relax"])
@@ -730,22 +720,22 @@ class TestSubstepKernel:
         real = _Generator.run
         calls = []
 
-        def counting(gen, values, dt, theta, n_steps):
+        def counting(gen, values, dt, n_steps):
             calls.append((dt, n_steps))
-            return real(gen, values, dt, theta, n_steps)
+            return real(gen, values, dt, n_steps)
 
         monkeypatch.setattr(_Generator, "run", counting)
         return calls
 
     def test_interval_equals_chain_of_reference_steps(self, dw_model, dw_grid, monkeypatch):
-        """theta = 1/2, dt = 1 ms and 10 ms output intervals: each interval is
-        one ``run`` call of 10 nominal steps times several positivity
-        substeps, and every row keeps every bit of the chained reference of
-        the symmetric path."""
-        cfg = SolverConfig(dt=1e-3, theta=0.5)
+        """dt = 1 ms and 10 ms output intervals: each interval is one
+        ``run`` call of 10 nominal steps times several positivity substeps,
+        and every row keeps every bit of the chained Crank-Nicolson
+        reference of the symmetric path."""
+        cfg = SolverConfig(dt=1e-3)
         gen = _Generator(dw_grid, dw_model)
         n_nominal = 10
-        n_pos = math.ceil(1e-2 / n_nominal / gen.positivity_dt(cfg.theta) - 1e-12)
+        n_pos = math.ceil(1e-2 / n_nominal / gen.positivity_dt() - 1e-12)
         assert n_pos >= 2
         calls = self._count_runs(monkeypatch)
         times = np.linspace(0.0, 0.1, 11)
@@ -755,19 +745,9 @@ class TestSubstepKernel:
         reference = p0.values
         for k in range(1, len(times)):
             substep = (times[k] - times[k - 1]) / n_nominal / n_pos
-            reference = _reference_chain(dw_grid, dw_model, reference, substep, cfg.theta,
+            reference = _reference_chain(dw_grid, dw_model, reference, substep, 0.5,
                                          n_nominal * n_pos)
             assert np.array_equal(traj.values[k], reference), k
-
-    def test_fully_implicit_interval_is_one_substep(self, dw_model, dw_grid, monkeypatch):
-        """theta = 1 has no positivity bound, so one nominal step is one
-        substep of the full size."""
-        cfg = SolverConfig(dt=1e-3, theta=1.0)
-        p0 = self._start(dw_grid)
-        calls = self._count_runs(monkeypatch)
-        out = solve(p0, dw_model, np.array([0.0, cfg.dt]), cfg).values[1]
-        assert calls == [(cfg.dt, 1)]
-        assert np.array_equal(out, _reference_chain(dw_grid, dw_model, p0.values, cfg.dt, 1.0))
 
     def test_plan_is_what_the_solve_steps(self, dw_model, dw_grid, monkeypatch):
         """Each output interval of an irregular mesh is one ``run`` call of
@@ -776,7 +756,7 @@ class TestSubstepKernel:
         Python floats."""
         cfg = SolverConfig(dt=1e-3)
         times = np.array([0.0, 1e-4, 2.5e-3, 3e-3, 0.0301, 0.05])
-        dt_pos = _Generator(dw_grid, dw_model).positivity_dt(cfg.theta)
+        dt_pos = _Generator(dw_grid, dw_model).positivity_dt()
         expected = []
         for width in np.diff(times).tolist():
             n_nominal = math.ceil(width / cfg.dt - 1e-12)
@@ -802,17 +782,17 @@ class TestSubstepKernel:
         monkeypatch.setattr(fokker_planck, "MAX_NODE_SUBSTEPS", work)
         assert len(solve(self._start(dw_grid), dw_model, times, cfg)) == len(times)
 
-    @pytest.mark.parametrize("path, theta", _each_path(0.5, 1.0))
+    @pytest.mark.parametrize("path, theta", _each_path(0.5))
     def test_run_equals_chain_of_reference_steps(self, path, theta):
-        """Several substeps per kernel call at theta = 1/2 and theta = 1, which
-        needs no positivity substeps of its own, on either path. Odd and even
-        counts end a call in either state buffer."""
+        """Several substeps per kernel call equal as many reference steps at
+        theta = 1/2, Crank-Nicolson, on either path. Odd and even counts end
+        a call in either state buffer."""
         grid, model = PATHS[path]
         gen = _Generator(grid, model)
         values = reference = self._start(grid).values
         calls = [(1e-4, 5), (1e-3 / 9, 9), (1e-4, 2), (1e-3 / 8, 8), (1e-4, 3)]
         for k, (dt, n_steps) in enumerate(calls * 4):
-            values = gen.run(values, dt, theta, n_steps)
+            values = gen.run(values, dt, n_steps)
             reference = _reference_chain(grid, model, reference, dt, theta, n_steps)
             assert np.array_equal(values, reference), k
 
@@ -822,27 +802,29 @@ class TestSubstepKernel:
         (*PATHS["steep_quartic"], [(1.0, 0.0, 0.25)]),
     ], ids=["double_well", "ou", "steep_quartic"])
     def test_explicit_step_rounds_as_three_point_sum(self, grid, model, components):
-        """At theta = 0 the implicit matrix is the identity, so one step is the
-        explicit stage alone, and every node of the scaled state ``v / d``
-        rounds as ``(l v[i-1] + c v[i]) + u v[i+1]`` evaluated left to right
-        before it is scaled back by ``d``: with the symmetric form's
-        off-diagonals on the symmetric path, and with L's and ``d = 1`` on
-        the LU path."""
+        """The explicit stage of a step, its ``dlagtm`` call alone, rounds
+        every node of the scaled state ``u = v / d`` as ``(l u[i-1] + c u[i])
+        + r u[i+1]`` evaluated left to right, the diagonals being those of
+        ``I + dt A / 2``: with the symmetric form's off-diagonals on the
+        symmetric path, and with L's and ``d = 1`` on the LU path."""
         gen = _Generator(grid, model)
         v = mixture_density(grid, components).values
-        dt = 0.5 * gen.positivity_dt(0.0)
+        half = 0.5 * (0.5 * gen.positivity_dt())
         if gen.symmetric:
-            lower = upper = dt * gen.coupling
+            lower = upper = half * gen.coupling
         else:
-            lower, upper = dt * gen.lower[1:], dt * gen.upper[:-1]
+            lower, upper = half * gen.lower[1:], half * gen.upper[:-1]
             assert np.all(gen.scale == 1.0)
-        centre, d = 1.0 + dt * gen.diag, gen.scale
-        u = v / d
+        centre = 1.0 + half * gen.diag
+        u = v / gen.scale
         expected = np.empty(grid.n)
         expected[0] = centre[0] * u[0] + upper[0] * u[1]
         expected[1:-1] = (lower[:-1] * u[:-2] + centre[1:-1] * u[1:-1]) + upper[1:] * u[2:]
         expected[-1] = lower[-1] * u[-2] + centre[-1] * u[-1]
-        assert gen.run(v, dt, 0.0, 1).tobytes() == (expected * d).tobytes()
+        dlagtm, _, calls, _ = gen._factored_step(2.0 * half)
+        gen._buffers[0, 0] = u
+        dlagtm(*calls[0][0])  # buffer 0 into buffer 1
+        assert gen._buffers[1, 0].tobytes() == expected.tobytes()
 
 
 class TestReverseHarmonicResidual:
