@@ -1,10 +1,11 @@
 """Scenario and sweep configs: reading, parsing and validation.
 
 A scenario is one JSON document naming a drift model, an initial density,
-a grid, a time step and the sample times; a sweep names a base scenario and the values its
-members override. Every field is checked when the document is parsed, and a
-bad one raises ``ConfigError`` naming its path (``config.mc.seed: must be
->= 0, got -1``), so a run refuses a bad config before anything is solved.
+a grid, a time step and the sample times; a sweep names a base scenario and
+the values its members override. The checks' bounds are not config fields.
+Every field is checked when the document is parsed, and a bad one raises
+``ConfigError`` naming its path (``config.mc.seed: must be >= 0, got
+-1``), so a run refuses a bad config before anything is solved.
 Parsing also refuses a grid that truncates the initial or the stationary
 density, and a solve of the sample times too long to take.
 """
