@@ -6,17 +6,20 @@ the values its members override. The checks' bounds are not config fields.
 Every field is checked when the document is parsed, and a bad one raises
 ``ConfigError`` naming its path (``config.mc.seed: must be >= 0, got
 -1``), so a run refuses a bad config before anything is solved.
-Parsing also refuses a grid that truncates the initial or the stationary
-density, and a solve of the sample times too long to take.
+Parsing also builds the run's start density and solve mesh, once, and
+refuses a grid that truncates the initial or the stationary density, and
+a solve of that mesh too long to take.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 import math
 import numbers
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -26,6 +29,7 @@ import numpy as np
 from .drifts import GradientDrift, invariant_density, linear_drift
 from .fokker_planck import SolveError, SolverConfig, substep_plan
 from .grids import (
+    SAME_TIME_TOL,
     Density,
     Grid,
     gaussian_mass_outside,
@@ -39,6 +43,10 @@ from .ou_exact import OUBenchmark
 
 #: Mass allowed outside the grid for initial and stationary densities.
 GRID_MASS_TOL = 1e-10
+
+#: Euler-Maruyama steps of the densely stored Monte Carlo ensemble that the
+#: backward-drift and martingale diagnostics read.
+DENSE_STEPS = 50
 
 
 class ConfigError(ValueError):
@@ -119,7 +127,7 @@ def _integer(value, path: str) -> int:
 class McConfig:
     """Monte Carlo block: one ensemble stored at a coarse stride feeds the
     functional estimates, a second densely stored ensemble of
-    ``scenarios.DENSE_STEPS`` steps feeds the backward-drift and martingale
+    ``DENSE_STEPS`` steps feeds the backward-drift and martingale
     diagnostics (whose statistics need consecutive fine steps)."""
 
     n_paths: int
@@ -148,14 +156,11 @@ class McConfig:
             raise ConfigError(f"{path}.dt: must be positive and finite")
         if not 0 < t_end <= horizon + 1e-12:
             raise ConfigError(f"{path}.t_end: must lie in (0, t_end of the run]")
-        try:
-            ensemble_times(dt, t_end)
-        except ValueError as err:
-            raise ConfigError(f"{path}.t_end: {err}") from err
-        try:
-            ensemble_times(dt, t_end, store_every)
-        except ValueError as err:
-            raise ConfigError(f"{path}.store_every: {err}") from err
+        for key, stride in (("t_end", 1), ("store_every", store_every)):
+            try:
+                ensemble_times(dt, t_end, stride)
+            except ValueError as err:
+                raise ConfigError(f"{path}.{key}: {err}") from err
         if bins < 3:
             raise ConfigError(f"{path}.bins: need at least 3 bin edges")
         if not 0 < bin_span < math.inf:
@@ -165,7 +170,17 @@ class McConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; see ``configs/`` for examples."""
+    """Validated scenario description; see ``configs/`` for examples.
+
+    Construction checks ``initial`` and builds, once, what a run solves
+    (``dataclasses.replace`` builds it again): the start density ``start``;
+    ``time_sets``, the sample times, then, with a Monte Carlo block, the
+    dense and the coarse ensembles' stored times, each with its rows in
+    ``mesh``, packed (a list's ints would take four times the memory); and
+    ``mesh``, the solve's times, where a time within ``SAME_TIME_TOL`` of
+    the previous one is that one, merged by Python's sort (numpy's would
+    add its code pages to the run's resident memory).
+    """
 
     name: str
     model: GradientDrift
@@ -177,6 +192,32 @@ class ScenarioConfig:
     mc: Optional[McConfig]
     outputs: Optional[str]
     base_dir: Path = field(default_factory=Path)
+    start: Density = field(init=False, compare=False, repr=False)
+    time_sets: tuple = field(init=False, compare=False, repr=False)
+    mesh: list[float] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        initial, start = _initial(self.initial, self.grid, self.base_dir)
+        _check_stationary_mass(self.model, self.grid)
+        sets = [np.linspace(0.0, self.t_end, self.n_samples)]
+        if self.mc is not None:
+            mc = self.mc
+            sets.append(ensemble_times(mc.dt, DENSE_STEPS * mc.dt))
+            sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
+        mesh: list[float] = []
+        for t in sorted(set().union(*(times.tolist() for times in sets))):
+            if not mesh or t - mesh[-1] > SAME_TIME_TOL:
+                mesh.append(t)
+        try:
+            substep_plan(self.grid, self.model, np.array(mesh), self.solver)
+        except SolveError as err:
+            raise ConfigError(f"config.solver: {err}") from err
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "time_sets", tuple(
+            (times, array("q", [bisect.bisect(mesh, t) - 1 for t in times.tolist()]))
+            for times in sets))
+        object.__setattr__(self, "mesh", mesh)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
@@ -210,24 +251,19 @@ class ScenarioConfig:
             raise ConfigError("config.time.t_end: must be positive and finite")
         if n_samples < 3:
             raise ConfigError("config.time.n_samples: need at least 3 samples")
-        base_dir = Path(base_dir)
-        initial, _ = _initial(_require(data, "initial", "config"), grid, base_dir)
+        initial = _require(data, "initial", "config")
         mc = None
         if data.get("mc") is not None:
             mc = McConfig.from_dict(data["mc"], "config.mc", horizon=t_end)
         outputs = _optional_string(data.get("outputs"), "config.outputs")
-        _check_stationary_mass(model, grid)
-        try:
-            substep_plan(grid, model, np.linspace(0.0, t_end, n_samples), solver)
-        except SolveError as err:
-            raise ConfigError(f"config.solver: {err}") from err
-        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, outputs, base_dir)
+        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, outputs,
+                   Path(base_dir))
 
     def time_samples(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_samples)
+        return self.time_sets[0][0]
 
     def initial_density(self) -> Density:
-        return _initial(self.initial, self.grid, self.base_dir)[1]
+        return self.start
 
     def stationary_density(self) -> Density:
         return invariant_density(self.model, self.grid)
@@ -281,9 +317,9 @@ def _parse_drift(data) -> GradientDrift:
 def _initial(data, grid: Grid, base_dir: Path) -> tuple[dict, Density]:
     """The ``initial`` block with every number checked and converted, and the
     density it gives on ``grid``, refused if more than ``GRID_MASS_TOL`` of
-    its mass lies outside the grid. Parsing and ``initial_density`` both
-    come here. A Gaussian is the one-component mixture of weight 1, which
-    gives the same bits."""
+    its mass lies outside the grid. Construction comes here, once, so a
+    table file is read once per config. A Gaussian is the one-component
+    mixture of weight 1, which gives the same bits."""
     path = "config.initial"
     kind = _kind(data, _INITIAL_KEYS, path)
     if kind == "table":
@@ -356,13 +392,15 @@ def _check_stationary_mass(model: GradientDrift, grid: Grid):
 class SweepConfig:
     """A base scenario document and the values its members override.
 
+    ``parameter`` is the dotted field that a value other than an object
+    sets; only a sweep whose values are all objects may leave it out.
     ``base_dir`` is the directory the members' relative paths resolve
     against: the directory of the base's own file when the base is read
     from one, else the sweep file's.
     """
 
     base: dict
-    parameter: str
+    parameter: Optional[str]
     values: list
     outputs: Optional[str] = None
     base_dir: Path = field(default_factory=Path)
@@ -378,15 +416,22 @@ class SweepConfig:
             base, base_dir = _load_json(base_path, "sweep.base"), base_path.parent
         _fields(base, _CONFIG_KEYS, "sweep.base")
         if base.get("mc") is not None:
-            # members drop the Monte Carlo block, but not its unknown fields
-            _fields(base["mc"], McConfig.__dataclass_fields__, "sweep.base.mc")
+            # members drop the Monte Carlo block; it is parsed all the same,
+            # against the base's own horizon
+            time_spec = _fields(_require(base, "time", "sweep.base"), ("t_end", "n_samples"),
+                                "sweep.base.time")
+            horizon = _number(_require(time_spec, "t_end", "sweep.base.time"),
+                              "sweep.base.time.t_end")
+            McConfig.from_dict(base["mc"], "sweep.base.mc", horizon)
         values = _require(data, "values", "sweep")
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: must be a non-empty list")
         outputs = _optional_string(data.get("outputs"), "sweep.outputs")
         if outputs == "":
             raise ConfigError("sweep.outputs: must name a file, got ''")
-        parameter = _string(data.get("parameter", "override"), "sweep.parameter")
+        parameter = None
+        if "parameter" in data or not all(isinstance(v, dict) for v in values):
+            parameter = _string(_require(data, "parameter", "sweep"), "sweep.parameter")
         return cls(base, parameter, values, outputs, base_dir)
 
     def member(self, value) -> tuple[str, ScenarioConfig]:

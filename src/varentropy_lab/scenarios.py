@@ -2,15 +2,15 @@
 
 Running a scenario (parsed by :mod:`varentropy_lab.config`) produces CSV
 reports and a list of pass/fail tolerance checks. A run solves the PDE once,
-on the sample times merged with the stored times of both Monte Carlo
-ensembles, so the functionals report, the solver checks and the Monte Carlo
-references all read one solution. The solution is reduced as it is
-stepped: the solver yields it in checked chunks of one functionals kernel
-block, with the mass of every row, where the report and the lowest node
-read them, and only the rows at the Monte Carlo times are kept. Each check
-compares two computations and is one function returning a :class:`Check`;
-one function reads every Monte Carlo check from the ``mc_diagnostics.csv``
-rows.
+from its config's start, on its config's solve mesh (the sample times and
+the stored times of both Monte Carlo ensembles), so the functionals report,
+the solver checks and the Monte Carlo references all read one solution. The
+solution is reduced as it is stepped: the solver yields it in checked chunks
+of one functionals kernel block, with the mass of every row, where the
+report and the lowest node read them, and only the rows at the Monte Carlo
+times are kept. Each check compares two computations and is one function
+returning a :class:`Check`; one function reads every Monte Carlo check from
+the ``mc_diagnostics.csv`` rows.
 Sweeps rerun a base scenario across a list of parameter overrides and
 tabulate the sign behaviour of the varentropy rate; consecutive members
 that share a grid, drift, solver config and solve mesh are solved together,
@@ -27,18 +27,18 @@ rows are those of its run alone. Output files are written atomically.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
-from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, SweepConfig
+from .config import DENSE_STEPS, ConfigError, ScenarioConfig, SweepConfig
 from .drifts import GradientDrift
-from .fokker_planck import MASS_TOL, SolveError, SolverConfig, solve, solved_chunks, substep_plan
+from .fokker_planck import MASS_TOL, SolveError, SolverConfig, solve, solved_chunks
 from .functionals import (
     FunctionalReport,
     block_rows,
@@ -48,12 +48,11 @@ from .functionals import (
     varentropy,
     varentropy_rate,
 )
-from .grids import SAME_TIME_TOL, Density, DensityTrajectory, make_uniform_grid
+from .grids import Density, DensityTrajectory, make_uniform_grid
 from .monte_carlo import (
     DEFAULT_MIN_COUNT,
     backward_drift_target,
     ensemble_columns,
-    ensemble_times,
     estimate_backward_drift,
     martingale_diagnostic,
     mc_functionals,
@@ -76,10 +75,6 @@ ENTROPY_RATE_REL = 0.01
 RATE_FLOOR = 1e-6
 #: Most standard errors that a Monte Carlo estimate may lie from its reference.
 MC_SIGMAS = 3.0
-
-#: Euler-Maruyama steps of the densely stored Monte Carlo ensemble that the
-#: backward-drift and martingale diagnostics read.
-DENSE_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +238,7 @@ def run_scenario(
     result; ``exit_code`` is zero only if every check passed.
     """
     if solved is None:
-        time_sets, mesh = _solve_times(cfg)
-        (solved,) = _solve_streamed([cfg], [time_sets], mesh)
+        (solved,) = _solve_streamed([cfg])
     rep, pbar = solved.report, solved.pbar
     entropy_fd = central_difference(rep.relative_entropy, rep.time)
     varentropy_fd = central_difference(rep.varentropy, rep.time)
@@ -301,29 +295,6 @@ def run_scenario(
     return ScenarioResult(cfg.name, target, checks, rep)
 
 
-def _solve_times(cfg: ScenarioConfig) -> tuple[list[np.ndarray], list[float]]:
-    """The time sets that a run's outputs read, and the mesh of its one solve.
-
-    The sets are the sample times, then, with a Monte Carlo block, the
-    dense and the coarse ensembles' stored times. The mesh holds every time
-    of every set; times within ``SAME_TIME_TOL`` of the previous mesh time
-    are that mesh time, and each set reads the rows of its times' mesh
-    times. The few hundred times are merged with Python's sort: numpy's sort
-    and search kernels would add their code pages to the run's resident
-    memory.
-    """
-    time_sets = [cfg.time_samples()]
-    if cfg.mc is not None:
-        mc = cfg.mc
-        time_sets.append(ensemble_times(mc.dt, DENSE_STEPS * mc.dt))
-        time_sets.append(ensemble_times(mc.dt, mc.t_end, mc.store_every))
-    mesh: list[float] = []
-    for t in sorted(set().union(*(times.tolist() for times in time_sets))):
-        if not mesh or t - mesh[-1] > SAME_TIME_TOL:
-            mesh.append(t)
-    return time_sets, mesh
-
-
 @dataclass(frozen=True, eq=False)
 class _Solved:
     """What a run reads of its solve: its stationary density ``pbar``, the
@@ -340,35 +311,30 @@ class _Solved:
     fixed_point: Check
 
 
-def _solve_streamed(
-    cfgs: Sequence[ScenarioConfig], time_sets: Sequence[Sequence[np.ndarray]], mesh: list[float]
-) -> list[_Solved]:
-    """Solve the scenarios ``cfgs``, which share the grid, drift and solver
-    config of the first and the solve mesh ``mesh``, as one block of
+def _solve_streamed(cfgs: Sequence[ScenarioConfig]) -> list[_Solved]:
+    """Solve the scenarios ``cfgs``, which share the grid, drift, solver
+    config and solve mesh of the first, as one block of
     :func:`solved_chunks`, and reduce each one's rows as they come.
 
-    ``time_sets`` gives each scenario's sets of :func:`_solve_times`. The
-    chunks are of ``block_rows(n)`` mesh times, checked, with the mass of
-    every row. Of each, the lowest node is taken, :func:`report` takes each
-    scenario's rows whole, into columns over the whole mesh, and the rows
-    at its Monte Carlo times are copied out. A row's report does not depend
-    on its chunk, so each scenario's report, its columns at the mesh index
-    of its sample times, and every number here equal :func:`solve` of that
-    scenario alone followed by :func:`report`, bit for bit. A failing
+    The chunks are of ``block_rows(n)`` mesh times, checked, with the mass
+    of every row. Of each, the lowest node is taken, :func:`report` takes
+    each scenario's rows whole, into columns over the whole mesh, and the
+    rows of its Monte Carlo time sets are copied out. A row's report does
+    not depend on its chunk, so each scenario's report, its columns at the
+    mesh rows of its sample times, and every number here equal
+    :func:`solve` of that scenario alone followed by :func:`report`, bit
+    for bit. A failing
     scenario raises :class:`SolveError` as :func:`solved_chunks` names it.
     The scenarios share one stationary fixed-point check, taken once, after
     the last chunk.
     """
-    grid, model, solver = cfgs[0].grid, cfgs[0].model, cfgs[0].solver
+    grid, model, solver, mesh = cfgs[0].grid, cfgs[0].model, cfgs[0].solver, cfgs[0].mesh
     mesh_times = np.array(mesh)
     chunks = solved_chunks([cfg.initial_density() for cfg in cfgs], model, mesh_times, solver,
                            block_rows(grid.n))
     # the group shares its grid and drift, so its stationary density too
     pbar = cfgs[0].stationary_density()
-    # each scenario's time sets, with the mesh index of every time, packed:
-    # the Python ints of a list would take four times the memory
-    plans = [[(times, array("q", [bisect.bisect(mesh, t) - 1 for t in times.tolist()]))
-              for times in sets] for sets in time_sets]
+    plans = [cfg.time_sets for cfg in cfgs]
     masses = np.empty((len(cfgs), len(mesh)))
     lowest = np.full(len(cfgs), np.inf)
     # each scenario's report columns after time, one entry per mesh time
@@ -496,22 +462,6 @@ class SweepRow:
     failed_checks: tuple[str, ...]
 
 
-def _solve_groups(members: Sequence[tuple[str, ScenarioConfig]]) -> list[tuple[tuple, list]]:
-    """Runs of consecutive members whose one solve can step them together,
-    each with its key ``(grid, model, solver, mesh)``, which they all share.
-    A member is ``(label, cfg, time_sets)``, with the sets of
-    :func:`_solve_times`."""
-    groups: list[tuple[tuple, list]] = []
-    for label, cfg in members:
-        time_sets, mesh = _solve_times(cfg)
-        key = (cfg.grid, cfg.model, cfg.solver, mesh)
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append((label, cfg, time_sets))
-        else:
-            groups.append((key, [(label, cfg, time_sets)]))
-    return groups
-
-
 def _sweep_row(label: str, result: ScenarioResult) -> SweepRow:
     """The sweep row of one member's run."""
     rates, varentropies = result.report.varentropy_rate, result.report.varentropy
@@ -543,24 +493,25 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     No expected sign is asserted: the rate formula's bracket is indefinite
     and the sweep exists to record what actually happens. Each row also
     keeps the names of the member's failed tolerance checks. Every member
-    is parsed before the first one runs. Each group of
-    :func:`_solve_groups` is solved once by :func:`_solve_streamed`, which
-    holds one chunk of rows per member, never a trajectory, and takes the
-    group's one stationary fixed-point solve; each member then runs on its
-    share of it, checks and report included, and solves nothing more. A
-    solver error names the member that met it, the group's first for the
-    fixed-point solve; one in a group's solve comes before the group's
-    earlier members have run.
+    is parsed before the first one runs. Each group, a run of consecutive
+    members that share a grid, drift, solver config and solve mesh, is
+    solved once by :func:`_solve_streamed`, which holds one chunk of rows
+    per member, never a trajectory, and takes the group's one stationary
+    fixed-point solve; each member then runs on its share of it, checks and
+    report included, and solves nothing more. A solver error names the
+    member that met it, the group's first for the fixed-point solve; one in
+    a group's solve comes before the group's earlier members have run.
     """
     rows: list[SweepRow] = []
-    for (_, _, _, mesh), group in _solve_groups(sweep.members()):
+    for _, members in itertools.groupby(sweep.members(), key=lambda member: (
+            member[1].grid, member[1].model, member[1].solver, member[1].mesh)):
+        group = list(members)
         try:
-            solved = _solve_streamed([cfg for _, cfg, _ in group],
-                                     [time_sets for _, _, time_sets in group], mesh)
+            solved = _solve_streamed([cfg for _, cfg in group])
         except SolveError as err:
             raise RuntimeError(f"sweep member {group[err.start][0]}: {err}") from err
         rows += [_sweep_row(label, run_scenario(cfg, solved=member))
-                 for (label, cfg, _), member in zip(group, solved)]
+                 for (label, cfg), member in zip(group, solved)]
     return rows
 
 
@@ -599,9 +550,11 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> Iterator[ConvergenceR
     Only defined for benchmark scenarios (standard OU drift, centered
     Gaussian start), where the exact values are available. The observed
     order for level k compares errors at levels k-1 and k; with two levels a
-    single ratio is reported. Each refusal is a ``ConfigError``, raised
-    when this is called, before any solve: too few levels, a config without
-    the exact benchmark, or a level whose solve :func:`substep_plan` refuses.
+    single ratio is reported. Each level is the config with the refined
+    grid and step and no Monte Carlo block, so it solves the sample times.
+    Each refusal is a ``ConfigError``, raised when this is called, before
+    any solve: too few levels, a config without the exact benchmark, or a
+    level that construction refuses, such as a solve too long to take.
     """
     if levels < 2:
         raise ConfigError(f"--levels: need at least 2 levels, got {levels}")
@@ -609,25 +562,25 @@ def convergence_study(cfg: ScenarioConfig, levels: int) -> Iterator[ConvergenceR
     if bench is None:
         raise ConfigError("config: the convergence study requires the exactly solvable "
                           "benchmark: linear drift rate -0.5, sigma 1, Gaussian start of mean 0")
-    t_samples = cfg.time_samples()
-    exact = np.array([bench.varentropy(t) for t in t_samples.tolist()])
     ladder = []
     for level in range(levels):
         grid = make_uniform_grid(cfg.grid.lo, cfg.grid.hi, (cfg.grid.n - 1) * 2**level + 1)
         solver = replace(cfg.solver, dt=cfg.solver.dt / 2**level)
         try:
-            substep_plan(grid, cfg.model, t_samples, solver)
-        except SolveError as err:
-            raise ConfigError(f"--levels: level {level} of {levels}: {err}") from err
-        ladder.append(replace(cfg, grid=grid, solver=solver))
-    return _convergence_rows(ladder, t_samples, exact)
+            ladder.append(replace(cfg, grid=grid, solver=solver, mc=None))
+        except ConfigError as err:
+            # a solve too long to take is named by the solver's own message
+            reason = err.__cause__ or err
+            raise ConfigError(f"--levels: level {level} of {levels}: {reason}") from err
+    exact = np.array([bench.varentropy(t) for t in cfg.time_samples().tolist()])
+    return _convergence_rows(ladder, exact)
 
 
-def _convergence_rows(ladder: Sequence[ScenarioConfig], t_samples: np.ndarray,
+def _convergence_rows(ladder: Sequence[ScenarioConfig],
                       exact: np.ndarray) -> Iterator[ConvergenceRow]:
     prev_err = None
     for level, refined in enumerate(ladder):
-        (solved,) = _solve_streamed([refined], [[t_samples]], t_samples.tolist())
+        (solved,) = _solve_streamed([refined])
         err = _worst(np.abs(solved.report.varentropy - exact))
         order = None
         if prev_err is not None:

@@ -19,13 +19,17 @@ from varentropy_lab import FunctionalReport, OUBenchmark, central_difference, re
 from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
 from varentropy_lab.fokker_planck import MASS_TOL, SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
-from varentropy_lab.config import ConfigError, _deep_merge
+from varentropy_lab.config import DENSE_STEPS, ConfigError, _deep_merge
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 #: The CSV of the shipped sweep at one sample per solver step, as the
 #: symmetric-path solver writes it; read here, never written.
 DENSE_SWEEP_GOLDEN = Path(__file__).resolve().parent / "data" / "sweep_dense.csv"
+
+#: The CSV of ``converge configs/ou_benchmark.json --levels 2``; read
+#: here, never written.
+CONVERGE_GOLDEN = Path(__file__).resolve().parent / "data" / "converge_ou_benchmark.csv"
 
 #: The benchmark's reference CSV of the same sweep, from the pivoted-LU
 #: solver; read here, never written.
@@ -281,8 +285,9 @@ class TestConfigParsing:
         assert np.array_equal(cfg.initial_density().values, reference.values)
 
     def test_table_read_once_per_parse(self, tmp_path, monkeypatch):
-        """Parsing reads a table start once: one pass builds the density
-        and checks its mass outside the grid."""
+        """A table start is read once, when the config is parsed: one pass
+        builds the density and checks its mass outside the grid, and the
+        run solves that density without reading the file again."""
         np.savetxt(tmp_path / "table.txt", np.exp(-np.linspace(-8, 8, 801) ** 2 / 0.5))
         reads = []
         loadtxt = np.loadtxt
@@ -292,9 +297,29 @@ class TestConfigParsing:
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
-        ScenarioConfig.from_dict(ou_config(initial={"kind": "table", "path": "table.txt"}),
-                                 base_dir=tmp_path)
+        cfg = ScenarioConfig.from_dict(ou_config(initial={"kind": "table", "path": "table.txt"}),
+                                       base_dir=tmp_path)
         assert len(reads) == 1
+        run_scenario(cfg)
+        assert reads == [tmp_path / "table.txt"]
+
+    @pytest.mark.parametrize("change", ["delete", "rewrite"])
+    def test_run_solves_the_parsed_table_start(self, tmp_path, change):
+        """A table file deleted or rewritten after parsing changes nothing:
+        the run solves the start that parsing read."""
+        x = np.linspace(-8, 8, 801)
+        table = tmp_path / "table.txt"
+        np.savetxt(table, np.exp(-x**2 / 0.5))
+        cfg = ScenarioConfig.from_dict(ou_config(initial={"kind": "table", "path": "table.txt"}),
+                                       base_dir=tmp_path)
+        want = run_scenario(cfg).report
+        if change == "delete":
+            table.unlink()
+        else:
+            np.savetxt(table, np.exp(-(x - 1.0) ** 2 / 0.5))
+        got = run_scenario(cfg).report
+        for name in FunctionalReport.FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_mass_check_reads_the_solver_bound(self):
         """The ``mass_conservation`` check reads ``MASS_TOL``, the bound
@@ -452,9 +477,9 @@ class TestRunScenario:
 
     def test_one_solve_on_every_output_time(self, monkeypatch):
         """The grid rows and both ensembles' references read one solution,
-        streamed on a mesh that holds every sample and stored MC time. The
-        only other solve is the fixed-point check's one step of size dt
-        from the stationary density."""
+        streamed on the config's mesh, which holds every sample and stored
+        MC time. The only other solve is the fixed-point check's one step of
+        size dt from the stationary density."""
         calls = []
         real_chunks, real_solve = scenarios.solved_chunks, scenarios.solve
 
@@ -476,10 +501,11 @@ class TestRunScenario:
         assert np.array_equal(p0.values, cfg.initial_density().values)
         assert np.array_equal(stationary.values, pbar.values)
         assert step.tolist() == [0.0, cfg.solver.dt]
+        assert mesh.tolist() == cfg.mesh
         mc = cfg.mc
         wanted = np.concatenate([
             cfg.time_samples(),
-            mc.dt * np.arange(scenarios.DENSE_STEPS + 1),
+            mc.dt * np.arange(DENSE_STEPS + 1),
             mc.dt * mc.store_every * np.arange(round(mc.t_end / mc.dt) // mc.store_every + 1),
         ])
         gaps = np.abs(wanted[:, None] - mesh[None, :]).min(axis=1)
@@ -522,7 +548,7 @@ class TestRunScenario:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        dense_bytes = (scenarios.DENSE_STEPS + 1) * mc["n_paths"] * 8
+        dense_bytes = (DENSE_STEPS + 1) * mc["n_paths"] * 8
         assert peak < 0.5 * dense_bytes, (peak, dense_bytes)
 
 
@@ -645,7 +671,7 @@ class TestSweep:
     @pytest.mark.parametrize("fields, message", [
         ({"parameter": "solvr.dt", "values": [1e-3]}, "sweep.parameter: 'solvr.dt' names no field"),
         ({"parameter": "grid.nn", "values": [401]}, "config.grid.nn: unknown field"),
-        ({"values": [0.5]}, "config.override: unknown field"),
+        ({"values": [0.5]}, "sweep.parameter: missing required field"),
         ({"parameter": "initial.variance", "values": 0.5}, "sweep.values: must be a non-empty list"),
         ({"parameter": "initial.variance", "values": [0.25], "bass": {}}, "sweep.bass: unknown field"),
         ({"parameter": "initial.variance", "values": [0.25], "outputs": 7},
@@ -660,6 +686,20 @@ class TestSweep:
         ({"base": ou_config(name="b", solver={"dt": 2e-3, "theta": 0.5}),
           "parameter": "initial.variance", "values": [0.25]}, "config.solver.theta: unknown field"),
         ({"parameter": "solver.mass_tol", "values": [1e-10]}, "config.solver.mass_tol: unknown field"),
+        # the base's Monte Carlo block, which the members drop, is parsed
+        # against the base's own horizon
+        ({"base": ou_config(name="b", mc={"n_paths": -5, "dt": "x", "seed": 1}),
+          "parameter": "initial.variance", "values": [0.25]},
+         "sweep.base.mc.dt: must be a number, got 'x'"),
+        ({"base": ou_config(name="b", mc={"n_paths": -5, "dt": 0.01, "seed": 1}),
+          "parameter": "initial.variance", "values": [0.25]},
+         "sweep.base.mc.n_paths: must be >= 2"),
+        ({"base": ou_config(name="b", mc={**SMALL_MC, "t_end": 2.0}),
+          "parameter": "initial.variance", "values": [0.25]},
+         "sweep.base.mc.t_end: must lie in (0, t_end of the run]"),
+        # a value that is not an object needs a parameter, whatever the others
+        ({"values": [{"initial": {"variance": 0.5}}, 0.5]},
+         "sweep.parameter: missing required field"),
     ])
     def test_bad_sweep_rejected(self, tmp_path, fields, message):
         """Each fault stops the sweep with a config error before any member
@@ -669,13 +709,13 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             monotonicity_sweep(SweepConfig.from_json(path))
 
-    def test_dict_override_merging(self):
-        base = ou_config(name="merge")
-        sweep = SweepConfig(
-            base=base,
-            parameter="override",
-            values=[{"initial": {"variance": 0.5}}],
-        )
+    def test_dict_override_merging(self, tmp_path):
+        """A sweep whose values are all objects needs no parameter."""
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": ou_config(name="merge"),
+                                    "values": [{"initial": {"variance": 0.5}}]}))
+        sweep = SweepConfig.from_json(path)
+        assert sweep.parameter is None
         rows = monotonicity_sweep(sweep)
         assert len(rows) == 1
         # variance 1/2 start: varentropy (1 - v)^2 / 2 = 1/8 at t = 0
@@ -837,11 +877,10 @@ class TestGroupedSweep:
         narrow = replace(members[0], initial={"kind": "gaussian", "mean": 1.0, "variance": 1e-4})
         assert np.count_nonzero(narrow.initial_density().values == 0.0) > 100
         cfgs = members[:width - 1] + [narrow]
-        time_sets, mesh = scenarios._solve_times(cfgs[0])
-        assert len(mesh) == samples
-        streamed = scenarios._solve_streamed(cfgs, [time_sets] * width, mesh)
+        assert len(cfgs[0].mesh) == samples and narrow.mesh == cfgs[0].mesh
+        streamed = scenarios._solve_streamed(cfgs)
         for cfg, got in zip(cfgs, streamed, strict=True):
-            traj = solve(cfg.initial_density(), cfg.model, np.array(mesh), cfg.solver)
+            traj = solve(cfg.initial_density(), cfg.model, np.array(cfg.mesh), cfg.solver)
             want = report(traj, cfg.stationary_density(), cfg.model.sigma)
             for field in FunctionalReport.FIELDS:
                 got_column, want_column = getattr(got.report, field), getattr(want, field)
@@ -983,6 +1022,19 @@ class TestConvergence:
         assert next(rows).level == 1
         assert len(calls) == 2
         assert [cfgs[0].grid.n for cfgs, *_ in calls] == [101, 201]
+
+    def test_ou_benchmark_writes_the_golden_bytes(self, tmp_path, capsys):
+        """Two levels of the shipped benchmark write the golden CSV byte
+        for byte: each level solves the sample times of the config with the
+        refined grid and step and no Monte Carlo block."""
+        out = tmp_path / "converge.csv"
+        assert main(["converge", str(CONFIGS / "ou_benchmark.json"), "--levels", "2",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == CONVERGE_GOLDEN.read_bytes()
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            "    0     801   1.00e-03    2.6958e-05       -",
+            "    1    1601   5.00e-04    6.7427e-06   1.999",
+        ]
 
     def test_requires_benchmark_scenario(self, dw_model):
         data = ou_config(
