@@ -6,13 +6,15 @@ passes, so acceptance suites can shell out to scenario runs directly. A
 config error (an unreadable file included) exits 2, and a failed solve or
 an allocation too large for memory exits 1, each with one line on stderr and
 no traceback; argparse refuses a bad argument with exit 2.
+
+A command writes only to the path its ``--out`` names; without one it
+writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -28,13 +30,9 @@ from .scenarios import (
     write_sweep_csv,
 )
 
-#: Environment variable naming a root directory under which ``run`` writes
-#: each scenario's reports, in a directory named by ``config.name``.
-OUTPUT_ROOT_ENV = "VARENTROPY_LAB_OUTPUT_ROOT"
 
-
-def _refuse_output(where: str, path, directory: bool):
-    """Refuse, before any work, an output path that the final write would
+def _refuse_output(path, directory: bool):
+    """Refuse, before any work, an ``--out`` path that the final write would
     fail on: one below an existing non-directory, an existing non-directory
     where a run writes its reports, or a directory where a table file goes."""
     if path is None:
@@ -42,26 +40,17 @@ def _refuse_output(where: str, path, directory: bool):
     target = Path(path)
     blocker = next((p for p in target.parents if p.exists()), None)
     if blocker is not None and not blocker.is_dir():
-        raise ConfigError(f"{where}: '{path}' lies below '{blocker}', which is not a directory")
+        raise ConfigError(f"--out: '{path}' lies below '{blocker}', which is not a directory")
     if directory and target.exists() and not target.is_dir():
-        raise ConfigError(f"{where}: '{path}' is not a directory")
+        raise ConfigError(f"--out: '{path}' is not a directory")
     if not directory and target.is_dir():
-        raise ConfigError(f"{where}: '{path}' is a directory, not a file")
+        raise ConfigError(f"--out: '{path}' is a directory, not a file")
 
 
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
-    where, out_dir, root = "--out", args.out, os.environ.get(OUTPUT_ROOT_ENV)
-    if out_dir is None and root:
-        # a name that is not one plain path component could leave the root
-        if cfg.name in ("", ".", "..") or any(c in cfg.name for c in ("/", os.sep, "\0")):
-            raise ConfigError(f"config.name: {cfg.name!r} is not one plain path component, "
-                              f"which a directory under {OUTPUT_ROOT_ENV} needs")
-        where, out_dir = "output directory", Path(root) / cfg.name
-    elif out_dir is None and cfg.outputs is not None:
-        where, out_dir = "output directory", cfg.base_dir / cfg.outputs
-    _refuse_output(where, out_dir, directory=True)
-    result = run_scenario(cfg, out_dir)
+    _refuse_output(args.out, directory=True)
+    result = run_scenario(cfg, args.out)
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {cfg.name}: {check.name}: {check.detail}")
@@ -72,10 +61,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = SweepConfig.from_json(args.config)
-    where, path = "--out", args.out
-    if path is None and sweep.outputs is not None:
-        where, path = "sweep.outputs", Path(args.config).parent / sweep.outputs
-    _refuse_output(where, path, directory=False)
+    _refuse_output(args.out, directory=False)
     rows = monotonicity_sweep(sweep)
     print(f"{'label':<42} {'min_rate':>12} {'max_rate':>12} {'sign':>5} {'t_max':>8}")
     for r in rows:
@@ -86,15 +72,15 @@ def _cmd_sweep(args) -> int:
         if r.failed_checks:
             print(f"warning: sweep member {r.label}: failed checks: "
                   f"{', '.join(r.failed_checks)}", file=sys.stderr)
-    if path is not None:
-        write_sweep_csv(rows, path)
-        print(f"sweep table written to {path}")
+    if args.out is not None:
+        write_sweep_csv(rows, args.out)
+        print(f"sweep table written to {args.out}")
     return 0
 
 
 def _cmd_converge(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
-    _refuse_output("--out", args.out, directory=False)
+    _refuse_output(args.out, directory=False)
     study = convergence_study(cfg, args.levels)
     print(f"{'level':>5} {'nodes':>7} {'dt':>10} {'max_abs_err':>13} {'order':>7}", flush=True)
     rows = []
@@ -143,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("config", help="path to a scenario JSON file")
-    p_run.add_argument("--out", help="output directory override")
+    p_run.add_argument("--out", help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("config", help="path to a sweep JSON file")
-    p_sweep.add_argument("--out", help="CSV output path override")
+    p_sweep.add_argument("--out", help="CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_conv = sub.add_parser("converge", help="refinement study on the exact benchmark")

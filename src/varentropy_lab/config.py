@@ -109,11 +109,6 @@ def _string(value, path: str) -> str:
     raise ConfigError(f"{path}: must be a string, got {value!r}")
 
 
-def _optional_string(value, path: str) -> Optional[str]:
-    """A config field that is a string or absent (``null`` counts as absent)."""
-    return None if value is None else _string(value, path)
-
-
 def _integer(value, path: str) -> int:
     """An integer config field; an integral float such as ``1e5`` counts."""
     if isinstance(value, float) and value.is_integer():
@@ -154,6 +149,9 @@ class McConfig:
             raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
         if not 0 < dt < math.inf:
             raise ConfigError(f"{path}.dt: must be positive and finite")
+        if dt <= SAME_TIME_TOL:
+            raise ConfigError(f"{path}.dt: steps of {dt:g} would merge in the solve mesh, "
+                              f"which counts times within {SAME_TIME_TOL:g} as one")
         if not 0 < t_end <= horizon + 1e-12:
             raise ConfigError(f"{path}.t_end: must lie in (0, t_end of the run]")
         for key, stride in (("t_end", 1), ("store_every", store_every)):
@@ -179,7 +177,9 @@ class ScenarioConfig:
     ``mesh``, packed (a list's ints would take four times the memory); and
     ``mesh``, the solve's times, where a time within ``SAME_TIME_TOL`` of
     the previous one is that one, merged by Python's sort (numpy's would
-    add its code pages to the run's resident memory).
+    add its code pages to the run's resident memory). Parsing refuses
+    samples or Monte Carlo steps that close, so only times of different
+    sets merge.
     """
 
     name: str
@@ -190,7 +190,6 @@ class ScenarioConfig:
     t_end: float
     n_samples: int
     mc: Optional[McConfig]
-    outputs: Optional[str]
     base_dir: Path = field(default_factory=Path)
     start: Density = field(init=False, compare=False, repr=False)
     time_sets: tuple = field(init=False, compare=False, repr=False)
@@ -251,13 +250,16 @@ class ScenarioConfig:
             raise ConfigError("config.time.t_end: must be positive and finite")
         if n_samples < 3:
             raise ConfigError("config.time.n_samples: need at least 3 samples")
+        spacing = t_end / (n_samples - 1)
+        if spacing <= SAME_TIME_TOL:
+            raise ConfigError(f"config.time.n_samples: samples {spacing:g} apart would merge "
+                              f"in the solve mesh, which counts times within "
+                              f"{SAME_TIME_TOL:g} as one")
         initial = _require(data, "initial", "config")
         mc = None
         if data.get("mc") is not None:
             mc = McConfig.from_dict(data["mc"], "config.mc", horizon=t_end)
-        outputs = _optional_string(data.get("outputs"), "config.outputs")
-        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, outputs,
-                   Path(base_dir))
+        return cls(name, model, initial, grid, solver, t_end, n_samples, mc, Path(base_dir))
 
     def time_samples(self) -> np.ndarray:
         return self.time_sets[0][0]
@@ -278,9 +280,7 @@ class ScenarioConfig:
 
 
 #: Keys of a scenario config document.
-_CONFIG_KEYS = (
-    "name", "drift", "initial", "grid", "solver", "time", "mc", "outputs",
-)
+_CONFIG_KEYS = ("name", "drift", "initial", "grid", "solver", "time", "mc")
 
 #: Keys of the ``drift`` block, by kind.
 _DRIFT_KEYS = {"linear": ("kind", "rate", "sigma"), "gradient": ("kind", "coeffs", "sigma")}
@@ -393,7 +393,7 @@ class SweepConfig:
     """A base scenario document and the values its members override.
 
     ``parameter`` is the dotted field that a value other than an object
-    sets; only a sweep whose values are all objects may leave it out.
+    sets; a sweep names it exactly when some value is not an object.
     ``base_dir`` is the directory the members' relative paths resolve
     against: the directory of the base's own file when the base is read
     from one, else the sweep file's.
@@ -402,14 +402,12 @@ class SweepConfig:
     base: dict
     parameter: Optional[str]
     values: list
-    outputs: Optional[str] = None
     base_dir: Path = field(default_factory=Path)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
         path = Path(path)
-        data = _fields(_load_json(path, "sweep"), ("base", "parameter", "values", "outputs"),
-                       "sweep")
+        data = _fields(_load_json(path, "sweep"), ("base", "parameter", "values"), "sweep")
         base, base_dir = _require(data, "base", "sweep"), path.parent
         if isinstance(base, str):
             base_path = path.parent / base
@@ -426,24 +424,21 @@ class SweepConfig:
         values = _require(data, "values", "sweep")
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: must be a non-empty list")
-        outputs = _optional_string(data.get("outputs"), "sweep.outputs")
-        if outputs == "":
-            raise ConfigError("sweep.outputs: must name a file, got ''")
         parameter = None
-        if "parameter" in data or not all(isinstance(v, dict) for v in values):
+        if not all(isinstance(v, dict) for v in values):
             parameter = _string(_require(data, "parameter", "sweep"), "sweep.parameter")
-        return cls(base, parameter, values, outputs, base_dir)
+        elif "parameter" in data:
+            raise ConfigError("sweep.parameter: no value uses it, as every value is an object")
+        return cls(base, parameter, values, base_dir)
 
     def member(self, value) -> tuple[str, ScenarioConfig]:
         """The label and the parsed scenario of the member for ``value``: a
         dict is merged into the base, any other value is set at
-        ``parameter``. Members are grid-only and write no reports: the base's
-        ``mc`` and ``outputs`` are dropped, and a value that sets either is
-        refused."""
-        for key in value if isinstance(value, dict) else [self.parameter.split(".")[0]]:
-            if key in ("mc", "outputs"):
-                raise ConfigError(f"sweep.values: a member may not set {key!r}; members "
-                                  "run grid-only and write no reports")
+        ``parameter``. Members are grid-only: the base's ``mc`` is dropped,
+        and a value that sets it is refused."""
+        if "mc" in (value if isinstance(value, dict) else [self.parameter.split(".")[0]]):
+            raise ConfigError("sweep.values: a member may not set 'mc'; members run grid-only "
+                              "and write no reports")
         if isinstance(value, dict):
             data, label = _deep_merge(self.base, value), json.dumps(value, sort_keys=True)
         else:
@@ -451,7 +446,6 @@ class SweepConfig:
             _set_dotted(data, self.parameter, value)
         data["name"] = f"{_string(data.get('name', 'sweep'), 'config.name')}[{label}]"
         data.pop("mc", None)
-        data.pop("outputs", None)
         return label, ScenarioConfig.from_dict(data, base_dir=self.base_dir)
 
     def members(self) -> list[tuple[str, ScenarioConfig]]:

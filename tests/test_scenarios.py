@@ -16,7 +16,7 @@ import pytest
 
 from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monotonicity_sweep, run_scenario
 from varentropy_lab import FunctionalReport, OUBenchmark, central_difference, report, scenarios
-from varentropy_lab.cli import OUTPUT_ROOT_ENV, main
+from varentropy_lab.cli import main
 from varentropy_lab.fokker_planck import MASS_TOL, SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
 from varentropy_lab.config import DENSE_STEPS, ConfigError, _deep_merge
@@ -207,12 +207,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             ScenarioConfig.from_dict(data)
 
-    @pytest.mark.parametrize("outputs", [5, ["out"], {"dir": "out"}, True])
-    def test_non_string_outputs_rejected(self, outputs):
-        """``outputs`` names a directory: anything but a string is refused at
-        parse time, not when the reports are written after the run."""
-        with pytest.raises(ConfigError, match=r"^config.outputs: must be a string"):
-            ScenarioConfig.from_dict(ou_config(outputs=outputs))
+    @pytest.mark.parametrize("overrides, message", [
+        ({"time": {"t_end": 1e-7, "n_samples": 201}},
+         "config.time.n_samples: samples 5e-10 apart would merge"),
+        ({"time": {"t_end": 2e-7, "n_samples": 201}},
+         "config.time.n_samples: samples 1e-09 apart would merge"),
+        ({"mc": {**SMALL_MC, "dt": 1e-9, "t_end": 1e-7}},
+         "config.mc.dt: steps of 1e-09 would merge"),
+        ({"mc": {**SMALL_MC, "dt": 1e-12, "t_end": 1e-10}},
+         "config.mc.dt: steps of 1e-12 would merge"),
+    ], ids=["samples_5e-10", "samples_1e-9", "mc_dt_1e-9", "mc_dt_1e-12"])
+    def test_times_the_mesh_would_merge_rejected(self, overrides, message):
+        """The solve mesh counts times within ``SAME_TIME_TOL`` as one, so
+        samples or Monte Carlo steps that close are refused, not folded into
+        one state that the report would show at two times."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)} in the solve mesh"):
+            ScenarioConfig.from_dict(ou_config(**overrides))
+
+    def test_samples_just_apart_keep_their_mesh_times(self):
+        """Samples 2e-9 apart are solved at 201 distinct mesh times."""
+        cfg = ScenarioConfig.from_dict(ou_config(time={"t_end": 4e-7, "n_samples": 201}))
+        assert len(cfg.mesh) == 201
 
     @pytest.mark.parametrize("name", [None, 5, ["ou"], True], ids=["null", "int", "list", "bool"])
     def test_non_string_name_rejected(self, name):
@@ -424,24 +439,19 @@ class TestRunScenario:
         for name in ("functionals.csv", "consistency.csv", "checks.csv", "mc_diagnostics.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_output_root_env_override(self, tmp_path, monkeypatch, capsys):
-        """``run`` with no ``--out`` writes under the env root, in a
-        directory named by the scenario."""
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(ou_config()))
-        assert main(["run", str(path)]) == 0
-        out_dir = tmp_path / "root" / "ou_small"
-        assert f"reports written to {out_dir}\n" in capsys.readouterr().out
-        assert (out_dir / "functionals.csv").exists()
-
-    def test_no_outputs_writes_nothing(self, tmp_path, monkeypatch):
-        """With no ``out_dir`` a run writes nothing, whatever the env root."""
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
-        cfg = ScenarioConfig.from_dict(ou_config())
-        result = run_scenario(cfg)
-        assert result.out_dir is None
-        assert not (tmp_path / "root").exists()
+    def test_no_outputs_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """``run`` and ``sweep`` without ``--out`` write nothing, in the
+        working directory or anywhere else, whatever the environment holds:
+        ``--out`` is the one output location."""
+        monkeypatch.setenv("VARENTROPY_LAB_OUTPUT_ROOT", str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(ou_config()))
+        (tmp_path / "sweep.json").write_text(json.dumps(
+            {"base": ou_config(), "parameter": "initial.variance", "values": [0.5]}))
+        assert main(["run", "cfg.json"]) == 0
+        assert main(["sweep", "sweep.json"]) == 0
+        assert "written" not in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sweep.json"]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask_022", "umask_077"])
@@ -674,8 +684,9 @@ class TestSweep:
         ({"values": [0.5]}, "sweep.parameter: missing required field"),
         ({"parameter": "initial.variance", "values": 0.5}, "sweep.values: must be a non-empty list"),
         ({"parameter": "initial.variance", "values": [0.25], "bass": {}}, "sweep.bass: unknown field"),
-        ({"parameter": "initial.variance", "values": [0.25], "outputs": 7},
-         "sweep.outputs: must be a string, got 7"),
+        # a sweep of objects only has no parameter for any value to use
+        ({"parameter": "no.such.field", "values": [{"initial": {"variance": 0.5}}]},
+         "sweep.parameter: no value uses it, as every value is an object"),
         # a deleted field is refused in the base, the members' Monte Carlo
         # block that they drop included, and as the swept parameter
         ({"base": ou_config(name="b", tolerances={"oracle_rel": 1.0}),
@@ -700,6 +711,10 @@ class TestSweep:
         # a value that is not an object needs a parameter, whatever the others
         ({"values": [{"initial": {"variance": 0.5}}, 0.5]},
          "sweep.parameter: missing required field"),
+        # the base's Monte Carlo block is held to the merge width too
+        ({"base": ou_config(name="b", mc={**SMALL_MC, "dt": 1e-9, "t_end": 1e-7}),
+          "parameter": "initial.variance", "values": [0.25]},
+         "sweep.base.mc.dt: steps of 1e-09 would merge in the solve mesh"),
     ])
     def test_bad_sweep_rejected(self, tmp_path, fields, message):
         """Each fault stops the sweep with a config error before any member
@@ -724,10 +739,8 @@ class TestSweep:
 
     def test_dense_sweep_writes_the_reference_bytes(self, tmp_path, capsys):
         """The shipped sweep with ``base.time.n_samples`` 1201 (one sample
-        per solver step) and no ``outputs`` writes the golden CSV byte for
-        byte."""
+        per solver step) writes the golden CSV byte for byte."""
         data = json.loads((CONFIGS / "sweep_double_well.json").read_text())
-        data.pop("outputs", None)
         data["base"]["time"]["n_samples"] = 1201
         path = tmp_path / "sweep_dense.json"
         path.write_text(json.dumps(data, indent=1))
@@ -755,13 +768,12 @@ class TestSweep:
 
 
 def shipped_sweep(n_samples: int = 61, **fields) -> SweepConfig:
-    """The shipped sweep with ``base.time.n_samples`` set, no ``outputs``,
-    and ``fields`` replacing its top-level fields."""
+    """The shipped sweep with ``base.time.n_samples`` set and ``fields``
+    replacing its top-level fields."""
     data = json.loads((CONFIGS / "sweep_double_well.json").read_text())
-    data.pop("outputs")
     data["base"]["time"]["n_samples"] = n_samples
     data.update(fields)
-    return SweepConfig(data["base"], data["parameter"], data["values"], base_dir=CONFIGS)
+    return SweepConfig(data["base"], data.get("parameter"), data["values"], base_dir=CONFIGS)
 
 
 #: Three double-well drifts of the shipped sweep's grid.
@@ -910,8 +922,7 @@ class TestGroupedSweep:
         sweep = shipped_sweep(61)
         _inject_nans(monkeypatch, [(0, 1)])
         path = tmp_path / "faulty.json"
-        path.write_text(json.dumps({"base": sweep.base, "parameter": sweep.parameter,
-                                    "values": sweep.values}))
+        path.write_text(json.dumps({"base": sweep.base, "values": sweep.values}))
         assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 1
         captured = capsys.readouterr()
         label = sweep.members()[0][0]
@@ -1088,7 +1099,6 @@ class TestCli:
         (lambda d: d["solver"].update(dt=float("inf")),
          "config.solver: dt must be positive and finite"),
         (lambda d: d.update(mc={**d["mc"], "seed": -1}), "config.mc.seed: must be >= 0, got -1"),
-        (lambda d: d.update(outputs=5), "config.outputs: must be a string, got 5"),
     ])
     def test_bad_field_exit_2(self, tmp_path, capsys, edit, field):
         """A bad field ends the run at parse time with its path on stderr,
@@ -1119,16 +1129,24 @@ class TestCli:
         assert err.startswith("config error: config.initial.path: ") and reason in err
         assert not (tmp_path / "out").exists()
 
-    def test_sweep_non_string_outputs_exit_2(self, tmp_path, capsys):
-        """Refused when the sweep file is read, before any member runs."""
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"base": ou_config(name="sweep_outputs"),
-                                    "parameter": "initial.variance", "values": [0.25],
-                                    "outputs": 7}))
-        assert main(["sweep", str(path)]) == 2
+    @pytest.mark.parametrize("command, document, message", [
+        ("run", ou_config(outputs="out"), "config.outputs: unknown field"),
+        ("sweep", {"base": ou_config(), "parameter": "initial.variance", "values": [0.25],
+                   "outputs": "sweep.csv"}, "sweep.outputs: unknown field"),
+        ("sweep", {"base": ou_config(outputs="out"), "parameter": "initial.variance",
+                   "values": [0.25]}, "sweep.base.outputs: unknown field"),
+    ], ids=["scenario", "sweep", "sweep_base"])
+    def test_outputs_field_is_unknown_exit_2(self, tmp_path, capsys, command, document,
+                                             message):
+        """``--out`` is the one output location: a document that still
+        names ``outputs`` is refused with one line, and nothing is written."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "config error: sweep.outputs: must be a string, got 7\n"
+        assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
     @pytest.mark.parametrize("command, fields, message", [
         ("run", {"name": None}, "config.name: must be a string, got None"),
@@ -1204,25 +1222,17 @@ class TestCli:
         assert f"argument {argument}: must be positive and finite" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("outputs, out, message", [
-        ("", None, "sweep.outputs: must name a file, got ''"),
-        (".", None, "sweep.outputs: '{d}' is a directory, not a file"),
-        (None, "{d}", "--out: '{d}' is a directory, not a file"),
-    ], ids=["empty_outputs", "outputs_directory", "out_directory"])
-    def test_sweep_output_directory_exit_2(self, tmp_path, capsys, monkeypatch, outputs, out,
-                                           message):
+    @pytest.mark.parametrize("out", ["{d}"], ids=["out_directory"])
+    def test_sweep_output_directory_exit_2(self, tmp_path, capsys, monkeypatch, out):
         """Refused before the first member runs, not after the last."""
         monkeypatch.setattr(scenarios, "solve", None)
         sweep = {"base": ou_config(name="dir_sweep"), "parameter": "initial.variance",
                  "values": [0.5]}
-        if outputs is not None:
-            sweep["outputs"] = outputs
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
-        argv = ["sweep", str(path)] + ([] if out is None else ["--out", out.format(d=tmp_path)])
-        assert main(argv) == 2
+        assert main(["sweep", str(path), "--out", out.format(d=tmp_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"config error: {message.format(d=tmp_path)}\n"
+        assert captured.err == f"config error: --out: '{tmp_path}' is a directory, not a file\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, existing, out, message", [
@@ -1265,31 +1275,6 @@ class TestCli:
                                 "got -1.0 (sweep.values[2] = -1.0)\n")
         assert captured.out == ""
         assert not (tmp_path / "sweep.csv").exists()
-
-    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\0b"],
-                             ids=["empty", "dot", "dotdot", "parent", "separator", "nul"])
-    def test_name_outside_output_root_exit_2(self, name, tmp_path, capsys, monkeypatch):
-        """Under the env root the scenario name is one directory; a name
-        that is not one plain path component is refused before any solve."""
-        monkeypatch.setattr(scenarios, "solve", None)
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(ou_config(name=name)))
-        assert main(["run", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"config error: config.name: {name!r} is not one plain")
-        assert captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    def test_sweep_under_output_root_writes_only_its_csv(self, tmp_path, monkeypatch, capsys):
-        """Sweep members write no reports, with the env root set too."""
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
-        sweep = {"base": ou_config(name="root_sweep"), "parameter": "initial.variance",
-                 "values": [0.25, 0.5]}
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(sweep))
-        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
 
     def test_tolerances_mass_tol_exit_2(self, tmp_path, capsys):
         """A config has no tolerances block, so none can loosen the checks."""
@@ -1337,7 +1322,7 @@ class TestCli:
         warning."""
         with open(CONFIGS / "ou_benchmark.json") as fh:
             data = json.load(fh)
-        del data["mc"], data["outputs"]
+        del data["mc"]
         data["drift"][field] = value
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(data))
@@ -1380,29 +1365,32 @@ class TestCli:
 
     def test_sweep_of_a_base_file_with_a_table_start(self, tmp_path, capsys):
         """The base's table resolves beside the base file, which ``run``
-        reads the same way; ``outputs`` resolves beside the sweep file."""
+        reads the same way."""
         (tmp_path / "sub").mkdir()
         np.savetxt(tmp_path / "sub" / "p0.txt", np.exp(-np.linspace(-8, 8, 801) ** 2 / 0.5))
         base = ou_config(name="table_base", initial={"kind": "table", "path": "p0.txt"})
         (tmp_path / "sub" / "base.json").write_text(json.dumps(base))
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"base": "sub/base.json", "parameter": "solver.dt",
-                                    "values": [2e-3], "outputs": "sweep.csv"}))
-        assert main(["run", str(tmp_path / "sub" / "base.json")]) == 0
-        assert main(["sweep", str(path)]) == 0
+                                    "values": [2e-3]}))
+        assert main(["run", str(tmp_path / "sub" / "base.json"), "--out",
+                     str(tmp_path / "run")]) == 0
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
         assert capsys.readouterr().err == ""
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
-    @pytest.mark.parametrize("edit, key, index", [
-        (lambda s: s.update(values=[{"drift": {"sigma": 1.0}}, {"mc": SMALL_MC}]), "mc", 1),
-        (lambda s: s.update(values=[{"outputs": "x"}]), "outputs", 0),
+    @pytest.mark.parametrize("edit, message, index", [
+        (lambda s: s.update(values=[{"drift": {"sigma": 1.0}}, {"mc": SMALL_MC}]),
+         "sweep.values: a member may not set 'mc'", 1),
+        (lambda s: s.update(values=[{"outputs": "x"}]), "config.outputs: unknown field", 0),
         (lambda s: s.update(base=str(CONFIGS / "double_well_relax.json"), parameter="mc.seed",
-                            values=[1, 2]), "mc", 0),
+                            values=[1, 2]), "sweep.values: a member may not set 'mc'", 0),
     ], ids=["mc_block", "outputs", "mc_seed_parameter"])
-    def test_sweep_value_setting_mc_or_outputs_exit_2(self, tmp_path, capsys, edit, key, index):
+    def test_sweep_value_setting_mc_or_outputs_exit_2(self, tmp_path, capsys, edit, message,
+                                                      index):
         """Members run grid-only, so a value that would set their Monte
-        Carlo block or their outputs is refused before any member runs,
-        naming the value."""
+        Carlo block is refused before any member runs, naming the value; a
+        value that sets ``outputs`` names a field no config has."""
         with open(CONFIGS / "sweep_double_well.json") as fh:
             sweep = json.load(fh)
         edit(sweep)
@@ -1410,7 +1398,7 @@ class TestCli:
         path.write_text(json.dumps(sweep))
         assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"config error: sweep.values: a member may not set {key!r}")
+        assert captured.err.startswith(f"config error: {message}")
         assert f"(sweep.values[{index}] = " in captured.err and captured.err.count("\n") == 1
         assert captured.out == "" and not (tmp_path / "sweep.csv").exists()
 
@@ -1456,7 +1444,7 @@ class TestCli:
         would step for days: it is refused when parsed, with exit 2 and one
         stderr line, well within the subprocess timeout."""
         data = json.loads((CONFIGS / "ou_benchmark.json").read_text())
-        del data["mc"], data["outputs"]
+        del data["mc"]
         data["drift"]["rate"] = -1e10
         path = tmp_path / "steep.json"
         path.write_text(json.dumps(data))
