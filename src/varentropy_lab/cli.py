@@ -3,9 +3,10 @@ print the exact-benchmark table.
 
 Exit status of ``run`` is zero only when every configured tolerance check
 passes, so acceptance suites can shell out to scenario runs directly. A
-config error (an unreadable file included) exits 2, and a failed solve or
-an allocation too large for memory exits 1, each with one line on stderr and
-no traceback; argparse refuses a bad argument with exit 2.
+config error (an unreadable file or an ``--out`` path that cannot be
+checked included) exits 2, and a failed solve, an allocation too large for
+memory or a failed write of the outputs exits 1, each with one line on
+stderr and no traceback; argparse refuses a bad argument with exit 2.
 
 A command writes only to the path its ``--out`` names; without one it
 writes nothing.
@@ -34,17 +35,21 @@ from .scenarios import (
 def _refuse_output(path, directory: bool):
     """Refuse, before any work, an ``--out`` path that the final write would
     fail on: one below an existing non-directory, an existing non-directory
-    where a run writes its reports, or a directory where a table file goes."""
+    where a run writes its reports, a directory where a table file goes, or
+    one that cannot be checked at all."""
     if path is None:
         return
     target = Path(path)
-    blocker = next((p for p in target.parents if p.exists()), None)
-    if blocker is not None and not blocker.is_dir():
-        raise ConfigError(f"--out: '{path}' lies below '{blocker}', which is not a directory")
-    if directory and target.exists() and not target.is_dir():
-        raise ConfigError(f"--out: '{path}' is not a directory")
-    if not directory and target.is_dir():
-        raise ConfigError(f"--out: '{path}' is a directory, not a file")
+    try:
+        blocker = next((p for p in target.parents if p.exists()), None)
+        if blocker is not None and not blocker.is_dir():
+            raise ConfigError(f"--out: '{path}' lies below '{blocker}', which is not a directory")
+        if directory and target.exists() and not target.is_dir():
+            raise ConfigError(f"--out: '{path}' is not a directory")
+        if not directory and target.is_dir():
+            raise ConfigError(f"--out: '{path}' is a directory, not a file")
+    except OSError as err:  # a name too long, say
+        raise ConfigError(f"--out: '{path}': {err.strerror}") from err
 
 
 def _cmd_run(args) -> int:
@@ -63,10 +68,11 @@ def _cmd_sweep(args) -> int:
     sweep = SweepConfig.from_json(args.config)
     _refuse_output(args.out, directory=False)
     rows = monotonicity_sweep(sweep)
-    print(f"{'label':<42} {'min_rate':>12} {'max_rate':>12} {'sign':>5} {'t_max':>8}")
+    width = max([len("label")] + [len(r.label) for r in rows])
+    print(f"{'label':<{width}} {'min_rate':>12} {'max_rate':>12} {'sign':>5} {'t_max':>8}")
     for r in rows:
         t_max = f"{r.time_of_max:.4g}" if r.time_of_max is not None else "-"
-        print(f"{r.label:<42} {r.min_rate:>12.4e} {r.max_rate:>12.4e} "
+        print(f"{r.label:<{width}} {r.min_rate:>12.4e} {r.max_rate:>12.4e} "
               f"{str(r.sign_change):>5} {t_max:>8}")
     for r in rows:
         if r.failed_checks:
@@ -164,6 +170,10 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as err:
         print(f"memory error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        # past parsing, the only files a command touches are its outputs
+        print(f"output error: {err}", file=sys.stderr)
         return 1
 
 

@@ -1,11 +1,11 @@
 """Scenario and sweep configs: reading, parsing and validation.
 
 A scenario is one JSON document naming a drift model, an initial density,
-a grid, a time step and the sample times; a sweep names a base scenario and
-the values its members override. The checks' bounds are not config fields.
-Every field is checked when the document is parsed, and a bad one raises
-``ConfigError`` naming its path (``config.mc.seed: must be >= 0, got
--1``), so a run refuses a bad config before anything is solved.
+a grid, a time step and the sample times; a sweep holds a base scenario and
+the override objects its members merge into it. The checks' bounds are not
+config fields. Every field is checked when the document is parsed, and a
+bad one raises ``ConfigError`` naming its path (``config.mc.seed: must be
+>= 0, got -1``), so a run refuses a bad config before anything is solved.
 Parsing also builds the run's start density and solve mesh, once, and
 refuses a grid that truncates the initial or the stationary density, and
 a solve of that mesh too long to take.
@@ -123,7 +123,8 @@ class McConfig:
     """Monte Carlo block: one ensemble stored at a coarse stride feeds the
     functional estimates, a second densely stored ensemble of
     ``DENSE_STEPS`` steps feeds the backward-drift and martingale
-    diagnostics (whose statistics need consecutive fine steps)."""
+    diagnostics (whose statistics need consecutive fine steps). Both
+    ensembles end within the run."""
 
     n_paths: int
     dt: float
@@ -152,6 +153,9 @@ class McConfig:
         if dt <= SAME_TIME_TOL:
             raise ConfigError(f"{path}.dt: steps of {dt:g} would merge in the solve mesh, "
                               f"which counts times within {SAME_TIME_TOL:g} as one")
+        if DENSE_STEPS * dt > horizon + 1e-12:
+            raise ConfigError(f"{path}.dt: the dense ensemble's {DENSE_STEPS} steps of {dt:g} "
+                              f"pass t_end of the run, {horizon:g}")
         if not 0 < t_end <= horizon + 1e-12:
             raise ConfigError(f"{path}.t_end: must lie in (0, t_end of the run]")
         for key, stride in (("t_end", 1), ("store_every", store_every)):
@@ -390,62 +394,40 @@ def _check_stationary_mass(model: GradientDrift, grid: Grid):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A base scenario document and the values its members override.
+    """A base scenario document and the overrides its members merge into it.
 
-    ``parameter`` is the dotted field that a value other than an object
-    sets; a sweep names it exactly when some value is not an object.
-    ``base_dir`` is the directory the members' relative paths resolve
-    against: the directory of the base's own file when the base is read
-    from one, else the sweep file's.
+    The base holds every scenario field but ``mc``: members run grid-only.
+    ``base_dir`` is the sweep file's directory, against which the members'
+    relative paths resolve.
     """
 
     base: dict
-    parameter: Optional[str]
     values: list
     base_dir: Path = field(default_factory=Path)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
         path = Path(path)
-        data = _fields(_load_json(path, "sweep"), ("base", "parameter", "values"), "sweep")
-        base, base_dir = _require(data, "base", "sweep"), path.parent
-        if isinstance(base, str):
-            base_path = path.parent / base
-            base, base_dir = _load_json(base_path, "sweep.base"), base_path.parent
-        _fields(base, _CONFIG_KEYS, "sweep.base")
-        if base.get("mc") is not None:
-            # members drop the Monte Carlo block; it is parsed all the same,
-            # against the base's own horizon
-            time_spec = _fields(_require(base, "time", "sweep.base"), ("t_end", "n_samples"),
-                                "sweep.base.time")
-            horizon = _number(_require(time_spec, "t_end", "sweep.base.time"),
-                              "sweep.base.time.t_end")
-            McConfig.from_dict(base["mc"], "sweep.base.mc", horizon)
+        data = _fields(_load_json(path, "sweep"), ("base", "values"), "sweep")
+        base = _fields(_require(data, "base", "sweep"),
+                       [key for key in _CONFIG_KEYS if key != "mc"], "sweep.base")
         values = _require(data, "values", "sweep")
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: must be a non-empty list")
-        parameter = None
-        if not all(isinstance(v, dict) for v in values):
-            parameter = _string(_require(data, "parameter", "sweep"), "sweep.parameter")
-        elif "parameter" in data:
-            raise ConfigError("sweep.parameter: no value uses it, as every value is an object")
-        return cls(base, parameter, values, base_dir)
+        for index, value in enumerate(values):
+            if not isinstance(value, dict):
+                raise ConfigError(f"sweep.values[{index}]: must be an object, got {value!r}")
+        return cls(base, values, path.parent)
 
-    def member(self, value) -> tuple[str, ScenarioConfig]:
-        """The label and the parsed scenario of the member for ``value``: a
-        dict is merged into the base, any other value is set at
-        ``parameter``. Members are grid-only: the base's ``mc`` is dropped,
-        and a value that sets it is refused."""
-        if "mc" in (value if isinstance(value, dict) else [self.parameter.split(".")[0]]):
+    def member(self, value: dict) -> tuple[str, ScenarioConfig]:
+        """The label and the parsed scenario of the member that merges
+        ``value`` into the base. Members are grid-only, so a value that sets
+        ``mc`` is refused."""
+        if "mc" in value:
             raise ConfigError("sweep.values: a member may not set 'mc'; members run grid-only "
                               "and write no reports")
-        if isinstance(value, dict):
-            data, label = _deep_merge(self.base, value), json.dumps(value, sort_keys=True)
-        else:
-            data, label = copy.deepcopy(self.base), f"{self.parameter}={value}"
-            _set_dotted(data, self.parameter, value)
+        data, label = _deep_merge(self.base, value), json.dumps(value, sort_keys=True)
         data["name"] = f"{_string(data.get('name', 'sweep'), 'config.name')}[{label}]"
-        data.pop("mc", None)
         return label, ScenarioConfig.from_dict(data, base_dir=self.base_dir)
 
     def members(self) -> list[tuple[str, ScenarioConfig]]:
@@ -460,16 +442,6 @@ class SweepConfig:
                     f"{err} (sweep.values[{index}] = {json.dumps(value, sort_keys=True)})"
                 ) from err
         return parsed
-
-
-def _set_dotted(data: dict, dotted: str, value):
-    keys = dotted.split(".")
-    node = data
-    for key in keys[:-1]:
-        node = node.get(key)
-        if not isinstance(node, dict):
-            raise ConfigError(f"sweep.parameter: {dotted!r} names no field of the base config")
-    node[keys[-1]] = value
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

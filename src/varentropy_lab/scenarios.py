@@ -446,7 +446,7 @@ def _run_mc_diagnostics(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Observed varentropy-rate sign data for one parameter value.
+    """Observed varentropy-rate sign data for one sweep member.
 
     ``failed_checks`` names the member run's tolerance checks that failed;
     it is reported alongside the table, not written to the sweep CSV.
@@ -485,7 +485,7 @@ def _sweep_row(label: str, result: ScenarioResult) -> SweepRow:
 
 
 def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
-    """Rerun the base scenario across parameter values and record, for each,
+    """Rerun the base scenario with each override value and record, for each,
     the extremes of the varentropy rate over time, whether the rate changes
     sign, and, when it does, the time of the varentropy maximum if that is
     interior.

@@ -1,5 +1,6 @@
 """Scenario configs, the runner, sweeps, the convergence study and the CLI."""
 
+import errno
 import json
 import os
 import re
@@ -46,6 +47,11 @@ SMALL_MC = {"n_paths": 200, "dt": 1e-2, "seed": 5, "t_end": 0.5, "store_every": 
 #: A Monte Carlo block large enough for every diagnostic to report.
 MEDIUM_MC = {"n_paths": 2000, "dt": 1e-2, "seed": 5, "t_end": 0.5, "store_every": 25,
              "bins": 13, "bin_span": 2.5}
+
+
+def variance_values(*variances):
+    """Sweep values, one per variance, each setting ``initial.variance``."""
+    return [{"initial": {"variance": v}} for v in variances]
 
 
 def ou_config(**overrides):
@@ -224,6 +230,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)} in the solve mesh"):
             ScenarioConfig.from_dict(ou_config(**overrides))
 
+    def test_dense_ensemble_past_the_run_rejected(self):
+        """The dense ensemble takes ``DENSE_STEPS`` steps of ``mc.dt``,
+        which must end within the run, as ``mc.t_end`` must; 50 steps that
+        end at ``t_end`` are accepted."""
+        time, mc = {"t_end": 0.02, "n_samples": 21}, {**SMALL_MC, "t_end": 0.02}
+        message = "config.mc.dt: the dense ensemble's 50 steps of 0.001 pass t_end of the run, 0.02"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_dict(ou_config(time=time, mc={**mc, "dt": 1e-3, "store_every": 4}))
+        cfg = ScenarioConfig.from_dict(ou_config(time=time, mc={**mc, "dt": 4e-4, "store_every": 5}))
+        assert cfg.time_sets[1][0][-1] == pytest.approx(0.02, abs=1e-12)
+
     def test_samples_just_apart_keep_their_mesh_times(self):
         """Samples 2e-9 apart are solved at 201 distinct mesh times."""
         cfg = ScenarioConfig.from_dict(ou_config(time={"t_end": 4e-7, "n_samples": 201}))
@@ -344,30 +361,6 @@ class TestConfigParsing:
         assert MASS_TOL == 1e-10
         assert check.passed and check.detail.endswith("(tol 1e-10)")
 
-    def test_sweep_base_file_is_read_next_to_the_sweep(self, tmp_path):
-        (tmp_path / "base.json").write_text(json.dumps(ou_config(name="from_file")))
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"base": "base.json", "parameter": "initial.variance",
-                                    "values": [0.5]}))
-        assert SweepConfig.from_json(path).base == ou_config(name="from_file")
-
-    def test_sweep_base_file_paths_resolve_beside_the_base(self, tmp_path):
-        """A base read from a file reads its table start beside itself, as
-        ``run`` of that file does, not beside the sweep file."""
-        x = np.linspace(-8, 8, 801)
-        (tmp_path / "sub").mkdir()
-        np.savetxt(tmp_path / "sub" / "p0.txt", np.exp(-(x**2) / 0.5))
-        # a different table beside the sweep file, which must not be read
-        np.savetxt(tmp_path / "p0.txt", np.exp(-((x - 1.0) ** 2) / 0.5))
-        base = ou_config(initial={"kind": "table", "path": "p0.txt"})
-        (tmp_path / "sub" / "base.json").write_text(json.dumps(base))
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"base": "sub/base.json", "parameter": "initial.path",
-                                    "values": ["p0.txt"]}))
-        (_, member), = SweepConfig.from_json(path).members()
-        expected = ScenarioConfig.from_json(tmp_path / "sub" / "base.json").initial_density()
-        assert np.array_equal(member.initial_density().values, expected.values)
-
 
 class TestRunScenario:
     def test_ou_checks_pass(self, tmp_path):
@@ -447,7 +440,7 @@ class TestRunScenario:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(ou_config()))
         (tmp_path / "sweep.json").write_text(json.dumps(
-            {"base": ou_config(), "parameter": "initial.variance", "values": [0.5]}))
+            {"base": ou_config(), "values": variance_values(0.5)}))
         assert main(["run", "cfg.json"]) == 0
         assert main(["sweep", "sweep.json"]) == 0
         assert "written" not in capsys.readouterr().out
@@ -647,8 +640,7 @@ class TestSweep:
             grid={"lo": -16.0, "hi": 16.0, "n": 1601},
             time={"t_end": 2.0, "n_samples": 41},
         )
-        sweep = SweepConfig(base=base, parameter="initial.variance",
-                            values=[0.25, 0.5, 2.0, 4.0])
+        sweep = SweepConfig(base=base, values=variance_values(0.25, 0.5, 2.0, 4.0))
         rows = monotonicity_sweep(sweep)
         assert len(rows) == 4
         for row in rows:
@@ -658,7 +650,7 @@ class TestSweep:
 
     def test_degenerate_stationary_sweep(self):
         base = ou_config(name="flat")
-        sweep = SweepConfig(base=base, parameter="initial.variance", values=[1.0])
+        sweep = SweepConfig(base=base, values=variance_values(1.0))
         rows = monotonicity_sweep(sweep)
         assert len(rows) == 1
         assert abs(rows[0].min_rate) < 1e-10
@@ -671,7 +663,8 @@ class TestSweep:
         sweep reports no sign change and no time of maximum, though the
         argmax of that rounding is interior."""
         base = json.loads((CONFIGS / "ou_benchmark.json").read_text())
-        sweep = SweepConfig(base=base, parameter="initial.variance", values=[0.25, 1.0])
+        del base["mc"]
+        sweep = SweepConfig(base=base, values=variance_values(0.25, 1.0))
         (_, moving), (_, stationary) = sweep.members()
         assert 0 < np.argmax(run_scenario(stationary).report.varentropy) < base["time"]["n_samples"] - 1
         rows = monotonicity_sweep(sweep)
@@ -679,42 +672,25 @@ class TestSweep:
         assert rows[1].max_rate < 0.0 and rows[1].varentropy_final < 1e-29
 
     @pytest.mark.parametrize("fields, message", [
-        ({"parameter": "solvr.dt", "values": [1e-3]}, "sweep.parameter: 'solvr.dt' names no field"),
-        ({"parameter": "grid.nn", "values": [401]}, "config.grid.nn: unknown field"),
-        ({"values": [0.5]}, "sweep.parameter: missing required field"),
-        ({"parameter": "initial.variance", "values": 0.5}, "sweep.values: must be a non-empty list"),
-        ({"parameter": "initial.variance", "values": [0.25], "bass": {}}, "sweep.bass: unknown field"),
-        # a sweep of objects only has no parameter for any value to use
-        ({"parameter": "no.such.field", "values": [{"initial": {"variance": 0.5}}]},
-         "sweep.parameter: no value uses it, as every value is an object"),
-        # a deleted field is refused in the base, the members' Monte Carlo
-        # block that they drop included, and as the swept parameter
+        # a sweep is an inline base and a list of objects merged into it:
+        # a dotted parameter, a base file, a value that is not an object and
+        # a base Monte Carlo block, which the members would drop, are refused
+        ({"parameter": "initial.variance", "values": variance_values(0.5)},
+         "sweep.parameter: unknown field"),
+        ({"values": [{"grid": {"nn": 401}}]}, "config.grid.nn: unknown field"),
+        ({"values": [0.5]}, "sweep.values[0]: must be an object, got 0.5"),
+        ({"values": 0.5}, "sweep.values: must be a non-empty list"),
+        ({"values": variance_values(0.25), "bass": {}}, "sweep.bass: unknown field"),
+        ({"base": ou_config(name="b", mc=SMALL_MC), "values": variance_values(0.25)},
+         "sweep.base.mc: unknown field"),
+        # a deleted field is refused in the base and in a value
         ({"base": ou_config(name="b", tolerances={"oracle_rel": 1.0}),
-          "parameter": "initial.variance", "values": [0.25]}, "sweep.base.tolerances: unknown field"),
-        ({"base": ou_config(name="b", mc={**SMALL_MC, "diag_steps": 50}),
-          "parameter": "initial.variance", "values": [0.25]},
-         "sweep.base.mc.diag_steps: unknown field"),
+          "values": variance_values(0.25)}, "sweep.base.tolerances: unknown field"),
+        ({"base": "base.json", "values": variance_values(0.25)},
+         "sweep.base: must be an object, got 'base.json'"),
         ({"base": ou_config(name="b", solver={"dt": 2e-3, "theta": 0.5}),
-          "parameter": "initial.variance", "values": [0.25]}, "config.solver.theta: unknown field"),
-        ({"parameter": "solver.mass_tol", "values": [1e-10]}, "config.solver.mass_tol: unknown field"),
-        # the base's Monte Carlo block, which the members drop, is parsed
-        # against the base's own horizon
-        ({"base": ou_config(name="b", mc={"n_paths": -5, "dt": "x", "seed": 1}),
-          "parameter": "initial.variance", "values": [0.25]},
-         "sweep.base.mc.dt: must be a number, got 'x'"),
-        ({"base": ou_config(name="b", mc={"n_paths": -5, "dt": 0.01, "seed": 1}),
-          "parameter": "initial.variance", "values": [0.25]},
-         "sweep.base.mc.n_paths: must be >= 2"),
-        ({"base": ou_config(name="b", mc={**SMALL_MC, "t_end": 2.0}),
-          "parameter": "initial.variance", "values": [0.25]},
-         "sweep.base.mc.t_end: must lie in (0, t_end of the run]"),
-        # a value that is not an object needs a parameter, whatever the others
-        ({"values": [{"initial": {"variance": 0.5}}, 0.5]},
-         "sweep.parameter: missing required field"),
-        # the base's Monte Carlo block is held to the merge width too
-        ({"base": ou_config(name="b", mc={**SMALL_MC, "dt": 1e-9, "t_end": 1e-7}),
-          "parameter": "initial.variance", "values": [0.25]},
-         "sweep.base.mc.dt: steps of 1e-09 would merge in the solve mesh"),
+          "values": variance_values(0.25)}, "config.solver.theta: unknown field"),
+        ({"values": [{"solver": {"mass_tol": 1e-10}}]}, "config.solver.mass_tol: unknown field"),
     ])
     def test_bad_sweep_rejected(self, tmp_path, fields, message):
         """Each fault stops the sweep with a config error before any member
@@ -725,12 +701,14 @@ class TestSweep:
             monotonicity_sweep(SweepConfig.from_json(path))
 
     def test_dict_override_merging(self, tmp_path):
-        """A sweep whose values are all objects needs no parameter."""
+        """A value is merged into the base and labelled by its JSON."""
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"base": ou_config(name="merge"),
-                                    "values": [{"initial": {"variance": 0.5}}]}))
+                                    "values": variance_values(0.5)}))
         sweep = SweepConfig.from_json(path)
-        assert sweep.parameter is None
+        (label, member), = sweep.members()
+        assert label == '{"initial": {"variance": 0.5}}'
+        assert member.initial == {"kind": "gaussian", "mean": 0.0, "variance": 0.5}
         rows = monotonicity_sweep(sweep)
         assert len(rows) == 1
         # variance 1/2 start: varentropy (1 - v)^2 / 2 = 1/8 at t = 0
@@ -773,12 +751,12 @@ def shipped_sweep(n_samples: int = 61, **fields) -> SweepConfig:
     data = json.loads((CONFIGS / "sweep_double_well.json").read_text())
     data["base"]["time"]["n_samples"] = n_samples
     data.update(fields)
-    return SweepConfig(data["base"], data.get("parameter"), data["values"], base_dir=CONFIGS)
+    return SweepConfig(data["base"], data["values"], base_dir=CONFIGS)
 
 
-#: Three double-well drifts of the shipped sweep's grid.
-DRIFT_COEFFS = [[0.0, 0.0, -0.5, 0.0, 0.25], [0.0, 0.0, -0.6, 0.0, 0.25],
-                [0.0, 0.0, -0.4, 0.0, 0.3]]
+#: Three double-well drifts of the shipped sweep's grid, as sweep values.
+DRIFT_VALUES = [{"drift": {"coeffs": coeffs}} for coeffs in (
+    [0.0, 0.0, -0.5, 0.0, 0.25], [0.0, 0.0, -0.6, 0.0, 0.25], [0.0, 0.0, -0.4, 0.0, 0.3])]
 
 
 def _inject_nans(monkeypatch, faults):
@@ -829,10 +807,10 @@ class TestGroupedSweep:
     @pytest.mark.parametrize("sweep, widths", [
         (shipped_sweep(61), [8]),
         (shipped_sweep(1201), [8]),
-        (shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS), [1, 1, 1]),
+        (shipped_sweep(61, values=DRIFT_VALUES), [1, 1, 1]),
         # one drift spelled in ints and in floats: equal (coeffs, sigma), one group
-        (shipped_sweep(61, parameter="drift.coeffs",
-                       values=[[0, 0, -0.5, 0, 0.25], [0.0, 0.0, -0.5, 0.0, 0.25]]), [2]),
+        (shipped_sweep(61, values=[{"drift": {"coeffs": [0, 0, -0.5, 0, 0.25]}},
+                                   {"drift": {"coeffs": [0.0, 0.0, -0.5, 0.0, 0.25]}}]), [2]),
     ], ids=["shipped_61", "shipped_1201", "drift_coeffs", "drift_coeffs_int_and_float"])
     def test_member_rows_equal_solo_solves(self, monkeypatch, sweep, widths):
         seen_widths, equal = self._record(monkeypatch)
@@ -842,7 +820,7 @@ class TestGroupedSweep:
 
     @pytest.mark.parametrize("sweep, solves", [
         (shipped_sweep(61), 1),
-        (shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS), 3),
+        (shipped_sweep(61, values=DRIFT_VALUES), 3),
     ], ids=["one_group_of_8", "three_groups_of_1"])
     def test_one_fixed_point_solve_per_group(self, monkeypatch, sweep, solves):
         """The stationary fixed-point check depends on the grid, drift and
@@ -944,7 +922,7 @@ class TestGroupedSweep:
             _inject_nans(monkeypatch, [(2, 25)])
             message = "solve failed advancing to t=0.5: density has non-finite values"
         else:
-            sweep = shipped_sweep(61, parameter="drift.coeffs", values=DRIFT_COEFFS)
+            sweep = shipped_sweep(61, values=DRIFT_VALUES)
             real = scenarios._stationary_fixed_point
             calls = []
             message = "solve failed advancing to t=0.001: density has non-finite values"
@@ -1131,10 +1109,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command, document, message", [
         ("run", ou_config(outputs="out"), "config.outputs: unknown field"),
-        ("sweep", {"base": ou_config(), "parameter": "initial.variance", "values": [0.25],
+        ("sweep", {"base": ou_config(), "values": variance_values(0.25),
                    "outputs": "sweep.csv"}, "sweep.outputs: unknown field"),
-        ("sweep", {"base": ou_config(outputs="out"), "parameter": "initial.variance",
-                   "values": [0.25]}, "sweep.base.outputs: unknown field"),
+        ("sweep", {"base": ou_config(outputs="out"), "values": variance_values(0.25)},
+         "sweep.base.outputs: unknown field"),
     ], ids=["scenario", "sweep", "sweep_base"])
     def test_outputs_field_is_unknown_exit_2(self, tmp_path, capsys, command, document,
                                              message):
@@ -1150,20 +1128,22 @@ class TestCli:
 
     @pytest.mark.parametrize("command, fields, message", [
         ("run", {"name": None}, "config.name: must be a string, got None"),
-        ("sweep", {"parameter": None}, "sweep.parameter: must be a string, got None"),
-        ("sweep", {"parameter": 3}, "sweep.parameter: must be a string, got 3"),
+        # a sweep has no parameter field, whatever its value
+        ("sweep", {"parameter": None}, "sweep.parameter: unknown field"),
+        ("sweep", {"parameter": 3}, "sweep.parameter: unknown field"),
         ("sweep", {"base": ou_config(name=None)},
-         "config.name: must be a string, got None (sweep.values[0] = 0.25)"),
+         'config.name: must be a string, got None (sweep.values[0] = {"initial": '
+         '{"variance": 0.25}})'),
     ], ids=["run_name", "sweep_parameter_null", "sweep_parameter_int", "sweep_base_name"])
     def test_non_string_name_or_parameter_exit_2(self, tmp_path, capsys, command, fields,
                                                  message):
-        """A name or sweep parameter that is not a string is refused at parse
-        time with its field path, before anything runs or is written."""
+        """A name that is not a string, or a sweep parameter, is refused at
+        parse time with its field path, before anything runs or is written."""
         if command == "run":
             data = ou_config(**fields)
         else:
-            data = {"base": ou_config(name="sweep_name"), "parameter": "initial.variance",
-                    "values": [0.25], **fields}
+            data = {"base": ou_config(name="sweep_name"), "values": variance_values(0.25),
+                    **fields}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
@@ -1176,9 +1156,8 @@ class TestCli:
         ("run", "nope.json", None, "config: cannot read {d}/nope.json: No such file or directory"),
         ("run", "cut.json", '{"name": ',
          "config: {d}/cut.json is not JSON: Expecting value: line 1 column 10 (char 9)"),
-        ("sweep", "sweep.json", json.dumps({"base": "missing.json", "values": [0.5]}),
-         "sweep.base: cannot read {d}/missing.json: No such file or directory"),
-    ], ids=["missing", "truncated", "missing_sweep_base"])
+        ("sweep", "nope.json", None, "sweep: cannot read {d}/nope.json: No such file or directory"),
+    ], ids=["missing", "truncated", "missing_sweep"])
     def test_unreadable_config_file_exit_2(self, tmp_path, capsys, command, name, text, message):
         """A config file that cannot be read or parsed is a config error
         naming the file and the field, not a traceback."""
@@ -1226,8 +1205,7 @@ class TestCli:
     def test_sweep_output_directory_exit_2(self, tmp_path, capsys, monkeypatch, out):
         """Refused before the first member runs, not after the last."""
         monkeypatch.setattr(scenarios, "solve", None)
-        sweep = {"base": ou_config(name="dir_sweep"), "parameter": "initial.variance",
-                 "values": [0.5]}
+        sweep = {"base": ou_config(name="dir_sweep"), "values": variance_values(0.5)}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
         assert main(["sweep", str(path), "--out", out.format(d=tmp_path)]) == 2
@@ -1242,12 +1220,16 @@ class TestCli:
          "'{d}/taken/run' lies below '{d}/taken', which is not a directory"),
         ("converge", "file", "{d}/taken/conv.csv",
          "'{d}/taken/conv.csv' lies below '{d}/taken', which is not a directory"),
+        # a name longer than a file system takes cannot even be checked
+        ("run", "file", "{d}/" + "x" * 300, "'{d}/" + "x" * 300 + "': File name too long"),
+        ("converge", "file", "{d}/" + "x" * 300 + ".csv",
+         "'{d}/" + "x" * 300 + ".csv': File name too long"),
     ], ids=["run_out_file", "converge_out_directory", "run_out_below_file",
-            "converge_out_below_file"])
+            "converge_out_below_file", "run_out_name_too_long", "converge_out_name_too_long"])
     def test_output_path_refused_exit_2(self, tmp_path, capsys, monkeypatch, command,
                                         existing, out, message):
-        """An output path the final write would fail on is refused before
-        any solve, not after the last one."""
+        """An output path the final write would fail on, or one that cannot
+        be checked, is refused before any solve, not after the last one."""
         monkeypatch.setattr(scenarios, "solve", None)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(ou_config()))
@@ -1265,14 +1247,13 @@ class TestCli:
         """Every member is parsed before the first one is solved, and the
         error names the bad member's index and value."""
         monkeypatch.setattr(scenarios, "solve", None)
-        sweep = {"base": ou_config(name="late_sweep"), "parameter": "initial.variance",
-                 "values": [0.25, 0.5, -1.0]}
+        sweep = {"base": ou_config(name="late_sweep"), "values": variance_values(0.25, 0.5, -1.0)}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
         assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.err == ("config error: config.initial: variance must be positive, "
-                                "got -1.0 (sweep.values[2] = -1.0)\n")
+                                'got -1.0 (sweep.values[2] = {"initial": {"variance": -1.0}})\n')
         assert captured.out == ""
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -1350,11 +1331,7 @@ class TestCli:
         assert float(first[3]) == pytest.approx(0.28125)
 
     def test_sweep_command(self, tmp_path, capsys):
-        sweep = {
-            "base": ou_config(name="cli_sweep"),
-            "parameter": "initial.variance",
-            "values": [0.25, 0.5],
-        }
+        sweep = {"base": ou_config(name="cli_sweep"), "values": variance_values(0.25, 0.5)}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
         code = main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")])
@@ -1363,28 +1340,86 @@ class TestCli:
         assert lines[0].startswith("label,min_rate,max_rate,sign_change")
         assert len(lines) == 3
 
-    def test_sweep_of_a_base_file_with_a_table_start(self, tmp_path, capsys):
-        """The base's table resolves beside the base file, which ``run``
-        reads the same way."""
+    def test_sweep_table_columns_line_up(self, tmp_path, capsys):
+        """The label column is as wide as the longest label, here wider
+        than 42 characters, so the header's columns start where every
+        row's do."""
+        base = ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 101}, solver={"dt": 4e-3},
+                         time={"t_end": 0.2, "n_samples": 6})
+        values = [{"initial": {"mean": 0.0, "variance": 0.25}}, {"initial": {"variance": 0.5}}]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "values": values}))
+        assert main(["sweep", str(path)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        labels = [json.dumps(value, sort_keys=True) for value in values]
+        width = max(map(len, labels)) + 1
+        assert width > 43 and len(rows) == 2
+        assert header[:width] == "label".ljust(width)
+        for row, label in zip(rows, labels):
+            assert row[:width] == label.ljust(width)
+            assert len(row) == len(header)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_failed_write_is_one_line(self, tmp_path, capsys, monkeypatch, command):
+        """An output that cannot be written, on a full disk say, ends the
+        command with one line on stderr and exit 1, not a traceback."""
+        def full(path, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(scenarios, "_write_atomic", full)
+        cfg = ou_config()
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(
+            cfg if command == "run" else {"base": cfg, "values": variance_values(0.5)}))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 1
+        target = out / "functionals.csv" if command == "run" else out
+        assert capsys.readouterr().err == (
+            f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'\n")
+
+    def test_sweep_of_a_base_file_with_a_table_start(self, tmp_path, capsys, monkeypatch):
+        """The base's table resolves beside the sweep file, not in the
+        working directory, as ``run`` of the same scenario beside it reads
+        it."""
         (tmp_path / "sub").mkdir()
         np.savetxt(tmp_path / "sub" / "p0.txt", np.exp(-np.linspace(-8, 8, 801) ** 2 / 0.5))
         base = ou_config(name="table_base", initial={"kind": "table", "path": "p0.txt"})
         (tmp_path / "sub" / "base.json").write_text(json.dumps(base))
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"base": "sub/base.json", "parameter": "solver.dt",
-                                    "values": [2e-3]}))
-        assert main(["run", str(tmp_path / "sub" / "base.json"), "--out",
-                     str(tmp_path / "run")]) == 0
-        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
+        (tmp_path / "sub" / "sweep.json").write_text(
+            json.dumps({"base": base, "values": [{"solver": {"dt": 2e-3}}]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "sub/base.json", "--out", "run"]) == 0
+        assert main(["sweep", "sub/sweep.json", "--out", "sweep.csv"]) == 0
         assert capsys.readouterr().err == ""
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"parameter": "x"}, "sweep.parameter: unknown field"),
+        ({"base": "base.json"}, "sweep.base: must be an object, got 'base.json'"),
+        ({"values": [0.5]}, "sweep.values[0]: must be an object, got 0.5"),
+        ({"base": ou_config(mc=SMALL_MC)}, "sweep.base.mc: unknown field"),
+    ], ids=["parameter", "base_file", "scalar_value", "base_mc"])
+    def test_removed_sweep_form_exit_2(self, tmp_path, capsys, monkeypatch, fields, message):
+        """A sweep is an inline base without ``mc`` and a list of objects
+        merged into it; a dotted parameter, a base file (one that exists
+        here), a value that is not an object and a base Monte Carlo block
+        are each refused with one line before any solve."""
+        monkeypatch.setattr(scenarios, "solve", None)
+        (tmp_path / "base.json").write_text(json.dumps(ou_config()))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": ou_config(), "values": variance_values(0.5),
+                                    **fields}))
+        assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == "" and not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("edit, message, index", [
         (lambda s: s.update(values=[{"drift": {"sigma": 1.0}}, {"mc": SMALL_MC}]),
          "sweep.values: a member may not set 'mc'", 1),
         (lambda s: s.update(values=[{"outputs": "x"}]), "config.outputs: unknown field", 0),
-        (lambda s: s.update(base=str(CONFIGS / "double_well_relax.json"), parameter="mc.seed",
-                            values=[1, 2]), "sweep.values: a member may not set 'mc'", 0),
+        (lambda s: s.update(values=[{"mc": {"seed": 1}}, {"mc": {"seed": 2}}]),
+         "sweep.values: a member may not set 'mc'", 0),
     ], ids=["mc_block", "outputs", "mc_seed_parameter"])
     def test_sweep_value_setting_mc_or_outputs_exit_2(self, tmp_path, capsys, edit, message,
                                                       index):
@@ -1412,7 +1447,7 @@ class TestCli:
             solver={"dt": 4e-3},
             time={"t_end": 0.2, "n_samples": 6},
         )
-        sweep = {"base": base, "parameter": "initial.variance", "values": [0.25, 0.5]}
+        sweep = {"base": base, "values": variance_values(0.25, 0.5)}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
         code = main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")])
@@ -1420,7 +1455,8 @@ class TestCli:
         assert code == 0
         lines = captured.err.splitlines()
         assert len(lines) == 2
-        for line, label in zip(lines, ("initial.variance=0.25", "initial.variance=0.5")):
+        for line, label in zip(lines, ('{"initial": {"variance": 0.25}}',
+                                       '{"initial": {"variance": 0.5}}')):
             assert line.startswith(f"warning: sweep member {label}: failed checks: ")
             assert "varentropy_rate_consistency" in line
         assert "failed checks" not in captured.out
@@ -1463,13 +1499,13 @@ class TestCli:
         any member runs, by its index and value."""
         monkeypatch.setattr(scenarios, "solved_chunks", None)
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"base": ou_config(), "parameter": "drift.rate",
-                                    "values": [-0.5, -1e10]}))
+        path.write_text(json.dumps({"base": ou_config(), "values": [
+            {"drift": {"rate": -0.5}}, {"drift": {"rate": -1e10}}]}))
         assert main(["sweep", str(path)]) == 2
         captured = capsys.readouterr()
         assert re.fullmatch(r"config error: config\.solver: \S+ substeps of 801 nodes, .* more "
                             r"than the 1e\+12 a solve may take \(sweep\.values\[1\] = "
-                            r"-10000000000\.0\)\n", captured.err)
+                            r'\{"drift": \{"rate": -10000000000\.0\}\}\)\n', captured.err)
         assert captured.out == ""
 
     def test_unallocatable_ensemble_is_one_line(self, tmp_path):
@@ -1546,7 +1582,7 @@ class TestCli:
         sweep.write_text(json.dumps({
             "base": ou_config(grid={"lo": -8.0, "hi": 8.0, "n": 101}, solver={"dt": 4e-3},
                               time={"t_end": 0.2, "n_samples": 6}),
-            "parameter": "initial.variance", "values": [0.25, 0.5],
+            "values": variance_values(0.25, 0.5),
         }))
         argvs = [
             ["run", str(cfg), "--out", str(tmp_path / "run")],
