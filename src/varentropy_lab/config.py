@@ -44,6 +44,10 @@ from .ou_exact import OUBenchmark
 #: Mass allowed outside the grid for initial and stationary densities.
 GRID_MASS_TOL = 1e-10
 
+#: Largest count of an array-sized field: the most float64 elements numpy
+#: can shape in one array.
+MAX_COUNT = np.iinfo(np.intp).max // 8
+
 #: Euler-Maruyama steps of the densely stored Monte Carlo ensemble that the
 #: backward-drift and martingale diagnostics read.
 DENSE_STEPS = 50
@@ -118,6 +122,15 @@ def _integer(value, path: str) -> int:
     raise ConfigError(f"{path}: must be an integer, got {value!r}")
 
 
+def _count(value, path: str) -> int:
+    """An integer field that sizes an array, refused above ``MAX_COUNT``."""
+    count = _integer(value, path)
+    if count > MAX_COUNT:
+        raise ConfigError(f"{path}: {value!r} is more than the {MAX_COUNT} float64 "
+                          f"elements an array can hold")
+    return count
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo block: one ensemble stored at a coarse stride feeds the
@@ -137,12 +150,12 @@ class McConfig:
     @classmethod
     def from_dict(cls, data: dict, path: str, horizon: float) -> "McConfig":
         _fields(data, cls.__dataclass_fields__, path)
-        n_paths = _integer(_require(data, "n_paths", path), f"{path}.n_paths")
+        n_paths = _count(_require(data, "n_paths", path), f"{path}.n_paths")
         dt = _number(_require(data, "dt", path), f"{path}.dt")
         seed = _integer(_require(data, "seed", path), f"{path}.seed")
         t_end = _number(data.get("t_end", min(1.0, horizon)), f"{path}.t_end")
         store_every = _integer(data.get("store_every", cls.store_every), f"{path}.store_every")
-        bins = _integer(data.get("bins", cls.bins), f"{path}.bins")
+        bins = _count(data.get("bins", cls.bins), f"{path}.bins")
         bin_span = _number(data.get("bin_span", cls.bin_span), f"{path}.bin_span")
         if n_paths < 2:
             raise ConfigError(f"{path}.n_paths: must be >= 2")
@@ -167,6 +180,10 @@ class McConfig:
             raise ConfigError(f"{path}.bins: need at least 3 bin edges")
         if not 0 < bin_span < math.inf:
             raise ConfigError(f"{path}.bin_span: must be positive and finite")
+        try:
+            make_uniform_grid(-bin_span, bin_span, bins)
+        except ValueError as err:
+            raise ConfigError(f"{path}.bin_span: bin grid: {err}") from err
         return cls(n_paths, dt, seed, t_end, store_every, bins, bin_span)
 
 
@@ -234,7 +251,7 @@ class ScenarioConfig:
         model = _parse_drift(_require(data, "drift", "config"))
         grid_spec = _fields(_require(data, "grid", "config"), ("lo", "hi", "n"), "config.grid")
         bounds = _numbers(grid_spec, ("lo", "hi"), "config.grid")
-        n = _integer(_require(grid_spec, "n", "config.grid"), "config.grid.n")
+        n = _count(_require(grid_spec, "n", "config.grid"), "config.grid.n")
         try:
             grid = make_uniform_grid(bounds["lo"], bounds["hi"], n)
         except ValueError as err:
@@ -247,7 +264,7 @@ class ScenarioConfig:
             raise ConfigError(f"config.solver: {err}") from err
         time_spec = _fields(_require(data, "time", "config"), ("t_end", "n_samples"), "config.time")
         t_end = _number(_require(time_spec, "t_end", "config.time"), "config.time.t_end")
-        n_samples = _integer(
+        n_samples = _count(
             _require(time_spec, "n_samples", "config.time"), "config.time.n_samples"
         )
         if not 0 < t_end < math.inf:
@@ -378,7 +395,11 @@ def _check_stationary_mass(model: GradientDrift, grid: Grid):
     if not model.confining:
         raise ConfigError("config.drift: potential must be confining")
     lo, hi = grid.lo, grid.hi
-    wide = make_uniform_grid(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 2 * grid.n)
+    try:
+        wide = make_uniform_grid(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 2 * grid.n)
+    except ValueError as err:
+        raise ConfigError(f"config.grid: twice as wide, to check the stationary mass: "
+                          f"{err}") from err
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             values = invariant_density(model, wide).values

@@ -137,8 +137,8 @@ from .grids import Density, DensityTrajectory, Grid, first_invalid_row, integrat
 #: 10.
 _STEP_CACHE_SIZE = 16
 
-#: Largest ``|mass - 1|`` that a solved state may have; the run's
-#: ``mass_conservation`` check holds the states to the same bound.
+#: Largest ``|mass - 1|`` that a solved state may have: a solve whose
+#: state drifts further fails, and so ends the run that asked for it.
 MASS_TOL = 1e-10
 
 #: Most node-substeps (substeps times nodes, per start) of one solve, about
@@ -434,14 +434,14 @@ def solve(
     first bad time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    ((_, values, masses),) = solved_chunks([p0], model, t_grid, cfg, t_grid.size)
-    return DensityTrajectory._from_rows(t_grid, p0.grid, values[0], masses[0])
+    ((_, values),) = solved_chunks([p0], model, t_grid, cfg, t_grid.size)
+    return DensityTrajectory._from_rows(t_grid, p0.grid, values[0])
 
 
 def solved_chunks(
     starts: Sequence[Density], model: GradientDrift, t_grid: np.ndarray, cfg: SolverConfig,
     rows: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Step every density of ``starts``, all on one grid, through ``t_grid``
     together, and yield their checked states ``rows`` output times at a time.
 
@@ -452,13 +452,13 @@ def solved_chunks(
     is full, and once at the end, one pass integrates the mass of every row
     and checks every row: finite, non-negative, and of trapezoid mass within
     ``MASS_TOL`` of one. Row 0 holds the starts, already checked as
-    densities. Then the chunk is yielded as ``(first output index, values,
-    masses)``, where ``values`` is a view of the buffer that the next chunk
-    overwrites. Once a start has failed nothing more is yielded, but every
-    interval is still stepped; at the end the first start, in order, whose
-    rows failed raises :class:`SolveError` with its index, naming its first
-    bad time. A failure of the stepping itself raises at once. The arguments
-    are checked when this is called, not when the first chunk is drawn.
+    densities. Then the chunk is yielded as ``(first output index, values)``,
+    where ``values`` is a view of the buffer that the next chunk overwrites.
+    Once a start has failed nothing more is yielded, but every interval is
+    still stepped; at the end the first start, in order, whose rows failed
+    raises :class:`SolveError` with its index, naming its first bad time.
+    A failure of the stepping itself raises at once. The arguments are
+    checked when this is called, not when the first chunk is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -480,7 +480,7 @@ def solved_chunks(
 
 def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
             plan: list[tuple[float, int]],
-            rows: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+            rows: int) -> Iterator[tuple[int, np.ndarray]]:
     """The stepping and checking loop of :func:`solved_chunks` from the
     states ``block``, by ``gen`` through the intervals of ``plan``."""
     buffer = np.empty((len(block), min(rows, len(times)), grid.n))
@@ -505,7 +505,7 @@ def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
             failed = SolveError(f"solve failed advancing to t={times[base + first + j]:g}: {why}",
                                 start)
         if failed is None:
-            yield base, values, masses
+            yield base, values
         base = k + 1
     if failed is not None:
         raise failed

@@ -47,6 +47,9 @@ class Grid:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"invalid bounds: lo={self.lo} and hi={self.hi} must be finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"invalid bounds: the width hi - lo of lo={self.lo} and "
+                             f"hi={self.hi} overflows")
         if not self.lo < self.hi:
             raise ValueError(f"invalid bounds: lo={self.lo} must be < hi={self.hi}")
         if self.n < 3:
@@ -157,15 +160,13 @@ class Density:
 
     ``time`` tags the model time the density belongs to. Construction
     validates finiteness, non-negativity and total mass (trapezoid rule)
-    against ``mass_tol``. ``values`` is read-only, so the mass integrated
-    there is kept and returned by :meth:`mass`.
+    against ``mass_tol``. ``values`` is read-only.
     """
 
     grid: Grid
     values: np.ndarray
     time: float = 0.0
     mass_tol: float = field(default=DEFAULT_MASS_TOL, repr=False)
-    _mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -179,20 +180,19 @@ class Density:
             raise ValueError(problem[1])
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_mass", float(masses[0]))
 
     @classmethod
-    def _checked(cls, grid: Grid, values: np.ndarray, time: float, mass: float) -> "Density":
+    def _checked(cls, grid: Grid, values: np.ndarray, time: float) -> "Density":
         """A density over read-only ``values`` whose checks the caller has
         already made: no copy, no second pass over the nodes."""
         out = object.__new__(cls)
         for name, value in (("grid", grid), ("values", values), ("time", time),
-                            ("mass_tol", DEFAULT_MASS_TOL), ("_mass", mass)):
+                            ("mass_tol", DEFAULT_MASS_TOL)):
             object.__setattr__(out, name, value)
         return out
 
     def mass(self) -> float:
-        return self._mass
+        return integrate(self.values, self.grid)
 
     def mean(self) -> float:
         return integrate(self.grid.x * self.values, self.grid)
@@ -205,7 +205,7 @@ class Density:
 @dataclass(frozen=True, eq=False, init=False)
 class DensityTrajectory:
     """Densities on one grid at strictly increasing times, held as one
-    read-only ``(len(times), grid.n)`` array with the mass of every row.
+    read-only ``(len(times), grid.n)`` array.
 
     ``traj[k]`` is a :class:`Density` over row ``k`` of that array: a
     read-only view, neither copied nor checked again. ``states`` derives the
@@ -217,7 +217,6 @@ class DensityTrajectory:
     times: np.ndarray
     grid: Grid
     values: np.ndarray
-    masses: np.ndarray
 
     def __init__(self, times: np.ndarray, states: Iterable[Density]):
         times = np.array(times, dtype=float, copy=True)
@@ -234,23 +233,19 @@ class DensityTrajectory:
                 raise ValueError("all states must share one grid")
             if abs(s.time - t) > SAME_TIME_TOL:
                 raise ValueError(f"state time {s.time} does not match mesh time {t}")
-        self._set(times, grid, np.stack([s.values for s in states]),
-                  np.array([s.mass() for s in states]))
+        self._set(times, grid, np.stack([s.values for s in states]))
 
     @classmethod
-    def _from_rows(
-        cls, times: np.ndarray, grid: Grid, values: np.ndarray, masses: np.ndarray
-    ) -> "DensityTrajectory":
+    def _from_rows(cls, times: np.ndarray, grid: Grid, values: np.ndarray) -> "DensityTrajectory":
         """A trajectory over rows the caller has checked to be densities."""
         out = object.__new__(cls)
-        out._set(np.array(times, dtype=float, copy=True), grid, values, masses)
+        out._set(np.array(times, dtype=float, copy=True), grid, values)
         return out
 
-    def _set(self, times, grid, values, masses):
-        for array in (times, values, masses):
+    def _set(self, times, grid, values):
+        for array in (times, values):
             array.flags.writeable = False
-        for name, value in (("times", times), ("grid", grid),
-                            ("values", values), ("masses", masses)):
+        for name, value in (("times", times), ("grid", grid), ("values", values)):
             object.__setattr__(self, name, value)
 
     @property
@@ -261,8 +256,7 @@ class DensityTrajectory:
         return len(self.times)
 
     def __getitem__(self, k: int) -> Density:
-        return Density._checked(self.grid, self.values[k], float(self.times[k]),
-                                float(self.masses[k]))
+        return Density._checked(self.grid, self.values[k], float(self.times[k]))
 
 
 def safe_log_ratio(p: Density, q: Density) -> np.ndarray:

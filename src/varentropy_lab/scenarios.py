@@ -3,14 +3,15 @@
 Running a scenario (parsed by :mod:`varentropy_lab.config`) produces CSV
 reports and a list of pass/fail tolerance checks. A run solves the PDE once,
 from its config's start, on its config's solve mesh (the sample times and
-the stored times of both Monte Carlo ensembles), so the functionals report,
-the solver checks and the Monte Carlo references all read one solution. The
-solution is reduced as it is stepped: the solver yields it in checked chunks
-of one functionals kernel block, with the mass of every row, where the
-report and the lowest node read them, and only the rows at the Monte Carlo
-times are kept. Each check compares two computations and is one function
-returning a :class:`Check`; one function reads every Monte Carlo check from
-the ``mc_diagnostics.csv`` rows.
+the stored times of both Monte Carlo ensembles), so the functionals report
+and the Monte Carlo references read one solution. The solution is reduced
+as it is stepped: the solver yields it in checked chunks of one functionals
+kernel block, which the report reads, and only the rows at the Monte Carlo
+times are kept. The solver's own checks (finite, non-negative, unit mass)
+end a run that fails them, so no run check repeats them. Each check
+compares two computations, can fail, and is one function returning a
+:class:`Check`; one function reads every Monte Carlo check from the
+``mc_diagnostics.csv`` rows.
 Sweeps rerun a base scenario across a list of parameter overrides and
 tabulate the sign behaviour of the varentropy rate; consecutive members
 that share a grid, drift, solver config and solve mesh are solved together,
@@ -38,7 +39,7 @@ import numpy as np
 
 from .config import DENSE_STEPS, ConfigError, ScenarioConfig, SweepConfig
 from .drifts import GradientDrift
-from .fokker_planck import MASS_TOL, SolveError, SolverConfig, solve, solved_chunks
+from .fokker_planck import SolveError, SolverConfig, solve, solved_chunks
 from .functionals import (
     FunctionalReport,
     block_rows,
@@ -115,29 +116,12 @@ def _worst_relative(name: str, values: np.ndarray, refs: np.ndarray, floor: floa
     return Check(name, worst <= bound, f"max rel err = {worst:.3e} (tol {bound:g})")
 
 
-def _mass_conservation(masses: np.ndarray) -> Check:
-    """The solve's own bound on ``|mass - 1|``, read back from the masses."""
-    worst = float(np.max(np.abs(masses - 1.0)))
-    return Check("mass_conservation", worst <= MASS_TOL,
-                 f"max |mass-1| = {worst:.3e} (tol {MASS_TOL:g})")
-
-
-def _positivity(lowest: float) -> Check:
-    return Check("positivity", lowest >= 0.0, f"min node value = {lowest:.3e}")
-
-
 def _stationary_fixed_point(model: GradientDrift, solver: SolverConfig, pbar: Density) -> Check:
     """One solver step of size dt from the stationary density leaves it."""
     stepped = solve(pbar, model, np.array([0.0, solver.dt]), solver)[1]
     err = float(np.max(np.abs(stepped.values - pbar.values)))
     return Check("stationary_fixed_point", err <= FIXED_POINT_SUP,
                  f"sup |step(pbar) - pbar| = {err:.3e} (tol {FIXED_POINT_SUP:g})")
-
-
-def _entropy_rate_nonpositive(rep: FunctionalReport) -> Check:
-    highest = _worst(rep.entropy_rate)
-    return Check("entropy_rate_nonpositive", highest <= 0.0,
-                 f"max entropy rate = {highest:.3e}")
 
 
 def _vs_exact(rep: FunctionalReport, bench: OUBenchmark, quantity: str) -> Check:
@@ -243,14 +227,11 @@ def run_scenario(
     entropy_fd = central_difference(rep.relative_entropy, rep.time)
     varentropy_fd = central_difference(rep.varentropy, rep.time)
     checks = [
-        _mass_conservation(solved.masses),
-        _positivity(solved.lowest),
         solved.fixed_point,
         _worst_relative("varentropy_rate_consistency", rep.varentropy_rate[1:-1], varentropy_fd,
                         RATE_FLOOR, VARENTROPY_RATE_REL),
         _worst_relative("entropy_rate_consistency", rep.entropy_rate[1:-1], entropy_fd,
                         RATE_FLOOR, ENTROPY_RATE_REL),
-        _entropy_rate_nonpositive(rep),
     ]
     bench = cfg.exact()
     if bench is not None:
@@ -298,15 +279,12 @@ def run_scenario(
 @dataclass(frozen=True, eq=False)
 class _Solved:
     """What a run reads of its solve: its stationary density ``pbar``, the
-    report of its sample rows, the mass of every mesh row, the lowest node
-    value of them all, the rows of each Monte Carlo time set, and the
-    stationary fixed-point check of its solver, which depends on the grid,
-    drift and solver alone."""
+    report of its sample rows, the rows of each Monte Carlo time set, and
+    the stationary fixed-point check of its solver, which depends on the
+    grid, drift and solver alone."""
 
     pbar: Density
     report: FunctionalReport
-    masses: np.ndarray
-    lowest: float
     kept: list[DensityTrajectory]
     fixed_point: Check
 
@@ -316,14 +294,13 @@ def _solve_streamed(cfgs: Sequence[ScenarioConfig]) -> list[_Solved]:
     config and solve mesh of the first, as one block of
     :func:`solved_chunks`, and reduce each one's rows as they come.
 
-    The chunks are of ``block_rows(n)`` mesh times, checked, with the mass
-    of every row. Of each, the lowest node is taken, :func:`report` takes
-    each scenario's rows whole, into columns over the whole mesh, and the
-    rows of its Monte Carlo time sets are copied out. A row's report does
-    not depend on its chunk, so each scenario's report, its columns at the
-    mesh rows of its sample times, and every number here equal
-    :func:`solve` of that scenario alone followed by :func:`report`, bit
-    for bit. A failing
+    The chunks are of ``block_rows(n)`` mesh times, checked. Of each,
+    :func:`report` takes each scenario's rows whole, into columns over the
+    whole mesh, and the rows of its Monte Carlo time sets are copied out. A
+    row's report does not depend on its chunk, so each scenario's report,
+    its columns at the mesh rows of its sample times, and every number here
+    equal :func:`solve` of that scenario alone followed by :func:`report`,
+    bit for bit. A failing
     scenario raises :class:`SolveError` as :func:`solved_chunks` names it.
     The scenarios share one stationary fixed-point check, taken once, after
     the last chunk.
@@ -335,19 +312,14 @@ def _solve_streamed(cfgs: Sequence[ScenarioConfig]) -> list[_Solved]:
     # the group shares its grid and drift, so its stationary density too
     pbar = cfgs[0].stationary_density()
     plans = [cfg.time_sets for cfg in cfgs]
-    masses = np.empty((len(cfgs), len(mesh)))
-    lowest = np.full(len(cfgs), np.inf)
     # each scenario's report columns after time, one entry per mesh time
     fields = FunctionalReport.FIELDS[1:]
     columns = np.empty((len(cfgs), len(fields), len(mesh)))
     kept = [[np.empty((len(times), grid.n)) for times, _ in plan[1:]] for plan in plans]
-    for base, rows, row_masses in chunks:
+    for base, rows in chunks:
         end = base + rows.shape[1]
-        masses[:, base:end] = row_masses
-        np.minimum(lowest, rows.min(axis=(1, 2)), out=lowest)
         for m, (_, *mc_plans) in enumerate(plans):
-            part = report(DensityTrajectory._from_rows(mesh_times[base:end], grid, rows[m],
-                                                       row_masses[m]),
+            part = report(DensityTrajectory._from_rows(mesh_times[base:end], grid, rows[m]),
                           pbar, model.sigma)
             columns[m, :, base:end] = [getattr(part, field) for field in fields]
             for (_, index), out in zip(mc_plans, kept[m]):
@@ -355,12 +327,12 @@ def _solve_streamed(cfgs: Sequence[ScenarioConfig]) -> list[_Solved]:
                 out[lo:hi] = rows[m, [i - base for i in index[lo:hi]]]
     fixed_point = _stationary_fixed_point(model, solver, pbar)
     return [
-        _Solved(pbar, FunctionalReport(samples, *member_columns[:, index]), row_masses,
-                float(low), [DensityTrajectory._from_rows(times, grid, out, row_masses[index])
-                             for (times, index), out in zip(mc_plans, kept_rows)],
+        _Solved(pbar, FunctionalReport(samples, *member_columns[:, index]),
+                [DensityTrajectory._from_rows(times, grid, out)
+                 for (times, _), out in zip(mc_plans, kept_rows)],
                 fixed_point)
-        for member_columns, row_masses, low, ((samples, index), *mc_plans), kept_rows
-        in zip(columns, masses, lowest, plans, kept)
+        for member_columns, ((samples, index), *mc_plans), kept_rows
+        in zip(columns, plans, kept)
     ]
 
 

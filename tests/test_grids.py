@@ -47,6 +47,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="must be finite"):
             make_uniform_grid(lo, hi, 11)
 
+    def test_overflowing_width_rejected(self):
+        """Finite bounds whose width ``hi - lo`` overflows to inf would
+        give an infinite spacing and non-finite nodes."""
+        with pytest.raises(ValueError, match="overflows"):
+            make_uniform_grid(-1e308, 1e308, 11)
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="invalid bounds"):
             make_uniform_grid(0, 1, 2)
@@ -229,7 +235,7 @@ class TestTrajectory:
         q = Density(wide_grid, gaussian_density(wide_grid, 0.5, 0.5).values, time=1.0)
         traj = DensityTrajectory([0.0, 1.0], (p, q))
         assert traj.values.shape == (2, wide_grid.n)
-        assert traj.masses.tolist() == [p.mass(), q.mass()]
+        assert [s.mass() for s in traj.states] == [p.mass(), q.mass()]
         for state, given in zip(traj.states, (p, q)):
             assert np.array_equal(state.values, given.values)
             assert state.time == given.time
@@ -251,14 +257,16 @@ class TestTrajectoryArray:
         assert np.shares_memory(state.values, traj.values)
         assert np.array_equal(state.values, traj.values[3])
         assert state.time == traj.times[3]
-        assert state.mass() == traj.masses[3]
+        assert state.mass() == integrate(traj.values[3], traj.grid)
         with pytest.raises(ValueError):
             state.values[0] = 1.0
         with pytest.raises(ValueError):
             traj.values[3, 0] = 1.0
 
     def test_row_masses_are_integrate_bit_for_bit(self, traj):
-        assert traj.masses.tolist() == [integrate(row, traj.grid) for row in traj.values]
+        """The mass each state integrates when asked equals the mass that
+        the solver checked, over the whole block of rows, bit for bit."""
+        assert [s.mass() for s in traj.states] == integrate_rows(traj.values, traj.grid).tolist()
 
     def test_row_integrals_do_not_depend_on_the_block(self, wide_grid):
         rng = np.random.default_rng(5)

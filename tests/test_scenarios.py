@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from varentropy_lab import FunctionalReport, OUBenchmark, central_difference, re
 from varentropy_lab.cli import main
 from varentropy_lab.fokker_planck import MASS_TOL, SolveError, _Generator, solve
 from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
-from varentropy_lab.config import DENSE_STEPS, ConfigError, _deep_merge
+from varentropy_lab.config import DENSE_STEPS, MAX_COUNT, ConfigError, _deep_merge
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -353,13 +352,26 @@ class TestConfigParsing:
         for name in FunctionalReport.FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
-    def test_mass_check_reads_the_solver_bound(self):
-        """The ``mass_conservation`` check reads ``MASS_TOL``, the bound
-        ``solve`` enforces."""
-        cfg = ScenarioConfig.from_dict(ou_config())
-        check = next(c for c in run_scenario(cfg).checks if c.name == "mass_conservation")
-        assert MASS_TOL == 1e-10
-        assert check.passed and check.detail.endswith("(tol 1e-10)")
+    def test_grid_whose_double_width_overflows_rejected(self, tmp_path):
+        """The stationary mass is checked on the grid widened by half its
+        width on each side. A grid of finite width whose widened width
+        overflows is refused at ``config.grid``. A table start, a spike at
+        the middle node, keeps the Gaussian sampler, which squares the
+        nodes, out of the parse."""
+        spike = np.zeros(801)
+        spike[400] = 1.0
+        np.savetxt(tmp_path / "spike.txt", spike)
+        data = ou_config(grid={"lo": -5e307, "hi": 5e307, "n": 801},
+                         initial={"kind": "table", "path": "spike.txt"})
+        with pytest.raises(ConfigError, match="^config.grid: twice as wide, to check the "
+                                              "stationary mass: invalid bounds: .* overflows$"):
+            ScenarioConfig.from_dict(data, base_dir=tmp_path)
+
+    def test_max_count_is_the_array_limit(self):
+        """``MAX_COUNT`` is the most float64 elements numpy can shape: one
+        more is refused by numpy itself, before anything is allocated."""
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(MAX_COUNT + 1)
 
 
 class TestRunScenario:
@@ -371,6 +383,25 @@ class TestRunScenario:
         assert result.exit_code == 0
         for name in ("functionals.csv", "consistency.csv", "checks.csv"):
             assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("mc, names", [
+        (None, []),
+        (SMALL_MC, ["mc_duality", "mc_martingale_mean", "mc_martingale_conditional",
+                    "mc_functionals_agreement"]),
+    ], ids=["grid_only", "monte_carlo"])
+    def test_every_check_can_fail(self, tmp_path, mc, names):
+        """A run reports only checks that compare two computations, each of
+        which a run can fail, in ``checks.csv`` as in its result. The
+        solver's own refusals (finite, non-negative, unit mass) end a run
+        that fails them, and no check repeats them."""
+        cfg = ScenarioConfig.from_dict(ou_config(mc=mc))
+        result = run_scenario(cfg, out_dir=tmp_path)
+        want = ["stationary_fixed_point", "varentropy_rate_consistency",
+                "entropy_rate_consistency", "varentropy_vs_exact", "varentropy_rate_vs_exact",
+                *names]
+        assert [c.name for c in result.checks] == want
+        rows = (tmp_path / "checks.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == want
 
     def test_functionals_csv_schema(self, tmp_path):
         cfg = ScenarioConfig.from_dict(ou_config())
@@ -576,10 +607,6 @@ class TestChecksFailOnNaN:
         self._failed_with_nan(scenarios._worst_relative("x", bad, good, 1e-6, 1e-2))
         self._failed_with_nan(scenarios._worst_relative("x", good, bad, 1e-6, 1e-2))
 
-    def test_entropy_rate_nonpositive(self):
-        rep = SimpleNamespace(entropy_rate=np.array([-1.0, self.NAN]))
-        self._failed_with_nan(scenarios._entropy_rate_nonpositive(rep))
-
     def test_mc_martingale_mean(self):
         rows = [("martingale_mean", 0.0, None, 100, 1.0, 0.1, 1.0),
                 ("martingale_mean", 0.5, None, 100, self.NAN, 0.1, 1.0)]
@@ -781,9 +808,8 @@ def _inject_nans(monkeypatch, faults):
 class TestGroupedSweep:
     """Sweep members that share a grid, drift, solver config and solve mesh
     are solved together, however many; their rows stream in chunks of
-    one kernel block per member, and each member's report, masses and
-    lowest node equal its solve alone followed by ``report``, bit for
-    bit."""
+    one kernel block per member, and each member's report equals its solve
+    alone followed by ``report``, bit for bit."""
 
     def _record(self, monkeypatch):
         """Record the width of every group solve, and whether each member's
@@ -795,10 +821,10 @@ class TestGroupedSweep:
             widths.append(len(starts))
             alone = [solve(p0, model, t_grid, cfg).values for p0 in starts]
             same = [True] * len(starts)
-            for base, values, masses in real(starts, model, t_grid, cfg, rows):
+            for base, values in real(starts, model, t_grid, cfg, rows):
                 same = [s and np.array_equal(chunk, solo[base:base + len(chunk)])
                         for s, chunk, solo in zip(same, values, alone)]
-                yield base, values, masses
+                yield base, values
             equal.extend(same)
 
         monkeypatch.setattr(scenarios, "solved_chunks", chunks)
@@ -858,11 +884,11 @@ class TestGroupedSweep:
     @pytest.mark.parametrize("samples", [7, 61, 1201])
     @pytest.mark.parametrize("width", [1, 3, 8])
     def test_streamed_group_equals_solo_solve_and_report(self, width, samples):
-        """Each member's streamed report columns, masses and lowest node
-        equal ``solve`` of the member alone followed by ``report``, byte for
-        byte, whether the mesh fills no chunk (7), part of one (61) or ends
-        in a partial one (1201 = 18 * 65 + 31). The last member's narrow
-        start has exact zero nodes."""
+        """Each member's streamed report columns equal ``solve`` of the
+        member alone followed by ``report``, byte for byte, whether the mesh
+        fills no chunk (7), part of one (61) or ends in a partial one (1201
+        = 18 * 65 + 31). The last member's narrow start has exact zero
+        nodes."""
         members = [cfg for _, cfg in shipped_sweep(samples).members()]
         narrow = replace(members[0], initial={"kind": "gaussian", "mean": 1.0, "variance": 1e-4})
         assert np.count_nonzero(narrow.initial_density().values == 0.0) > 100
@@ -875,8 +901,6 @@ class TestGroupedSweep:
             for field in FunctionalReport.FIELDS:
                 got_column, want_column = getattr(got.report, field), getattr(want, field)
                 assert got_column.tobytes() == want_column.tobytes(), field
-            assert got.masses.tobytes() == traj.masses.tobytes()
-            assert np.float64(got.lowest).tobytes() == traj.values.min().tobytes()
             assert got.kept == []
 
     def test_dense_sweep_holds_no_member_trajectory(self):
@@ -1077,16 +1101,33 @@ class TestCli:
         (lambda d: d["solver"].update(dt=float("inf")),
          "config.solver: dt must be positive and finite"),
         (lambda d: d.update(mc={**d["mc"], "seed": -1}), "config.mc.seed: must be >= 0, got -1"),
+        # a grid or a bin grid whose width overflows
+        (lambda d: d["grid"].update(lo=-1e308, hi=1e308),
+         "config.grid: invalid bounds: the width hi - lo of lo=-1e+308 and hi=1e+308 overflows"),
+        (lambda d: d.update(mc={**d["mc"], "bin_span": 9e307}),
+         "config.mc.bin_span: bin grid: invalid bounds: the width hi - lo"),
+        # a count that no float64 array can have; tried only above
+        # MAX_COUNT, which allocates nothing
+        (lambda d: d["grid"].update(n=MAX_COUNT + 1), "config.grid.n: 1152921504606846976 is more"),
+        # samples this far apart do not merge
+        (lambda d: d["time"].update(t_end=1e10, n_samples=MAX_COUNT + 1),
+         "config.time.n_samples: 1152921504606846976 is more"),
+        (lambda d: d.update(mc={**d["mc"], "n_paths": 1e19}), "config.mc.n_paths: 1e+19 is more"),
+        (lambda d: d.update(mc={**d["mc"], "bins": MAX_COUNT + 1}),
+         "config.mc.bins: 1152921504606846976 is more"),
     ])
     def test_bad_field_exit_2(self, tmp_path, capsys, edit, field):
-        """A bad field ends the run at parse time with its path on stderr,
-        before anything is written."""
+        """A bad field ends the run at parse time with one line on stderr
+        that gives its path, before anything is solved or written."""
         data = ou_config(mc=SMALL_MC)
         edit(data)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: {field}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {field}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("table, reason", [
@@ -1265,8 +1306,9 @@ class TestCli:
         assert capsys.readouterr().err == "config error: config.tolerances: unknown field\n"
 
     def test_failed_solve_exit_1(self, tmp_path, capsys, monkeypatch):
-        """A solve whose mass drifts past ``MASS_TOL`` fails: the run ends
-        with one line giving the solver's message, no traceback."""
+        """A solve whose mass drifts past ``MASS_TOL``, 1e-10, fails: the run
+        ends with one line giving the solver's message, no traceback."""
+        assert MASS_TOL == 1e-10
         real = _Generator.run
 
         def drifting(gen, values, dt, n_steps):
