@@ -293,10 +293,12 @@ class ScenarioConfig:
 
     def exact(self) -> Optional[OUBenchmark]:
         """The closed forms of this scenario when it is the exactly solvable
-        benchmark (linear drift rate -1/2, sigma 1, Gaussian start of mean 0)."""
-        if self.initial["kind"] != "gaussian" or self.initial["mean"] != 0.0:
+        benchmark (linear drift rate -1/2, sigma 1, one Gaussian component of
+        mean 0, whichever ``kind`` spells it; a ``table`` has no mean)."""
+        components = self.initial.get("components", [self.initial])
+        if len(components) != 1 or components[0].get("mean") != 0.0:
             return None
-        bench = OUBenchmark(self.initial["variance"])
+        bench = OUBenchmark(components[0]["variance"])
         return bench if self.model == bench.model() else None
 
 

@@ -57,14 +57,14 @@ rounding, which grows with the spread of ``ln d``. The measured drift stays
 at the level of rounding: ``run double_well_relax`` has a largest ``|mass - 1|`` of 2.0e-13,
 where the LU path gave 2.4e-13.
 
-One loop steps
-and checks every solve: :func:`solved_chunks` steps one or more starts on
-one grid together and fills a buffer of a given number of output times per
-start; each time it is full, one pass takes the mass of every row and
-checks the rows, and the chunk is yielded. :func:`solve` is its one chunk
-of every output time of one start. A caller that needs only some numbers
-of each state reduces the chunks as they come and holds no trajectory, as
-every scenario run does (``scenarios._solve_streamed``).
+One loop steps and checks every solve: :func:`solved_chunks` steps one or
+more starts on one grid together and fills a buffer of a given number of
+output times per start; each time it is full, one pass takes the mass of
+every row and checks the rows, and the chunk is yielded, or the solve raises
+at its first bad row. :func:`solve` is its one chunk of every output time of
+one start. A caller that needs only some numbers of each state reduces the
+chunks as they come and holds no trajectory, as every scenario run does
+(``scenarios._solve_streamed``).
 
 The implicit matrix ``I - dt A / 2`` of a step, with A = S or L, depends
 only on the generator and the substep size ``dt``, and a run uses only a
@@ -387,9 +387,9 @@ class _Generator:
 
 class SolveError(RuntimeError):
     """A solve failed, or was refused before stepping. ``start`` indexes,
-    among the starts solved together, the one whose trajectory failed; a
-    failure or refusal of the stepping itself, which no start causes, is the
-    first start's, whose solve alone would meet it first."""
+    among the starts solved together, the first with a bad row in the chunk
+    where the solve stopped; a failure or refusal of the stepping itself, which
+    no start causes, is the first start's, whose solve alone would meet it first."""
 
     def __init__(self, message: str, start: int = 0):
         super().__init__(message)
@@ -454,11 +454,11 @@ def solved_chunks(
     ``MASS_TOL`` of one. Row 0 holds the starts, already checked as
     densities. Then the chunk is yielded as ``(first output index, values)``,
     where ``values`` is a view of the buffer that the next chunk overwrites.
-    Once a start has failed nothing more is yielded, but every interval is
-    still stepped; at the end the first start, in order, whose rows failed
-    raises :class:`SolveError` with its index, naming its first bad time.
-    A failure of the stepping itself raises at once. The arguments are
-    checked when this is called, not when the first chunk is drawn.
+    The first chunk with a bad row raises :class:`SolveError` instead, and no
+    later interval is stepped; it names the chunk's first bad start, by index,
+    at that start's first bad time. A failure of the stepping itself raises at
+    once. The arguments are checked when this is called, not when the first
+    chunk is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -484,7 +484,6 @@ def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
     """The stepping and checking loop of :func:`solved_chunks` from the
     states ``block``, by ``gen`` through the intervals of ``plan``."""
     buffer = np.empty((len(block), min(rows, len(times)), grid.n))
-    failed = None  # the SolveError of the first failing start so far
     base = 0  # the output index of the buffer's first row
     for k in range(len(times)):
         if k:
@@ -500,12 +499,9 @@ def _chunks(block: np.ndarray, gen: _Generator, grid: Grid, times: list[float],
         masses = integrate_rows(values, grid)
         first = 1 if base == 0 else 0
         problem = first_invalid_row(values[:, first:], masses[:, first:], MASS_TOL)
-        if problem is not None and (failed is None or problem[0][0] < failed.start):
+        if problem is not None:
             (start, j), why = problem
-            failed = SolveError(f"solve failed advancing to t={times[base + first + j]:g}: {why}",
-                                start)
-        if failed is None:
-            yield base, values
+            raise SolveError(f"solve failed advancing to t={times[base + first + j]:g}: {why}",
+                             start)
+        yield base, values
         base = k + 1
-    if failed is not None:
-        raise failed

@@ -14,13 +14,13 @@ one pass; one density is the one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
-#: Default relative mass tolerance accepted when validating a Density.
+#: Largest ``|mass - 1|`` of a Density.
 DEFAULT_MASS_TOL = 1e-6
 
 #: Floor used inside logarithms of density ratios.
@@ -160,13 +160,12 @@ class Density:
 
     ``time`` tags the model time the density belongs to. Construction
     validates finiteness, non-negativity and total mass (trapezoid rule)
-    against ``mass_tol``. ``values`` is read-only.
+    within ``DEFAULT_MASS_TOL`` of one. ``values`` is read-only.
     """
 
     grid: Grid
     values: np.ndarray
     time: float = 0.0
-    mass_tol: float = field(default=DEFAULT_MASS_TOL, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -175,7 +174,7 @@ class Density:
                 f"length mismatch: grid has {self.grid.n} nodes, values has shape {vals.shape}"
             )
         masses = integrate_rows(vals[None, :], self.grid)
-        problem = first_invalid_row(vals[None, :], masses, self.mass_tol)
+        problem = first_invalid_row(vals[None, :], masses, DEFAULT_MASS_TOL)
         if problem is not None:
             raise ValueError(problem[1])
         vals.flags.writeable = False
@@ -186,8 +185,7 @@ class Density:
         """A density over read-only ``values`` whose checks the caller has
         already made: no copy, no second pass over the nodes."""
         out = object.__new__(cls)
-        for name, value in (("grid", grid), ("values", values), ("time", time),
-                            ("mass_tol", DEFAULT_MASS_TOL)):
+        for name, value in (("grid", grid), ("values", values), ("time", time)):
             object.__setattr__(out, name, value)
         return out
 
@@ -322,7 +320,9 @@ def mixture_density(grid: Grid, components: Iterable[tuple[float, float, float]]
     values = np.zeros(grid.n)
     for w, mu, var in components:
         _check_gaussian_parameters(mu, var)
-        values += w * np.exp(-((grid.x - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+        # a square past float range gives exp(-inf) = 0, the right limit
+        with np.errstate(over="ignore"):
+            values += w * np.exp(-((grid.x - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
     return normalized_density(grid, values)
 
 

@@ -470,9 +470,9 @@ def monotonicity_sweep(sweep: SweepConfig) -> list[SweepRow]:
     solved once by :func:`_solve_streamed`, which holds one chunk of rows
     per member, never a trajectory, and takes the group's one stationary
     fixed-point solve; each member then runs on its share of it, checks and
-    report included, and solves nothing more. A solver error names the
-    member that met it, the group's first for the fixed-point solve; one in
-    a group's solve comes before the group's earlier members have run.
+    report included, and solves nothing more. A solver error in a group's
+    solve, before any member has run, names the first bad member of the
+    chunk where it stopped; one in the fixed-point solve, the group's first.
     """
     rows: list[SweepRow] = []
     for _, members in itertools.groupby(sweep.members(), key=lambda member: (

@@ -612,18 +612,18 @@ class TestSolveGroup:
 
     def test_first_failing_start_is_named_across_chunks(self, dw_model, dw_grid, monkeypatch):
         """The third start fails in the second chunk of 3 output times, the
-        second start only in the third: nothing is yielded after the first
-        chunk, every interval is still stepped, and the second start is
-        named at its own first bad time."""
+        second start only in the third: the solve raises at the end of the
+        second chunk, naming the third start at its first bad time, and
+        steps no interval past that chunk."""
         calls = self._inject_nans(monkeypatch, [(2, 4), (1, 8)])
         yielded = []
-        with pytest.raises(SolveError, match=r"t=0\.04: density has non-finite values") as err:
+        with pytest.raises(SolveError, match=r"t=0\.02: density has non-finite values") as err:
             for base, _ in solved_chunks(self._starts(dw_grid), dw_model, self.TIMES,
                                          SolverConfig(dt=1e-3), 3):
                 yielded.append(base)
-        assert err.value.start == 1
+        assert err.value.start == 2
         assert yielded == [0]
-        assert len(calls) == len(self.TIMES) - 1
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("change, message", [
         (lambda starts: [], "at least one start"),

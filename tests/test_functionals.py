@@ -202,8 +202,8 @@ class TestJointRescalingInvariance:
 
     def test_log_ratio_machine_exact(self, wide_grid, narrow_gaussian, ou_stationary):
         c = 1.0 + 1e-7
-        p2 = Density(wide_grid, narrow_gaussian.values * c, mass_tol=1e-3)
-        q2 = Density(wide_grid, ou_stationary.values * c, mass_tol=1e-3)
+        p2 = Density(wide_grid, narrow_gaussian.values * c)
+        q2 = Density(wide_grid, ou_stationary.values * c)
         assert_allclose(
             safe_log_ratio(p2, q2),
             safe_log_ratio(narrow_gaussian, ou_stationary),
@@ -212,8 +212,8 @@ class TestJointRescalingInvariance:
 
     def test_functionals_scale_with_weight_mass(self, wide_grid, narrow_gaussian, ou_stationary):
         c = 1.0 + 1e-9
-        p2 = Density(wide_grid, narrow_gaussian.values * c, mass_tol=1e-6)
-        q2 = Density(wide_grid, ou_stationary.values * c, mass_tol=1e-6)
+        p2 = Density(wide_grid, narrow_gaussian.values * c)
+        q2 = Density(wide_grid, ou_stationary.values * c)
         for fn in (relative_entropy, relative_fisher, varentropy):
             base = fn(narrow_gaussian, ou_stationary)
             assert fn(p2, q2) == pytest.approx(base, rel=3e-9)

@@ -20,7 +20,7 @@ from varentropy_lab import (
     solve,
     support_mask,
 )
-from varentropy_lab.grids import gradient_rows, integrate_rows
+from varentropy_lab.grids import DEFAULT_LOG_FLOOR, DEFAULT_MASS_TOL, gradient_rows, integrate_rows
 
 from harmonicity import laplacian
 
@@ -165,6 +165,16 @@ class TestDensity:
         with pytest.raises(ValueError, match="mass"):
             Density(g, np.full(g.n, 2.0))
 
+    def test_mass_bound_is_fixed(self):
+        """No caller can loosen the mass bound: a Density takes no
+        ``mass_tol``, and a mass e, or 2e-6 off one, is refused."""
+        g = make_uniform_grid(0, 1, 11)
+        with pytest.raises(TypeError, match="mass_tol"):
+            Density(g, np.ones(g.n), mass_tol=2.0)
+        for mass in (math.e, 1.0 + 2 * DEFAULT_MASS_TOL):
+            with pytest.raises(ValueError, match="mass"):
+                Density(g, np.full(g.n, mass))
+
     def test_negative_values_rejected(self):
         g = make_uniform_grid(0, 1, 11)
         values = np.full(g.n, 1.0)
@@ -284,11 +294,16 @@ class TestSafeLogRatio:
             assert_allclose(safe_log_ratio(p, p), 0.0, atol=0.0)
 
     def test_constant_ratio(self, wide_grid):
-        # p = e * q nodewise, both valid once normalized against each other is
-        # impossible; emulate with loose mass tolerance instead
-        q = gaussian_density(wide_grid, 0.0, 1.0)
-        p = Density(wide_grid, q.values * math.e, mass_tol=2.0)
-        assert_allclose(safe_log_ratio(p, q), 1.0, atol=1e-14)
+        """Where p is positive it is a constant multiple c of q, so the log
+        ratio there is ln c; where p is zero the floor stands in for p."""
+        g = np.exp(-0.5 * wide_grid.x**2)
+        left = np.where(wide_grid.x <= 0.0, g, 0.0)
+        q, p = normalized_density(wide_grid, g), normalized_density(wide_grid, left)
+        c = integrate(g, wide_grid) / integrate(left, wide_grid)
+        got = safe_log_ratio(p, q)
+        inside = left > 0.0
+        assert_allclose(got[inside], math.log(c), atol=1e-14)
+        assert_allclose(got[~inside], np.log(DEFAULT_LOG_FLOOR / q.values[~inside]), rtol=1e-15)
 
     def test_gaussian_closed_form(self, wide_grid, narrow_gaussian, ou_stationary):
         """Log ratio of N(0, 1/4) to N(0, 1) is -ln s - (x^2/2)(1 - s^2)/s^2."""

@@ -140,9 +140,18 @@ class TestConfigParsing:
         {"initial": {"kind": "mixture", "components": [
             {"weight": 0.5, "mean": -1.0, "variance": 0.25},
             {"weight": 0.5, "mean": 1.0, "variance": 0.25}]}},
-    ], ids=["mean_0.5", "sigma_2", "rate_-1", "mixture"])
+        {"initial": {"kind": "mixture", "components": [
+            {"weight": 1.0, "mean": 0.5, "variance": 0.25}]}},
+    ], ids=["mean_0.5", "sigma_2", "rate_-1", "mixture", "one_component_mean_0.5"])
     def test_no_exact_solution_off_the_benchmark(self, overrides):
         assert ScenarioConfig.from_dict(ou_config(**overrides)).exact() is None
+
+    def test_table_start_is_never_exact(self, tmp_path):
+        """A table holding the benchmark's own start is not read as it."""
+        cfg = ScenarioConfig.from_dict(ou_config())
+        np.savetxt(tmp_path / "start.txt", cfg.start.values)
+        table = ou_config(initial={"kind": "table", "path": "start.txt"})
+        assert ScenarioConfig.from_dict(table, base_dir=tmp_path).exact() is None
 
     @pytest.mark.parametrize("section, key, value, field", [
         ("grid", "n", 401.5, "config.grid.n"),
@@ -964,16 +973,17 @@ class TestGroupedSweep:
 
     def test_solver_error_names_the_first_failing_member(self, monkeypatch):
         """The sixth member fails in the first chunk of 65 rows, the first
-        member only in the third: the sweep names the first member, at its
-        own first bad time, as ``solved_chunks`` names its first bad start."""
+        member only in the third: the group's solve stops at the end of the
+        first chunk, and the sweep names the sixth member at its first bad
+        time, as ``solved_chunks`` names the first bad start of that chunk."""
         sweep = shipped_sweep(201)
         _inject_nans(monkeypatch, [(5, 10), (0, 150)])
-        label = sweep.members()[0][0]
+        label = sweep.members()[5][0]
         with pytest.raises(RuntimeError, match=(
-                f"^sweep member {re.escape(label)}: solve failed advancing to t=0\\.9: "
+                f"^sweep member {re.escape(label)}: solve failed advancing to t=0\\.06: "
                 "density has non-finite values$")) as err:
             monotonicity_sweep(sweep)
-        assert err.value.__cause__.start == 0
+        assert err.value.__cause__.start == 5
 
 
 class TestConvergence:
@@ -1106,6 +1116,11 @@ class TestCli:
          "config.grid: invalid bounds: the width hi - lo of lo=-1e+308 and hi=1e+308 overflows"),
         (lambda d: d.update(mc={**d["mc"], "bin_span": 9e307}),
          "config.mc.bin_span: bin grid: invalid bounds: the width hi - lo"),
+        # grids whose nodes' squares overflow in the start density
+        (lambda d: d["grid"].update(lo=-5e307, hi=5e307),
+         "config.grid: twice as wide, to check the stationary mass: invalid bounds: the width"),
+        (lambda d: d["grid"].update(lo=-1e200, hi=1e200),
+         "config.drift: stationary density out of float range: overflow"),
         # a count that no float64 array can have; tried only above
         # MAX_COUNT, which allocates nothing
         (lambda d: d["grid"].update(n=MAX_COUNT + 1), "config.grid.n: 1152921504606846976 is more"),
@@ -1129,6 +1144,26 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_one_component_mixture_is_the_gaussian_start(self, tmp_path, capsys):
+        """A start written as a mixture of one component is the Gaussian
+        start: ``run`` writes the same checks, the two exact ones included,
+        and ``converge`` the same table and output."""
+        gaussian = ou_config()["initial"]
+        mixture = {"kind": "mixture", "components": [
+            {"weight": 1.0, "mean": gaussian["mean"], "variance": gaussian["variance"]}]}
+        path, out, table = tmp_path / "cfg.json", tmp_path / "out", tmp_path / "conv.csv"
+        written = []
+        for initial in (gaussian, mixture):
+            path.write_text(json.dumps(ou_config(initial=initial)))
+            codes = (main(["run", str(path), "--out", str(out)]),
+                     main(["converge", str(path), "--levels", "2", "--out", str(table)]))
+            written.append((codes, (out / "checks.csv").read_bytes(), table.read_bytes(),
+                            capsys.readouterr()))
+        assert written[0] == written[1]
+        assert written[0][0] == (0, 0)
+        assert b"\nvarentropy_vs_exact,True," in written[0][1]
+        assert b"\nvarentropy_rate_vs_exact,True," in written[0][1]
 
     @pytest.mark.parametrize("table, reason", [
         (None, "table.txt not found"),
