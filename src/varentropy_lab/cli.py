@@ -1,5 +1,4 @@
-"""Command-line front end: run scenarios, sweeps, convergence studies and
-print the exact-benchmark table.
+"""Command-line front end: run scenarios, sweeps and convergence studies.
 
 Exit status of ``run`` is zero only when every configured tolerance check
 passes, so acceptance suites can shell out to scenario runs directly. A
@@ -15,14 +14,10 @@ writes nothing.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, ScenarioConfig, SweepConfig
-from .ou_exact import OUBenchmark
 from .scenarios import (
     convergence_study,
     monotonicity_sweep,
@@ -102,29 +97,6 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    bench = OUBenchmark(args.sigma0_sq)
-    times = np.linspace(0.0, args.t_end, args.samples)
-    print(f"{'time':>8} {'variance':>12} {'entropy':>12} {'varentropy':>12} "
-          f"{'d_varentropy':>13} {'d_entropy':>12}")
-    for t in times:
-        print(f"{t:>8.4f} {bench.variance(t):>12.6f} {bench.relative_entropy(t):>12.6f} "
-              f"{bench.varentropy(t):>12.6f} {bench.varentropy_rate(t):>13.6f} "
-              f"{bench.entropy_rate(t):>12.6f}")
-    return 0
-
-
-def _positive(kind):
-    """An argument type: a positive, finite number of ``kind``."""
-    def parse(text: str):
-        value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-        return value
-    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varentropy-lab",
@@ -148,13 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.add_argument("--out", help="CSV output path")
     p_conv.set_defaults(func=_cmd_converge)
-
-    p_oracle = sub.add_parser("oracle", help="print the exact benchmark table")
-    p_oracle.add_argument("--sigma0-sq", type=_positive(float), required=True,
-                          dest="sigma0_sq", help="initial variance")
-    p_oracle.add_argument("--t-end", type=_positive(float), required=True, dest="t_end")
-    p_oracle.add_argument("--samples", type=_positive(int), default=13)
-    p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 
 

@@ -29,9 +29,9 @@ import numpy as np
 from .drifts import GradientDrift, invariant_density, linear_drift
 from .fokker_planck import SolveError, SolverConfig, substep_plan
 from .grids import (
-    SAME_TIME_TOL,
     Density,
     Grid,
+    checked_mixture,
     gaussian_mass_outside,
     integrate,
     make_uniform_grid,
@@ -43,6 +43,9 @@ from .ou_exact import OUBenchmark
 
 #: Mass allowed outside the grid for initial and stationary densities.
 GRID_MASS_TOL = 1e-10
+
+#: Times closer than this are one time of the solve mesh.
+SAME_TIME_TOL = 1e-9
 
 #: Largest count of an array-sized field: the most float64 elements numpy
 #: can shape in one array.
@@ -342,7 +345,9 @@ def _initial(data, grid: Grid, base_dir: Path) -> tuple[dict, Density]:
     density it gives on ``grid``, refused if more than ``GRID_MASS_TOL`` of
     its mass lies outside the grid. Construction comes here, once, so a
     table file is read once per config. A Gaussian is the one-component
-    mixture of weight 1, which gives the same bits."""
+    mixture of weight 1, which gives the same bits. A mixture's mass outside
+    the grid is taken in closed form before its density is built: a start
+    wholly off the grid leaves no mass on it to normalize."""
     path = "config.initial"
     kind = _kind(data, _INITIAL_KEYS, path)
     if kind == "table":
@@ -374,15 +379,14 @@ def _initial(data, grid: Grid, base_dir: Path) -> tuple[dict, Density]:
                 for i, c in enumerate(comps)
             ]
             initial, where = {"kind": kind, "components": comps}, f"{path}.components"
+        triples = [(c["weight"], c["mean"], c["variance"]) for c in comps]
         try:
-            p0 = mixture_density(grid, [(c["weight"], c["mean"], c["variance"]) for c in comps])
+            outside = sum(w * gaussian_mass_outside(grid.lo, grid.hi, mean, variance)
+                          for w, mean, variance in checked_mixture(triples))
+            p0 = mixture_density(grid, triples) if outside <= GRID_MASS_TOL else None
         except ValueError as err:
             raise ConfigError(f"{where}: {err}") from err
-        outside = sum(
-            c["weight"] * gaussian_mass_outside(grid.lo, grid.hi, c["mean"], c["variance"])
-            for c in comps
-        )
-    if outside > GRID_MASS_TOL:
+    if not outside <= GRID_MASS_TOL:
         raise ConfigError(
             f"config.grid: initial density mass outside the grid is "
             f"{outside:.3e} > {GRID_MASS_TOL:g}; widen [lo, hi]"

@@ -31,10 +31,6 @@ DEFAULT_LOG_FLOOR = 1e-300
 #: integrands are numerically meaningless in the far tails.
 DEFAULT_TAIL_CUT = 1e-12
 
-#: Times closer than this are one time: a trajectory state may carry a time
-#: this far from its label, and a scenario run solves them as one mesh time.
-SAME_TIME_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -158,14 +154,14 @@ def first_invalid_row(
 class Density:
     """Non-negative, unit-mass probability density sampled on a grid.
 
-    ``time`` tags the model time the density belongs to. Construction
-    validates finiteness, non-negativity and total mass (trapezoid rule)
-    within ``DEFAULT_MASS_TOL`` of one. ``values`` is read-only.
+    Construction validates finiteness, non-negativity and total mass
+    (trapezoid rule) within ``DEFAULT_MASS_TOL`` of one. ``values`` is
+    read-only. A density holds no time: the trajectory or the solve mesh it
+    belongs to does.
     """
 
     grid: Grid
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -181,11 +177,11 @@ class Density:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def _checked(cls, grid: Grid, values: np.ndarray, time: float) -> "Density":
+    def _checked(cls, grid: Grid, values: np.ndarray) -> "Density":
         """A density over read-only ``values`` whose checks the caller has
         already made: no copy, no second pass over the nodes."""
         out = object.__new__(cls)
-        for name, value in (("grid", grid), ("values", values), ("time", time)):
+        for name, value in (("grid", grid), ("values", values)):
             object.__setattr__(out, name, value)
         return out
 
@@ -205,8 +201,9 @@ class DensityTrajectory:
     """Densities on one grid at strictly increasing times, held as one
     read-only ``(len(times), grid.n)`` array.
 
-    ``traj[k]`` is a :class:`Density` over row ``k`` of that array: a
-    read-only view, neither copied nor checked again. ``states`` derives the
+    ``traj[k]``, the state at ``times[k]``, is a :class:`Density` over row
+    ``k`` of that array: a read-only view, neither copied nor checked again,
+    and the one record of its time is ``times``. ``states`` derives the
     tuple of all of them. Built from ``(times, states)``, the states are
     stacked once; the solver and its stream build a trajectory from an
     array they have checked themselves.
@@ -226,11 +223,9 @@ class DensityTrajectory:
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
         grid = states[0].grid
-        for t, s in zip(times, states):
+        for s in states:
             if s.grid is not grid and s.grid != grid:
                 raise ValueError("all states must share one grid")
-            if abs(s.time - t) > SAME_TIME_TOL:
-                raise ValueError(f"state time {s.time} does not match mesh time {t}")
         self._set(times, grid, np.stack([s.values for s in states]))
 
     @classmethod
@@ -254,7 +249,7 @@ class DensityTrajectory:
         return len(self.times)
 
     def __getitem__(self, k: int) -> Density:
-        return Density._checked(self.grid, self.values[k], float(self.times[k]))
+        return Density._checked(self.grid, self.values[k])
 
 
 def safe_log_ratio(p: Density, q: Density) -> np.ndarray:
@@ -289,26 +284,16 @@ def normalized_density(grid: Grid, values: np.ndarray) -> Density:
     return Density(grid, values / mass)
 
 
-def _check_gaussian_parameters(mean: float, variance: float):
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean}")
-    if not math.isfinite(variance):
-        raise ValueError(f"variance must be finite, got {variance}")
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
-
-
 def gaussian_density(grid: Grid, mean: float, variance: float) -> Density:
     """Gaussian density sampled on the grid and renormalized by quadrature:
     the one-component :func:`mixture_density` of weight 1."""
     return mixture_density(grid, [(1.0, mean, variance)])
 
 
-def mixture_density(grid: Grid, components: Iterable[tuple[float, float, float]]) -> Density:
-    """Gaussian mixture from ``(weight, mean, variance)`` triples.
-
-    Weights must be positive and sum to one.
-    """
+def checked_mixture(components: Iterable[tuple[float, float, float]]) -> list:
+    """The ``(weight, mean, variance)`` triples of a Gaussian mixture, as a
+    list: at least one, the weights positive and summing to one, every mean
+    and variance finite and every variance positive."""
     components = list(components)
     if not components:
         raise ValueError("mixture needs at least one component")
@@ -317,9 +302,21 @@ def mixture_density(grid: Grid, components: Iterable[tuple[float, float, float]]
         raise ValueError("mixture weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, expected 1")
+    for _, mean, variance in components:
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        if not math.isfinite(variance):
+            raise ValueError(f"variance must be finite, got {variance}")
+        if variance <= 0.0:
+            raise ValueError(f"variance must be positive, got {variance}")
+    return components
+
+
+def mixture_density(grid: Grid, components: Iterable[tuple[float, float, float]]) -> Density:
+    """Gaussian mixture from ``(weight, mean, variance)`` triples, refused
+    as :func:`checked_mixture` refuses them."""
     values = np.zeros(grid.n)
-    for w, mu, var in components:
-        _check_gaussian_parameters(mu, var)
+    for w, mu, var in checked_mixture(components):
         # a square past float range gives exp(-inf) = 0, the right limit
         with np.errstate(over="ignore"):
             values += w * np.exp(-((grid.x - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)

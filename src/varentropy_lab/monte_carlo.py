@@ -433,9 +433,9 @@ the cells between the nodes of ``bins`` and
 
 @dataclass(frozen=True)
 class MCFunctionals:
-    """Sample-mean functional estimates with standard errors."""
+    """Sample-mean functional estimates with standard errors, at the time of
+    the positions they are taken from, which the caller holds."""
 
-    time: float
     relative_entropy: float
     relative_entropy_se: float
     varentropy: float
@@ -446,8 +446,8 @@ class MCFunctionals:
 
 def mc_functionals(x: np.ndarray, p_t: Density, pbar: Density, sigma: float) -> MCFunctionals:
     """Monte Carlo estimates of relative entropy, varentropy and the
-    varentropy rate at the time of ``p_t``, from the positions ``x`` of the
-    paths at that time.
+    varentropy rate of the law ``p_t``, from the positions ``x`` of the paths
+    at its time.
 
     The log ratio and its slope are evaluated on the grid and linearly
     interpolated at the path positions. The rate standard error treats the
@@ -471,7 +471,6 @@ def mc_functionals(x: np.ndarray, p_t: Density, pbar: Density, sigma: float) -> 
     rate = float(integrand.mean())
     rate_se = float(integrand.std(ddof=1) / math.sqrt(n))
     return MCFunctionals(
-        time=p_t.time,
         relative_entropy=entropy,
         relative_entropy_se=entropy_se,
         varentropy=varent,

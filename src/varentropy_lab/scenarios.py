@@ -398,7 +398,7 @@ def _run_mc_diagnostics(
     paths = simulate_ensemble(
         cfg.model, p0, mc.dt, mc.t_end, mc.n_paths, mc.seed, store_every=mc.store_every
     )
-    for x, p_t in zip(paths.T, traj.states, strict=True):
+    for t, x, p_t in zip(traj.times.tolist(), paths.T, traj.states, strict=True):
         est_f = mc_functionals(x, p_t, pbar, cfg.model.sigma)
         for name, value, se, ref in (
             ("entropy_mc", est_f.relative_entropy, est_f.relative_entropy_se,
@@ -407,7 +407,7 @@ def _run_mc_diagnostics(
             ("varentropy_rate_mc", est_f.varentropy_rate, est_f.varentropy_rate_se,
              varentropy_rate(p_t, pbar, cfg.model.sigma)),
         ):
-            rows.append((name, est_f.time, None, mc.n_paths, value, se, ref))
+            rows.append((name, t, None, mc.n_paths, value, se, ref))
     return rows
 
 

@@ -75,7 +75,7 @@ def cfg():
 
 def _one_step(p, model, cfg):
     """The state one nominal step ``cfg.dt`` after ``p``."""
-    return solve(p, model, np.array([p.time, p.time + cfg.dt]), cfg)[1]
+    return solve(p, model, np.array([0.0, cfg.dt]), cfg)[1]
 
 
 class TestStep:
@@ -104,7 +104,10 @@ class TestStep:
         assert out.mass() == pytest.approx(narrow_gaussian.mass(), abs=1e-12)
 
     def test_time_advances(self, narrow_gaussian, ou_model, cfg):
-        assert _one_step(narrow_gaussian, ou_model, cfg).time == pytest.approx(cfg.dt)
+        """The step's time is the trajectory's, and its state has moved."""
+        traj = solve(narrow_gaussian, ou_model, np.array([0.0, cfg.dt]), cfg)
+        assert traj.times.tolist() == [0.0, cfg.dt]
+        assert not np.array_equal(traj[1].values, narrow_gaussian.values)
 
 
 class TestSolve:
@@ -134,9 +137,14 @@ class TestSolve:
         for state in traj.states:
             assert state.values.min() >= 0.0
 
-    def test_t_grid_must_start_at_initial_time(self, ou_model, narrow_gaussian, cfg):
-        with pytest.raises(ValueError, match="start"):
-            solve(narrow_gaussian, ou_model, np.array([0.5, 1.0]), cfg)
+    def test_t_grid_may_start_at_any_time(self, ou_model, narrow_gaussian, cfg):
+        """A density holds no time: the start is the state at ``t_grid[0]``,
+        and the drift does not depend on time, so a solve on [0.5, 1] steps
+        as one on [0, 0.5] does, bit for bit."""
+        late = solve(narrow_gaussian, ou_model, np.array([0.5, 1.0]), cfg)
+        early = solve(narrow_gaussian, ou_model, np.array([0.0, 0.5]), cfg)
+        assert late.times.tolist() == [0.5, 1.0]
+        assert late.values.tobytes() == early.values.tobytes()
 
     def test_t_grid_must_increase(self, ou_model, narrow_gaussian, cfg):
         with pytest.raises(ValueError, match="increasing"):
@@ -629,9 +637,7 @@ class TestSolveGroup:
         (lambda starts: [], "at least one start"),
         (lambda starts: starts[:1] + [gaussian_density(make_uniform_grid(-3.5, 3.5, 601), 0.0,
                                                        0.1)], "share one grid"),
-        (lambda starts: starts + [Density(starts[0].grid, starts[0].values, time=0.01)],
-         "start at p0.time=0.01"),
-    ], ids=["empty", "other_grid", "other_time"])
+    ], ids=["empty", "other_grid"])
     def test_refuses_starts_it_cannot_step_together(self, dw_model, dw_grid, change, message):
         """Refused when called, before any chunk is drawn."""
         starts = change(self._starts(dw_grid))
@@ -696,8 +702,8 @@ class TestExactInTime:
         rows = _exact_rows(p0, config.model, times)
         # the expansion rounds the far tails to within 1e-15 of zero, either side
         assert rows.min() > -1e-15
-        exact = DensityTrajectory(times, [Density(config.grid, np.maximum(row, 0.0), time=t)
-                                          for t, row in zip(times, rows)])
+        exact = DensityTrajectory(times, [Density(config.grid, np.maximum(row, 0.0))
+                                          for row in rows])
         pbar = config.stationary_density()
         expected = report(exact, pbar, sigma).varentropy
         got = report(solve(p0, config.model, times, config.solver), pbar, sigma).varentropy

@@ -201,6 +201,12 @@ class TestDensity:
         with pytest.raises(ValueError, match="positive"):
             mixture_density(g, [(np.nan, -1.0, 0.25), (1.0, 1.0, 0.25)])
 
+    def test_holds_no_time(self):
+        """A state's time is its trajectory's or its solve's, not a field."""
+        g = make_uniform_grid(0, 1, 11)
+        with pytest.raises(TypeError):
+            Density(g, np.ones(g.n), time=0.0)
+
     def test_values_immutable(self):
         g = make_uniform_grid(-8, 8, 801)
         p = gaussian_density(g, 0.0, 1.0)
@@ -237,18 +243,16 @@ class TestTrajectory:
         p = gaussian_density(wide_grid, 0.0, 1.0)
         with pytest.raises(ValueError, match="equal length"):
             DensityTrajectory(np.array([0.0, 1.0, 2.0]),
-                              (p, Density(wide_grid, p.values, time=1.0)))
-
+                              (p, Density(wide_grid, p.values)))
 
     def test_states_are_stacked_into_one_array(self, wide_grid):
         p = gaussian_density(wide_grid, 0.0, 1.0)
-        q = Density(wide_grid, gaussian_density(wide_grid, 0.5, 0.5).values, time=1.0)
+        q = Density(wide_grid, gaussian_density(wide_grid, 0.5, 0.5).values)
         traj = DensityTrajectory([0.0, 1.0], (p, q))
         assert traj.values.shape == (2, wide_grid.n)
         assert [s.mass() for s in traj.states] == [p.mass(), q.mass()]
         for state, given in zip(traj.states, (p, q)):
             assert np.array_equal(state.values, given.values)
-            assert state.time == given.time
 
     def test_empty_trajectory_refused(self):
         with pytest.raises(ValueError, match="at least one state"):
@@ -266,7 +270,6 @@ class TestTrajectoryArray:
         state = traj[3]
         assert np.shares_memory(state.values, traj.values)
         assert np.array_equal(state.values, traj.values[3])
-        assert state.time == traj.times[3]
         assert state.mass() == integrate(traj.values[3], traj.grid)
         with pytest.raises(ValueError):
             state.values[0] = 1.0

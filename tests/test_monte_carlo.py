@@ -283,7 +283,6 @@ class TestMCFunctionals:
         paths, traj = transient
         for x, p in zip(paths.T, traj.states, strict=True):
             est = mc_functionals(x, p, ou_stationary, ou_model.sigma)
-            assert est.time == p.time
             assert abs(est.relative_entropy - relative_entropy(p, ou_stationary)) <= (
                 3 * est.relative_entropy_se
             )
@@ -550,7 +549,7 @@ def _reference_mc_functionals(x, p_t, pbar, sigma):
     centered = lr - lr.mean()
     integrand = sigma**2 * (-lr - 1.0 + entropy) * sl**2
     return MCFunctionals(
-        p_t.time, entropy, float(lr.std(ddof=1) / math.sqrt(n)), varent,
+        entropy, float(lr.std(ddof=1) / math.sqrt(n)), varent,
         float(math.sqrt(max((centered**4).mean() - varent**2, 0.0) / n)),
         float(integrand.mean()), float(integrand.std(ddof=1) / math.sqrt(n)),
     )

@@ -18,8 +18,8 @@ from varentropy_lab import ScenarioConfig, SweepConfig, convergence_study, monot
 from varentropy_lab import FunctionalReport, OUBenchmark, central_difference, report, scenarios
 from varentropy_lab.cli import main
 from varentropy_lab.fokker_planck import MASS_TOL, SolveError, _Generator, solve
-from varentropy_lab.grids import SAME_TIME_TOL, gaussian_density
-from varentropy_lab.config import DENSE_STEPS, MAX_COUNT, ConfigError, _deep_merge
+from varentropy_lab.grids import gaussian_density
+from varentropy_lab.config import DENSE_STEPS, MAX_COUNT, SAME_TIME_TOL, ConfigError, _deep_merge
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -94,6 +94,20 @@ class TestConfigParsing:
         data = ou_config(initial={"kind": "gaussian", "mean": 0.0, "variance": 4.0})
         with pytest.raises(ConfigError, match="initial density mass outside"):
             ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("component, message", [
+        ({"weight": float("nan")}, "config.initial.components: mixture weights must be positive"),
+        ({"weight": 0.4}, "config.initial.components: mixture weights sum to "),
+        ({"variance": -1.0}, "config.initial.components: variance must be positive, got -1.0"),
+    ], ids=["nan_weight", "weight_sum", "negative_variance"])
+    def test_mixture_is_checked_before_its_mass_off_the_grid(self, component, message):
+        """A component off the grid with a bad weight or variance is refused
+        for that number: the mass off the grid is taken only of a mixture
+        that passed its checks."""
+        comps = [{"weight": 0.5, "mean": -1.0, "variance": 0.25},
+                 {"weight": 0.5, "mean": 30.0, "variance": 0.25, **component}]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ScenarioConfig.from_dict(ou_config(initial={"kind": "mixture", "components": comps}))
 
     def test_narrow_grid_rejected_for_stationary(self):
         data = ou_config(grid={"lo": -4.0, "hi": 4.0, "n": 201})
@@ -1130,6 +1144,12 @@ class TestCli:
         (lambda d: d.update(mc={**d["mc"], "n_paths": 1e19}), "config.mc.n_paths: 1e+19 is more"),
         (lambda d: d.update(mc={**d["mc"], "bins": MAX_COUNT + 1}),
          "config.mc.bins: 1152921504606846976 is more"),
+        # a start wholly off the grid, by its mean or by a variance so wide
+        # that its density underflows at every node
+        (lambda d: d["initial"].update(mean=30.0),
+         "config.grid: initial density mass outside the grid is 1.000e+00 > 1e-10"),
+        (lambda d: d["initial"].update(variance=1e308),
+         "config.grid: initial density mass outside the grid is 1.000e+00 > 1e-10"),
     ])
     def test_bad_field_exit_2(self, tmp_path, capsys, edit, field):
         """A bad field ends the run at parse time with one line on stderr
@@ -1264,17 +1284,14 @@ class TestCli:
         assert captured.err.startswith(f"config error: {message}")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
-    @pytest.mark.parametrize("argv, argument", [
-        (["--sigma0-sq", "-1", "--t-end", "3"], "--sigma0-sq"),
-        (["--sigma0-sq", "0.25", "--t-end", "-1"], "--t-end"),
-        (["--sigma0-sq", "0.25", "--t-end", "3", "--samples", "0"], "--samples"),
-    ])
-    def test_oracle_bad_argument_exit_2(self, capsys, argv, argument):
+    def test_oracle_is_not_a_command(self, capsys):
+        """The exact table is demo 01's, and every ``ou_benchmark`` run
+        checks against it: argparse refuses ``oracle``."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["oracle", *argv])
+            main(["oracle"])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert f"argument {argument}: must be positive and finite" in captured.err
+        assert "invalid choice: 'oracle'" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("out", ["{d}"], ids=["out_directory"])
@@ -1396,16 +1413,6 @@ class TestCli:
         path.write_text(json.dumps(bad))  # written as the JSON extension NaN
         assert main(["run", str(path)]) == 2
         assert "config.initial" in capsys.readouterr().err
-
-    def test_oracle_table(self, capsys):
-        code = main(["oracle", "--sigma0-sq", "0.25", "--t-end", "1.0", "--samples", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "varentropy" in out
-        # t = 0 row shows the closed-form values
-        first = out.splitlines()[1].split()
-        assert float(first[1]) == pytest.approx(0.25)
-        assert float(first[3]) == pytest.approx(0.28125)
 
     def test_sweep_command(self, tmp_path, capsys):
         sweep = {"base": ou_config(name="cli_sweep"), "values": variance_values(0.25, 0.5)}
@@ -1686,10 +1693,9 @@ class TestCli:
         assert (tmp_path / "run" / "mc_diagnostics.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "varentropy_lab", "oracle",
-             "--sigma0-sq", "0.25", "--t-end", "0.5", "--samples", "3"],
-            capture_output=True, text=True,
-        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ou_config(time={"t_end": 0.2, "n_samples": 6})))
+        proc = subprocess.run([sys.executable, "-m", "varentropy_lab", "run", str(path)],
+                              capture_output=True, text=True)
         assert proc.returncode == 0
-        assert "variance" in proc.stdout
+        assert "[PASS] ou_small: varentropy_vs_exact" in proc.stdout
