@@ -1284,14 +1284,21 @@ class TestCli:
         assert captured.err.startswith(f"config error: {message}")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
-    def test_oracle_is_not_a_command(self, capsys):
-        """The exact table is demo 01's, and every ``ou_benchmark`` run
-        checks against it: argparse refuses ``oracle``."""
+    @pytest.mark.parametrize("argv, argument", [
+        (["--sigma0-sq", "-1", "--t-end", "3"], "--sigma0-sq"),
+        (["--sigma0-sq", "0.25", "--t-end", "-1"], "--t-end"),
+        (["--sigma0-sq", "0.25", "--t-end", "3", "--samples", "0"], "--samples"),
+    ])
+    def test_oracle_bad_argument_exit_2(self, capsys, argv, argument):
+        """``oracle`` is not a command: the exact table is demo 01's, and
+        every ``ou_benchmark`` run checks against it. Argparse refuses the
+        command itself, before it reads any of its former flags."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["oracle"])
+            main(["oracle", *argv])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert "invalid choice: 'oracle'" in captured.err
+        assert f"argument {argument}" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("out", ["{d}"], ids=["out_directory"])
