@@ -6,7 +6,7 @@ conservative positivity-preserving method, evaluates relative entropy,
 relative Fisher information and varentropy along the solution, checks the
 closed-form varentropy rate against trajectory finite differences, and
 cross-validates everything against Monte Carlo path ensembles and the
-exactly solvable Ornstein-Uhlenbeck benchmark.
+closed-form Gaussian laws of the Ornstein-Uhlenbeck process.
 """
 
 from .grids import (

@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_conv = sub.add_parser("converge", help="refinement study on the exact benchmark")
-    p_conv.add_argument("config", help="path to a benchmark scenario JSON file")
+    p_conv = sub.add_parser("converge", help="refinement study against the closed-form law")
+    p_conv.add_argument("config", help="path to a linear-drift, Gaussian-start scenario JSON file")
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.add_argument("--out", help="CSV output path")
     p_conv.set_defaults(func=_cmd_converge)

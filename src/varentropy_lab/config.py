@@ -295,14 +295,15 @@ class ScenarioConfig:
         return invariant_density(self.model, self.grid)
 
     def exact(self) -> Optional[OUBenchmark]:
-        """The closed forms of this scenario when it is the exactly solvable
-        benchmark (linear drift rate -1/2, sigma 1, one Gaussian component of
-        mean 0, whichever ``kind`` spells it; a ``table`` has no mean)."""
+        """The closed-form law of this scenario when it has one: a linear
+        drift (potential coefficients c1 = c3 = c4 = 0) from one Gaussian
+        component, whichever ``kind`` spells them; a ``table`` has none."""
         components = self.initial.get("components", [self.initial])
-        if len(components) != 1 or components[0].get("mean") != 0.0:
+        _, c1, c2, c3, c4 = self.model.coeffs
+        if len(components) != 1 or "mean" not in components[0] or (c1, c3, c4) != (0, 0, 0):
             return None
-        bench = OUBenchmark(components[0]["variance"])
-        return bench if self.model == bench.model() else None
+        return OUBenchmark(components[0]["variance"], components[0]["mean"], -2.0 * c2,
+                           self.model.sigma)
 
 
 #: Keys of a scenario config document.

@@ -17,7 +17,7 @@ tabulate the sign behaviour of the varentropy rate; consecutive members
 that share a grid, drift, solver config and solve mesh are solved together,
 however many, one block of states per kernel call, in chunks of one
 kernel block per member, and each member's run then reads its share. The
-convergence study reruns the exactly solvable benchmark on a ladder of
+convergence study reruns a scenario with a closed-form law on a ladder of
 refined meshes and yields each level's error and observed order as it ends.
 
 Runs are deterministic end to end (Monte Carlo included, via seeds): a
@@ -66,7 +66,7 @@ from .ou_exact import OUBenchmark
 
 #: Largest ``sup |step(pbar) - pbar|`` of one solver step from the stationary density.
 FIXED_POINT_SUP = 1e-8
-#: Largest relative error of a reported quantity against the exact benchmark.
+#: Largest relative error of a reported quantity against the closed-form law.
 ORACLE_REL = 1e-3
 #: Largest relative error of the closed-form varentropy and entropy rates
 #: against the central differences of the varentropy and the entropy.
@@ -125,7 +125,7 @@ def _stationary_fixed_point(model: GradientDrift, solver: SolverConfig, pbar: De
 
 
 def _vs_exact(rep: FunctionalReport, bench: OUBenchmark, quantity: str) -> Check:
-    """One reported quantity against the benchmark's closed form of it,
+    """One reported quantity against the law's closed form of it,
     evaluated per time with ``math``: ``np.exp`` can round differently."""
     exact = np.array([getattr(bench, quantity)(t) for t in rep.time.tolist()])
     return _worst_relative(f"{quantity}_vs_exact", getattr(rep, quantity), exact, 1e-12,
@@ -515,25 +515,25 @@ class ConvergenceRow:
 
 
 def convergence_study(cfg: ScenarioConfig, levels: int) -> Iterator[ConvergenceRow]:
-    """Errors of the computed varentropy against the exact benchmark under
+    """Errors of the computed varentropy against the closed-form law under
     simultaneous halving of the grid spacing and the time step, one row per
     level, yielded as that level's solve finishes.
 
-    Only defined for benchmark scenarios (standard OU drift, centered
-    Gaussian start), where the exact values are available. The observed
+    Only defined for scenarios that have that law (``ScenarioConfig.exact``:
+    a linear drift from one Gaussian component). The observed
     order for level k compares errors at levels k-1 and k; with two levels a
     single ratio is reported. Each level is the config with the refined
     grid and step and no Monte Carlo block, so it solves the sample times.
     Each refusal is a ``ConfigError``, raised when this is called, before
-    any solve: too few levels, a config without the exact benchmark, or a
+    any solve: too few levels, a config without a closed-form law, or a
     level that construction refuses, such as a solve too long to take.
     """
     if levels < 2:
         raise ConfigError(f"--levels: need at least 2 levels, got {levels}")
     bench = cfg.exact()
     if bench is None:
-        raise ConfigError("config: the convergence study requires the exactly solvable "
-                          "benchmark: linear drift rate -0.5, sigma 1, Gaussian start of mean 0")
+        raise ConfigError("config: the convergence study requires a closed-form law: "
+                          "a linear drift and a one-component Gaussian start")
     ladder = []
     for level in range(levels):
         grid = make_uniform_grid(cfg.grid.lo, cfg.grid.hi, (cfg.grid.n - 1) * 2**level + 1)

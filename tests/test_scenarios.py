@@ -146,18 +146,32 @@ class TestConfigParsing:
         assert linear.model == gradient.model
         assert linear.exact() == gradient.exact() == OUBenchmark(0.25)
 
+    @pytest.mark.parametrize("overrides, law", [
+        ({"initial": {"kind": "gaussian", "mean": 0.5, "variance": 0.25}}, OUBenchmark(0.25, 0.5)),
+        ({"drift": {"kind": "linear", "rate": -0.5, "sigma": 2.0},
+          "grid": {"lo": -16.0, "hi": 16.0, "n": 401}}, OUBenchmark(0.25, sigma=2.0)),
+        ({"drift": {"kind": "linear", "rate": -1.0}}, OUBenchmark(0.25, rate=-1.0)),
+        ({"initial": {"kind": "mixture", "components": [
+            {"weight": 1.0, "mean": 0.5, "variance": 0.25}]}}, OUBenchmark(0.25, 0.5)),
+        ({"drift": {"kind": "gradient", "coeffs": [3.0, 0, 0.5, 0, 0], "sigma": 0.8}},
+         OUBenchmark(0.25, rate=-1.0, sigma=0.8)),
+    ], ids=["mean_0.5", "sigma_2", "rate_-1", "one_component_mean_0.5", "gradient_c0_3"])
+    def test_exact_law_off_the_centred_unit_case(self, overrides, law):
+        """Every linear drift from one Gaussian component has its law in
+        closed form, whatever its rate, sigma, start mean or potential
+        constant, and whichever ``kind`` spells the drift or the start."""
+        assert ScenarioConfig.from_dict(ou_config(**overrides)).exact() == law
+
     @pytest.mark.parametrize("overrides", [
-        {"initial": {"kind": "gaussian", "mean": 0.5, "variance": 0.25}},
-        {"drift": {"kind": "linear", "rate": -0.5, "sigma": 2.0},
-         "grid": {"lo": -16.0, "hi": 16.0, "n": 401}},
-        {"drift": {"kind": "linear", "rate": -1.0}},
         {"initial": {"kind": "mixture", "components": [
             {"weight": 0.5, "mean": -1.0, "variance": 0.25},
             {"weight": 0.5, "mean": 1.0, "variance": 0.25}]}},
-        {"initial": {"kind": "mixture", "components": [
-            {"weight": 1.0, "mean": 0.5, "variance": 0.25}]}},
-    ], ids=["mean_0.5", "sigma_2", "rate_-1", "mixture", "one_component_mean_0.5"])
+        {"drift": {"kind": "gradient", "coeffs": [0, 0.5, 0.25, 0, 0]}},
+        {"drift": {"kind": "gradient", "coeffs": [0, 0, -0.5, 0, 0.25]}},
+    ], ids=["mixture", "shifted_drift", "double_well"])
     def test_no_exact_solution_off_the_benchmark(self, overrides):
+        """A two-component start, a drift with a constant term (``c1``) and
+        a nonlinear drift have no closed form here."""
         assert ScenarioConfig.from_dict(ou_config(**overrides)).exact() is None
 
     def test_table_start_is_never_exact(self, tmp_path):
@@ -1086,7 +1100,9 @@ class TestConvergence:
             grid={"lo": -3.5, "hi": 3.5, "n": 201},
         )
         cfg = ScenarioConfig.from_dict(data)
-        with pytest.raises(ValueError, match="benchmark"):
+        with pytest.raises(ValueError, match="^config: the convergence study requires a "
+                                             "closed-form law: a linear drift and a "
+                                             "one-component Gaussian start$"):
             convergence_study(cfg, levels=2)
 
     def test_level_count_validated(self):
@@ -1266,8 +1282,13 @@ class TestCli:
 
     @pytest.mark.parametrize("data, levels, message", [
         (ou_config(), "1", "--levels: need at least 2 levels, got 1"),
-        (ou_config(drift={"kind": "linear", "rate": -1.0}), "2",
-         "config: the convergence study requires the exactly solvable benchmark"),
+        (ou_config(drift={"kind": "gradient", "coeffs": [0, 0, -0.5, 0, 0.25]},
+                   initial={"kind": "mixture", "components": [
+                       {"weight": 0.5, "mean": -1, "variance": 0.09},
+                       {"weight": 0.5, "mean": 1, "variance": 0.09}]},
+                   grid={"lo": -3.5, "hi": 3.5, "n": 201}), "2",
+         "config: the convergence study requires a closed-form law: a linear drift and a "
+         "one-component Gaussian start\n"),
         (json.loads((CONFIGS / "ou_benchmark.json").read_text()), "8",
          "--levels: level 7 of 8: 6.18e+07 substeps of 102401 nodes, as short as 4.85e-08, "
          "make 6.33e+12 node-substeps, more than the 1e+12 a solve may take\n"),
